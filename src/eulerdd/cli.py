@@ -12,8 +12,8 @@ path (``out`` key or ``--out``) and print a fit summary plus, when
 ``f_larmor`` is set, the Larmor-resonance check.
 
 Exit codes: 0 on success, 1 on config errors (parse failures,
-unknown or inapplicable keys, out-of-range values), 2 when a valid
-experiment fails at runtime.
+unknown or inapplicable keys, out-of-range or non-finite values), 2
+when a valid experiment fails at runtime.
 """
 from __future__ import annotations
 
@@ -49,7 +49,10 @@ def _as_int(raw: str) -> int:
 
 
 def _as_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _as_str(raw: str) -> str:
@@ -227,13 +230,10 @@ def _dump_config(cfg: dict) -> str:
 
 
 def _sim_params(cfg: dict) -> SimParams:
-    envelope = None
-    if "envelope_t2" in cfg:
-        envelope = DephasingSpec(envelope_T2=cfg["envelope_t2"])
     return SimParams(dt=cfg.get("dt"),
                      realizations=cfg.get("realizations", 1000),
                      master_seed=cfg.get("master_seed", 0),
-                     envelope=envelope)
+                     envelope_T2=cfg.get("envelope_t2"))
 
 
 def _noise_spec(cfg: dict) -> LorentzianNoiseSpec | None:

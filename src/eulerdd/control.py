@@ -30,6 +30,7 @@ __all__ = [
     "SEQUENCE_PHASES",
     "LarmorCheck",
     "envelope_at",
+    "pulse_envelope",
     "build_schedule",
     "check_larmor_resonance",
     "prep_unitary",
@@ -68,17 +69,35 @@ class PulseShape:
     def __post_init__(self) -> None:
         if self.kind not in ("Delta", "Square", "Gaussian"):
             raise ValueError(f"unknown pulse shape {self.kind!r}")
-        if self.gauss_trunc <= 0:
-            raise ValueError("gauss_trunc must be positive")
+        if not 0 < self.gauss_trunc < math.inf:
+            raise ValueError("gauss_trunc must be positive and finite")
 
 
-def envelope_at(shape: PulseShape, t: float, tau_d: float) -> float:
-    """Drive envelope Omega(t) in rad/s, for t inside [0, tau_d].
+def pulse_envelope(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarray:
+    """Drive envelope Omega in rad/s at relative times ``rel``, unchecked.
+
+    The one definition of the Square and Gaussian envelopes: pi / tau_d,
+    or the Gaussian of sigma = tau_d / 5 zeroed beyond +-gauss_trunc
+    sigma and renormalized to area pi over its window inside [0, tau_d].
+    """
+    if shape.kind == "Square":
+        return np.full(np.shape(rel), math.pi / tau_d)
+    sigma = tau_d / 5.0
+    # Integration window is [0, tau_d] intersected with the truncation window.
+    half = min(tau_d / (2.0 * sigma), shape.gauss_trunc)
+    area = sigma * math.sqrt(2.0 * math.pi) * math.erf(half / math.sqrt(2.0))
+    x = (rel - tau_d / 2.0) / sigma
+    return np.where(np.abs(x) > shape.gauss_trunc, 0.0, (math.pi / area) * np.exp(-0.5 * x * x))
+
+
+def envelope_at(shape: PulseShape, t, tau_d: float):
+    """Drive envelope Omega(t) in rad/s, for t (a float or an array) inside [0, tau_d].
 
     Square pulses return pi / tau_d everywhere in the segment.
     Gaussian pulses return the truncated Gaussian, renormalized after
     truncation so the integrated area is pi to 1e-9.  Delta pulses are
-    represented as exact rotations and have no envelope.
+    represented as exact rotations and have no envelope.  Evaluates
+    ``pulse_envelope``, the envelope the engine integrates.
 
     Raises
     ------
@@ -89,17 +108,11 @@ def envelope_at(shape: PulseShape, t: float, tau_d: float) -> float:
         raise OutOfSegment("Delta pulses have no time-resolved envelope")
     if tau_d <= 0:
         raise InvalidTiming("tau_d must be positive for a finite-width pulse")
-    if not 0.0 <= t <= tau_d:
+    rel = np.asarray(t, dtype=float)
+    if not np.all((rel >= 0.0) & (rel <= tau_d)):
         raise OutOfSegment(f"t = {t!r} outside pulse segment [0, {tau_d!r}]")
-    if shape.kind == "Square":
-        return math.pi / tau_d
-    sigma = tau_d / 5.0
-    if abs(t - tau_d / 2) > shape.gauss_trunc * sigma:
-        return 0.0
-    # Integration window is [0, tau_d] intersected with the truncation window.
-    half = min(tau_d / (2 * sigma), shape.gauss_trunc)
-    area = sigma * math.sqrt(2 * math.pi) * math.erf(half / math.sqrt(2))
-    return (math.pi / area) * math.exp(-0.5 * ((t - tau_d / 2) / sigma) ** 2)
+    env = pulse_envelope(shape, tau_d, rel)
+    return float(env) if env.ndim == 0 else env
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,10 @@ class SequenceSpec:
             raise ValueError("Custom sequence needs a non-empty phase pattern")
         if self.N < 1:
             raise InvalidTiming("N must be >= 1")
-        if self.tau <= 0:
-            raise InvalidTiming("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise InvalidTiming("tau must be positive and finite")
+        if not math.isfinite(self.tau_d):
+            raise InvalidTiming("tau_d must be finite")
         if self.shape.kind != "Delta" and self.tau_d <= 0:
             raise InvalidTiming("tau_d must be positive for finite-width pulses")
 

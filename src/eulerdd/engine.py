@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (PulseShape, Schedule, Segment, SequenceSpec,
-                      build_schedule, prep_unitary, readout_unitary)
-from .noise import (DephasingSpec, LorentzianNoiseSpec, derive_seed,
+from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
+                      prep_unitary, pulse_envelope, readout_unitary)
+from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, derive_seed,
                     sample_detuning, sample_realization, weights_all)
 from .su2core import SpinState, axis_rotation
 
@@ -76,21 +76,23 @@ class SimParams:
 
     dt = None selects the automatic per-segment step described in the
     module docstring; an explicit dt applies to every segment and is
-    shortened as needed to divide each segment exactly.
+    shortened as needed to divide each segment exactly.  envelope_T2,
+    when set, multiplies dd curves by the intrinsic-dephasing envelope
+    of ``apply_envelope``.
     """
 
     dt: float | None = None
     realizations: int = 1000
     master_seed: int = 0
-    envelope: DephasingSpec | None = None
+    envelope_T2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.envelope is not None and not self.envelope.is_envelope:
-            raise ValueError("SimParams.envelope must be an envelope-mode DephasingSpec")
+        if self.envelope_T2 is not None and not 0 < self.envelope_T2 < math.inf:
+            raise ValueError("envelope_T2 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -151,50 +153,6 @@ def golden_rule_amplitude(R: float, target_T1: float) -> float:
 # Batched propagation core
 
 
-def _envelope_nodes(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarray:
-    """Vectorized pulse envelope at relative node times in [0, tau_d]."""
-    if shape.kind == "Square":
-        return np.full(rel.shape, math.pi / tau_d)
-    # Gaussian, truncated at +-gauss_trunc sigma and renormalized to area pi.
-    sigma = tau_d / 5.0
-    half = min(tau_d / (2.0 * sigma), shape.gauss_trunc)
-    area = sigma * math.sqrt(2.0 * math.pi) * math.erf(half / math.sqrt(2.0))
-    x = (rel - tau_d / 2.0) / sigma
-    env = (math.pi / area) * np.exp(-0.5 * x * x)
-    env[np.abs(x) > shape.gauss_trunc] = 0.0
-    return env
-
-
-def _peak_field(shape: PulseShape, tau_d: float) -> float:
-    if tau_d == 0.0:
-        return 0.0
-    if shape.kind == "Square":
-        return math.pi / tau_d
-    return float(_envelope_nodes(shape, tau_d, np.array([tau_d / 2.0]))[0])
-
-
-class _NoiseData:
-    """Comb frequencies and per-realization field coefficients for one run.
-
-    c_noise(t) = sum_n coef[m, n] e^{i omega_n t} is the coefficient of
-    the lowering structure 0.5 (b_x - i b_y) entering H psi.
-    """
-
-    def __init__(self, spec: LorentzianNoiseSpec, phases: np.ndarray) -> None:
-        w = weights_all(spec)
-        self.omega = 2.0 * np.pi * spec.indices * spec.delta_omega
-        self.coef = 0.5 * spec.A * w[None, :] * np.exp(1j * phases)
-        self.b_sup = float(spec.A * np.sum(w))
-
-    def c_at(self, rows: slice, tt: np.ndarray) -> np.ndarray:
-        coef = self.coef[rows]
-        out = np.zeros((coef.shape[0], tt.size), dtype=complex)
-        # Fixed summation order keeps results identical for any row slice.
-        for k in range(self.omega.size):
-            out += coef[:, k, None] * np.exp(1j * self.omega[k] * tt)[None, :]
-        return out
-
-
 def _check_step(hmax: float, dt: float) -> None:
     # Classic RK4 leading local error ~ (|H| dt)^5 / 120 per step.
     est = (hmax * dt) ** 5 / 120.0
@@ -203,8 +161,8 @@ def _check_step(hmax: float, dt: float) -> None:
             f"local truncation estimate {est:.2e} > 1e-6 at dt = {dt:.3e}; reduce dt")
 
 
-def _segment_step(seg: Segment, idle_ref: float, omega_peak: float,
-                  scale: float, explicit_dt: float | None) -> float:
+def _segment_step(seg: Segment, idle_ref: float, scale: float,
+                  explicit_dt: float | None) -> float:
     if explicit_dt is not None:
         dt = explicit_dt
     else:
@@ -215,7 +173,7 @@ def _segment_step(seg: Segment, idle_ref: float, omega_peak: float,
     return min(dt, seg.duration)
 
 
-def _propagate_items(items, shape: PulseShape, noise: _NoiseData | None,
+def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray, psi0: np.ndarray,
                      explicit_dt: float | None, idle_ref: float,
                      delta_max: float, drift_out: list | None = None):
@@ -247,9 +205,10 @@ def _propagate_items(items, shape: PulseShape, noise: _NoiseData | None,
             raise StepTooLarge(
                 f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
                 f"for a finite-width pulse")
-        omega_peak = _peak_field(shape, seg.duration) if seg.is_pulse else 0.0
+        omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
+                      if seg.is_pulse else 0.0)
         scale = max(omega_peak + b_sup, delta_max, comb_max)
-        dt = _segment_step(seg, idle_ref, omega_peak, scale, explicit_dt)
+        dt = _segment_step(seg, idle_ref, scale, explicit_dt)
         nstep = max(1, math.ceil(seg.duration / dt - 1e-9))
         h = seg.duration / nstep
         _check_step(0.5 * math.hypot(omega_peak + b_sup, delta_max), h)
@@ -259,11 +218,11 @@ def _propagate_items(items, shape: PulseShape, noise: _NoiseData | None,
             # RK4 node times: step starts, midpoints, and ends on a half-step grid.
             rel = (done + 0.5 * np.arange(2 * block + 1)) * h
             if noise is not None:
-                c_nodes = noise.c_at(slice(None), t_abs + rel)
+                c_nodes = noise.c_at(t_abs + rel)
             else:
                 c_nodes = np.zeros((1, rel.size), dtype=complex)
             if seg.is_pulse:
-                env = _envelope_nodes(shape, seg.duration, rel)
+                env = pulse_envelope(shape, seg.duration, rel)
                 c_nodes = c_nodes + (0.5 * np.exp(-1j * seg.phase)) * env[None, :]
             for j in range(block):
                 c0 = c_nodes[:, 2 * j]
@@ -347,25 +306,19 @@ _TAG_NOISE = 0x656E676E
 _TAG_DETUNING = 0x656E6764
 
 
-def _effective_noise_spec(spec: LorentzianNoiseSpec | None,
-                          params: SimParams) -> LorentzianNoiseSpec | None:
-    if spec is None or spec.A <= 0.0:
-        return None
+def _seeded(spec, params: SimParams, tag: int):
+    """The spec if it carries a seed, else a copy seeded by derive_seed(master_seed, tag)."""
     if spec.master_seed is not None:
         return spec
-    return LorentzianNoiseSpec(R=spec.R, A=spec.A, delta_omega=spec.delta_omega,
-                               n_max=spec.n_max,
-                               master_seed=derive_seed(params.master_seed, _TAG_NOISE))
+    return replace(spec, master_seed=derive_seed(params.master_seed, tag))
 
 
-def _effective_dephasing_spec(spec: DephasingSpec | None,
-                              params: SimParams) -> DephasingSpec | None:
-    if spec is None or spec.is_envelope or spec.sigma_delta <= 0.0:
+def _comb(noise_spec: LorentzianNoiseSpec | None, params: SimParams, indices) -> Comb | None:
+    """Comb of the given realization indices, None when there is no field."""
+    if noise_spec is None or noise_spec.A <= 0.0:
         return None
-    if spec.master_seed is not None:
-        return spec
-    return DephasingSpec(sigma_delta=spec.sigma_delta,
-                         master_seed=derive_seed(params.master_seed, _TAG_DETUNING))
+    spec = _seeded(noise_spec, params, _TAG_NOISE)
+    return Comb.of(spec, np.stack([sample_realization(spec, i).phases for i in indices]))
 
 
 def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
@@ -373,32 +326,16 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
                    params: SimParams):
     """Draw the full per-realization randomness for one run, in index order."""
     m = params.realizations
-    noise = None
-    eff_noise = _effective_noise_spec(noise_spec, params)
-    if eff_noise is not None:
-        phases = np.stack([sample_realization(eff_noise, i).phases for i in range(m)])
-        noise = _NoiseData(eff_noise, phases)
-    eff_deph = _effective_dephasing_spec(dephasing, params)
-    if eff_deph is not None:
-        deltas = np.array([sample_detuning(eff_deph, i) for i in range(m)])
+    noise = _comb(noise_spec, params, range(m))
+    if dephasing is not None and dephasing.sigma_delta > 0.0:
+        spec = _seeded(dephasing, params, _TAG_DETUNING)
+        deltas = np.array([sample_detuning(spec, i) for i in range(m)])
     else:
         deltas = np.zeros(m)
     return noise, deltas
 
 
-class _ChunkNoise:
-    """Row-sliced view of a _NoiseData for one worker chunk."""
-
-    def __init__(self, full: _NoiseData, rows: slice) -> None:
-        self.omega = full.omega
-        self.coef = full.coef[rows]
-        self.b_sup = full.b_sup
-
-    def c_at(self, rows: slice, tt: np.ndarray) -> np.ndarray:
-        return _NoiseData.c_at(self, rows, tt)
-
-
-def _run_batch(items, shape: PulseShape, noise: _NoiseData | None,
+def _run_batch(items, shape: PulseShape, noise: Comb | None,
                deltas: np.ndarray, psi0_row: np.ndarray, idle_ref: float,
                params: SimParams, threads: int) -> np.ndarray:
     """Propagate the full batch, threaded by contiguous index chunks.
@@ -411,7 +348,7 @@ def _run_batch(items, shape: PulseShape, noise: _NoiseData | None,
     psi0 = np.broadcast_to(psi0_row, (m, 2))
 
     def work(lo: int, hi: int):
-        part = _ChunkNoise(noise, slice(lo, hi)) if noise is not None else None
+        part = replace(noise, coef=noise.coef[lo:hi]) if noise is not None else None
         return _propagate_items(items, shape, part, deltas[lo:hi], psi0[lo:hi],
                                 params.dt, idle_ref, delta_max)
 
@@ -454,8 +391,8 @@ def apply_envelope(curve: DecayCurve, T2: float) -> DecayCurve:
     Both value and stderr are scaled by the same factor; this models
     decoherence channels that are measured but not simulated.
     """
-    if T2 <= 0:
-        raise ValueError("envelope T2 must be positive")
+    if not 0 < T2 < math.inf:
+        raise ValueError("envelope T2 must be positive and finite")
     pts = []
     for p in curve.points:
         factor = 0.5 * math.exp(-((p.t / T2) ** 2)) + 0.5
@@ -485,11 +422,7 @@ def propagate(schedule: Schedule,
     renormalization.
     """
     params = params or SimParams()
-    noise = None
-    eff_noise = _effective_noise_spec(noise_spec, params)
-    if eff_noise is not None:
-        phases = sample_realization(eff_noise, realization_index).phases[None, :]
-        noise = _NoiseData(eff_noise, phases)
+    noise = _comb(noise_spec, params, [realization_index])
     if initial_state is None:
         psi0 = (prep_unitary() @ np.array([1.0, 0.0], dtype=complex))[None, :]
     else:
@@ -527,8 +460,8 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
     A single schedule at max(n_list) is propagated once per
     realization, with the state snapshotted at every requested cycle
     boundary t = N tau_c; this is exact because each prefix of the
-    schedule equals the N-cycle schedule.  If params.envelope is set
-    the intrinsic-dephasing envelope is applied to the resulting
+    schedule equals the N-cycle schedule.  If params.envelope_T2 is
+    set the intrinsic-dephasing envelope is applied to the resulting
     curve.  n_list defaults to DEFAULT_N_LIST.
     """
     params = params or SimParams()
@@ -558,8 +491,8 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
         mean, err = _mean_stderr(_readout_populations(out[k], read))
         pts.append(CurvePoint(times[k], n, mean, err))
     curve = DecayCurve(tuple(pts))
-    if params.envelope is not None:
-        curve = apply_envelope(curve, params.envelope.envelope_T2)
+    if params.envelope_T2 is not None:
+        curve = apply_envelope(curve, params.envelope_T2)
     return curve
 
 
@@ -576,8 +509,6 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
     with T2* = sqrt(2) / sigma_delta.
     """
     params = params or SimParams()
-    if dephasing.is_envelope:
-        raise ValueError("run_fid needs a sigma-mode DephasingSpec")
     times = sorted(float(t) for t in t_list)
     if not times or times[0] < 0:
         raise ValueError("t_list must contain non-negative times")
@@ -644,8 +575,8 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     from .analysis import Degenerate, NoDecay, fit_decay
 
     params = params or SimParams()
-    if target_T1 <= 0:
-        raise ValueError("target_T1 must be positive")
+    if not 0 < target_T1 < math.inf:
+        raise ValueError("target_T1 must be positive and finite")
     # Guard against hopeless targets: the comb has to be resolved over a
     # 2 x target horizon, so huge targets imply astronomical step counts.
     guess = golden_rule_amplitude(noise_spec.R, target_T1)
@@ -662,11 +593,7 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     level = 0.5 + 0.5 * math.exp(-1.0)
 
     def fitted_t1(amp: float) -> tuple[float, DecayCurve]:
-        spec = LorentzianNoiseSpec(R=noise_spec.R, A=amp,
-                                   delta_omega=noise_spec.delta_omega,
-                                   n_max=noise_spec.n_max,
-                                   master_seed=noise_spec.master_seed)
-        curve = run_relaxation(spec, t_list, params=params, threads=threads)
+        curve = run_relaxation(replace(noise_spec, A=amp), t_list, params=params, threads=threads)
         vals = curve.value
         if vals[0] <= level:
             # Decayed before the window opened: definitely too strong.

@@ -16,8 +16,7 @@ The dephasing channel is a quasi-static detuning: one Gaussian draw
 per realization, constant during the run.  A Gaussian of width
 sigma_delta gives the free-induction envelope exp(-(sigma t)^2 / 2),
 i.e. sigma_delta = sqrt(2)/T2* reproduces a Gaussian FID with time
-constant T2*.  The alternative Envelope mode carries only a T2 for
-multiplying simulated curves after the fact.
+constant T2*.
 
 Everything here is deterministic given (master_seed, realization
 index); the per-index streams come from a splitmix64 chain, so workers
@@ -32,10 +31,10 @@ import numpy as np
 
 __all__ = [
     "CutoffExceeded",
-    "WrongMode",
     "SampleBudgetExceeded",
     "LorentzianNoiseSpec",
     "NoiseRealization",
+    "Comb",
     "DephasingSpec",
     "splitmix64",
     "derive_seed",
@@ -58,10 +57,6 @@ STREAM_DETUNING = 0x64657475  # "detu"
 
 class CutoffExceeded(ValueError):
     """Requested comb index outside [-n_max, n_max]."""
-
-
-class WrongMode(ValueError):
-    """Operation requires the other DephasingSpec mode."""
 
 
 class SampleBudgetExceeded(ValueError):
@@ -117,14 +112,14 @@ class LorentzianNoiseSpec:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.A < 0:
-            raise ValueError("A must be non-negative")
-        if self.delta_omega <= 0:
-            raise ValueError("delta_omega must be positive")
+        if not 0 <= self.A < math.inf:
+            raise ValueError("A must be non-negative and finite")
+        if not 0 < self.delta_omega < math.inf:
+            raise ValueError("delta_omega must be positive and finite")
 
     @property
     def indices(self) -> np.ndarray:
@@ -158,27 +153,17 @@ class NoiseRealization:
 
 @dataclass(frozen=True)
 class DephasingSpec:
-    """Static-detuning dephasing, or a post-hoc Gaussian envelope.
+    """Quasi-static Gaussian detuning of width ``sigma_delta`` rad/s.
 
-    Exactly one mode is active: sigma mode (quasi-static Gaussian
-    detuning of width ``sigma_delta`` rad/s) or envelope mode
-    (multiplicative 0.5 exp(-(t/T2)^2) + 0.5 applied to finished
-    curves, ``envelope_T2`` seconds).
+    master_seed None lets the engine supply one derived from the run seed.
     """
 
     sigma_delta: float = 0.0
-    envelope_T2: float | None = None
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma_delta < 0:
-            raise ValueError("sigma_delta must be non-negative")
-        if self.envelope_T2 is not None and self.envelope_T2 <= 0:
-            raise ValueError("envelope_T2 must be positive")
-
-    @property
-    def is_envelope(self) -> bool:
-        return self.envelope_T2 is not None
+        if not 0 <= self.sigma_delta < math.inf:
+            raise ValueError("sigma_delta must be non-negative and finite")
 
     def seed_or_zero(self) -> int:
         return 0 if self.master_seed is None else self.master_seed
@@ -209,37 +194,55 @@ def sample_realization(spec: LorentzianNoiseSpec, index: int) -> NoiseRealizatio
     return NoiseRealization(phases=phases, realization_index=index)
 
 
+@dataclass(frozen=True, eq=False)
+class Comb:
+    """Tones and per-realization coefficients of the transverse field.
+
+    Row m of ``coef`` holds 0.5 A W(n) e^{i phi_n} of one realization,
+    so c(t) = sum_n coef[m, n] e^{i omega_n t} is the coefficient of
+    the lowering structure 0.5 (b_x - i b_y): b_x = 2 Re c and
+    b_y = -2 Im c.  ``b_sup`` = A sum_n W(n) bounds |b| for every row.
+    """
+
+    omega: np.ndarray
+    coef: np.ndarray
+    b_sup: float
+
+    @classmethod
+    def of(cls, spec: LorentzianNoiseSpec, phases: np.ndarray) -> "Comb":
+        """Comb of the realizations whose phases are the rows of ``phases``."""
+        w = weights_all(spec)
+        return cls(omega=2.0 * np.pi * spec.indices * spec.delta_omega,
+                   coef=0.5 * spec.A * w[None, :] * np.exp(1j * phases),
+                   b_sup=float(spec.A * np.sum(w)))
+
+    def c_at(self, t: np.ndarray) -> np.ndarray:
+        """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
+
+        The sum is accumulated term by term in fixed index order, so
+        each entry is bitwise independent of the other rows and times.
+        """
+        out = np.zeros((self.coef.shape[0], t.size), dtype=complex)
+        for k in range(self.omega.size):
+            out += self.coef[:, k, None] * np.exp(1j * self.omega[k] * t)[None, :]
+        return out
+
+
 def field_at(spec: LorentzianNoiseSpec, realization: NoiseRealization, t):
     """Transverse field (b_x, b_y) in rad/s at time(s) ``t``.
 
     b_x = A sum_n W(n) cos(omega_n t + phi_n)
     b_y = -A sum_n W(n) sin(omega_n t + phi_n)
 
-    The sum is accumulated term by term in fixed index order, so the
-    result is bitwise independent of how callers batch their times.
+    Evaluated as 2 Re c and -2 Im c of the comb sum the engine integrates.
     """
     t = np.asarray(t, dtype=float)
-    w = weights_all(spec)
-    omega = 2 * np.pi * spec.indices * spec.delta_omega
-    bx = np.zeros(t.shape)
-    by = np.zeros(t.shape)
-    for k in range(w.size):
-        arg = omega[k] * t + realization.phases[k]
-        bx += w[k] * np.cos(arg)
-        by -= w[k] * np.sin(arg)
-    return spec.A * bx, spec.A * by
+    c = Comb.of(spec, realization.phases[None, :]).c_at(t.reshape(-1))[0].reshape(t.shape)
+    return 2.0 * c.real, -2.0 * c.imag
 
 
 def sample_detuning(spec: DephasingSpec, index: int) -> float:
-    """Static detuning of realization ``index``: one Gaussian draw, rad/s.
-
-    Raises
-    ------
-    WrongMode
-        If the spec is an envelope-mode spec.
-    """
-    if spec.is_envelope:
-        raise WrongMode("sample_detuning needs a sigma-mode DephasingSpec")
+    """Static detuning of realization ``index``: one Gaussian draw, rad/s."""
     if spec.sigma_delta == 0.0:
         return 0.0
     rng = np.random.default_rng(derive_seed(spec.seed_or_zero(), STREAM_DETUNING, index))

@@ -1,6 +1,8 @@
 """Config parsing, CLI exit codes, and end-to-end command behavior."""
 import pytest
 
+from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
+                     SequenceSpec, SimParams, calibrate_amplitude)
 from eulerdd.cli import (ConfigError, bundled_config_names, main,
                          parse_config)
 
@@ -98,6 +100,35 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
                         "realizations = 4\nout = dd.csv\n", name="neg.cfg")
     assert main([bad_tau, "--out", str(tmp_path / "dd.csv")]) == 1
     assert "tau must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_input_is_rejected(tmp_path, capsys, value):
+    # The CLI stops at the offending line with exit 1 before any run starts.
+    dd = ("experiment = dd\nsequence = xy4\ntau = 5e-7\ntau_d = 1e-7\n"
+          "n_list = 4,8\nrealizations = 4\n")
+    for text, key, line in ((dd.replace("5e-7", value), "tau", 3),
+                            (FID_TEXT.replace("764439.7634449162", value), "sigma_delta", 3)):
+        out = tmp_path / "run.csv"
+        assert main([write_cfg(tmp_path, text), "--out", str(out)]) == 1
+        assert f"line {line}: bad value for '{key}': must be finite" in capsys.readouterr().err
+        assert not out.exists()
+    x = float(value)
+    builders = [
+        lambda: SequenceSpec("XY4", N=4, tau=x, tau_d=1e-7),
+        lambda: SequenceSpec("XY4", N=4, tau=1e-6, tau_d=x),
+        lambda: PulseShape("Gaussian", gauss_trunc=x),
+        lambda: LorentzianNoiseSpec(R=x, A=1.0),
+        lambda: LorentzianNoiseSpec(R=1e4, A=x),
+        lambda: LorentzianNoiseSpec(R=1e4, A=1.0, delta_omega=x),
+        lambda: DephasingSpec(sigma_delta=x),
+        lambda: SimParams(dt=x),
+        lambda: SimParams(envelope_T2=x),
+        lambda: calibrate_amplitude(LorentzianNoiseSpec(R=1e4, A=0.0), x),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 def test_main_runtime_errors_exit_2(tmp_path, capsys):

@@ -29,6 +29,10 @@ def test_gaussian_envelope_area_is_pi(trunc):
     area, _ = quad(lambda t: envelope_at(shape, t, TAU_D), 0.0, TAU_D,
                    points=[TAU_D / 2], limit=200)
     assert area == pytest.approx(math.pi, rel=1e-9)
+    # An array of times evaluates each time exactly as the scalar call does.
+    t = np.linspace(0.0, TAU_D, 257)
+    scalar = [envelope_at(shape, float(ti), TAU_D) for ti in t]
+    assert np.array_equal(envelope_at(shape, t, TAU_D), scalar)
 
 
 def test_gaussian_truncation_zeroes_tails():
@@ -44,6 +48,8 @@ def test_envelope_domain_errors():
         envelope_at(shape, -1e-12, TAU_D)
     with pytest.raises(OutOfSegment):
         envelope_at(shape, TAU_D * 1.001, TAU_D)
+    with pytest.raises(OutOfSegment):
+        envelope_at(shape, np.array([0.0, TAU_D * 1.001]), TAU_D)
     with pytest.raises(OutOfSegment):
         envelope_at(PulseShape("Delta"), TAU_D / 2, TAU_D)
     with pytest.raises(InvalidTiming):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from eulerdd import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
-                     SampleBudgetExceeded, WrongMode, derive_seed,
+                     SampleBudgetExceeded, derive_seed,
                      estimate_autocorrelation, export_waveform, field_at,
                      parseval_power, sample_detuning, sample_realization,
                      splitmix64, weight, weights_all)
@@ -146,23 +146,16 @@ def test_autocorrelation_validation():
 
 def test_sample_detuning_statistics_and_modes():
     spec = DephasingSpec(sigma_delta=1e5, master_seed=9)
-    assert not spec.is_envelope
     assert sample_detuning(spec, 12) == sample_detuning(spec, 12)
     draws = np.array([sample_detuning(spec, m) for m in range(2000)])
     assert np.std(draws) == pytest.approx(1e5, rel=0.05)
     assert stats.kstest(draws, "norm", args=(0.0, 1e5)).pvalue > 1e-3
     assert sample_detuning(DephasingSpec(sigma_delta=0.0), 0) == 0.0
-    env = DephasingSpec(envelope_T2=896e-6)
-    assert env.is_envelope
-    with pytest.raises(WrongMode):
-        sample_detuning(env, 0)
 
 
 def test_dephasing_spec_validation():
     with pytest.raises(ValueError, match="sigma_delta"):
         DephasingSpec(sigma_delta=-1.0)
-    with pytest.raises(ValueError, match="envelope_T2"):
-        DephasingSpec(envelope_T2=0.0)
 
 
 def test_export_waveform(tmp_path):
