@@ -1,4 +1,4 @@
-"""RK4 propagation of the driven spin and the Monte Carlo experiment runners.
+"""Propagation of the driven spin and the Monte Carlo experiment runners.
 
 Per realization the state is a two-component wavefunction evolving
 under the rotating-frame Hamiltonian
@@ -13,22 +13,33 @@ detuning.  Ensemble averaging the projective readout over
 realizations is equivalent to propagating the density matrix because
 every realization evolves unitarily.
 
-Realizations are integrated as one vectorized batch: the wavefunction
-components are (M,) arrays and each classical RK4 step acts on the
-whole batch.  Every array expression is element-wise, including the
-term-by-term accumulation of the noise coefficient, so slicing the
-batch across worker threads cannot change a single bit of any
-realization's trajectory; results are reproducible from the master
-seed at any worker count.
+Realizations are propagated as one vectorized batch: the wavefunction
+components are (M,) arrays.  Segments are exact SU(2) rotations
+without the noise comb and RK4-integrated with it.  Without the comb
+the Hamiltonian is constant on every idle and Square-pulse segment,
+so each takes its closed-form propagator
 
-Step control: segments are integrated with uniform substeps
+    exp(-i t H) = cos(|h| t) - i t sinc(|h| t / pi) H,   |h| = sqrt(delta^2/4 + |c|^2),
+
+computed once per distinct (duration, phase) as four (M,) arrays;
+Delta pulses are exact pi rotations in every run.  Gaussian pulses,
+and every segment of a run with the comb, are integrated by classical
+RK4 steps acting on the whole batch.  Every array expression is
+element-wise, including the term-by-term accumulation of the noise
+coefficient, so slicing the batch across worker threads cannot
+change a single bit of any realization's trajectory; results are
+reproducible from the master seed at any worker count.
+
+Step control: integrated segments use uniform substeps
 h = duration / ceil(duration / dt).  When no explicit dt is given,
 each segment gets dt = its characteristic duration (tau_d for pulses,
 the inter-pulse gap for idles) divided by 200, capped by 1/(50 f_max)
 where f_max is the largest angular scale present (drive peak plus
 field bound, detuning, comb bandwidth) expressed as a frequency.
 That keeps the per-step error orders of magnitude below the Monte
-Carlo uncertainty at 1000 realizations.
+Carlo uncertainty at 1000 realizations.  The step is checked on every
+finite segment, exact ones included, so an explicit dt that is too
+coarse raises StepTooLarge whichever way the segment is propagated.
 """
 from __future__ import annotations
 
@@ -75,10 +86,11 @@ class SimParams:
     """Monte Carlo integration parameters.
 
     dt = None selects the automatic per-segment step described in the
-    module docstring; an explicit dt applies to every segment and is
-    shortened as needed to divide each segment exactly.  envelope_T2,
-    when set, multiplies dd curves by the intrinsic-dephasing envelope
-    of ``apply_envelope``.
+    module docstring.  An explicit dt is validated against every
+    segment but used only by integrated (RK4) segments, shortened as
+    needed to divide each one exactly; exact segments do not step.
+    envelope_T2, when set, multiplies dd curves by the
+    intrinsic-dephasing envelope of ``apply_envelope``.
     """
 
     dt: float | None = None
@@ -173,6 +185,19 @@ def _segment_step(seg: Segment, idle_ref: float, scale: float,
     return min(dt, seg.duration)
 
 
+def _exact_propagator(hz: np.ndarray, c: complex, t: float):
+    """exp(-i t H) for H = [[hz, c], [conj(c), -hz]] as four element-wise arrays.
+
+    Returns (u00, u01, u10, u11) = cos(|h| t) - i t sinc(|h| t / pi) H with
+    |h| = sqrt(hz^2 + |c|^2); hz holds one value per realization and c is
+    the transverse coefficient they share.
+    """
+    wt = np.sqrt(hz * hz + abs(c) ** 2) * t
+    cos = np.cos(wt)
+    s = (-1j * t) * np.sinc(wt / math.pi)
+    return cos + s * hz, s * c, s * np.conj(c), cos - s * hz
+
+
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray, psi0: np.ndarray,
                      explicit_dt: float | None, idle_ref: float,
@@ -182,6 +207,8 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     psi0 is (M, 2); returns one (M, 2) wavefunction copy per "snap"
     marker.  delta_max must be the bound over the full run, not the
     chunk, so that step sizes do not depend on how the batch is split.
+    Without the comb, idle and Square-pulse segments take their exact
+    propagator; all other finite segments are RK4-integrated.
     """
     a = psi0[:, 0].astype(complex).copy()
     b = psi0[:, 1].astype(complex).copy()
@@ -189,6 +216,7 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     b_sup = noise.b_sup if noise is not None else 0.0
     comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
     snaps: list[np.ndarray] = []
+    exact: dict = {}
     t_abs = 0.0
     max_drift = 0.0
     for item in items:
@@ -212,44 +240,53 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
         nstep = max(1, math.ceil(seg.duration / dt - 1e-9))
         h = seg.duration / nstep
         _check_step(0.5 * math.hypot(omega_peak + b_sup, delta_max), h)
-        done = 0
-        while done < nstep:
-            block = min(nstep - done, 256)
-            # RK4 node times: step starts, midpoints, and ends on a half-step grid.
-            rel = (done + 0.5 * np.arange(2 * block + 1)) * h
-            if noise is not None:
-                c_nodes = noise.c_at(t_abs + rel)
-            else:
-                c_nodes = np.zeros((1, rel.size), dtype=complex)
-            if seg.is_pulse:
-                env = pulse_envelope(shape, seg.duration, rel)
-                c_nodes = c_nodes + (0.5 * np.exp(-1j * seg.phase)) * env[None, :]
-            for j in range(block):
-                c0 = c_nodes[:, 2 * j]
-                cm = c_nodes[:, 2 * j + 1]
-                c1 = c_nodes[:, 2 * j + 2]
-                k1a = -1j * (c0 * b + hz * a)
-                k1b = -1j * (np.conj(c0) * a - hz * b)
-                a2 = a + (0.5 * h) * k1a
-                b2 = b + (0.5 * h) * k1b
-                k2a = -1j * (cm * b2 + hz * a2)
-                k2b = -1j * (np.conj(cm) * a2 - hz * b2)
-                a3 = a + (0.5 * h) * k2a
-                b3 = b + (0.5 * h) * k2b
-                k3a = -1j * (cm * b3 + hz * a3)
-                k3b = -1j * (np.conj(cm) * a3 - hz * b3)
-                a4 = a + h * k3a
-                b4 = b + h * k3b
-                k4a = -1j * (c1 * b4 + hz * a4)
-                k4b = -1j * (np.conj(c1) * a4 - hz * b4)
-                a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-                b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-                norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-                if drift_out is not None:
-                    max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
-                a = a / norm
-                b = b / norm
-            done += block
+        if noise is None and (shape.kind == "Square" or not seg.is_pulse):
+            # Constant Hamiltonian: one closed-form propagator per (duration, phase).
+            key = (seg.duration, seg.phase)
+            u = exact.get(key)
+            if u is None:
+                c = (0.5 * np.exp(-1j * seg.phase)) * omega_peak if seg.is_pulse else 0j
+                u = exact[key] = _exact_propagator(hz, c, seg.duration)
+            a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
+        else:
+            done = 0
+            while done < nstep:
+                block = min(nstep - done, 256)
+                # RK4 node times: step starts, midpoints, and ends on a half-step grid.
+                rel = (done + 0.5 * np.arange(2 * block + 1)) * h
+                if noise is not None:
+                    c_nodes = noise.c_at(t_abs + rel)
+                else:
+                    c_nodes = np.zeros((1, rel.size), dtype=complex)
+                if seg.is_pulse:
+                    env = pulse_envelope(shape, seg.duration, rel)
+                    c_nodes = c_nodes + (0.5 * np.exp(-1j * seg.phase)) * env[None, :]
+                for j in range(block):
+                    c0 = c_nodes[:, 2 * j]
+                    cm = c_nodes[:, 2 * j + 1]
+                    c1 = c_nodes[:, 2 * j + 2]
+                    k1a = -1j * (c0 * b + hz * a)
+                    k1b = -1j * (np.conj(c0) * a - hz * b)
+                    a2 = a + (0.5 * h) * k1a
+                    b2 = b + (0.5 * h) * k1b
+                    k2a = -1j * (cm * b2 + hz * a2)
+                    k2b = -1j * (np.conj(cm) * a2 - hz * b2)
+                    a3 = a + (0.5 * h) * k2a
+                    b3 = b + (0.5 * h) * k2b
+                    k3a = -1j * (cm * b3 + hz * a3)
+                    k3b = -1j * (np.conj(cm) * a3 - hz * b3)
+                    a4 = a + h * k3a
+                    b4 = b + h * k3b
+                    k4a = -1j * (c1 * b4 + hz * a4)
+                    k4b = -1j * (np.conj(c1) * a4 - hz * b4)
+                    a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                    b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+                    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+                    if drift_out is not None:
+                        max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
+                    a = a / norm
+                    b = b / norm
+                done += block
         t_abs += seg.duration
     if drift_out is not None:
         drift_out.append(max_drift)
@@ -419,7 +456,8 @@ def propagate(schedule: Schedule,
     final SpinState, or a list of SpinStates at `snapshot_times` when
     those are given.  `diagnostics`, if provided, receives
     "max_norm_drift", the largest single-step norm deviation before
-    renormalization.
+    renormalization; it is 0.0 when no segment was integrated, as in a
+    run without the comb and without Gaussian pulses.
     """
     params = params or SimParams()
     noise = _comb(noise_spec, params, [realization_index])
@@ -496,6 +534,14 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
     return curve
 
 
+def _checked_times(t_list: list[float]) -> list[float]:
+    """The readout times sorted, or ValueError unless all are finite and non-negative."""
+    times = sorted(float(t) for t in t_list)
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("t_list must contain finite non-negative times")
+    return times
+
+
 def _idle_schedule(total: float) -> Schedule:
     return Schedule(segments=(Segment(total, None),), total_time=total, spec=None)
 
@@ -509,9 +555,7 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
     with T2* = sqrt(2) / sigma_delta.
     """
     params = params or SimParams()
-    times = sorted(float(t) for t in t_list)
-    if not times or times[0] < 0:
-        raise ValueError("t_list must contain non-negative times")
+    times = _checked_times(t_list)
     _, deltas = _prepare_batch(None, dephasing, params)
     psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     schedule = _idle_schedule(times[-1])
@@ -535,9 +579,7 @@ def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
     survival probability P0(t), decaying from 1 toward 1/2.
     """
     params = params or SimParams()
-    times = sorted(float(t) for t in t_list)
-    if not times or times[0] < 0:
-        raise ValueError("t_list must contain non-negative times")
+    times = _checked_times(t_list)
     noise, deltas = _prepare_batch(noise_spec, dephasing, params)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     schedule = _idle_schedule(times[-1])

@@ -106,6 +106,29 @@ def test_dd_scan_matches_gauss_hermite_oracle():
         assert np.all(dev <= 5.0), f"{name}: deviations {np.round(dev, 2)} stderr"
 
 
+def test_square_xy8_propagate_matches_expm_product():
+    # Without the comb every idle and square pulse is a constant-Hamiltonian
+    # segment, so propagate equals the product of the segments' matrix
+    # exponentials at every cycle boundary.
+    spec = SequenceSpec("XY8", N=16, tau=712e-9, tau_d=500e-9)
+    delta = 0.5 * SIGMA_FID
+    idle = expm(-1j * spec.tau * delta * SZ)
+    drive = math.pi / spec.tau_d
+    u = np.eye(2, dtype=complex)
+    expect = []
+    for k in range(spec.N):
+        phi = ORACLE_PHASES["XY8"][k % 8]
+        h = drive * (math.cos(phi) * SX + math.sin(phi) * SY) + delta * SZ
+        u = idle @ expm(-1j * spec.tau_d * h) @ idle @ u
+        if (k + 1) % 8 == 0:
+            psi = u @ KET0
+            expect.append(np.outer(psi, psi.conj()))
+    states = propagate(build_schedule(spec), delta=delta, initial_state=KET0,
+                       snapshot_times=[8 * spec.tau_c, 16 * spec.tau_c])
+    for state, rho in zip(states, expect):
+        assert np.max(np.abs(state.rho - rho)) <= 1e-12
+
+
 def test_propagate_validation():
     spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=100e-9)
     sched = build_schedule(spec)
@@ -161,6 +184,12 @@ def test_thread_count_does_not_change_results():
     texts = {run_dd_scan(spec, [8], small_noise(), deph, params,
                          threads=th).to_csv_text() for th in (1, 4)}
     assert len(texts) == 1
+    # Without the comb the square-pulse segments are exact propagators;
+    # 13 realizations over 4 threads give uneven chunks of 4, 4, 4 and 1.
+    params = SimParams(realizations=13, master_seed=3)
+    texts = {run_dd_scan(spec, [8, 16], dephasing=deph, params=params,
+                         threads=th).to_csv_text() for th in (1, 4)}
+    assert len(texts) == 1
     # Fewer realizations than 2x threads collapses to a single chunk.
     tiny = [run_fid(deph, [1e-6], SimParams(realizations=3, master_seed=9),
                     threads=th).to_csv_text() for th in (1, 8)]
@@ -198,9 +227,16 @@ def test_fid_time_zero_is_exact():
 
 
 def test_fid_validation():
-    with pytest.raises(ValueError, match="non-negative"):
-        run_fid(DephasingSpec(sigma_delta=SIGMA_FID), [-1e-6],
-                SimParams(realizations=2))
+    for bad in ([-1e-6], [math.nan], [1e-6, math.inf]):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_fid(DephasingSpec(sigma_delta=SIGMA_FID), bad,
+                    SimParams(realizations=2))
+
+
+def test_relaxation_validation():
+    for bad in ([], [-1e-6], [math.nan], [1e-6, math.inf]):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_relaxation(small_noise(), bad, params=SimParams(realizations=2))
 
 
 def test_relaxation_matches_frozen_t1():
