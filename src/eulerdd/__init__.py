@@ -6,7 +6,7 @@ The package is organized as a pipeline:
 - dgroup: decoupling-group Cayley graphs, Eulerian cycles, word checks.
 - control: pulse shapes, sequence timing, schedules, resonance screen.
 - noise: the injected Lorentzian comb and quasi-static dephasing.
-- engine: batched RK4 Monte Carlo propagation and experiment runners.
+- engine: batched unitary Monte Carlo propagation and experiment runners.
 - analysis: decay fitting and coherence normalization.
 - cli: the config-driven ``eulerdd`` command.
 """

@@ -292,7 +292,7 @@ class _Built:
             raise ConfigError(str(exc)) from None
 
 
-def _run_dd(cfg: dict, threads: int) -> int:
+def _run_dd(cfg: dict) -> int:
     built = _Built(cfg)
     try:
         shape = PulseShape(kind=cfg.get("shape", "Square"),
@@ -306,24 +306,24 @@ def _run_dd(cfg: dict, threads: int) -> int:
         print(check_larmor_resonance(spec.tau_c, cfg["f_larmor"]).message())
     curve = run_dd_scan(spec, n_list, noise_spec=built.noise,
                         dephasing=built.dephasing,
-                        params=built.params, threads=threads)
+                        params=built.params)
     _emit_curve(curve, cfg)
     return 0
 
 
-def _run_fid(cfg: dict, threads: int) -> int:
+def _run_fid(cfg: dict) -> int:
     built = _Built(cfg)
     try:
         dephasing = DephasingSpec(sigma_delta=cfg["sigma_delta"])
         grid = _time_grid(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    curve = run_fid(dephasing, grid, params=built.params, threads=threads)
+    curve = run_fid(dephasing, grid, params=built.params)
     _emit_curve(curve, cfg)
     return 0
 
 
-def _run_relax(cfg: dict, threads: int) -> int:
+def _run_relax(cfg: dict) -> int:
     built = _Built(cfg)
     if built.noise is None:
         raise ConfigError("relax needs noise_a > 0")
@@ -332,12 +332,12 @@ def _run_relax(cfg: dict, threads: int) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     curve = run_relaxation(built.noise, grid, dephasing=built.dephasing,
-                           params=built.params, threads=threads)
+                           params=built.params)
     _emit_curve(curve, cfg)
     return 0
 
 
-def _run_calibrate(cfg: dict, threads: int) -> int:
+def _run_calibrate(cfg: dict) -> int:
     built = _Built(cfg)
     try:
         noise = LorentzianNoiseSpec(R=cfg["noise_r"], A=1.0,
@@ -348,7 +348,7 @@ def _run_calibrate(cfg: dict, threads: int) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     result = calibrate_amplitude(noise, cfg["target_t1"],
-                                 params=built.params, threads=threads)
+                                 params=built.params)
     print(f"calibrated_A = {result.A!r}")
     print(f"achieved_T1 = {result.achieved_T1!r}")
     print(f"target_T1 = {result.target_T1!r}")
@@ -428,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--realizations", type=int, default=None,
                         help="override the Monte Carlo realization count")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: EULERDD_THREADS or 1)")
+                        help="thread count >= 1, no effect on results or speed "
+                             "(default: EULERDD_THREADS or 1)")
     parser.add_argument("--out", default=None, help="override the output path")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit")
@@ -469,8 +470,7 @@ def main(argv=None) -> int:
         if cfg["experiment"] in _NEEDS_OUT and not cfg.get("out"):
             raise ConfigError(
                 f"{cfg['experiment']} needs an output path: set out= or pass --out")
-        threads = _resolve_threads(cfg, args.threads)
-        cfg["threads"] = threads
+        cfg["threads"] = _resolve_threads(cfg, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -480,13 +480,13 @@ def main(argv=None) -> int:
     exp = cfg["experiment"]
     try:
         if exp == "dd":
-            return _run_dd(cfg, threads)
+            return _run_dd(cfg)
         if exp == "fid":
-            return _run_fid(cfg, threads)
+            return _run_fid(cfg)
         if exp == "relax":
-            return _run_relax(cfg, threads)
+            return _run_relax(cfg)
         if exp == "calibrate":
-            return _run_calibrate(cfg, threads)
+            return _run_calibrate(cfg)
         if exp == "export-noise":
             return _run_export(cfg)
         return _run_eulerian_check(cfg)

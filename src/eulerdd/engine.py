@@ -13,38 +13,37 @@ detuning.  Ensemble averaging the projective readout over
 realizations is equivalent to propagating the density matrix because
 every realization evolves unitarily.
 
-Realizations are propagated as one vectorized batch: the wavefunction
-components are (M,) arrays.  Segments are exact SU(2) rotations
-without the noise comb and RK4-integrated with it.  Without the comb
-the Hamiltonian is constant on every idle and Square-pulse segment,
-so each takes its closed-form propagator
+Realizations are propagated as one vectorized batch of (M,) arrays,
+and every step is a closed-form SU(2) exponential of a constant H,
 
     exp(-i t H) = cos(|h| t) - i t sinc(|h| t / pi) H,   |h| = sqrt(delta^2/4 + |c|^2),
 
-computed once per distinct (duration, phase) as four (M,) arrays;
-Delta pulses are exact pi rotations in every run.  Gaussian pulses,
-and every segment of a run with the comb, are integrated by classical
-RK4 steps acting on the whole batch.  Every array expression is
-element-wise, including the term-by-term accumulation of the noise
-coefficient, so slicing the batch across worker threads cannot
-change a single bit of any realization's trajectory; results are
-reproducible from the master seed at any worker count.
+so propagation is unitary by construction.  Without the comb every
+idle and Square-pulse segment has a constant H and takes one such
+propagator, computed per distinct (duration, phase); Delta pulses are
+exact pi rotations.  Gaussian pulses, and every segment under the
+comb, take fourth-order commutator-free Magnus steps (CF4:2, Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006)): the product of two
+exponentials of H mixed from its values at the step's two Gauss
+nodes.  Every array expression is element-wise, the comb sum included,
+so a realization's trajectory depends only on its own draws and the
+run's step sizes, and results are reproducible from the master seed.
+The runners accept ``threads`` for compatibility; it changes neither
+results nor speed.
 
-Step control: integrated segments use uniform substeps
-h = duration / ceil(duration / dt).  When no explicit dt is given,
-each segment gets dt = its characteristic duration (tau_d for pulses,
-the inter-pulse gap for idles) divided by 200, capped by 1/(50 f_max)
-where f_max is the largest angular scale present (drive peak plus
-field bound, detuning, comb bandwidth) expressed as a frequency.
-That keeps the per-step error orders of magnitude below the Monte
-Carlo uncertainty at 1000 realizations.  The step is checked on every
-finite segment, exact ones included, so an explicit dt that is too
-coarse raises StepTooLarge whichever way the segment is propagated.
+Step control: an integrated segment of duration T takes ceil(T scale
+/ 0.3) steps, where scale = max(peak drive + field bound, detuning
+bound, top comb frequency) bounds every angular rate, so a step turns
+the spin by about 0.3 rad at most.  An explicit dt gives ceil(T / dt)
+steps instead and is checked on every finite segment, exact ones
+included (at most tau_d/50 on a pulse, a priori local error below
+1e-6), raising StepTooLarge when too coarse.  The dd, fid and
+relaxation runners refuse, before propagating, a run that needs more
+than 2,000,000 integrated steps.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +51,7 @@ import numpy as np
 from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
                       prep_unitary, pulse_envelope, readout_unitary)
 from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, derive_seed,
-                    sample_detuning, sample_realization, weights_all)
+                    sample_detuning, sample_realization)
 from .su2core import SpinState, axis_rotation
 
 __all__ = [
@@ -87,7 +86,7 @@ class SimParams:
 
     dt = None selects the automatic per-segment step described in the
     module docstring.  An explicit dt is validated against every
-    segment but used only by integrated (RK4) segments, shortened as
+    segment but used only by integrated (Magnus) segments, shortened as
     needed to divide each one exactly; exact segments do not step.
     envelope_T2, when set, multiplies dd curves by the
     intrinsic-dephasing envelope of ``apply_envelope``.
@@ -164,33 +163,63 @@ def golden_rule_amplitude(R: float, target_T1: float) -> float:
 # ---------------------------------------------------------------------------
 # Batched propagation core
 
+# CF4:2 commutator-free Magnus step (Blanes & Moan 2006): Gauss nodes
+# 1/2 -+ sqrt(3)/6 of the step and the weights of its two exponentials.
+_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+_ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+# Largest rotation angle per automatic step, in units of the rate bound.
+_THETA = 0.3
+# Steps whose comb nodes are evaluated at once; bounds the node memory.
+_BLOCK = 256
+# Integrated steps one dd, fid, relax or calibration run may take.
+_STEP_BUDGET = 2_000_000
 
-def _check_step(hmax: float, dt: float) -> None:
-    # Classic RK4 leading local error ~ (|H| dt)^5 / 120 per step.
-    est = (hmax * dt) ** 5 / 120.0
-    if est > 1e-6:
+
+def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
+                   delta_max: float, explicit_dt: float | None) -> tuple[float, int]:
+    """Peak drive of a segment and its integrated step count, 0 when it is exact.
+
+    The step rule and the explicit-dt checks are those of the module docstring.
+    """
+    if seg.duration == 0.0:
+        return 0.0, 0
+    if seg.is_pulse and explicit_dt is not None and explicit_dt > seg.duration / 50.0:
         raise StepTooLarge(
-            f"local truncation estimate {est:.2e} > 1e-6 at dt = {dt:.3e}; reduce dt")
-
-
-def _segment_step(seg: Segment, idle_ref: float, scale: float,
-                  explicit_dt: float | None) -> float:
+            f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
+            f"for a finite-width pulse")
+    omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
+                  if seg.is_pulse else 0.0)
+    b_sup = noise.b_sup if noise is not None else 0.0
     if explicit_dt is not None:
-        dt = explicit_dt
+        nstep = max(1, math.ceil(seg.duration / min(explicit_dt, seg.duration) - 1e-9))
+        h = seg.duration / nstep
+        # A priori local error of a fourth-order step, ~ (|H| h)^5 / 120.
+        est = (0.5 * math.hypot(omega_peak + b_sup, delta_max) * h) ** 5 / 120.0
+        if est > 1e-6:
+            raise StepTooLarge(
+                f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
     else:
-        dt = 2.0 * math.pi / (50.0 * scale) if scale > 0 else seg.duration
-        ref = seg.duration if seg.is_pulse else idle_ref
-        if ref > 0:
-            dt = min(dt, ref / 200.0)
-    return min(dt, seg.duration)
+        comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
+        scale = max(omega_peak + b_sup, delta_max, comb_max)
+        nstep = max(1, math.ceil(seg.duration * scale / _THETA))
+    integrated = noise is not None or (seg.is_pulse and shape.kind != "Square")
+    return omega_peak, nstep if integrated else 0
 
 
-def _exact_propagator(hz: np.ndarray, c: complex, t: float):
+def _integrated_steps(items, shape: PulseShape, noise: Comb | None,
+                      delta_max: float, explicit_dt: float | None) -> int:
+    """Integrated steps the ("seg", Segment) items of a run take, validating dt."""
+    return sum(_segment_steps(item[1], shape, noise, delta_max, explicit_dt)[1]
+               for item in items if item[0] == "seg")
+
+
+def _exact_propagator(hz: np.ndarray, c, t: float):
     """exp(-i t H) for H = [[hz, c], [conj(c), -hz]] as four element-wise arrays.
 
     Returns (u00, u01, u10, u11) = cos(|h| t) - i t sinc(|h| t / pi) H with
     |h| = sqrt(hz^2 + |c|^2); hz holds one value per realization and c is
-    the transverse coefficient they share.
+    a transverse coefficient shared by all of them or one per realization.
     """
     wt = np.sqrt(hz * hz + abs(c) ** 2) * t
     cos = np.cos(wt)
@@ -198,49 +227,71 @@ def _exact_propagator(hz: np.ndarray, c: complex, t: float):
     return cos + s * hz, s * c, s * np.conj(c), cos - s * hz
 
 
+def _magnus_segment(a, b, hz_half: np.ndarray, seg: Segment, shape: PulseShape,
+                    noise: Comb | None, t_abs: float, nstep: int, track: bool):
+    """Integrate one segment starting at t_abs by nstep CF4:2 Magnus steps.
+
+    hz_half is half the diagonal of H, its weight in each exponential.
+    Returns (a, b, largest | |psi| - 1 | after a step, 0.0 unless track).
+    """
+    h = seg.duration / nstep
+    drift = 0.0
+    for done in range(0, nstep, _BLOCK):
+        steps = np.arange(done, min(nstep, done + _BLOCK))
+        # The two Gauss nodes of every step in the block, interleaved.
+        rel = ((steps[:, None] + _NODES[None, :]) * h).ravel()
+        c = noise.c_at(t_abs + rel) if noise is not None else np.zeros((1, rel.size), complex)
+        if seg.is_pulse:
+            c = c + (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration, rel)
+        c1, c2 = c[:, 0::2], c[:, 1::2]
+        # Transverse coefficients of the two exponentials, one row per step.
+        first = np.ascontiguousarray((_ALPHA2 * c1 + _ALPHA1 * c2).T)
+        second = np.ascontiguousarray((_ALPHA1 * c1 + _ALPHA2 * c2).T)
+        for j in range(steps.size):
+            for c_mix in (first[j], second[j]):
+                u = _exact_propagator(hz_half, c_mix, h)
+                a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
+            if track:
+                norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+                drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+    return a, b, drift
+
+
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray, psi0: np.ndarray,
-                     explicit_dt: float | None, idle_ref: float,
-                     delta_max: float, drift_out: list | None = None):
+                     explicit_dt: float | None, delta_max: float,
+                     diagnostics: dict | None = None):
     """Propagate a batch through ("seg", Segment) / ("snap",) items.
 
     psi0 is (M, 2); returns one (M, 2) wavefunction copy per "snap"
-    marker.  delta_max must be the bound over the full run, not the
-    chunk, so that step sizes do not depend on how the batch is split.
-    Without the comb, idle and Square-pulse segments take their exact
-    propagator; all other finite segments are RK4-integrated.
+    marker.  delta_max is the detuning bound of the whole run, which
+    sizes the steps.  Without the comb, idle and Square-pulse segments
+    take their exact propagator, and Delta pulses are exact pi
+    rotations in every run; all other finite segments are integrated
+    by CF4:2 Magnus steps.  `diagnostics`, if given, receives
+    "integrated_steps", "exact_segments" and "max_norm_drift".
     """
     a = psi0[:, 0].astype(complex).copy()
     b = psi0[:, 1].astype(complex).copy()
     hz = 0.5 * np.asarray(deltas, dtype=float)
-    b_sup = noise.b_sup if noise is not None else 0.0
-    comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
     snaps: list[np.ndarray] = []
     exact: dict = {}
     t_abs = 0.0
+    n_steps = n_exact = 0
     max_drift = 0.0
     for item in items:
         if item[0] == "snap":
             snaps.append(np.stack([a, b], axis=1))
             continue
         seg: Segment = item[1]
+        omega_peak, nstep = _segment_steps(seg, shape, noise, delta_max, explicit_dt)
         if seg.duration == 0.0:
             if seg.is_pulse:  # Delta pulse: exact pi rotation about (cos phi, sin phi)
                 u = axis_rotation(seg.phase, math.pi)
                 a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
+                n_exact += 1
             continue
-        if seg.is_pulse and explicit_dt is not None and explicit_dt > seg.duration / 50.0:
-            raise StepTooLarge(
-                f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
-                f"for a finite-width pulse")
-        omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
-                      if seg.is_pulse else 0.0)
-        scale = max(omega_peak + b_sup, delta_max, comb_max)
-        dt = _segment_step(seg, idle_ref, scale, explicit_dt)
-        nstep = max(1, math.ceil(seg.duration / dt - 1e-9))
-        h = seg.duration / nstep
-        _check_step(0.5 * math.hypot(omega_peak + b_sup, delta_max), h)
-        if noise is None and (shape.kind == "Square" or not seg.is_pulse):
+        if nstep == 0:
             # Constant Hamiltonian: one closed-form propagator per (duration, phase).
             key = (seg.duration, seg.phase)
             u = exact.get(key)
@@ -248,48 +299,16 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                 c = (0.5 * np.exp(-1j * seg.phase)) * omega_peak if seg.is_pulse else 0j
                 u = exact[key] = _exact_propagator(hz, c, seg.duration)
             a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
+            n_exact += 1
         else:
-            done = 0
-            while done < nstep:
-                block = min(nstep - done, 256)
-                # RK4 node times: step starts, midpoints, and ends on a half-step grid.
-                rel = (done + 0.5 * np.arange(2 * block + 1)) * h
-                if noise is not None:
-                    c_nodes = noise.c_at(t_abs + rel)
-                else:
-                    c_nodes = np.zeros((1, rel.size), dtype=complex)
-                if seg.is_pulse:
-                    env = pulse_envelope(shape, seg.duration, rel)
-                    c_nodes = c_nodes + (0.5 * np.exp(-1j * seg.phase)) * env[None, :]
-                for j in range(block):
-                    c0 = c_nodes[:, 2 * j]
-                    cm = c_nodes[:, 2 * j + 1]
-                    c1 = c_nodes[:, 2 * j + 2]
-                    k1a = -1j * (c0 * b + hz * a)
-                    k1b = -1j * (np.conj(c0) * a - hz * b)
-                    a2 = a + (0.5 * h) * k1a
-                    b2 = b + (0.5 * h) * k1b
-                    k2a = -1j * (cm * b2 + hz * a2)
-                    k2b = -1j * (np.conj(cm) * a2 - hz * b2)
-                    a3 = a + (0.5 * h) * k2a
-                    b3 = b + (0.5 * h) * k2b
-                    k3a = -1j * (cm * b3 + hz * a3)
-                    k3b = -1j * (np.conj(cm) * a3 - hz * b3)
-                    a4 = a + h * k3a
-                    b4 = b + h * k3b
-                    k4a = -1j * (c1 * b4 + hz * a4)
-                    k4b = -1j * (np.conj(c1) * a4 - hz * b4)
-                    a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-                    b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-                    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-                    if drift_out is not None:
-                        max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
-                    a = a / norm
-                    b = b / norm
-                done += block
+            a, b, drift = _magnus_segment(a, b, 0.5 * hz, seg, shape, noise, t_abs,
+                                          nstep, diagnostics is not None)
+            n_steps += nstep
+            max_drift = max(max_drift, drift)
         t_abs += seg.duration
-    if drift_out is not None:
-        drift_out.append(max_drift)
+    if diagnostics is not None:
+        diagnostics.update(integrated_steps=n_steps, exact_segments=n_exact,
+                           max_norm_drift=max_drift)
     return snaps
 
 
@@ -332,12 +351,6 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
     return items
 
 
-def _idle_ref(schedule: Schedule) -> float:
-    if schedule.spec is not None:
-        return 2.0 * schedule.spec.tau
-    return 0.0
-
-
 # Stream tags mixed into SimParams.master_seed when a spec carries no seed.
 _TAG_NOISE = 0x656E676E
 _TAG_DETUNING = 0x656E6764
@@ -372,38 +385,21 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
     return noise, deltas
 
 
-def _run_batch(items, shape: PulseShape, noise: Comb | None,
-               deltas: np.ndarray, psi0_row: np.ndarray, idle_ref: float,
-               params: SimParams, threads: int) -> np.ndarray:
-    """Propagate the full batch, threaded by contiguous index chunks.
+def _run_batch(items, shape: PulseShape, noise: Comb | None, deltas: np.ndarray,
+               psi0_row: np.ndarray, params: SimParams) -> np.ndarray:
+    """Propagate the full batch; returns an (n_snap, M, 2) array in realization order.
 
-    Returns an (n_snap, M, 2) array ordered by realization index; the
-    result is bitwise independent of the chunking.
+    Raises ValueError, before propagating, when the run needs more than
+    _STEP_BUDGET integrated steps.
     """
-    m = params.realizations
-    delta_max = float(np.max(np.abs(deltas))) if m else 0.0
-    psi0 = np.broadcast_to(psi0_row, (m, 2))
-
-    def work(lo: int, hi: int):
-        part = replace(noise, coef=noise.coef[lo:hi]) if noise is not None else None
-        return _propagate_items(items, shape, part, deltas[lo:hi], psi0[lo:hi],
-                                params.dt, idle_ref, delta_max)
-
-    threads = max(1, threads)
-    if threads == 1 or m < 2 * threads:
-        chunks = [work(0, m)]
-        bounds = [(0, m)]
-    else:
-        size = -(-m // threads)
-        bounds = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda be: work(*be), bounds))
-    n_snap = len(chunks[0])
-    out = np.empty((n_snap, m, 2), dtype=complex)
-    for (lo, hi), snaps in zip(bounds, chunks):
-        for k in range(n_snap):
-            out[k, lo:hi] = snaps[k]
-    return out
+    delta_max = float(np.max(np.abs(deltas)))
+    steps = _integrated_steps(items, shape, noise, delta_max, params.dt)
+    if steps > _STEP_BUDGET:
+        raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
+                         f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
+    psi0 = np.broadcast_to(psi0_row, (params.realizations, 2))
+    return np.stack(_propagate_items(items, shape, noise, deltas, psi0,
+                                     params.dt, delta_max))
 
 
 def _readout_populations(psi: np.ndarray, unitary: np.ndarray | None) -> np.ndarray:
@@ -455,9 +451,12 @@ def propagate(schedule: Schedule,
     by default, from the prepared superposition state.  Returns the
     final SpinState, or a list of SpinStates at `snapshot_times` when
     those are given.  `diagnostics`, if provided, receives
-    "max_norm_drift", the largest single-step norm deviation before
-    renormalization; it is 0.0 when no segment was integrated, as in a
-    run without the comb and without Gaussian pulses.
+    "integrated_steps" (Magnus steps taken), "exact_segments" (segments
+    applied by their closed-form propagator, Delta pulses included) and
+    "max_norm_drift", the largest | |psi| - 1 | after an integrated
+    step, which only rounding moves; it is 0.0 when no segment was
+    integrated, as in a run without the comb and without Gaussian
+    pulses.
     """
     params = params or SimParams()
     noise = _comb(noise_spec, params, [realization_index])
@@ -472,12 +471,8 @@ def propagate(schedule: Schedule,
     times = list(snapshot_times) if snapshot_times is not None else [schedule.total_time]
     items = _split_idles_at(schedule, times)
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
-    drift: list = [] if diagnostics is not None else None
     snaps = _propagate_items(items, shape, noise, np.array([delta]), psi0,
-                             params.dt, _idle_ref(schedule),
-                             abs(delta), drift_out=drift)
-    if diagnostics is not None:
-        diagnostics["max_norm_drift"] = max(drift) if drift else 0.0
+                             params.dt, abs(delta), diagnostics)
     states = [SpinState.from_ket(s[0]) for s in snaps]
     if snapshot_times is not None:
         return states
@@ -521,8 +516,7 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
     noise, deltas = _prepare_batch(noise_spec, dephasing, params)
     psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     items = _split_idles_at(schedule, times)
-    out = _run_batch(items, full.shape, noise, deltas, psi0,
-                     _idle_ref(schedule), params, threads)
+    out = _run_batch(items, full.shape, noise, deltas, psi0, params)
     read = readout_unitary()
     pts = []
     for k, n in enumerate(n_list):
@@ -560,8 +554,7 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
     psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     schedule = _idle_schedule(times[-1])
     items = _split_idles_at(schedule, times)
-    out = _run_batch(items, PulseShape("Square"), None, deltas, psi0,
-                     0.0, params, threads)
+    out = _run_batch(items, PulseShape("Square"), None, deltas, psi0, params)
     read = readout_unitary()
     pts = []
     for k, t in enumerate(times):
@@ -584,8 +577,7 @@ def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
     psi0 = np.array([1.0, 0.0], dtype=complex)
     schedule = _idle_schedule(times[-1])
     items = _split_idles_at(schedule, times)
-    out = _run_batch(items, PulseShape("Square"), noise, deltas, psi0,
-                     0.0, params, threads)
+    out = _run_batch(items, PulseShape("Square"), noise, deltas, psi0, params)
     pts = []
     for k, t in enumerate(times):
         mean, err = _mean_stderr(_readout_populations(out[k], None))
@@ -619,23 +611,23 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     params = params or SimParams()
     if not 0 < target_T1 < math.inf:
         raise ValueError("target_T1 must be positive and finite")
-    # Guard against hopeless targets: the comb has to be resolved over a
-    # 2 x target horizon, so huge targets imply astronomical step counts.
     guess = golden_rule_amplitude(noise_spec.R, target_T1)
-    comb_max = 2.0 * math.pi * noise_spec.n_max * noise_spec.delta_omega
-    b_sup = 8.0 * guess * float(np.sum(weights_all(noise_spec)))
-    steps = 2.0 * target_T1 * 50.0 * max(comb_max, b_sup) / (2.0 * math.pi)
-    if steps > 2e6:
+    t_list = list(np.linspace(0.5 * target_T1, 2.0 * target_T1, 16))
+    # Guard against hopeless targets: one relaxation run at the top of the
+    # first bracket, 8 x guess, has to resolve the comb over 2 x target.
+    top = Comb.of(replace(noise_spec, A=8.0 * guess), np.zeros((1, noise_spec.indices.size)))
+    steps = _integrated_steps([("seg", Segment(t_list[-1], None))], PulseShape("Square"),
+                              top, 0.0, params.dt)
+    if steps > _STEP_BUDGET:
         raise NoConvergence(
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "
-            f"per run; beyond the calibration budget of 2e6")
-    t_list = list(np.linspace(0.5 * target_T1, 2.0 * target_T1, 16))
+            f"per run; beyond the calibration budget of {_STEP_BUDGET:,}")
 
     # Fidelity level one e^-1 contrast step above the mixed state.
     level = 0.5 + 0.5 * math.exp(-1.0)
 
     def fitted_t1(amp: float) -> tuple[float, DecayCurve]:
-        curve = run_relaxation(replace(noise_spec, A=amp), t_list, params=params, threads=threads)
+        curve = run_relaxation(replace(noise_spec, A=amp), t_list, params=params)
         vals = curve.value
         if vals[0] <= level:
             # Decayed before the window opened: definitely too strong.

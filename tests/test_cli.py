@@ -139,6 +139,17 @@ def test_main_runtime_errors_exit_2(tmp_path, capsys):
     assert "exceeds tau_d/50" in capsys.readouterr().err
 
 
+def test_main_refuses_runs_over_the_step_budget(tmp_path, capsys):
+    # One second of relaxation under a strong comb needs about 2.3e7
+    # integration steps, beyond the 2e6 budget, so the run exits 2.
+    path = write_cfg(tmp_path, "experiment = relax\nnoise_r = 31415.926535897932\n"
+                     "noise_a = 1838870.610118221\nt_max = 1.0\nt_points = 2\n"
+                     "realizations = 2\n")
+    assert main([path, "--out", str(tmp_path / "relax.csv")]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "relax.csv").exists()
+
+
 def test_main_fid_run_writes_csv_and_fit(tmp_path, capsys):
     path = write_cfg(tmp_path, FID_TEXT)
     out = tmp_path / "fid.csv"

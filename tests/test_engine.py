@@ -11,8 +11,10 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      SequenceSpec, SimParams, SpinState, StepTooLarge,
                      apply_envelope, axis_rotation, build_schedule,
                      calibrate_amplitude, fit_decay, golden_rule_amplitude,
-                     population0, propagate, readout_unitary, run_dd_scan,
-                     run_fid, run_relaxation)
+                     population0, prep_unitary, propagate, readout_unitary,
+                     run_dd_scan, run_fid, run_relaxation)
+from eulerdd import engine
+from eulerdd.control import pulse_envelope
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 R_FAST = 2 * math.pi * 5e3
@@ -127,6 +129,123 @@ def test_square_xy8_propagate_matches_expm_product():
                        snapshot_times=[8 * spec.tau_c, 16 * spec.tau_c])
     for state, rho in zip(states, expect):
         assert np.max(np.abs(state.rho - rho)) <= 1e-12
+
+
+def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
+    """run_dd_scan's curve values with every finite segment RK4-integrated.
+
+    The reference integrator: classical RK4 at the step
+    duration / ceil(duration / dt), renormalized after every step, fed
+    by the engine's own draws (engine._prepare_batch) and snapshot
+    items (engine._split_idles_at).
+    """
+    full = replace(spec, N=max(n_list))
+    times = [n * full.tau_c for n in n_list]
+    noise, deltas = engine._prepare_batch(noise_spec, dephasing, params)
+    items = engine._split_idles_at(build_schedule(full), times)
+    psi0 = prep_unitary() @ KET0
+    a = np.full(deltas.size, psi0[0])
+    b = np.full(deltas.size, psi0[1])
+    hz = 0.5 * deltas
+    read = readout_unitary()
+    values = []
+    t_abs = 0.0
+    for item in items:
+        if item[0] == "snap":
+            values.append(float(np.mean(np.abs(read[0, 0] * a + read[0, 1] * b) ** 2)))
+            continue
+        seg = item[1]
+        if seg.duration == 0.0:
+            if seg.is_pulse:
+                u = axis_rotation(seg.phase, math.pi)
+                a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
+            continue
+        nstep = max(1, math.ceil(seg.duration / min(dt, seg.duration) - 1e-9))
+        h = seg.duration / nstep
+        done = 0
+        while done < nstep:
+            block = min(nstep - done, 256)
+            # RK4 node times: step starts, midpoints, and ends on a half-step grid.
+            rel = (done + 0.5 * np.arange(2 * block + 1)) * h
+            if noise is not None:
+                c_nodes = noise.c_at(t_abs + rel)
+            else:
+                c_nodes = np.zeros((1, rel.size), dtype=complex)
+            if seg.is_pulse:
+                env = pulse_envelope(full.shape, seg.duration, rel)
+                c_nodes = c_nodes + (0.5 * np.exp(-1j * seg.phase)) * env[None, :]
+            for j in range(block):
+                c0 = c_nodes[:, 2 * j]
+                cm = c_nodes[:, 2 * j + 1]
+                c1 = c_nodes[:, 2 * j + 2]
+                k1a = -1j * (c0 * b + hz * a)
+                k1b = -1j * (np.conj(c0) * a - hz * b)
+                a2 = a + (0.5 * h) * k1a
+                b2 = b + (0.5 * h) * k1b
+                k2a = -1j * (cm * b2 + hz * a2)
+                k2b = -1j * (np.conj(cm) * a2 - hz * b2)
+                a3 = a + (0.5 * h) * k2a
+                b3 = b + (0.5 * h) * k2b
+                k3a = -1j * (cm * b3 + hz * a3)
+                k3b = -1j * (np.conj(cm) * a3 - hz * b3)
+                a4 = a + h * k3a
+                b4 = b + h * k3b
+                k4a = -1j * (c1 * b4 + hz * a4)
+                k4b = -1j * (np.conj(c1) * a4 - hz * b4)
+                a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+                norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+                a = a / norm
+                b = b / norm
+            done += block
+        t_abs += seg.duration
+    return np.array(values)
+
+
+# The strong comb and detuning of the fig4 Gaussian workload.
+FIG4_NOISE = LorentzianNoiseSpec(R=R_FAST, A=1838870.610118221)
+FIG4_SPEC = SequenceSpec("XY8", N=32, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
+
+
+def test_gaussian_comb_scan_matches_rk4_oracle():
+    # XY8 with 100 ns Gaussian pulses under the strong 21-tone comb plus
+    # detuning: the Magnus curve sits within 1e-6 of RK4 at tau_d / 400.
+    n_list = [8, 16, 24, 32]
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    params = SimParams(realizations=64, master_seed=41)
+    curve = run_dd_scan(FIG4_SPEC, n_list, FIG4_NOISE, deph, params)
+    expect = rk4_dd_scan(FIG4_SPEC, n_list, FIG4_NOISE, deph, params, FIG4_SPEC.tau_d / 400)
+    assert np.max(np.abs(curve.value - expect)) <= 1e-6
+
+
+def test_step_counts_of_the_fig4_schedule():
+    # One realization through the fig4 workload's schedule (32 Gaussian
+    # pulses, strong comb, a 3-sigma detuning) integrates at most 1500
+    # Magnus steps, about 0.3 rad of rotation each.
+    diag = {}
+    propagate(build_schedule(FIG4_SPEC), FIG4_NOISE, delta=3 * SIGMA_FID,
+              params=SimParams(master_seed=1), diagnostics=diag)
+    assert 0 < diag["integrated_steps"] <= 1500
+    assert diag["exact_segments"] == 0
+    # Without the comb only the 32 pulses are integrated; the 33 idles are exact.
+    diag = {}
+    propagate(build_schedule(FIG4_SPEC), delta=3 * SIGMA_FID, diagnostics=diag)
+    assert 32 <= diag["integrated_steps"] <= 1000
+    assert diag["exact_segments"] == 33
+
+
+def test_step_budget_refuses_runs_before_propagating(monkeypatch):
+    def propagation_started(*args, **kwargs):
+        raise AssertionError("propagation started")
+
+    # One second under the strong comb needs about 2.3e7 steps, and so
+    # does a dd scan of 1000 periods of 200 us; the budget is 2e6.
+    monkeypatch.setattr(engine, "_propagate_items", propagation_started)
+    with pytest.raises(ValueError, match="budget"):
+        run_relaxation(FIG4_NOISE, [1.0], params=SimParams(realizations=2))
+    spec = replace(FIG4_SPEC, tau=100e-6)
+    with pytest.raises(ValueError, match="budget"):
+        run_dd_scan(spec, [1000], FIG4_NOISE, params=SimParams(realizations=2))
 
 
 def test_propagate_validation():
