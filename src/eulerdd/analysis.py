@@ -138,6 +138,9 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
 
     # Damped Gauss-Newton on T, re-solving the linear parameters at each
     # step (variable projection); converged when the relative step < 1e-8.
+    # The free model takes the T component of the step on the full
+    # Jacobian [dr/dT, 1, e]: the dr/dT column alone ignores how the
+    # profiled baseline and contrast follow T and converges only linearly.
     best_T = float(grid[k])
     for _ in range(200):
         chi_here, base, con = _profiled_chi2(t, v, w, p, model, best_T)
@@ -147,7 +150,13 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
         den = float(np.sum(w * jac * jac))
         if den <= 0.0:
             break
-        step = float(np.sum(w * jac * (v - (base + con * e)))) / den
+        r = v - (base + con * e)
+        if model == "fixed":
+            step = float(np.sum(w * jac * r)) / den
+        else:
+            sw = np.sqrt(w)
+            design = sw[:, None] * np.stack([jac, np.ones_like(e), e], axis=1)
+            step = float(np.linalg.lstsq(design, sw * r, rcond=None)[0][0])
         # Damping: keep T within a factor 2 per step and positive.
         new_T = min(max(best_T + step, 0.5 * best_T), 2.0 * best_T)
         if chi2(new_T) > chi_here:

@@ -225,7 +225,7 @@ def build_schedule(spec: SequenceSpec) -> Schedule:
     for k in range(spec.N):
         segments.append(Segment(tau_d, float(phases[k % len(phases)])))
         segments.append(Segment(2 * tau if k < spec.N - 1 else edge_idle))
-    total = sum(s.duration for s in segments)
+    total = math.fsum(s.duration for s in segments)
     expected = spec.N * spec.tau_c
     if abs(total - expected) > 1e-15 + 1e-12 * expected:  # 1 fs class rounding guard
         raise InvalidTiming(f"segment sum {total!r} != N*tau_c {expected!r}")

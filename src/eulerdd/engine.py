@@ -368,7 +368,7 @@ def _comb(noise_spec: LorentzianNoiseSpec | None, params: SimParams, indices) ->
     if noise_spec is None or noise_spec.A <= 0.0:
         return None
     spec = _seeded(noise_spec, params, _TAG_NOISE)
-    return Comb.of(spec, np.stack([sample_realization(spec, i).phases for i in indices]))
+    return Comb.of(spec, sample_realization(spec, indices))
 
 
 def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
@@ -376,13 +376,10 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
                    params: SimParams):
     """Draw the full per-realization randomness for one run, in index order."""
     m = params.realizations
-    noise = _comb(noise_spec, params, range(m))
-    if dephasing is not None and dephasing.sigma_delta > 0.0:
-        spec = _seeded(dephasing, params, _TAG_DETUNING)
-        deltas = np.array([sample_detuning(spec, i) for i in range(m)])
-    else:
-        deltas = np.zeros(m)
-    return noise, deltas
+    noise = _comb(noise_spec, params, np.arange(m))
+    if dephasing is None:
+        return noise, np.zeros(m)
+    return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), np.arange(m))
 
 
 def _run_batch(items, shape: PulseShape, noise: Comb | None, deltas: np.ndarray,

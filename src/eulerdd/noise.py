@@ -19,12 +19,18 @@ i.e. sigma_delta = sqrt(2)/T2* reproduces a Gaussian FID with time
 constant T2*.
 
 Everything here is deterministic given (master_seed, realization
-index); the per-index streams come from a splitmix64 chain, so workers
-can draw any subset of realizations in any order.
+index).  There is one seeding route: realization m of a stream draws
+from the generator np.random.default_rng(derive_seed(master_seed,
+stream, m)), a splitmix64 chain, so any subset of realizations can be
+drawn in any order.  The samplers take one index or a 1-d index array;
+for an array they compute every index's starting PCG64 state at once,
+then draw from one reused generator set to each state in turn, so a
+batch equals the per-index draws bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,91 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     for p in parts:
         h = splitmix64(h ^ (p & _M64))
     return h
+
+
+# numpy's SeedSequence hash constants (pool size 4) and the PCG64
+# multiplier, from numpy/random/bit_generator.pyx and pcg64.h.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every entry of a uint64 array."""
+    u = np.uint64
+    x = x + u(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
+    return x ^ (x >> u(31))
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) of every uint64 seed s, shape (n, 4).
+
+    numpy's hash on uint32 arrays.  A seed is one or two 32-bit entropy
+    words; a one-word seed equals the two-word one with a zero high
+    word, since the pool pads missing entropy with hashes of 0.
+    """
+    u32 = np.uint32
+    const = [_INIT_A]
+
+    def hashmix(value):
+        value = value ^ u32(const[0])
+        const[0] = const[0] * _MULT_A & _M32
+        value = value * u32(const[0])
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return r ^ (r >> u32(16))
+
+    zero = np.zeros(seeds.shape, dtype=u32)
+    pool = [hashmix((seeds & np.uint64(_M32)).astype(u32)),
+            hashmix((seeds >> np.uint64(32)).astype(u32)), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words, h = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ u32(h)
+        h = h * _MULT_B & _M32
+        value = value * u32(h)
+        words.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return np.stack([words[2 * k] | (words[2 * k + 1] << np.uint64(32))
+                     for k in range(4)], axis=1)
+
+
+def _draw(master_seed: int, stream: int, index, draw):
+    """``draw(default_rng(derive_seed(master_seed, stream, i)))`` for each index.
+
+    Returns the single result for a scalar index and a list for a 1-d
+    index array.  The PCG64 seeding (state 0, inc = 2 initseq + 1, one
+    step, add initstate, one step) is done in 128-bit ints, and one
+    generator is set to each index's state in turn.
+    """
+    scalar = np.ndim(index) == 0
+    if scalar:
+        idx = np.array([operator.index(index) & _M64], dtype=np.uint64)
+    else:
+        idx = np.asarray(index)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise TypeError("realization indices must be an int or a 1-d integer array")
+        idx = idx.astype(np.uint64)
+    seeds = _splitmix64_array(np.uint64(derive_seed(master_seed, stream)) ^ idx)
+    gen = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for s0, s1, s2, s3 in _seed_sequence_state(seeds).tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128,
+                          "inc": inc}
+        gen.bit_generator.state = state
+        out.append(draw(gen))
+    return out[0] if scalar else out
 
 
 @dataclass(frozen=True)
@@ -183,15 +274,21 @@ def weights_all(spec: LorentzianNoiseSpec) -> np.ndarray:
     return np.sqrt(2 * spec.delta_omega * spec.R / (omega**2 + spec.R**2))
 
 
-def sample_realization(spec: LorentzianNoiseSpec, index: int) -> NoiseRealization:
+def sample_realization(spec: LorentzianNoiseSpec, index):
     """Phases of realization ``index``: uniform on [0, 2 pi).
 
     Deterministic given (master_seed, index); each index owns an
-    independent generator, so realizations can be drawn in any order.
+    independent stream, so realizations can be drawn in any order.  An
+    int index gives a NoiseRealization; a 1-d index array gives the
+    (n, 2 n_max + 1) array of phase rows, equal to the per-index draws.
     """
-    rng = np.random.default_rng(derive_seed(spec.seed_or_zero(), STREAM_NOISE, index))
-    phases = rng.uniform(0.0, 2 * np.pi, size=2 * spec.n_max + 1)
-    return NoiseRealization(phases=phases, realization_index=index)
+    def draw(gen):
+        return gen.uniform(0.0, 2 * np.pi, size=2 * spec.n_max + 1)
+
+    phases = _draw(spec.seed_or_zero(), STREAM_NOISE, index, draw)
+    if np.ndim(index) == 0:
+        return NoiseRealization(phases=phases, realization_index=index)
+    return np.array(phases).reshape(len(phases), 2 * spec.n_max + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +338,19 @@ def field_at(spec: LorentzianNoiseSpec, realization: NoiseRealization, t):
     return 2.0 * c.real, -2.0 * c.imag
 
 
-def sample_detuning(spec: DephasingSpec, index: int) -> float:
-    """Static detuning of realization ``index``: one Gaussian draw, rad/s."""
+def sample_detuning(spec: DephasingSpec, index):
+    """Static detuning of realization ``index``: one Gaussian draw, rad/s.
+
+    An int index gives a float; a 1-d index array gives an (n,) array,
+    equal to the per-index draws.  sigma_delta = 0 gives zeros without
+    drawing.
+    """
     if spec.sigma_delta == 0.0:
-        return 0.0
-    rng = np.random.default_rng(derive_seed(spec.seed_or_zero(), STREAM_DETUNING, index))
-    return float(rng.standard_normal() * spec.sigma_delta)
+        return 0.0 if np.ndim(index) == 0 else np.zeros(len(index))
+    z = _draw(spec.seed_or_zero(), STREAM_DETUNING, index, lambda gen: gen.standard_normal())
+    if np.ndim(index) == 0:
+        return float(z * spec.sigma_delta)
+    return np.array(z, dtype=float) * spec.sigma_delta
 
 
 def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,
@@ -263,15 +367,10 @@ def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,
     if spec.A == 0:
         raise ValueError("autocorrelation undefined for A = 0")
     t = np.arange(time_samples) * (spec.period / time_samples)
-    num = 0.0
-    den = 0.0
-    for m in range(M):
-        real = sample_realization(spec, m)
-        bx0, _ = field_at(spec, real, t)
-        bx1, _ = field_at(spec, real, t + lag)
-        num += float(np.mean(bx0 * bx1))
-        den += float(np.mean(bx0 * bx0))
-    return num / den
+    comb = Comb.of(spec, sample_realization(spec, np.arange(M)))
+    bx = 2.0 * comb.c_at(np.concatenate([t, t + lag])).real
+    bx0, bx1 = bx[:, :time_samples], bx[:, time_samples:]
+    return float(np.sum(np.mean(bx0 * bx1, axis=1)) / np.sum(np.mean(bx0 * bx0, axis=1)))
 
 
 def parseval_power(spec: LorentzianNoiseSpec, realization: NoiseRealization,

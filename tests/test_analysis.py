@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from eulerdd import analysis
 from eulerdd import (CurvePoint, DecayCurve, Degenerate, FitResult, NoDecay,
                      RangeViolation, fit_decay, normalize_coherence)
 
@@ -41,6 +43,35 @@ def test_free_model_recovers_shifted_linear_parameters():
     assert fit.T == pytest.approx(2.0, rel=1e-6)
     assert fit.baseline == pytest.approx(0.62, abs=1e-6)
     assert fit.contrast == pytest.approx(0.31, abs=1e-6)
+
+
+@pytest.mark.parametrize("p,seed", [(1, 0), (1, 5), (2, 0), (2, 5)])
+def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
+    # A noisy curve over the calibration window [0.5, 2] x T, where
+    # baseline and contrast trade off strongly against T.  Independent
+    # oracle: a bounded scalar minimization of the same profiled
+    # chi-square.  The fit must reach it well inside the iteration cap.
+    T = 12.87e-6
+    t = np.linspace(0.5, 2.0, 16) * T
+    v = 0.5 + 0.45 * np.exp(-((t / T) ** p)) + np.random.default_rng(seed).normal(0.0, 0.01, 16)
+    curve = DecayCurve(tuple(CurvePoint(float(ti), 0, float(vi), 0.01)
+                             for ti, vi in zip(t, v)))
+    evaluations = []
+    profiled = analysis._profiled_chi2
+
+    def counted(*args):
+        evaluations.append(args[-1])
+        return profiled(*args)
+
+    monkeypatch.setattr(analysis, "_profiled_chi2", counted)
+    fit = fit_decay(curve, p=p, model="free")
+    monkeypatch.undo()
+    w = np.full(t.size, 1.0 / 0.01**2)
+    best = minimize_scalar(lambda x: profiled(t, v, w, p, "free", x)[0],
+                           bounds=(0.3 * T, 3.0 * T), method="bounded",
+                           options={"xatol": 1e-15})
+    assert fit.T == pytest.approx(best.x, rel=1e-6)
+    assert len(evaluations) < 300  # 241 grid points, then a few steps
 
 
 def test_noisy_recovery_within_tolerance():

@@ -118,6 +118,18 @@ def test_build_schedule_layout():
     assert centers == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("shape", ["Square", "Gaussian"])
+def test_long_schedules_build(shape):
+    # 160,001 segments: a plain float sum of the durations drifts past
+    # the layout guard's 1e-12 relative tolerance; the exact sum does not.
+    spec = SequenceSpec("XY8", N=80000, tau=500e-9, tau_d=100e-9, shape=PulseShape(shape))
+    sched = build_schedule(spec)
+    assert len(sched.segments) == 2 * spec.N + 1
+    assert sched.total_time == spec.N * spec.tau_c
+    assert math.fsum(seg.duration for seg in sched.segments) == pytest.approx(
+        sched.total_time, rel=1e-15)
+
+
 def test_schedule_to_text():
     sched = build_schedule(SequenceSpec("CPMG_Y", N=2, tau=1e-6, tau_d=TAU_D))
     text = sched.to_text()

@@ -10,7 +10,8 @@ from eulerdd import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
                      estimate_autocorrelation, export_waveform, field_at,
                      parseval_power, sample_detuning, sample_realization,
                      splitmix64, weight, weights_all)
-from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE
+from eulerdd import noise
+from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE, _seed_sequence_state
 
 R_SLOW = 2 * math.pi * 1e3
 R_FAST = 2 * math.pi * 5e3
@@ -151,6 +152,59 @@ def test_sample_detuning_statistics_and_modes():
     assert np.std(draws) == pytest.approx(1e5, rel=0.05)
     assert stats.kstest(draws, "norm", args=(0.0, 1e5)).pvalue > 1e-3
     assert sample_detuning(DephasingSpec(sigma_delta=0.0), 0) == 0.0
+
+
+@pytest.mark.parametrize("master_seed", [0, 20260815, 2**63, 2**64 - 1])
+def test_batched_draws_equal_per_index_generators(master_seed):
+    # Oracle: one fresh default_rng per realization index, the route the
+    # samplers followed before they drew a whole run in one batch.
+    n = 10_000
+    phase_spec = spec_with(master_seed=master_seed)
+    detuning_spec = DephasingSpec(sigma_delta=3.7e5, master_seed=master_seed)
+    want_phases = np.stack([
+        np.random.default_rng(derive_seed(master_seed, STREAM_NOISE, m)).uniform(
+            0.0, 2 * np.pi, size=2 * phase_spec.n_max + 1) for m in range(n)])
+    want_deltas = np.array([
+        float(np.random.default_rng(derive_seed(master_seed, STREAM_DETUNING, m))
+              .standard_normal() * detuning_spec.sigma_delta) for m in range(n)])
+    phases = sample_realization(phase_spec, np.arange(n))
+    deltas = sample_detuning(detuning_spec, np.arange(n))
+    assert phases.shape == (n, 21) and deltas.shape == (n,)
+    assert phases.tobytes() == want_phases.tobytes()
+    assert deltas.tobytes() == want_deltas.tobytes()
+    # Each scalar call equals its row; any subset, in any order, too.
+    for m in (0, 1, 4097, n - 1):
+        assert sample_realization(phase_spec, m).phases.tobytes() == phases[m].tobytes()
+        assert sample_detuning(detuning_spec, m) == deltas[m]
+    subset = np.array([n - 1, 7, 3, 7])
+    assert sample_realization(phase_spec, subset).tobytes() == phases[subset].tobytes()
+    assert sample_detuning(detuning_spec, subset).tobytes() == deltas[subset].tobytes()
+
+
+def test_seed_state_helper_matches_seed_sequence():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    states = _seed_sequence_state(np.array(seeds, dtype=np.uint64))
+    assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+    for seed, row in zip(seeds, states):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+def test_batched_draw_shapes_and_index_checks(monkeypatch):
+    spec = spec_with(master_seed=1)
+    assert sample_realization(spec, np.arange(0)).shape == (0, 21)
+    with pytest.raises(TypeError):
+        sample_realization(spec, np.array([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        sample_detuning(DephasingSpec(sigma_delta=1.0), np.zeros((2, 2), dtype=int))
+
+    def no_draws(*args):
+        raise AssertionError("sigma_delta = 0 must not draw")
+
+    monkeypatch.setattr(noise, "_draw", no_draws)
+    flat = DephasingSpec(sigma_delta=0.0, master_seed=1)
+    assert sample_detuning(flat, 5) == 0.0
+    zeros = sample_detuning(flat, np.arange(4))
+    assert zeros.shape == (4,) and not np.any(zeros)
 
 
 def test_dephasing_spec_validation():
