@@ -26,10 +26,9 @@ from .engine import (DEFAULT_N_LIST, CalibrationResult, CurvePoint, DecayCurve,
                      calibrate_amplitude, golden_rule_amplitude, propagate,
                      run_dd_scan, run_fid, run_relaxation)
 from .noise import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
-                    NoiseRealization, SampleBudgetExceeded, derive_seed,
-                    estimate_autocorrelation, export_waveform, field_at,
-                    parseval_power, sample_detuning, sample_realization,
-                    splitmix64, weight, weights_all)
+                    SampleBudgetExceeded, derive_seed, estimate_autocorrelation,
+                    export_waveform, field_at, parseval_power, sample_detuning,
+                    sample_realization, splitmix64, weight, weights_all)
 from .su2core import (SpinState, axis_rotation, pauli, phase_distance,
                       phase_equal, population0)
 
@@ -51,11 +50,10 @@ __all__ = [
     "build_schedule", "check_larmor_resonance", "prep_unitary",
     "readout_unitary",
     # noise
-    "LorentzianNoiseSpec", "NoiseRealization", "DephasingSpec",
-    "CutoffExceeded", "SampleBudgetExceeded", "splitmix64",
-    "derive_seed", "weight", "weights_all", "sample_realization", "field_at",
-    "sample_detuning", "estimate_autocorrelation", "parseval_power",
-    "export_waveform",
+    "LorentzianNoiseSpec", "DephasingSpec", "CutoffExceeded",
+    "SampleBudgetExceeded", "splitmix64", "derive_seed", "weight",
+    "weights_all", "sample_realization", "field_at", "sample_detuning",
+    "estimate_autocorrelation", "parseval_power", "export_waveform",
     # engine
     "SimParams", "CurvePoint", "DecayCurve", "CalibrationResult",
     "StepTooLarge", "NoConvergence", "DEFAULT_N_LIST",

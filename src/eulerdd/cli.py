@@ -18,6 +18,7 @@ when a valid experiment fails at runtime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -44,10 +45,6 @@ class ConfigError(Exception):
     """A malformed or inconsistent config file."""
 
 
-def _as_int(raw: str) -> int:
-    return int(raw)
-
-
 def _as_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -55,8 +52,18 @@ def _as_float(raw: str) -> float:
     return value
 
 
-def _as_str(raw: str) -> str:
-    return raw
+def _as_nonnegative_float(raw: str) -> float:
+    value = _as_float(raw)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
+def _as_index(raw: str) -> int:
+    value = int(raw)
+    if not 0 <= value < 2**64:
+        raise ValueError("must lie in [0, 2^64)")
+    return value
 
 
 def _as_enum(options: dict[str, str]):
@@ -76,10 +83,13 @@ def _as_n_list(raw: str) -> tuple[int, ...]:
         start, stop, step = (int(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError("range needs step > 0 and stop >= start")
-        return tuple(range(start, stop + 1, step))
-    values = tuple(int(p) for p in raw.split(",") if p.strip())
+        values = tuple(range(start, stop + 1, step))
+    else:
+        values = tuple(int(p) for p in raw.split(",") if p.strip())
     if not values:
         raise ValueError("empty list")
+    if min(values) < 1:
+        raise ValueError("cycle counts must be positive")
     return values
 
 
@@ -92,11 +102,11 @@ def _as_word(raw: str) -> str:
 
 _SCHEMA: dict[str, callable] = {
     "experiment": _as_enum({name: name for name in _EXPERIMENTS}),
-    "master_seed": _as_int,
-    "realizations": _as_int,
-    "threads": _as_int,
+    "master_seed": int,
+    "realizations": int,
+    "threads": int,
     "dt": _as_float,
-    "out": _as_str,
+    "out": str,
     "sequence": _as_enum({"cpmg_y": "CPMG_Y", "xy4": "XY4", "xy8": "XY8"}),
     "tau": _as_float,
     "tau_d": _as_float,
@@ -106,22 +116,22 @@ _SCHEMA: dict[str, callable] = {
     "noise_r": _as_float,
     "noise_a": _as_float,
     "delta_omega": _as_float,
-    "n_max": _as_int,
+    "n_max": int,
     "sigma_delta": _as_float,
     "envelope_t2": _as_float,
     "f_larmor": _as_float,
-    "t_min": _as_float,
-    "t_max": _as_float,
-    "t_points": _as_int,
+    "t_min": _as_nonnegative_float,
+    "t_max": _as_nonnegative_float,
+    "t_points": int,
     "t_spacing": _as_enum({"linear": "linear", "geometric": "geometric"}),
     "target_t1": _as_float,
     "duration": _as_float,
     "sample_rate": _as_float,
-    "realization_index": _as_int,
+    "realization_index": _as_index,
     "word": _as_word,
-    "cycles": _as_int,
-    "start": _as_str,
-    "fit_p": _as_int,
+    "cycles": int,
+    "start": str,
+    "fit_p": int,
     "fit_model": _as_enum({"free": "free", "fixed": "fixed"}),
 }
 
@@ -213,6 +223,12 @@ def parse_config(text: str) -> dict:
         raise ConfigError(f"line {lines['gauss_trunc']}: gauss_trunc needs shape = gaussian")
     if values.get("fit_p") not in (None, 1, 2):
         raise ConfigError(f"line {lines['fit_p']}: fit_p must be 1 or 2")
+    if "n_list" in values:
+        base = len(SEQUENCE_PHASES[values["sequence"]])
+        for n in values["n_list"]:
+            if n % base:
+                raise ConfigError(f"line {lines['n_list']}: n_list entry {n} is not a "
+                                  f"multiple of the {values['sequence']} cycle length {base}")
     return values
 
 
@@ -280,75 +296,58 @@ def _emit_curve(curve: DecayCurve, cfg: dict) -> None:
         print(f"fit = none ({exc})")
 
 
-class _Built:
-    """Spec objects built from a config, with errors mapped to ConfigError."""
-
-    def __init__(self, cfg: dict) -> None:
-        try:
-            self.params = _sim_params(cfg)
-            self.noise = _noise_spec(cfg)
-            self.dephasing = _dephasing_spec(cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+@contextlib.contextmanager
+def _config_values():
+    """Report a ValueError raised while building specs from the config as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _run_dd(cfg: dict) -> int:
-    built = _Built(cfg)
-    try:
+    with _config_values():
+        params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
         shape = PulseShape(kind=cfg.get("shape", "Square"),
                            gauss_trunc=cfg.get("gauss_trunc", 2.5))
         n_list = sorted(set(cfg["n_list"])) if "n_list" in cfg else None
         spec = SequenceSpec(name=cfg["sequence"], N=max(n_list) if n_list else 360,
                             tau=cfg["tau"], tau_d=cfg["tau_d"], shape=shape)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if "f_larmor" in cfg:
         print(check_larmor_resonance(spec.tau_c, cfg["f_larmor"]).message())
-    curve = run_dd_scan(spec, n_list, noise_spec=built.noise,
-                        dephasing=built.dephasing,
-                        params=built.params)
+    curve = run_dd_scan(spec, n_list, noise_spec=noise, dephasing=dephasing, params=params)
     _emit_curve(curve, cfg)
     return 0
 
 
 def _run_fid(cfg: dict) -> int:
-    built = _Built(cfg)
-    try:
+    with _config_values():
+        params = _sim_params(cfg)
         dephasing = DephasingSpec(sigma_delta=cfg["sigma_delta"])
         grid = _time_grid(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    curve = run_fid(dephasing, grid, params=built.params)
-    _emit_curve(curve, cfg)
+    _emit_curve(run_fid(dephasing, grid, params=params), cfg)
     return 0
 
 
 def _run_relax(cfg: dict) -> int:
-    built = _Built(cfg)
-    if built.noise is None:
-        raise ConfigError("relax needs noise_a > 0")
-    try:
+    with _config_values():
+        params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
+        if noise is None:
+            raise ConfigError("relax needs noise_a > 0")
         grid = _time_grid(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    curve = run_relaxation(built.noise, grid, dephasing=built.dephasing,
-                           params=built.params)
-    _emit_curve(curve, cfg)
+    _emit_curve(run_relaxation(noise, grid, dephasing=dephasing, params=params), cfg)
     return 0
 
 
 def _run_calibrate(cfg: dict) -> int:
-    built = _Built(cfg)
-    try:
+    with _config_values():
+        params = _sim_params(cfg)
         noise = LorentzianNoiseSpec(R=cfg["noise_r"], A=1.0,
                                     delta_omega=cfg.get("delta_omega", 1e3),
                                     n_max=cfg.get("n_max", 10))
         if cfg["target_t1"] <= 0:
             raise ValueError("target_t1 must be positive")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    result = calibrate_amplitude(noise, cfg["target_t1"],
-                                 params=built.params)
+    result = calibrate_amplitude(noise, cfg["target_t1"], params=params)
     print(f"calibrated_A = {result.A!r}")
     print(f"achieved_T1 = {result.achieved_T1!r}")
     print(f"target_T1 = {result.target_T1!r}")
@@ -360,18 +359,15 @@ def _run_calibrate(cfg: dict) -> int:
 
 
 def _run_export(cfg: dict) -> int:
-    try:
+    with _config_values():
         spec = LorentzianNoiseSpec(R=cfg["noise_r"], A=cfg["noise_a"],
                                    delta_omega=cfg.get("delta_omega", 1e3),
                                    n_max=cfg.get("n_max", 10),
                                    master_seed=cfg.get("master_seed", 0))
         if cfg["duration"] <= 0 or cfg["sample_rate"] <= 0:
             raise ValueError("duration and sample_rate must be positive")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    realization = sample_realization(spec, cfg.get("realization_index", 0))
-    count = export_waveform(spec, realization, cfg["duration"],
-                            cfg["sample_rate"], cfg["out"])
+    phases = sample_realization(spec, cfg.get("realization_index", 0))
+    count = export_waveform(spec, phases, cfg["duration"], cfg["sample_rate"], cfg["out"])
     print(f"wrote {count} samples to {cfg['out']}")
     return 0
 
@@ -437,19 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(cfg: dict, flag: int | None) -> int:
-    if flag is not None:
-        threads = flag
-    elif "threads" in cfg:
-        threads = cfg["threads"]
-    else:
-        env = os.environ.get("EULERDD_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"EULERDD_THREADS must be an integer, got {env!r}")
-        else:
-            threads = 1
+    threads = flag if flag is not None else cfg.get("threads")
+    if threads is None:
+        env = os.environ.get("EULERDD_THREADS", "").strip() or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(f"EULERDD_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     return threads

@@ -28,8 +28,6 @@ exponentials of H mixed from its values at the step's two Gauss
 nodes.  Every array expression is element-wise, the comb sum included,
 so a realization's trajectory depends only on its own draws and the
 run's step sizes, and results are reproducible from the master seed.
-The runners accept ``threads`` for compatibility; it changes neither
-results nor speed.
 
 Step control: an integrated segment of duration T takes ceil(T scale
 / 0.3) steps, where scale = max(peak drive + field bound, detuning
@@ -37,9 +35,10 @@ bound, top comb frequency) bounds every angular rate, so a step turns
 the spin by about 0.3 rad at most.  An explicit dt gives ceil(T / dt)
 steps instead and is checked on every finite segment, exact ones
 included (at most tau_d/50 on a pulse, a priori local error below
-1e-6), raising StepTooLarge when too coarse.  The dd, fid and
-relaxation runners refuse, before propagating, a run that needs more
-than 2,000,000 integrated steps.
+1e-6), raising StepTooLarge when too coarse.  Every propagation,
+``propagate`` and the dd, fid and relaxation runners alike, goes
+through one batch entry point that refuses, before propagating, a run
+that needs more than 2,000,000 integrated steps.
 """
 from __future__ import annotations
 
@@ -172,7 +171,7 @@ _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _THETA = 0.3
 # Steps whose comb nodes are evaluated at once; bounds the node memory.
 _BLOCK = 256
-# Integrated steps one dd, fid, relax or calibration run may take.
+# Integrated steps one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
 
 
@@ -263,16 +262,17 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      diagnostics: dict | None = None):
     """Propagate a batch through ("seg", Segment) / ("snap",) items.
 
-    psi0 is (M, 2); returns one (M, 2) wavefunction copy per "snap"
-    marker.  delta_max is the detuning bound of the whole run, which
-    sizes the steps.  Without the comb, idle and Square-pulse segments
-    take their exact propagator, and Delta pulses are exact pi
-    rotations in every run; all other finite segments are integrated
-    by CF4:2 Magnus steps.  `diagnostics`, if given, receives
+    psi0 is the initial 2-vector of all M = deltas.size realizations;
+    returns one (M, 2) wavefunction copy per "snap" marker.  delta_max
+    is the detuning bound of the whole run, which sizes the steps.
+    Without the comb, idle and Square-pulse segments take their exact
+    propagator, and Delta pulses are exact pi rotations in every run;
+    all other finite segments are integrated by CF4:2 Magnus steps.
+    `diagnostics`, if given, receives
     "integrated_steps", "exact_segments" and "max_norm_drift".
     """
-    a = psi0[:, 0].astype(complex).copy()
-    b = psi0[:, 1].astype(complex).copy()
+    a = np.full(deltas.size, psi0[0], dtype=complex)
+    b = np.full(deltas.size, psi0[1], dtype=complex)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
     exact: dict = {}
@@ -363,56 +363,61 @@ def _seeded(spec, params: SimParams, tag: int):
     return replace(spec, master_seed=derive_seed(params.master_seed, tag))
 
 
-def _comb(noise_spec: LorentzianNoiseSpec | None, params: SimParams, indices) -> Comb | None:
-    """Comb of the given realization indices, None when there is no field."""
-    if noise_spec is None or noise_spec.A <= 0.0:
-        return None
-    spec = _seeded(noise_spec, params, _TAG_NOISE)
-    return Comb.of(spec, sample_realization(spec, indices))
-
-
 def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
-                   dephasing: DephasingSpec | None,
-                   params: SimParams):
-    """Draw the full per-realization randomness for one run, in index order."""
-    m = params.realizations
-    noise = _comb(noise_spec, params, np.arange(m))
+                   dephasing: DephasingSpec | None, params: SimParams, indices=None):
+    """The comb (None without a field) and detunings of realizations ``indices``.
+
+    indices defaults to the run's 0 .. M-1; the draws are in index order.
+    """
+    idx = np.arange(params.realizations) if indices is None else indices
+    noise = None
+    if noise_spec is not None and noise_spec.A > 0.0:
+        spec = _seeded(noise_spec, params, _TAG_NOISE)
+        noise = Comb.of(spec, sample_realization(spec, idx))
     if dephasing is None:
-        return noise, np.zeros(m)
-    return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), np.arange(m))
+        return noise, np.zeros(len(idx))
+    return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), idx)
 
 
-def _run_batch(items, shape: PulseShape, noise: Comb | None, deltas: np.ndarray,
-               psi0_row: np.ndarray, params: SimParams) -> np.ndarray:
-    """Propagate the full batch; returns an (n_snap, M, 2) array in realization order.
+def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
+               deltas: np.ndarray, psi0: np.ndarray, dt: float | None,
+               diagnostics: dict | None = None) -> list[np.ndarray]:
+    """The one propagation entry point: every realization starts from psi0.
 
-    Raises ValueError, before propagating, when the run needs more than
+    Returns one (deltas.size, 2) array per sorted time.  Raises
+    ValueError, before propagating, when the run needs more than
     _STEP_BUDGET integrated steps.
     """
+    items = _split_idles_at(schedule, times)
+    shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     delta_max = float(np.max(np.abs(deltas)))
-    steps = _integrated_steps(items, shape, noise, delta_max, params.dt)
+    steps = _integrated_steps(items, shape, noise, delta_max, dt)
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
                          f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
-    psi0 = np.broadcast_to(psi0_row, (params.realizations, 2))
-    return np.stack(_propagate_items(items, shape, noise, deltas, psi0,
-                                     params.dt, delta_max))
+    return _propagate_items(items, shape, noise, deltas, psi0, dt, delta_max, diagnostics)
 
 
-def _readout_populations(psi: np.ndarray, unitary: np.ndarray | None) -> np.ndarray:
-    """Ground-state populations per realization, optionally after a readout pulse."""
-    if unitary is not None:
-        a = unitary[0, 0] * psi[:, 0] + unitary[0, 1] * psi[:, 1]
-    else:
-        a = psi[:, 0]
-    return np.clip(a.real**2 + a.imag**2, 0.0, 1.0)
+def _curve(schedule: Schedule, times: list[float], ns: list[int],
+           noise_spec: LorentzianNoiseSpec | None, dephasing: DephasingSpec | None,
+           params: SimParams, pulses: bool) -> DecayCurve:
+    """Mean ground-state population and its stderr at each of the sorted times, N = ns[k].
 
-
-def _mean_stderr(pop: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(pop))
-    if pop.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(pop, ddof=1) / math.sqrt(pop.size))
+    With ``pulses`` a run starts in the prepared superposition and is
+    read out after the readout pulse; without, it starts in |0>.
+    """
+    noise, deltas = _prepare_batch(noise_spec, dephasing, params)
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    psi0 = prep_unitary() @ ket0 if pulses else ket0
+    read = readout_unitary()
+    points = []
+    for psi, t, n in zip(_run_batch(schedule, times, noise, deltas, psi0, params.dt),
+                         times, ns):
+        a = read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1] if pulses else psi[:, 0]
+        pop = np.clip(a.real**2 + a.imag**2, 0.0, 1.0)
+        stderr = float(np.std(pop, ddof=1) / math.sqrt(pop.size)) if pop.size > 1 else 0.0
+        points.append(CurvePoint(t, n, float(np.mean(pop)), stderr))
+    return DecayCurve(tuple(points))
 
 
 def apply_envelope(curve: DecayCurve, T2: float) -> DecayCurve:
@@ -447,7 +452,9 @@ def propagate(schedule: Schedule,
     The state starts from `initial_state` (a normalized 2-vector) or,
     by default, from the prepared superposition state.  Returns the
     final SpinState, or a list of SpinStates at `snapshot_times` when
-    those are given.  `diagnostics`, if provided, receives
+    those are given.  Like every run, it raises ValueError before
+    propagating when it needs more than 2,000,000 integrated steps.
+    `diagnostics`, if provided, receives
     "integrated_steps" (Magnus steps taken), "exact_segments" (segments
     applied by their closed-form propagator, Delta pulses included) and
     "max_norm_drift", the largest | |psi| - 1 | after an integrated
@@ -456,24 +463,20 @@ def propagate(schedule: Schedule,
     pulses.
     """
     params = params or SimParams()
-    noise = _comb(noise_spec, params, [realization_index])
+    noise, _ = _prepare_batch(noise_spec, None, params, [realization_index])
     if initial_state is None:
-        psi0 = (prep_unitary() @ np.array([1.0, 0.0], dtype=complex))[None, :]
+        psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     else:
         vec = np.asarray(initial_state, dtype=complex).reshape(2)
         nrm = float(np.linalg.norm(vec))
         if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError("initial_state must be normalized")
-        psi0 = (vec / nrm)[None, :]
+        psi0 = vec / nrm
     times = list(snapshot_times) if snapshot_times is not None else [schedule.total_time]
-    items = _split_idles_at(schedule, times)
-    shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
-    snaps = _propagate_items(items, shape, noise, np.array([delta]), psi0,
-                             params.dt, abs(delta), diagnostics)
-    states = [SpinState.from_ket(s[0]) for s in snaps]
-    if snapshot_times is not None:
-        return states
-    return states[-1]
+    snaps = _run_batch(schedule, times, noise, np.array([delta]), psi0, params.dt,
+                       diagnostics)
+    states = [SpinState.from_ket(psi[0]) for psi in snaps]
+    return states if snapshot_times is not None else states[-1]
 
 
 # Default N grid: multiples of 8 up to 360, subsampled to 16 points.
@@ -483,8 +486,7 @@ DEFAULT_N_LIST = tuple(range(8, 360, 24)) + (360,)
 def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
                 noise_spec: LorentzianNoiseSpec | None = None,
                 dephasing: DephasingSpec | None = None,
-                params: SimParams | None = None,
-                threads: int = 1) -> DecayCurve:
+                params: SimParams | None = None) -> DecayCurve:
     """Readout fidelity after N cycles for each N in n_list.
 
     A single schedule at max(n_list) is propagated once per
@@ -507,19 +509,9 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
                              f"cycle length {base}")
     full = SequenceSpec(name=spec.name, N=n_list[-1], tau=spec.tau, tau_d=spec.tau_d,
                         shape=spec.shape, phases=spec.phases)
-    schedule = build_schedule(full)
-    tau_c = full.tau_c
-    times = [n * tau_c for n in n_list]
-    noise, deltas = _prepare_batch(noise_spec, dephasing, params)
-    psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
-    items = _split_idles_at(schedule, times)
-    out = _run_batch(items, full.shape, noise, deltas, psi0, params)
-    read = readout_unitary()
-    pts = []
-    for k, n in enumerate(n_list):
-        mean, err = _mean_stderr(_readout_populations(out[k], read))
-        pts.append(CurvePoint(times[k], n, mean, err))
-    curve = DecayCurve(tuple(pts))
+    times = [n * full.tau_c for n in n_list]
+    curve = _curve(build_schedule(full), times, n_list, noise_spec, dephasing, params,
+                   pulses=True)
     if params.envelope_T2 is not None:
         curve = apply_envelope(curve, params.envelope_T2)
     return curve
@@ -538,7 +530,7 @@ def _idle_schedule(total: float) -> Schedule:
 
 
 def run_fid(dephasing: DephasingSpec, t_list: list[float],
-            params: SimParams | None = None, threads: int = 1) -> DecayCurve:
+            params: SimParams | None = None) -> DecayCurve:
     """Free-induction decay: prepare, idle for t, read out.
 
     With detunings drawn from N(0, sigma_delta) the ensemble fidelity
@@ -547,22 +539,13 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
     """
     params = params or SimParams()
     times = _checked_times(t_list)
-    _, deltas = _prepare_batch(None, dephasing, params)
-    psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
-    schedule = _idle_schedule(times[-1])
-    items = _split_idles_at(schedule, times)
-    out = _run_batch(items, PulseShape("Square"), None, deltas, psi0, params)
-    read = readout_unitary()
-    pts = []
-    for k, t in enumerate(times):
-        mean, err = _mean_stderr(_readout_populations(out[k], read))
-        pts.append(CurvePoint(t, 0, mean, err))
-    return DecayCurve(tuple(pts))
+    return _curve(_idle_schedule(times[-1]), times, [0] * len(times), None, dephasing,
+                  params, pulses=True)
 
 
 def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
                    dephasing: DephasingSpec | None = None,
-                   params: SimParams | None = None, threads: int = 1) -> DecayCurve:
+                   params: SimParams | None = None) -> DecayCurve:
     """Ground-state population under transverse noise, starting from |0>.
 
     No preparation or readout pulse is applied; the curve is the
@@ -570,16 +553,8 @@ def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
     """
     params = params or SimParams()
     times = _checked_times(t_list)
-    noise, deltas = _prepare_batch(noise_spec, dephasing, params)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    schedule = _idle_schedule(times[-1])
-    items = _split_idles_at(schedule, times)
-    out = _run_batch(items, PulseShape("Square"), noise, deltas, psi0, params)
-    pts = []
-    for k, t in enumerate(times):
-        mean, err = _mean_stderr(_readout_populations(out[k], None))
-        pts.append(CurvePoint(t, 0, mean, err))
-    return DecayCurve(tuple(pts))
+    return _curve(_idle_schedule(times[-1]), times, [0] * len(times), noise_spec,
+                  dephasing, params, pulses=False)
 
 
 @dataclass(frozen=True)
@@ -594,8 +569,8 @@ class CalibrationResult:
 
 
 def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
-                        params: SimParams | None = None, threads: int = 1,
-                        tolerance: float = 0.05, max_iter: int = 30) -> CalibrationResult:
+                        params: SimParams | None = None, tolerance: float = 0.05,
+                        max_iter: int = 30) -> CalibrationResult:
     """Bisect the noise amplitude A until the fitted T1 matches target_T1.
 
     The fitted time comes from an exponential fit with free baseline

@@ -22,10 +22,14 @@ Everything here is deterministic given (master_seed, realization
 index).  There is one seeding route: realization m of a stream draws
 from the generator np.random.default_rng(derive_seed(master_seed,
 stream, m)), a splitmix64 chain, so any subset of realizations can be
-drawn in any order.  The samplers take one index or a 1-d index array;
-for an array they compute every index's starting PCG64 state at once,
-then draw from one reused generator set to each state in turn, so a
-batch equals the per-index draws bit for bit.
+drawn in any order.  A spec without a master_seed draws as seed 0.
+The samplers take one index in [0, 2^64) or a 1-d array of them; for
+an array they compute every index's starting PCG64 state at once, then
+draw from one reused generator set to each state in turn, so a batch
+equals the per-index draws bit for bit.  A realization of the comb is
+its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max; the
+one-realization helpers (field_at, parseval_power, export_waveform)
+take such a row.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ __all__ = [
     "CutoffExceeded",
     "SampleBudgetExceeded",
     "LorentzianNoiseSpec",
-    "NoiseRealization",
     "Comb",
     "DephasingSpec",
     "splitmix64",
@@ -69,13 +72,18 @@ class SampleBudgetExceeded(ValueError):
     """Waveform export would produce more than 1e8 samples."""
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every entry of a uint64 array."""
+    u = np.uint64
+    x = x + u(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
+    return x ^ (x >> u(31))
+
+
 def splitmix64(x: int) -> int:
-    """One splitmix64 step; the standard 64-bit finalizing mix."""
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+    """One splitmix64 step of x mod 2^64; the standard 64-bit finalizing mix."""
+    return int(_splitmix64_array(np.array([x & _M64], dtype=np.uint64))[0])
 
 
 def derive_seed(master_seed: int, *parts: int) -> int:
@@ -99,15 +107,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of every entry of a uint64 array."""
-    u = np.uint64
-    x = x + u(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
-    return x ^ (x >> u(31))
 
 
 def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
@@ -147,23 +146,36 @@ def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
                      for k in range(4)], axis=1)
 
 
-def _draw(master_seed: int, stream: int, index, draw):
+def _indices(index) -> np.ndarray:
+    """An int or 1-d integer array of realization indices as a uint64 array.
+
+    An index outside [0, 2^64) raises ValueError instead of wrapping.
+    """
+    if np.ndim(index) == 0:
+        i = operator.index(index)
+        if not 0 <= i <= _M64:
+            raise ValueError(f"realization index {i} is outside [0, 2^64)")
+        return np.array([i], dtype=np.uint64)
+    idx = np.asarray(index)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise TypeError("realization indices must be an int or a 1-d integer array")
+    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+        raise ValueError(f"realization index {idx.min()} is outside [0, 2^64)")
+    return idx.astype(np.uint64)
+
+
+def _draw(master_seed: int | None, stream: int, index, draw):
     """``draw(default_rng(derive_seed(master_seed, stream, i)))`` for each index.
 
-    Returns the single result for a scalar index and a list for a 1-d
-    index array.  The PCG64 seeding (state 0, inc = 2 initseq + 1, one
-    step, add initstate, one step) is done in 128-bit ints, and one
-    generator is set to each index's state in turn.
+    A master_seed of None draws as 0.  Returns the single result for a
+    scalar index and a list for a 1-d index array.  The PCG64 seeding
+    (state 0, inc = 2 initseq + 1, one step, add initstate, one step) is
+    done in 128-bit ints, and one generator is set to each index's
+    state in turn.
     """
-    scalar = np.ndim(index) == 0
-    if scalar:
-        idx = np.array([operator.index(index) & _M64], dtype=np.uint64)
-    else:
-        idx = np.asarray(index)
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise TypeError("realization indices must be an int or a 1-d integer array")
-        idx = idx.astype(np.uint64)
-    seeds = _splitmix64_array(np.uint64(derive_seed(master_seed, stream)) ^ idx)
+    idx = _indices(index)
+    master = 0 if master_seed is None else master_seed
+    seeds = _splitmix64_array(np.uint64(derive_seed(master, stream)) ^ idx)
     gen = np.random.Generator(np.random.PCG64(0))
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     out = []
@@ -173,7 +185,7 @@ def _draw(master_seed: int, stream: int, index, draw):
                           "inc": inc}
         gen.bit_generator.state = state
         out.append(draw(gen))
-    return out[0] if scalar else out
+    return out[0] if np.ndim(index) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -221,26 +233,6 @@ class LorentzianNoiseSpec:
         """Fundamental period of the synthesized field, 1/delta_omega."""
         return 1.0 / self.delta_omega
 
-    def seed_or_zero(self) -> int:
-        return 0 if self.master_seed is None else self.master_seed
-
-
-@dataclass(frozen=True)
-class NoiseRealization:
-    """Random phases of one realization, n = -n_max .. n_max."""
-
-    phases: np.ndarray
-    realization_index: int
-
-    def __post_init__(self) -> None:
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1:
-            raise ValueError("phases must be a 1-d array")
-        if np.any((phases < 0) | (phases >= 2 * np.pi)):
-            raise ValueError("phases must lie in [0, 2 pi)")
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
-
 
 @dataclass(frozen=True)
 class DephasingSpec:
@@ -256,16 +248,12 @@ class DephasingSpec:
         if not 0 <= self.sigma_delta < math.inf:
             raise ValueError("sigma_delta must be non-negative and finite")
 
-    def seed_or_zero(self) -> int:
-        return 0 if self.master_seed is None else self.master_seed
-
 
 def weight(spec: LorentzianNoiseSpec, n: int) -> float:
     """Comb weight W(n); raises CutoffExceeded outside [-n_max, n_max]."""
     if abs(n) > spec.n_max:
         raise CutoffExceeded(f"|n| = {abs(n)} exceeds n_max = {spec.n_max}")
-    omega_n = 2 * math.pi * n * spec.delta_omega
-    return math.sqrt(2 * spec.delta_omega * spec.R / (omega_n**2 + spec.R**2))
+    return float(weights_all(spec)[n + spec.n_max])
 
 
 def weights_all(spec: LorentzianNoiseSpec) -> np.ndarray:
@@ -274,20 +262,22 @@ def weights_all(spec: LorentzianNoiseSpec) -> np.ndarray:
     return np.sqrt(2 * spec.delta_omega * spec.R / (omega**2 + spec.R**2))
 
 
-def sample_realization(spec: LorentzianNoiseSpec, index):
-    """Phases of realization ``index``: uniform on [0, 2 pi).
+def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
+    """Comb phases of realization ``index``: uniform on [0, 2 pi).
 
     Deterministic given (master_seed, index); each index owns an
     independent stream, so realizations can be drawn in any order.  An
-    int index gives a NoiseRealization; a 1-d index array gives the
-    (n, 2 n_max + 1) array of phase rows, equal to the per-index draws.
+    int index gives its (2 n_max + 1,) phase row, n = -n_max .. n_max;
+    a 1-d index array gives the (n, 2 n_max + 1) array of rows, equal
+    to the per-index draws.  Raises ValueError for an index outside
+    [0, 2^64).
     """
     def draw(gen):
         return gen.uniform(0.0, 2 * np.pi, size=2 * spec.n_max + 1)
 
-    phases = _draw(spec.seed_or_zero(), STREAM_NOISE, index, draw)
+    phases = _draw(spec.master_seed, STREAM_NOISE, index, draw)
     if np.ndim(index) == 0:
-        return NoiseRealization(phases=phases, realization_index=index)
+        return phases
     return np.array(phases).reshape(len(phases), 2 * spec.n_max + 1)
 
 
@@ -325,16 +315,21 @@ class Comb:
         return out
 
 
-def field_at(spec: LorentzianNoiseSpec, realization: NoiseRealization, t):
-    """Transverse field (b_x, b_y) in rad/s at time(s) ``t``.
+def field_at(spec: LorentzianNoiseSpec, phases: np.ndarray, t):
+    """Transverse field (b_x, b_y) in rad/s of one phase row at time(s) ``t``.
 
     b_x = A sum_n W(n) cos(omega_n t + phi_n)
     b_y = -A sum_n W(n) sin(omega_n t + phi_n)
 
     Evaluated as 2 Re c and -2 Im c of the comb sum the engine integrates.
+    Raises ValueError unless ``phases`` is 1-d of length 2 n_max + 1.
     """
+    row = np.asarray(phases, dtype=float)
+    if row.shape != (2 * spec.n_max + 1,):
+        raise ValueError(f"phases must be one row of {2 * spec.n_max + 1} comb "
+                         f"phases, got shape {row.shape}")
     t = np.asarray(t, dtype=float)
-    c = Comb.of(spec, realization.phases[None, :]).c_at(t.reshape(-1))[0].reshape(t.shape)
+    c = Comb.of(spec, row[None, :]).c_at(t.reshape(-1))[0].reshape(t.shape)
     return 2.0 * c.real, -2.0 * c.imag
 
 
@@ -343,11 +338,12 @@ def sample_detuning(spec: DephasingSpec, index):
 
     An int index gives a float; a 1-d index array gives an (n,) array,
     equal to the per-index draws.  sigma_delta = 0 gives zeros without
-    drawing.
+    drawing.  Raises ValueError for an index outside [0, 2^64).
     """
     if spec.sigma_delta == 0.0:
-        return 0.0 if np.ndim(index) == 0 else np.zeros(len(index))
-    z = _draw(spec.seed_or_zero(), STREAM_DETUNING, index, lambda gen: gen.standard_normal())
+        count = _indices(index).size
+        return 0.0 if np.ndim(index) == 0 else np.zeros(count)
+    z = _draw(spec.master_seed, STREAM_DETUNING, index, lambda gen: gen.standard_normal())
     if np.ndim(index) == 0:
         return float(z * spec.sigma_delta)
     return np.array(z, dtype=float) * spec.sigma_delta
@@ -373,9 +369,9 @@ def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,
     return float(np.sum(np.mean(bx0 * bx1, axis=1)) / np.sum(np.mean(bx0 * bx0, axis=1)))
 
 
-def parseval_power(spec: LorentzianNoiseSpec, realization: NoiseRealization,
+def parseval_power(spec: LorentzianNoiseSpec, phases: np.ndarray,
                    time_samples: int = 64) -> tuple[float, float]:
-    """Time-averaged (<b_x^2> + <b_y^2>)/2 over one period, and its target.
+    """Time-averaged (<b_x^2> + <b_y^2>)/2 of a phase row over one period, and its target.
 
     The target is the comb-power identity (A^2 / 2) sum_n W(n)^2.  The
     x/y average is the quantity fixed per realization: b_x alone keeps
@@ -384,15 +380,15 @@ def parseval_power(spec: LorentzianNoiseSpec, realization: NoiseRealization,
     same deterministic value for every phase draw.
     """
     t = np.arange(time_samples) * (spec.period / time_samples)
-    bx, by = field_at(spec, realization, t)
+    bx, by = field_at(spec, phases, t)
     measured = float(np.mean(bx * bx + by * by) / 2)
     target = 0.5 * spec.A**2 * float(np.sum(weights_all(spec) ** 2))
     return measured, target
 
 
-def export_waveform(spec: LorentzianNoiseSpec, realization: NoiseRealization,
+def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
                     duration: float, sample_rate: float, path) -> int:
-    """Write a CSV trace of (t, b_x, b_y); returns the row count.
+    """Write a CSV trace of (t, b_x, b_y) of a phase row; returns the row count.
 
     Rows are t_i = i / sample_rate for i = 0 .. round(duration *
     sample_rate) - 1, matching ``field_at`` exactly at those instants.
@@ -410,7 +406,7 @@ def export_waveform(spec: LorentzianNoiseSpec, realization: NoiseRealization,
     if count > 10**8:
         raise SampleBudgetExceeded(f"{count} samples exceed the 1e8 budget")
     t = np.arange(count) / sample_rate
-    bx, by = field_at(spec, realization, t)
+    bx, by = field_at(spec, phases, t)
     with open(path, "w", newline="\n") as fh:
         fh.write("t_s,bx_rad_s,by_rad_s\n")
         for i in range(count):

@@ -100,6 +100,33 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
                         "realizations = 4\nout = dd.csv\n", name="neg.cfg")
     assert main([bad_tau, "--out", str(tmp_path / "dd.csv")]) == 1
     assert "tau must be positive" in capsys.readouterr().err
+    # Inputs the runners would refuse only after the run started exit 1
+    # first, naming the key, with nothing printed and no output written.
+    dd = ("experiment = dd\nsequence = xy8\ntau = 5e-7\ntau_d = 1e-7\n"
+          "realizations = 4\nf_larmor = 500000\n")
+    relax = ("experiment = relax\nnoise_r = 31415.926535897932\nnoise_a = 1e5\n"
+             "t_max = 3e-6\nt_points = 5\nrealizations = 4\n")
+    export = ("experiment = export-noise\nnoise_r = 31415.926535897932\n"
+              "noise_a = 1e5\nduration = 1e-5\nsample_rate = 1e6\n")
+    cases = [
+        (FID_TEXT + "t_min = -1e-6\n", "bad value for 't_min': must be non-negative"),
+        (relax + "t_min = -1e-6\n", "bad value for 't_min': must be non-negative"),
+        (FID_TEXT.replace("t_max = 3e-6", "t_max = -3e-6"),
+         "bad value for 't_max': must be non-negative"),
+        (dd + "n_list = 4,8\n", "n_list entry 4 is not a multiple of the XY8 cycle length 8"),
+        (dd + "n_list = 0:16:8\n", "bad value for 'n_list': cycle counts must be positive"),
+        (dd + "n_list = -8,8\n", "bad value for 'n_list': cycle counts must be positive"),
+        (export + "realization_index = -1\n",
+         "bad value for 'realization_index': must lie in [0, 2^64)"),
+        (export + f"realization_index = {2**64}\n",
+         "bad value for 'realization_index': must lie in [0, 2^64)"),
+    ]
+    out = tmp_path / "never.csv"
+    for text, message in cases:
+        assert main([write_cfg(tmp_path, text, name="bad.cfg"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err, text
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -14,6 +14,7 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      population0, prep_unitary, propagate, readout_unitary,
                      run_dd_scan, run_fid, run_relaxation)
 from eulerdd import engine
+from eulerdd.cli import main as cli_main
 from eulerdd.control import pulse_envelope
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -246,6 +247,9 @@ def test_step_budget_refuses_runs_before_propagating(monkeypatch):
     spec = replace(FIG4_SPEC, tau=100e-6)
     with pytest.raises(ValueError, match="budget"):
         run_dd_scan(spec, [1000], FIG4_NOISE, params=SimParams(realizations=2))
+    # A single realization through propagate meets the same budget.
+    with pytest.raises(ValueError, match="budget"):
+        propagate(build_schedule(replace(spec, N=1000)), FIG4_NOISE)
 
 
 def test_propagate_validation():
@@ -296,23 +300,29 @@ def test_dd_scan_prefix_consistency():
     assert both.points[0].stderr == pytest.approx(single.points[0].stderr, abs=1e-12)
 
 
-def test_thread_count_does_not_change_results():
-    spec = SequenceSpec("XY4", N=4, tau=500e-9, tau_d=100e-9)
-    deph = DephasingSpec(sigma_delta=SIGMA_FID)
-    params = SimParams(realizations=12, master_seed=3)
-    texts = {run_dd_scan(spec, [8], small_noise(), deph, params,
-                         threads=th).to_csv_text() for th in (1, 4)}
-    assert len(texts) == 1
-    # Without the comb the square-pulse segments are exact propagators;
-    # 13 realizations over 4 threads give uneven chunks of 4, 4, 4 and 1.
-    params = SimParams(realizations=13, master_seed=3)
-    texts = {run_dd_scan(spec, [8, 16], dephasing=deph, params=params,
-                         threads=th).to_csv_text() for th in (1, 4)}
-    assert len(texts) == 1
-    # Fewer realizations than 2x threads collapses to a single chunk.
-    tiny = [run_fid(deph, [1e-6], SimParams(realizations=3, master_seed=9),
-                    threads=th).to_csv_text() for th in (1, 8)]
-    assert tiny[0] == tiny[1]
+def test_thread_count_does_not_change_results(tmp_path):
+    # The CLI resolves and validates --threads, and the single-batch
+    # engine runs every realization in one batch whatever its value:
+    # a comb run, an exact-propagator run and an FID give the same CSV
+    # bytes at 1 and 4 threads.
+    dd = ("experiment = dd\nsequence = xy4\ntau = 5e-7\ntau_d = 1e-7\n"
+          f"sigma_delta = {SIGMA_FID!r}\nmaster_seed = 3\n")
+    configs = {
+        "comb": dd + f"n_list = 8\nnoise_r = {R_FAST!r}\nnoise_a = 140000.0\n"
+                     "realizations = 12\n",
+        "exact": dd + "n_list = 8,16\nrealizations = 13\n",
+        "fid": (f"experiment = fid\nsigma_delta = {SIGMA_FID!r}\nt_min = 1e-6\n"
+                "t_max = 2e-6\nt_points = 2\nrealizations = 3\nmaster_seed = 9\n"),
+    }
+    for name, text in configs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        blobs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"{name}_{threads}.csv"
+            assert cli_main([str(cfg), "--threads", threads, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1], name
 
 
 def test_seed_changes_results():

@@ -41,7 +41,11 @@ def test_spec_validation_and_derived_quantities():
     spec = spec_with()
     assert list(spec.indices) == list(range(-10, 11))
     assert spec.period == pytest.approx(1e-3)
-    assert spec.seed_or_zero() == 0
+    # A spec without a master seed draws as seed 0.
+    assert np.array_equal(sample_realization(spec, 3),
+                          sample_realization(spec_with(master_seed=0), 3))
+    assert sample_detuning(DephasingSpec(sigma_delta=1.0), 3) == sample_detuning(
+        DephasingSpec(sigma_delta=1.0, master_seed=0), 3)
     for bad in (dict(R=0.0), dict(A=-1.0), dict(n_max=0), dict(delta_omega=0.0)):
         with pytest.raises(ValueError):
             LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
@@ -67,31 +71,37 @@ def test_sample_realization_deterministic_per_index():
     spec = spec_with(master_seed=42)
     a = sample_realization(spec, 3)
     b = sample_realization(spec, 3)
-    assert np.array_equal(a.phases, b.phases)
-    assert a.realization_index == 3
-    assert not np.array_equal(a.phases, sample_realization(spec, 4).phases)
+    assert a.shape == (2 * spec.n_max + 1,)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_realization(spec, 4))
     other = LorentzianNoiseSpec(R=spec.R, A=spec.A, master_seed=43)
-    assert not np.array_equal(a.phases, sample_realization(other, 3).phases)
+    assert not np.array_equal(a, sample_realization(other, 3))
 
 
 def test_phases_are_uniform():
     spec = spec_with(master_seed=7)
-    pooled = np.concatenate([sample_realization(spec, m).phases for m in range(200)])
+    pooled = np.concatenate([sample_realization(spec, m) for m in range(200)])
     assert pooled.min() >= 0.0 and pooled.max() < 2 * np.pi
     result = stats.kstest(pooled, "uniform", args=(0.0, 2 * np.pi))
     assert result.pvalue > 1e-3
 
 
-def test_realization_validation_and_immutability():
-    with pytest.raises(ValueError, match="1-d"):
-        sample_realization(spec_with(), 0).__class__(
-            phases=np.zeros((2, 3)), realization_index=0)
-    with pytest.raises(ValueError, match="0, 2 pi"):
-        sample_realization(spec_with(), 0).__class__(
-            phases=np.array([7.0]), realization_index=0)
-    real = sample_realization(spec_with(), 0)
-    with pytest.raises(ValueError):
-        real.phases[0] = 0.0
+def test_phase_row_shape_is_checked(tmp_path):
+    # A length-1 row would otherwise broadcast over all 21 tones.
+    spec = spec_with(master_seed=2)
+    row = sample_realization(spec, 0)
+    for bad in (row[:1], row[None, :], np.append(row, 0.0), np.float64(1.0)):
+        with pytest.raises(ValueError, match="one row of 21 comb phases"):
+            field_at(spec, bad, 0.0)
+        with pytest.raises(ValueError, match="one row of 21 comb phases"):
+            parseval_power(spec, bad)
+        with pytest.raises(ValueError, match="one row of 21 comb phases"):
+            export_waveform(spec, bad, duration=1e-5, sample_rate=1e6,
+                            path=tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+    # A row of another cutoff does not fit this comb either.
+    with pytest.raises(ValueError, match="one row of 21 comb phases"):
+        field_at(spec, sample_realization(spec_with(master_seed=2, n_max=3), 0), 0.0)
 
 
 def test_field_is_periodic():
@@ -174,7 +184,7 @@ def test_batched_draws_equal_per_index_generators(master_seed):
     assert deltas.tobytes() == want_deltas.tobytes()
     # Each scalar call equals its row; any subset, in any order, too.
     for m in (0, 1, 4097, n - 1):
-        assert sample_realization(phase_spec, m).phases.tobytes() == phases[m].tobytes()
+        assert sample_realization(phase_spec, m).tobytes() == phases[m].tobytes()
         assert sample_detuning(detuning_spec, m) == deltas[m]
     subset = np.array([n - 1, 7, 3, 7])
     assert sample_realization(phase_spec, subset).tobytes() == phases[subset].tobytes()
@@ -191,11 +201,23 @@ def test_seed_state_helper_matches_seed_sequence():
 
 def test_batched_draw_shapes_and_index_checks(monkeypatch):
     spec = spec_with(master_seed=1)
+    detuning = DephasingSpec(sigma_delta=1.0, master_seed=1)
     assert sample_realization(spec, np.arange(0)).shape == (0, 21)
     with pytest.raises(TypeError):
         sample_realization(spec, np.array([0.0, 1.0]))
     with pytest.raises(TypeError):
         sample_detuning(DephasingSpec(sigma_delta=1.0), np.zeros((2, 2), dtype=int))
+    # Indices outside [0, 2^64) raise instead of wrapping onto another
+    # stream (-1 onto 2^64 - 1, 2^64 onto 0); the largest index draws.
+    for bad in (-1, 2**64, np.array([3, -1]), [-5]):
+        for sample, s in ((sample_realization, spec), (sample_detuning, detuning),
+                          (sample_detuning, DephasingSpec(sigma_delta=0.0))):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+                sample(s, bad)
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert sample_realization(spec, 2**64 - 1).tobytes() == \
+        sample_realization(spec, top).tobytes()
+    assert sample_detuning(detuning, 2**64 - 1) == sample_detuning(detuning, top)[0]
 
     def no_draws(*args):
         raise AssertionError("sigma_delta = 0 must not draw")
@@ -215,6 +237,7 @@ def test_dephasing_spec_validation():
 def test_export_waveform(tmp_path):
     spec = spec_with(A=2e5, master_seed=1)
     real = sample_realization(spec, 0)
+    assert real.shape == (21,)
     path = tmp_path / "trace.csv"
     count = export_waveform(spec, real, duration=1e-4, sample_rate=1e6, path=path)
     assert count == 100

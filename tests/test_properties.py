@@ -1,0 +1,113 @@
+"""Property tests: schedule-layout invariants and config dump/parse round trips."""
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from eulerdd import PulseShape, SEQUENCE_PHASES, SequenceSpec, build_schedule  # noqa: E402
+from eulerdd.cli import (_COMMON_KEYS, _EXPERIMENT_KEYS, _REQUIRED_KEYS,  # noqa: E402
+                         _dump_config, parse_config)
+
+# Fixed example sequence, no example database: every run checks the same cases.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+safe_text = st.text(alphabet="abcXYZ0123456789_-./", min_size=1, max_size=16)
+
+
+@st.composite
+def sequence_specs(draw):
+    name = draw(st.sampled_from(["CPMG_Y", "XY4", "XY8", "Custom"]))
+    phases = ()
+    if name == "Custom":
+        phases = tuple(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                                     min_size=1, max_size=9)))
+    shape = PulseShape(draw(st.sampled_from(["Delta", "Square", "Gaussian"])))
+    tau = draw(st.floats(1e-9, 1e-3))
+    tau_d = draw(st.floats(0.0 if shape.kind == "Delta" else 1e-10, 1e-4))
+    return SequenceSpec(name, N=draw(st.integers(1, 200)), tau=tau, tau_d=tau_d,
+                        shape=shape, phases=phases)
+
+
+@PROPERTY
+@given(sequence_specs())
+def test_schedule_layout_invariants(spec):
+    schedule = build_schedule(spec)
+    segs = schedule.segments
+    total = spec.N * spec.tau_c
+    tol = 1e-12 * total
+    assert len(segs) == 2 * spec.N + 1
+    assert math.fsum(s.duration for s in segs) == pytest.approx(total, rel=0, abs=tol)
+    assert schedule.total_time == total
+    assert all(not s.is_pulse and s.duration > 0 for s in segs[0::2])
+    base = spec.base_phases
+    for k in range(1, spec.N + 1):
+        pulse = segs[2 * k - 1]
+        assert pulse.duration == spec.effective_tau_d
+        assert pulse.phase == base[(k - 1) % len(base)]
+        start = math.fsum(s.duration for s in segs[:2 * k - 1])
+        centre = start + pulse.duration / 2
+        assert centre == pytest.approx((2 * k - 1) * spec.tau_c / 2, rel=0, abs=tol)
+
+
+VALUES = {
+    "master_seed": st.integers(-2**70, 2**70),
+    "realizations": st.integers(-10, 10**7),
+    "threads": st.integers(-10, 64),
+    "dt": finite,
+    "out": safe_text,
+    "sequence": st.sampled_from(["CPMG_Y", "XY4", "XY8"]),
+    "tau": finite,
+    "tau_d": finite,
+    "shape": st.sampled_from(["Delta", "Square", "Gaussian"]),
+    "gauss_trunc": finite,
+    "noise_r": finite,
+    "noise_a": finite,
+    "delta_omega": finite,
+    "n_max": st.integers(-5, 100),
+    "sigma_delta": finite,
+    "envelope_t2": finite,
+    "f_larmor": finite,
+    "t_min": non_negative,
+    "t_max": non_negative,
+    "t_points": st.integers(-5, 1000),
+    "t_spacing": st.sampled_from(["linear", "geometric"]),
+    "target_t1": finite,
+    "duration": finite,
+    "sample_rate": finite,
+    "realization_index": st.integers(0, 2**64 - 1),
+    "word": st.text(alphabet="XYZ", min_size=1, max_size=12),
+    "cycles": st.integers(-5, 50),
+    "start": safe_text,
+    "fit_p": st.sampled_from([1, 2]),
+    "fit_model": st.sampled_from(["free", "fixed"]),
+}
+
+
+@st.composite
+def configs(draw):
+    """Configs that parse_config accepts, as the typed dicts it returns."""
+    exp = draw(st.sampled_from(sorted(_EXPERIMENT_KEYS)))
+    cfg = {"experiment": exp}
+    for key in sorted((_COMMON_KEYS | _EXPERIMENT_KEYS[exp]) & VALUES.keys()):
+        if key in _REQUIRED_KEYS[exp] or draw(st.booleans()):
+            cfg[key] = draw(VALUES[key])
+    if cfg.get("shape") != "Gaussian":
+        cfg.pop("gauss_trunc", None)
+    if exp == "dd" and draw(st.booleans()):
+        # Cycle counts are positive multiples of the sequence's cycle length.
+        base = len(SEQUENCE_PHASES[cfg["sequence"]])
+        cfg["n_list"] = tuple(base * m for m in draw(
+            st.lists(st.integers(1, 100), min_size=1, max_size=8)))
+    return cfg
+
+
+@PROPERTY
+@given(configs())
+def test_dump_config_round_trips(cfg):
+    text = _dump_config(cfg)
+    assert parse_config(text) == cfg
+    assert _dump_config(parse_config(text)) == text
