@@ -7,22 +7,28 @@ experiment are rejected with their line number.  A handful of
 bundled configs ship with the package and can be named directly in
 place of a path (e.g. ``eulerdd fig2_xy8_slow``).
 
+Each experiment is one ``_EXPERIMENTS`` record: its keys, whether it
+needs an output path, and a builder that checks the config, builds
+every spec and returns the work.  The work runs only after the build,
+so every config error is reported before any work starts.
+
 Curve experiments write the DecayCurve CSV to the required output
 path (``out`` key or ``--out``) and print a fit summary plus, when
 ``f_larmor`` is set, the Larmor-resonance check.
 
 Exit codes: 0 on success, 1 on config errors (parse failures,
-unknown or inapplicable keys, out-of-range or non-finite values), 2
-when a valid experiment fails at runtime.
+unknown or inapplicable keys, out-of-range or non-finite values, or
+specs that refuse the values), 2 when a valid experiment fails at
+runtime.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +43,6 @@ from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
                     sample_realization)
 
 __all__ = ["ConfigError", "main", "parse_config", "bundled_config_names"]
-
-_EXPERIMENTS = ("fid", "relax", "dd", "eulerian-check", "export-noise", "calibrate")
 
 
 class ConfigError(Exception):
@@ -59,7 +63,7 @@ def _as_nonnegative_float(raw: str) -> float:
     return value
 
 
-def _as_index(raw: str) -> int:
+def _as_uint64(raw: str) -> int:
     value = int(raw)
     if not 0 <= value < 2**64:
         raise ValueError("must lie in [0, 2^64)")
@@ -100,11 +104,186 @@ def _as_word(raw: str) -> str:
     return letters
 
 
+def _sim_params(cfg: dict) -> SimParams:
+    return SimParams(dt=cfg.get("dt"),
+                     realizations=cfg.get("realizations", 1000),
+                     master_seed=cfg.get("master_seed", 0),
+                     envelope_T2=cfg.get("envelope_t2"))
+
+
+def _comb_spec(cfg: dict, A: float, master_seed: int | None = None) -> LorentzianNoiseSpec:
+    return LorentzianNoiseSpec(R=cfg["noise_r"], A=A,
+                               delta_omega=cfg.get("delta_omega", 1e3),
+                               n_max=cfg.get("n_max", 10), master_seed=master_seed)
+
+
+def _noise_spec(cfg: dict) -> LorentzianNoiseSpec | None:
+    if cfg.get("noise_a", 0.0) <= 0.0:
+        return None
+    if "noise_r" not in cfg:
+        raise ConfigError("noise_a needs noise_r")
+    return _comb_spec(cfg, cfg["noise_a"])
+
+
+def _dephasing_spec(cfg: dict) -> DephasingSpec | None:
+    if cfg.get("sigma_delta", 0.0) > 0.0:
+        return DephasingSpec(sigma_delta=cfg["sigma_delta"])
+    return None
+
+
+def _time_grid(cfg: dict) -> list[float]:
+    t_max, points = cfg["t_max"], cfg.get("t_points", 24)
+    if points < 2:
+        raise ConfigError("t_points must be at least 2")
+    if cfg.get("t_spacing") == "geometric":
+        t_min = cfg.get("t_min", t_max / points)
+        if t_min <= 0:
+            raise ConfigError("geometric spacing needs t_min > 0")
+        grid = list(np.geomspace(t_min, t_max, points))
+    else:
+        grid = list(np.linspace(cfg.get("t_min", 0.0), t_max, points))
+    if len(set(grid)) < points:
+        raise ConfigError(f"t_min and t_max do not span {points} distinct times")
+    return grid
+
+
+def _emit_curve(curve: DecayCurve, cfg: dict, p: int, model: str) -> None:
+    """Write the CSV and print the fit summary; fit_p/fit_model override p/model."""
+    out = cfg["out"]
+    curve.to_csv(out)
+    print(f"wrote {len(curve.points)} points to {out}")
+    try:
+        fit = fit_decay(curve, p=cfg.get("fit_p", p), model=cfg.get("fit_model", model))
+        sys.stdout.write(fit.to_text())
+    except (NoDecay, Degenerate) as exc:
+        print(f"fit = none ({exc})")
+
+
+def _build_dd(cfg: dict):
+    params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
+    shape = PulseShape(kind=cfg.get("shape", "Square"),
+                       gauss_trunc=cfg.get("gauss_trunc", 2.5))
+    n_list = sorted(set(cfg["n_list"])) if "n_list" in cfg else None
+    spec = SequenceSpec(name=cfg["sequence"], N=max(n_list) if n_list else 360,
+                        tau=cfg["tau"], tau_d=cfg["tau_d"], shape=shape)
+
+    def work() -> None:
+        if "f_larmor" in cfg:
+            print(check_larmor_resonance(spec.tau_c, cfg["f_larmor"]).message())
+        curve = run_dd_scan(spec, n_list, noise_spec=noise, dephasing=dephasing, params=params)
+        _emit_curve(curve, cfg, 1, "free")
+    return work
+
+
+def _build_fid(cfg: dict):
+    params = _sim_params(cfg)
+    dephasing = DephasingSpec(sigma_delta=cfg["sigma_delta"])
+    grid = _time_grid(cfg)
+    return lambda: _emit_curve(run_fid(dephasing, grid, params=params), cfg, 2, "fixed")
+
+
+def _build_relax(cfg: dict):
+    params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
+    if noise is None:
+        raise ConfigError("relax needs noise_a > 0")
+    grid = _time_grid(cfg)
+    return lambda: _emit_curve(run_relaxation(noise, grid, dephasing=dephasing, params=params),
+                               cfg, 1, "free")
+
+
+def _build_calibrate(cfg: dict):
+    params, noise = _sim_params(cfg), _comb_spec(cfg, 1.0)
+    if cfg["target_t1"] <= 0:
+        raise ConfigError("target_t1 must be positive")
+
+    def work() -> None:
+        result = calibrate_amplitude(noise, cfg["target_t1"], params=params)
+        print(f"calibrated_A = {result.A!r}")
+        print(f"achieved_T1 = {result.achieved_T1!r}")
+        print(f"target_T1 = {result.target_T1!r}")
+        print(f"iterations = {result.iterations}")
+        if cfg.get("out"):
+            result.curve.to_csv(cfg["out"])
+            print(f"wrote {len(result.curve.points)} points to {cfg['out']}")
+    return work
+
+
+def _build_export(cfg: dict):
+    spec = _comb_spec(cfg, cfg["noise_a"], master_seed=cfg.get("master_seed", 0))
+    if cfg["duration"] <= 0 or cfg["sample_rate"] <= 0:
+        raise ConfigError("duration and sample_rate must be positive")
+
+    def work() -> None:
+        phases = sample_realization(spec, cfg.get("realization_index", 0))
+        count = export_waveform(spec, phases, cfg["duration"], cfg["sample_rate"], cfg["out"])
+        print(f"wrote {count} samples to {cfg['out']}")
+    return work
+
+
+def _build_eulerian_check(cfg: dict):
+    if ("word" in cfg) == ("sequence" in cfg):
+        raise ConfigError("eulerian-check needs exactly one of word or sequence")
+    # SEQUENCE_PHASES holds only the phases 0 (an X pulse) and pi/2 (Y).
+    letters = cfg.get("word") or cfg.get("cycles", 1) * "".join(
+        "Y" if phase else "X" for phase in SEQUENCE_PHASES[cfg["sequence"]])
+    generators = [pauli_element(lab) for lab in sorted(set(letters))]
+    group = generated_group(generators)
+    graph = build_cayley(group, generators)
+    start_label = cfg.get("start", "I").strip().upper()
+    if start_label not in [g.label for g in group]:
+        raise ConfigError(f"start vertex {start_label!r} not in the generated group")
+    start = pauli_element(start_label)
+    word = PulseWord(tuple(letters))
+
+    def work() -> None:
+        check = verify_eulerian(word, graph, start=start)
+        decoupled = verify_average_decoupling(word, {"X", "Y", "Z"})
+        print(f"word = {''.join(word.letters)}")
+        print(f"group = {','.join(g.label for g in group)}")
+        print(f"edges = {len(graph.edges)}")
+        print(f"eulerian = {'ok' if check.passed else 'FAIL: ' + check.diagnostic}")
+        print(f"decoupling_xyz = {'ok' if decoupled else 'FAIL'}")
+        if not check.passed:
+            suggestion = eulerian_cycle(graph, start)
+            print(f"suggestion = {''.join(suggestion.letters)}")
+    return work
+
+
+class _Experiment(NamedTuple):
+    """An experiment's config keys, whether it writes `out`, and its builder."""
+
+    required: set[str]
+    optional: set[str]
+    needs_out: bool
+    build: Callable[[dict], Callable[[], None]]  # checks cfg, returns the work
+
+
+_COMMON_KEYS = {"experiment", "master_seed", "realizations", "dt", "out"}
+_FIT_KEYS = {"fit_p", "fit_model"}
+_EXPERIMENTS = {
+    "dd": _Experiment({"sequence", "tau", "tau_d"},
+                      {"shape", "gauss_trunc", "n_list", "noise_r", "noise_a", "delta_omega",
+                       "n_max", "sigma_delta", "envelope_t2", "f_larmor"} | _FIT_KEYS,
+                      True, _build_dd),
+    "fid": _Experiment({"sigma_delta", "t_max"}, {"t_min", "t_points"} | _FIT_KEYS,
+                       True, _build_fid),
+    "relax": _Experiment({"noise_r", "noise_a", "t_max", "t_points"},
+                         {"delta_omega", "n_max", "sigma_delta", "t_min", "t_spacing"}
+                         | _FIT_KEYS, True, _build_relax),
+    "calibrate": _Experiment({"noise_r", "target_t1"}, {"delta_omega", "n_max"},
+                             False, _build_calibrate),
+    "export-noise": _Experiment({"noise_r", "noise_a", "duration", "sample_rate"},
+                                {"delta_omega", "n_max", "realization_index"},
+                                True, _build_export),
+    "eulerian-check": _Experiment(set(), {"word", "sequence", "cycles", "start"},
+                                  False, _build_eulerian_check),
+}
+
+# Key order here is the --dump-config order.
 _SCHEMA: dict[str, callable] = {
     "experiment": _as_enum({name: name for name in _EXPERIMENTS}),
-    "master_seed": int,
+    "master_seed": _as_uint64,
     "realizations": int,
-    "threads": int,
     "dt": _as_float,
     "out": str,
     "sequence": _as_enum({"cpmg_y": "CPMG_Y", "xy4": "XY4", "xy8": "XY8"}),
@@ -127,41 +306,13 @@ _SCHEMA: dict[str, callable] = {
     "target_t1": _as_float,
     "duration": _as_float,
     "sample_rate": _as_float,
-    "realization_index": _as_index,
+    "realization_index": _as_uint64,
     "word": _as_word,
     "cycles": int,
     "start": str,
     "fit_p": int,
     "fit_model": _as_enum({"free": "free", "fixed": "fixed"}),
 }
-
-_COMMON_KEYS = {"experiment", "master_seed", "realizations", "threads", "dt", "out"}
-_FIT_KEYS = {"fit_p", "fit_model"}
-_EXPERIMENT_KEYS = {
-    "dd": {"sequence", "tau", "tau_d", "shape", "gauss_trunc", "n_list", "noise_r",
-           "noise_a", "delta_omega", "n_max", "sigma_delta", "envelope_t2",
-           "f_larmor"} | _FIT_KEYS,
-    "fid": {"sigma_delta", "t_min", "t_max", "t_points"} | _FIT_KEYS,
-    "relax": {"noise_r", "noise_a", "delta_omega", "n_max", "sigma_delta",
-              "t_min", "t_max", "t_points", "t_spacing"} | _FIT_KEYS,
-    "calibrate": {"noise_r", "delta_omega", "n_max", "target_t1"},
-    "export-noise": {"noise_r", "noise_a", "delta_omega", "n_max",
-                     "realization_index", "duration", "sample_rate"},
-    "eulerian-check": {"word", "sequence", "cycles", "start"},
-}
-_REQUIRED_KEYS = {
-    "dd": {"sequence", "tau", "tau_d"},
-    "fid": {"sigma_delta", "t_max"},
-    "relax": {"noise_r", "noise_a", "t_max", "t_points"},
-    "calibrate": {"noise_r", "target_t1"},
-    "export-noise": {"noise_r", "noise_a", "duration", "sample_rate"},
-    "eulerian-check": set(),
-}
-# Experiments that must write a DecayCurve CSV, so an output path is
-# mandatory (config `out` or --out).
-_NEEDS_OUT = {"dd", "fid", "relax", "export-noise"}
-# Per-experiment default fit settings (exponent, mode).
-_FIT_DEFAULTS = {"dd": (1, "free"), "relax": (1, "free"), "fid": (2, "fixed")}
 
 
 def bundled_config_names() -> list[str]:
@@ -210,12 +361,12 @@ def parse_config(text: str) -> dict:
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     exp = values["experiment"]
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[exp]
+    required, optional = _EXPERIMENTS[exp].required, _EXPERIMENTS[exp].optional
     for key in values:
-        if key not in allowed:
+        if key not in _COMMON_KEYS | required | optional:
             raise ConfigError(f"line {lines[key]}: key {key!r} does not apply to "
                               f"experiment {exp!r}")
-    missing = _REQUIRED_KEYS[exp] - set(values)
+    missing = required - set(values)
     if missing:
         raise ConfigError(f"experiment {exp!r} is missing required keys: "
                           f"{', '.join(sorted(missing))}")
@@ -241,176 +392,13 @@ def _format_value(value) -> str:
 
 
 def _dump_config(cfg: dict) -> str:
-    lines = [f"{key} = {_format_value(cfg[key])}" for key in _SCHEMA if key in cfg]
-    return "\n".join(lines) + "\n"
-
-
-def _sim_params(cfg: dict) -> SimParams:
-    return SimParams(dt=cfg.get("dt"),
-                     realizations=cfg.get("realizations", 1000),
-                     master_seed=cfg.get("master_seed", 0),
-                     envelope_T2=cfg.get("envelope_t2"))
-
-
-def _noise_spec(cfg: dict) -> LorentzianNoiseSpec | None:
-    if cfg.get("noise_a", 0.0) <= 0.0:
-        return None
-    if "noise_r" not in cfg:
-        raise ConfigError("noise_a needs noise_r")
-    return LorentzianNoiseSpec(R=cfg["noise_r"], A=cfg["noise_a"],
-                               delta_omega=cfg.get("delta_omega", 1e3),
-                               n_max=cfg.get("n_max", 10))
-
-
-def _dephasing_spec(cfg: dict) -> DephasingSpec | None:
-    if cfg.get("sigma_delta", 0.0) > 0.0:
-        return DephasingSpec(sigma_delta=cfg["sigma_delta"])
-    return None
-
-
-def _time_grid(cfg: dict) -> list[float]:
-    t_max = cfg["t_max"]
-    points = cfg.get("t_points", 24)
-    spacing = cfg.get("t_spacing", "linear")
-    if points < 2:
-        raise ConfigError("t_points must be at least 2")
-    if spacing == "geometric":
-        t_min = cfg.get("t_min", t_max / points)
-        if t_min <= 0:
-            raise ConfigError("geometric spacing needs t_min > 0")
-        return list(np.geomspace(t_min, t_max, points))
-    return list(np.linspace(cfg.get("t_min", 0.0), t_max, points))
-
-
-def _emit_curve(curve: DecayCurve, cfg: dict) -> None:
-    """Write the CSV and print the fit summary the experiment asks for."""
-    out = cfg["out"]
-    curve.to_csv(out)
-    print(f"wrote {len(curve.points)} points to {out}")
-    default_p, default_model = _FIT_DEFAULTS[cfg["experiment"]]
-    try:
-        fit = fit_decay(curve, p=cfg.get("fit_p", default_p),
-                        model=cfg.get("fit_model", default_model))
-        sys.stdout.write(fit.to_text())
-    except (NoDecay, Degenerate) as exc:
-        print(f"fit = none ({exc})")
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Report a ValueError raised while building specs from the config as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _run_dd(cfg: dict) -> int:
-    with _config_values():
-        params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
-        shape = PulseShape(kind=cfg.get("shape", "Square"),
-                           gauss_trunc=cfg.get("gauss_trunc", 2.5))
-        n_list = sorted(set(cfg["n_list"])) if "n_list" in cfg else None
-        spec = SequenceSpec(name=cfg["sequence"], N=max(n_list) if n_list else 360,
-                            tau=cfg["tau"], tau_d=cfg["tau_d"], shape=shape)
-    if "f_larmor" in cfg:
-        print(check_larmor_resonance(spec.tau_c, cfg["f_larmor"]).message())
-    curve = run_dd_scan(spec, n_list, noise_spec=noise, dephasing=dephasing, params=params)
-    _emit_curve(curve, cfg)
-    return 0
-
-
-def _run_fid(cfg: dict) -> int:
-    with _config_values():
-        params = _sim_params(cfg)
-        dephasing = DephasingSpec(sigma_delta=cfg["sigma_delta"])
-        grid = _time_grid(cfg)
-    _emit_curve(run_fid(dephasing, grid, params=params), cfg)
-    return 0
-
-
-def _run_relax(cfg: dict) -> int:
-    with _config_values():
-        params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
-        if noise is None:
-            raise ConfigError("relax needs noise_a > 0")
-        grid = _time_grid(cfg)
-    _emit_curve(run_relaxation(noise, grid, dephasing=dephasing, params=params), cfg)
-    return 0
-
-
-def _run_calibrate(cfg: dict) -> int:
-    with _config_values():
-        params = _sim_params(cfg)
-        noise = LorentzianNoiseSpec(R=cfg["noise_r"], A=1.0,
-                                    delta_omega=cfg.get("delta_omega", 1e3),
-                                    n_max=cfg.get("n_max", 10))
-        if cfg["target_t1"] <= 0:
-            raise ValueError("target_t1 must be positive")
-    result = calibrate_amplitude(noise, cfg["target_t1"], params=params)
-    print(f"calibrated_A = {result.A!r}")
-    print(f"achieved_T1 = {result.achieved_T1!r}")
-    print(f"target_T1 = {result.target_T1!r}")
-    print(f"iterations = {result.iterations}")
-    if cfg.get("out"):
-        result.curve.to_csv(cfg["out"])
-        print(f"wrote {len(result.curve.points)} points to {cfg['out']}")
-    return 0
-
-
-def _run_export(cfg: dict) -> int:
-    with _config_values():
-        spec = LorentzianNoiseSpec(R=cfg["noise_r"], A=cfg["noise_a"],
-                                   delta_omega=cfg.get("delta_omega", 1e3),
-                                   n_max=cfg.get("n_max", 10),
-                                   master_seed=cfg.get("master_seed", 0))
-        if cfg["duration"] <= 0 or cfg["sample_rate"] <= 0:
-            raise ValueError("duration and sample_rate must be positive")
-    phases = sample_realization(spec, cfg.get("realization_index", 0))
-    count = export_waveform(spec, phases, cfg["duration"], cfg["sample_rate"], cfg["out"])
-    print(f"wrote {count} samples to {cfg['out']}")
-    return 0
-
-
-_PHASE_LETTERS = ((0.0, "X"), (math.pi / 2.0, "Y"))
-
-
-def _word_letters(cfg: dict) -> str:
-    if ("word" in cfg) == ("sequence" in cfg):
-        raise ConfigError("eulerian-check needs exactly one of word or sequence")
-    if "word" in cfg:
-        return cfg["word"]
-    base = []
-    for phase in SEQUENCE_PHASES[cfg["sequence"]]:
-        letter = next((lab for val, lab in _PHASE_LETTERS
-                       if abs(phase - val) < 1e-12), None)
-        if letter is None:
-            raise ConfigError(f"sequence phase {phase!r} has no Pauli letter")
-        base.append(letter)
-    return "".join(base) * cfg.get("cycles", 1)
-
-
-def _run_eulerian_check(cfg: dict) -> int:
-    letters = _word_letters(cfg)
-    generators = [pauli_element(lab) for lab in sorted(set(letters))]
-    group = generated_group(generators)
-    graph = build_cayley(group, generators)
-    start_label = cfg.get("start", "I").strip().upper()
-    if start_label not in [g.label for g in group]:
-        raise ConfigError(f"start vertex {start_label!r} not in the generated group")
-    start = pauli_element(start_label)
-    word = PulseWord(tuple(letters))
-    check = verify_eulerian(word, graph, start=start)
-    decoupled = verify_average_decoupling(word, {"X", "Y", "Z"})
-    print(f"word = {''.join(word.letters)}")
-    print(f"group = {','.join(g.label for g in group)}")
-    print(f"edges = {len(graph.edges)}")
-    print(f"eulerian = {'ok' if check.passed else 'FAIL: ' + check.diagnostic}")
-    print(f"decoupling_xyz = {'ok' if decoupled else 'FAIL'}")
-    if not check.passed:
-        suggestion = eulerian_cycle(graph, start)
-        print(f"suggestion = {''.join(suggestion.letters)}")
-    return 0
+    """Config text that parse_config reads back as ``cfg``, or ConfigError naming the key."""
+    text = "".join(f"{key} = {_format_value(cfg[key])}\n" for key in _SCHEMA if key in cfg)
+    parsed = parse_config(text)
+    for key, value in cfg.items():
+        if parsed.get(key) != value:
+            raise ConfigError(f"{key} = {value!r} cannot be written as a config line")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,29 +408,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("config",
                         help="path to a key=value config file, or a bundled config name")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override master_seed")
+                        help="override master_seed, in [0, 2^64)")
     parser.add_argument("--realizations", type=int, default=None,
                         help="override the Monte Carlo realization count")
     parser.add_argument("--threads", type=int, default=None,
-                        help="thread count >= 1, no effect on results or speed "
-                             "(default: EULERDD_THREADS or 1)")
+                        help="accepted for compatibility: must be >= 1, has no effect")
     parser.add_argument("--out", default=None, help="override the output path")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit")
     return parser
-
-
-def _resolve_threads(cfg: dict, flag: int | None) -> int:
-    threads = flag if flag is not None else cfg.get("threads")
-    if threads is None:
-        env = os.environ.get("EULERDD_THREADS", "").strip() or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"EULERDD_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return threads
 
 
 def main(argv=None) -> int:
@@ -450,42 +424,35 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(_config_text(args.config))
         if args.seed is not None:
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must lie in [0, 2^64)")
             cfg["master_seed"] = args.seed
         if args.realizations is not None:
             if args.realizations < 1:
                 raise ConfigError("--realizations must be >= 1")
             cfg["realizations"] = args.realizations
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         if args.out is not None:
             cfg["out"] = args.out
-        if cfg["experiment"] in _NEEDS_OUT and not cfg.get("out"):
+        experiment = _EXPERIMENTS[cfg["experiment"]]
+        if experiment.needs_out and not cfg.get("out"):
             raise ConfigError(
                 f"{cfg['experiment']} needs an output path: set out= or pass --out")
-        cfg["threads"] = _resolve_threads(cfg, args.threads)
-    except ConfigError as exc:
+        work = experiment.build(cfg)
+        dump = _dump_config(cfg) if args.dump_config else None
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.dump_config:
-        sys.stdout.write(_dump_config(cfg))
+    if dump is not None:
+        sys.stdout.write(dump)
         return 0
-    exp = cfg["experiment"]
     try:
-        if exp == "dd":
-            return _run_dd(cfg)
-        if exp == "fid":
-            return _run_fid(cfg)
-        if exp == "relax":
-            return _run_relax(cfg)
-        if exp == "calibrate":
-            return _run_calibrate(cfg)
-        if exp == "export-noise":
-            return _run_export(cfg)
-        return _run_eulerian_check(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        work()
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

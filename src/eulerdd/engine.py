@@ -49,7 +49,7 @@ import numpy as np
 
 from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
                       prep_unitary, pulse_envelope, readout_unitary)
-from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, derive_seed,
+from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, derive_seed,
                     sample_detuning, sample_realization)
 from .su2core import SpinState, axis_rotation
 
@@ -103,6 +103,7 @@ class SimParams:
             raise ValueError("realizations must be >= 1")
         if self.envelope_T2 is not None and not 0 < self.envelope_T2 < math.inf:
             raise ValueError("envelope_T2 must be positive and finite")
+        _check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,12 @@ def _indices(index) -> np.ndarray:
     return idx.astype(np.uint64)
 
 
+def _check_seed(master_seed: int | None) -> None:
+    """ValueError for a master seed outside [0, 2^64), which would wrap onto another."""
+    if master_seed is not None and not 0 <= master_seed <= _M64:
+        raise ValueError(f"master_seed {master_seed} is outside [0, 2^64)")
+
+
 def _draw(master_seed: int | None, stream: int, index, draw):
     """``draw(default_rng(derive_seed(master_seed, stream, i)))`` for each index.
 
@@ -223,6 +229,7 @@ class LorentzianNoiseSpec:
             raise ValueError("A must be non-negative and finite")
         if not 0 < self.delta_omega < math.inf:
             raise ValueError("delta_omega must be positive and finite")
+        _check_seed(self.master_seed)
 
     @property
     def indices(self) -> np.ndarray:
@@ -247,6 +254,7 @@ class DephasingSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma_delta < math.inf:
             raise ValueError("sigma_delta must be non-negative and finite")
+        _check_seed(self.master_seed)
 
 
 def weight(spec: LorentzianNoiseSpec, n: int) -> float:

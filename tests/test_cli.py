@@ -120,13 +120,29 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
          "bad value for 'realization_index': must lie in [0, 2^64)"),
         (export + f"realization_index = {2**64}\n",
          "bad value for 'realization_index': must lie in [0, 2^64)"),
+        # Seeds wrap no more than indices do.
+        (FID_TEXT.replace("master_seed = 1", f"master_seed = {2**64}"),
+         "bad value for 'master_seed': must lie in [0, 2^64)"),
+        (FID_TEXT, "--seed must lie in [0, 2^64)", "--seed", "-1"),
+        (FID_TEXT, "--seed must lie in [0, 2^64)", "--seed", str(2**64)),
+        # A grid whose times coincide, here all at t = 0 or at 1 us.
+        (FID_TEXT.replace("t_max = 3e-6", "t_max = 0"),
+         "t_min and t_max do not span 5 distinct times"),
+        (FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 1e-6\n",
+         "t_min and t_max do not span 5 distinct times"),
+        (FID_TEXT + "threads = 2\n", "line 8: unknown key 'threads'"),
     ]
     out = tmp_path / "never.csv"
-    for text, message in cases:
-        assert main([write_cfg(tmp_path, text, name="bad.cfg"), "--out", str(out)]) == 1
+    for text, message, *flags in cases:
+        cfg = write_cfg(tmp_path, text, name="bad.cfg")
+        assert main([cfg, "--out", str(out), *flags]) == 1
         captured = capsys.readouterr()
         assert message in captured.err, text
         assert captured.out == "" and not out.exists()
+    # A reversed grid is sorted and runs.
+    reversed_grid = FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 3e-6\n"
+    assert main([write_cfg(tmp_path, reversed_grid), "--out", str(out)]) == 0
+    assert "wrote 5 points" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -218,31 +234,34 @@ def test_seed_override_changes_results(tmp_path):
     assert a.read_bytes() == c.read_bytes()  # --seed 1 matches the config seed
 
 
-def test_thread_count_is_cosmetic(tmp_path, monkeypatch):
+def test_thread_count_is_cosmetic(tmp_path, capsys):
+    # --threads is validated and then ignored.
     path = write_cfg(tmp_path, FID_TEXT)
-    one, four, env = (tmp_path / name for name in ("t1.csv", "t4.csv", "env.csv"))
-    monkeypatch.delenv("EULERDD_THREADS", raising=False)
+    one, four = tmp_path / "t1.csv", tmp_path / "t4.csv"
     assert main([path, "--out", str(one)]) == 0
     assert main([path, "--out", str(four), "--threads", "4"]) == 0
-    monkeypatch.setenv("EULERDD_THREADS", "4")
-    assert main([path, "--out", str(env)]) == 0
-    assert one.read_bytes() == four.read_bytes() == env.read_bytes()
+    assert one.read_bytes() == four.read_bytes()
+    capsys.readouterr()
+    assert main([path, "--out", str(tmp_path / "t0.csv"), "--threads", "0"]) == 1
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t0.csv").exists()
 
 
 def test_thread_resolution_precedence(tmp_path, capsys, monkeypatch):
-    path = write_cfg(tmp_path, FID_TEXT + "threads = 2\nout = fid.csv\n")
-    monkeypatch.setenv("EULERDD_THREADS", "8")
-    assert main([path, "--threads", "3", "--dump-config"]) == 0
-    assert "threads = 3" in capsys.readouterr().out
-    assert main([path, "--dump-config"]) == 0
-    assert "threads = 2" in capsys.readouterr().out  # config beats environment
-    monkeypatch.setenv("EULERDD_THREADS", "abc")
+    # Only --threads is read: the config key is unknown, the environment
+    # variable is ignored, and the dumped config carries no threads line.
     bare = write_cfg(tmp_path, FID_TEXT + "out = fid.csv\n", name="bare.cfg")
-    assert main([bare, "--dump-config"]) == 1
-    assert "EULERDD_THREADS must be an integer" in capsys.readouterr().err
-    monkeypatch.delenv("EULERDD_THREADS")
+    monkeypatch.setenv("EULERDD_THREADS", "abc")
+    assert main([bare, "--threads", "3", "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert main([bare, "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+    assert "threads" not in dumped
+    keyed = write_cfg(tmp_path, FID_TEXT + "threads = 2\nout = fid.csv\n")
+    assert main([keyed, "--threads", "3", "--dump-config"]) == 1
+    assert "unknown key 'threads'" in capsys.readouterr().err
     assert main([bare, "--threads", "0", "--dump-config"]) == 1
-    assert "threads must be >= 1" in capsys.readouterr().err
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_dump_config_round_trips(tmp_path, capsys):
@@ -253,6 +272,11 @@ def test_dump_config_round_trips(tmp_path, capsys):
     assert main([again, "--dump-config"]) == 0
     assert capsys.readouterr().out == first
     assert parse_config(first)["sigma_delta"] == 764439.7634449162
+    # '#' would start a comment, so this out cannot be dumped.
+    assert main([path, "--out", "x#y.csv", "--dump-config"]) == 1
+    captured = capsys.readouterr()
+    assert "out = 'x#y.csv' cannot be written as a config line" in captured.err
+    assert captured.out == ""
 
 
 def test_bundled_configs_all_parse(capsys):

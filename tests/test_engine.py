@@ -301,7 +301,7 @@ def test_dd_scan_prefix_consistency():
 
 
 def test_thread_count_does_not_change_results(tmp_path):
-    # The CLI resolves and validates --threads, and the single-batch
+    # The CLI validates and ignores --threads, and the single-batch
     # engine runs every realization in one batch whatever its value:
     # a comb run, an exact-propagator run and an FID give the same CSV
     # bytes at 1 and 4 threads.
@@ -429,6 +429,10 @@ def test_simparams_validation():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="envelope_T2"):
             SimParams(envelope_T2=bad)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed .* is outside \[0, 2\^64\)"):
+            SimParams(master_seed=bad)
+    assert SimParams(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_decay_curve_validation_and_csv(tmp_path):

@@ -46,9 +46,14 @@ def test_spec_validation_and_derived_quantities():
                           sample_realization(spec_with(master_seed=0), 3))
     assert sample_detuning(DephasingSpec(sigma_delta=1.0), 3) == sample_detuning(
         DephasingSpec(sigma_delta=1.0, master_seed=0), 3)
-    for bad in (dict(R=0.0), dict(A=-1.0), dict(n_max=0), dict(delta_omega=0.0)):
+    for bad in (dict(R=0.0), dict(A=-1.0), dict(n_max=0), dict(delta_omega=0.0),
+                dict(master_seed=-1), dict(master_seed=2**64)):
         with pytest.raises(ValueError):
             LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
+    # A seed outside [0, 2^64) would wrap onto another seed's streams.
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="outside"):
+            DephasingSpec(sigma_delta=1.0, master_seed=bad)
 
 
 def test_weights_lorentzian_profile():
