@@ -323,8 +323,11 @@ def bundled_config_names() -> list[str]:
 
 def _config_text(arg: str) -> str:
     if os.path.exists(arg):
-        with open(arg, "r") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ConfigError(f"config {arg!r}: {exc.strerror or exc}") from None
     name = arg[:-4] if arg.endswith(".cfg") else arg
     candidate = resources.files("eulerdd") / "configs" / f"{name}.cfg"
     if candidate.is_file():

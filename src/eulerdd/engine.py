@@ -22,17 +22,22 @@ so propagation is unitary by construction.  Without the comb every
 idle and Square-pulse segment has a constant H and takes one such
 propagator, computed per distinct (duration, phase); Delta pulses are
 exact pi rotations.  Gaussian pulses, and every segment under the
-comb, take fourth-order commutator-free Magnus steps (CF4:2, Blanes &
-Moan, Appl. Numer. Math. 56, 1519 (2006)): the product of two
-exponentials of H mixed from its values at the step's two Gauss
-nodes.  Every array expression is element-wise, the comb sum included,
-so a realization's trajectory depends only on its own draws and the
-run's step sizes, and results are reproducible from the master seed.
+comb, take fourth-order Magnus steps (the Omega^[4] integrator of
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): one
+exponential per step, of an H built from its values at the step's two
+Gauss nodes plus their commutator, which in SU(2) is a closed-form
+cross product.  The steps of a block are set up as (steps, M) arrays
+at once; only their application to the state is sequential.  Every
+array expression is element-wise, the comb sum included, so a
+realization's trajectory depends only on its own draws and the run's
+step sizes, not on the batch or block layout, and results are
+reproducible from the master seed.
 
-Step control: an integrated segment of duration T takes ceil(T scale
-/ 0.3) steps, where scale = max(peak drive + field bound, detuning
-bound, top comb frequency) bounds every angular rate, so a step turns
-the spin by about 0.3 rad at most.  An explicit dt gives ceil(T / dt)
+Step control: a segment integrated by Magnus steps, of duration T,
+takes ceil(T scale / 0.3) steps, where scale = max(peak drive + field
+bound, detuning bound, top comb frequency) bounds every angular rate,
+so a step turns the spin by about 0.3 rad at most.  A step is exact
+when H is constant over it.  An explicit dt gives ceil(T / dt)
 steps instead and is checked on every finite segment, exact ones
 included (at most tau_d/50 on a pulse, a priori local error below
 1e-6), raising StepTooLarge when too coarse.  Every propagation,
@@ -163,15 +168,13 @@ def golden_rule_amplitude(R: float, target_T1: float) -> float:
 # ---------------------------------------------------------------------------
 # Batched propagation core
 
-# CF4:2 commutator-free Magnus step (Blanes & Moan 2006): Gauss nodes
-# 1/2 -+ sqrt(3)/6 of the step and the weights of its two exponentials.
+# Fourth-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+# (2009)): the Gauss nodes 1/2 -+ sqrt(3)/6 of the step.
 _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-_ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 # Largest rotation angle per automatic step, in units of the rate bound.
 _THETA = 0.3
-# Steps whose comb nodes are evaluated at once; bounds the node memory.
-_BLOCK = 256
+# Steps whose nodes and propagators are computed at once; bounds their memory.
+_BLOCK = 16
 # Integrated steps one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
 
@@ -218,8 +221,9 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     """exp(-i t H) for H = [[hz, c], [conj(c), -hz]] as four element-wise arrays.
 
     Returns (u00, u01, u10, u11) = cos(|h| t) - i t sinc(|h| t / pi) H with
-    |h| = sqrt(hz^2 + |c|^2); hz holds one value per realization and c is
-    a transverse coefficient shared by all of them or one per realization.
+    |h| = sqrt(hz^2 + |c|^2); hz and c are scalars or arrays that
+    broadcast together, such as one row per step and one column per
+    realization.
     """
     wt = np.sqrt(hz * hz + abs(c) ** 2) * t
     cos = np.cos(wt)
@@ -227,30 +231,39 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     return cos + s * hz, s * c, s * np.conj(c), cos - s * hz
 
 
-def _magnus_segment(a, b, hz_half: np.ndarray, seg: Segment, shape: PulseShape,
+def _magnus_segment(a, b, hz: np.ndarray, seg: Segment, shape: PulseShape,
                     noise: Comb | None, t_abs: float, nstep: int, track: bool):
-    """Integrate one segment starting at t_abs by nstep CF4:2 Magnus steps.
+    """Integrate one segment starting at t_abs by nstep fourth-order Magnus steps.
 
-    hz_half is half the diagonal of H, its weight in each exponential.
-    Returns (a, b, largest | |psi| - 1 | after a step, 0.0 unless track).
+    A step of length h with transverse coefficients c1, c2 at its two
+    Gauss nodes is exp(-i h H_eff), Omega^[4] = (h/2)(A1 + A2) -
+    (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2) the commutator is
+    a cross product, so with k = sqrt(3) h / 6
+
+        c_eff = (c1 + c2) / 2 - i k hz (c1 - c2),
+        hz_eff = hz + k Im(conj(c1) c2),
+
+    and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a
+    run.  Returns (a, b, largest | |psi| - 1 | after a step, 0.0 unless
+    track).
     """
     h = seg.duration / nstep
+    k = math.sqrt(3.0) * h / 6.0
     drift = 0.0
     for done in range(0, nstep, _BLOCK):
         steps = np.arange(done, min(nstep, done + _BLOCK))
         # The two Gauss nodes of every step in the block, interleaved.
         rel = ((steps[:, None] + _NODES[None, :]) * h).ravel()
-        c = noise.c_at(t_abs + rel) if noise is not None else np.zeros((1, rel.size), complex)
+        c = noise.c_at(t_abs + rel).T if noise is not None else np.zeros((rel.size, 1), complex)
         if seg.is_pulse:
-            c = c + (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration, rel)
-        c1, c2 = c[:, 0::2], c[:, 1::2]
-        # Transverse coefficients of the two exponentials, one row per step.
-        first = np.ascontiguousarray((_ALPHA2 * c1 + _ALPHA1 * c2).T)
-        second = np.ascontiguousarray((_ALPHA1 * c1 + _ALPHA2 * c2).T)
+            c = c + (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration,
+                                                                     rel)[:, None]
+        c1, c2 = c[0::2], c[1::2]
+        c_eff = 0.5 * (c1 + c2) - (1j * k) * hz * (c1 - c2)
+        hz_eff = hz + k * (np.conj(c1) * c2).imag
+        u00, u01, u10, u11 = _exact_propagator(hz_eff, c_eff, h)
         for j in range(steps.size):
-            for c_mix in (first[j], second[j]):
-                u = _exact_propagator(hz_half, c_mix, h)
-                a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
+            a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
             if track:
                 norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
                 drift = max(drift, float(np.max(np.abs(norm - 1.0))))
@@ -268,7 +281,7 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     is the detuning bound of the whole run, which sizes the steps.
     Without the comb, idle and Square-pulse segments take their exact
     propagator, and Delta pulses are exact pi rotations in every run;
-    all other finite segments are integrated by CF4:2 Magnus steps.
+    all other finite segments are integrated by fourth-order Magnus steps.
     `diagnostics`, if given, receives
     "integrated_steps", "exact_segments" and "max_norm_drift".
     """
@@ -302,8 +315,8 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
             a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
             n_exact += 1
         else:
-            a, b, drift = _magnus_segment(a, b, 0.5 * hz, seg, shape, noise, t_abs,
-                                          nstep, diagnostics is not None)
+            a, b, drift = _magnus_segment(a, b, hz, seg, shape, noise, t_abs, nstep,
+                                          diagnostics is not None)
             n_steps += nstep
             max_drift = max(max_drift, drift)
         t_abs += seg.duration

@@ -23,13 +23,16 @@ index).  There is one seeding route: realization m of a stream draws
 from the generator np.random.default_rng(derive_seed(master_seed,
 stream, m)), a splitmix64 chain, so any subset of realizations can be
 drawn in any order.  A spec without a master_seed draws as seed 0.
-The samplers take one index in [0, 2^64) or a 1-d array of them; for
-an array they compute every index's starting PCG64 state at once, then
-draw from one reused generator set to each state in turn, so a batch
-equals the per-index draws bit for bit.  A realization of the comb is
-its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max; the
-one-realization helpers (field_at, parseval_power, export_waveform)
-take such a row.
+The samplers take one index in [0, 2^64) or a 1-d array of them and
+compute every index's seeded PCG64 state at once, in uint64 arithmetic.
+Phase rows are then PCG64 arithmetic too: each draw's state is jumped
+to in closed form and turned into numpy's uniform double.  Detunings
+come from one reused generator set to each index's state in turn,
+since numpy's normal sampler needs its own tables.  Either way a
+batch equals the per-index draws bit for bit.  A realization of the
+comb is its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max;
+the one-realization helpers (field_at, parseval_power,
+export_waveform) take such a row.
 """
 from __future__ import annotations
 
@@ -170,28 +173,76 @@ def _check_seed(master_seed: int | None) -> None:
         raise ValueError(f"master_seed {master_seed} is outside [0, 2^64)")
 
 
-def _draw(master_seed: int | None, stream: int, index, draw):
-    """``draw(default_rng(derive_seed(master_seed, stream, i)))`` for each index.
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2^128 of 128-bit ints held as uint64 (hi, lo) halves.
 
-    A master_seed of None draws as 0.  Returns the single result for a
-    scalar index and a list for a 1-d index array.  The PCG64 seeding
-    (state 0, inc = 2 initseq + 1, one step, add initstate, one step) is
-    done in 128-bit ints, and one generator is set to each index's
-    state in turn.
+    The high half of a_lo * b_lo is built from 32-bit limbs; every
+    other product only needs its low 64 bits, which uint64 arrays wrap to.
     """
-    idx = _indices(index)
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    x0, x1 = a_lo & m32, a_lo >> s32
+    y0, y1 = b_lo & m32, b_lo >> s32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = ((x0 * y0) >> s32) + (p01 & m32) + (p10 & m32)
+    carry = x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2^128 of 128-bit ints held as uint64 (hi, lo) halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _halves(values) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints mod 2^128 as a uint64 (hi, lo) pair of 1-d arrays."""
+    ints = [v & _M128 for v in values]
+    return (np.array([v >> 64 for v in ints], dtype=np.uint64),
+            np.array([v & _M64 for v in ints], dtype=np.uint64))
+
+
+def _pcg64_states(master_seed: int | None, stream: int, idx: np.ndarray):
+    """Seeded PCG64 (state, inc) of each index's default_rng, as uint64 halves.
+
+    Returns (state_hi, state_lo, inc_hi, inc_lo), each of shape idx.shape:
+    the generator np.random.default_rng(derive_seed(master_seed, stream,
+    i)) starts from this state (a master_seed of None seeds as 0).  The
+    seeding is numpy's: state 0, inc = 2 initseq + 1, one step, add
+    initstate, one step.
+    """
     master = 0 if master_seed is None else master_seed
     seeds = _splitmix64_array(np.uint64(derive_seed(master, stream)) ^ idx)
-    gen = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    out = []
-    for s0, s1, s2, s3 in _seed_sequence_state(seeds).tolist():
-        inc = ((s2 << 64 | s3) << 1 | 1) & _M128
-        state["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128,
-                          "inc": inc}
-        gen.bit_generator.state = state
-        out.append(draw(gen))
-    return out[0] if np.ndim(index) == 0 else out
+    s0, s1, s2, s3 = _seed_sequence_state(seeds).T
+    one = np.uint64(1)
+    inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
+    state = _add128(inc_hi, inc_lo, s0, s1)
+    state = _mul128(*state, *_halves([_PCG_MULT]))
+    return (*_add128(*state, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _uniform_phases(master_seed: int | None, stream: int, idx: np.ndarray,
+                    count: int) -> np.ndarray:
+    """The first ``count`` Generator.uniform(0, 2 pi) draws of every index, (n, count).
+
+    PCG64 jumped ahead in closed form: after j steps the state is
+    MULT^j state + (MULT^(j-1) + ... + 1) inc mod 2^128, and each draw
+    is its XSL-RR output rotr64(hi ^ lo, hi >> 58), shifted to 53 bits
+    and scaled by 2^-53 and 2 pi, which is what numpy computes.
+    """
+    st_hi, st_lo, inc_hi, inc_lo = (x[:, None] for x in _pcg64_states(master_seed,
+                                                                        stream, idx))
+    powers, sums, power, total = [], [], 1, 0
+    for _ in range(count):
+        total += power
+        power = power * _PCG_MULT & _M128
+        powers.append(power)
+        sums.append(total)
+    hi, lo = _add128(*_mul128(st_hi, st_lo, *_halves(powers)),
+                     *_mul128(inc_hi, inc_lo, *_halves(sums)))
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)).astype(float) * 2.0**-53 * (2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -280,13 +331,9 @@ def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
     to the per-index draws.  Raises ValueError for an index outside
     [0, 2^64).
     """
-    def draw(gen):
-        return gen.uniform(0.0, 2 * np.pi, size=2 * spec.n_max + 1)
-
-    phases = _draw(spec.master_seed, STREAM_NOISE, index, draw)
-    if np.ndim(index) == 0:
-        return phases
-    return np.array(phases).reshape(len(phases), 2 * spec.n_max + 1)
+    phases = _uniform_phases(spec.master_seed, STREAM_NOISE, _indices(index),
+                             2 * spec.n_max + 1)
+    return phases[0] if np.ndim(index) == 0 else phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +363,13 @@ class Comb:
 
         The sum is accumulated term by term in fixed index order, so
         each entry is bitwise independent of the other rows and times.
+        It is built time-major and returned as a transposed view, so
+        ``c_at(t).T`` is a contiguous (t.size, rows) array.
         """
-        out = np.zeros((self.coef.shape[0], t.size), dtype=complex)
-        for k in range(self.omega.size):
-            out += self.coef[:, k, None] * np.exp(1j * self.omega[k] * t)[None, :]
-        return out
+        out = np.zeros((t.size, self.coef.shape[0]), dtype=complex)
+        for k, coef in enumerate(self.coef.T):
+            out += coef[None, :] * np.exp(1j * self.omega[k] * t)[:, None]
+        return out.T
 
 
 def field_at(spec: LorentzianNoiseSpec, phases: np.ndarray, t):
@@ -351,9 +400,18 @@ def sample_detuning(spec: DephasingSpec, index):
     if spec.sigma_delta == 0.0:
         count = _indices(index).size
         return 0.0 if np.ndim(index) == 0 else np.zeros(count)
-    z = _draw(spec.master_seed, STREAM_DETUNING, index, lambda gen: gen.standard_normal())
+    # standard_normal's ziggurat needs numpy's own tables, so one generator
+    # is set to each index's state in turn.
+    gen = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    z = []
+    for st_hi, st_lo, inc_hi, inc_lo in zip(*(x.tolist() for x in _pcg64_states(
+            spec.master_seed, STREAM_DETUNING, _indices(index)))):
+        state["state"] = {"state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
+        gen.bit_generator.state = state
+        z.append(gen.standard_normal())
     if np.ndim(index) == 0:
-        return float(z * spec.sigma_delta)
+        return float(z[0] * spec.sigma_delta)
     return np.array(z, dtype=float) * spec.sigma_delta
 
 

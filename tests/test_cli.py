@@ -139,6 +139,11 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert message in captured.err, text
         assert captured.out == "" and not out.exists()
+    # A path that exists but cannot be read as a file is a config error too.
+    assert main([str(tmp_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert repr(str(tmp_path)) in captured.err
+    assert captured.out == "" and not out.exists()
     # A reversed grid is sorted and runs.
     reversed_grid = FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 3e-6\n"
     assert main([write_cfg(tmp_path, reversed_grid), "--out", str(out)]) == 0

@@ -15,7 +15,7 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      run_dd_scan, run_fid, run_relaxation)
 from eulerdd import engine
 from eulerdd.cli import main as cli_main
-from eulerdd.control import pulse_envelope
+from eulerdd.control import Segment, pulse_envelope
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 R_FAST = 2 * math.pi * 5e3
@@ -217,6 +217,47 @@ def test_gaussian_comb_scan_matches_rk4_oracle():
     curve = run_dd_scan(FIG4_SPEC, n_list, FIG4_NOISE, deph, params)
     expect = rk4_dd_scan(FIG4_SPEC, n_list, FIG4_NOISE, deph, params, FIG4_SPEC.tau_d / 400)
     assert np.max(np.abs(curve.value - expect)) <= 1e-6
+
+
+@pytest.mark.parametrize("tau_d", [24e-9, 100e-9, 500e-9])
+def test_square_comb_scan_matches_rk4_oracle(tau_d):
+    # Square pulses under the same comb and detuning: only the comb varies
+    # within a segment, and after one XY8 block the Magnus curve sits
+    # within 1e-9 of RK4.
+    n_list = [8]
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    params = SimParams(realizations=64, master_seed=41)
+    spec = replace(FIG4_SPEC, tau_d=tau_d, shape=PulseShape("Square"))
+    curve = run_dd_scan(spec, n_list, FIG4_NOISE, deph, params)
+    expect = rk4_dd_scan(spec, n_list, FIG4_NOISE, deph, params, tau_d / 400)
+    assert np.max(np.abs(curve.value - expect)) <= 1e-9
+
+
+@pytest.mark.parametrize("nstep", [1, 7, 40])
+def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
+    # Without the comb a Square pulse has a constant H, so any number of
+    # Magnus steps, across step blocks too, multiplies out to its closed form.
+    seg = Segment(100e-9, math.pi / 2)
+    hz = 0.5 * np.array([-2.0, 0.0, 0.5, 3.0]) * SIGMA_FID
+    psi = prep_unitary() @ KET0
+    a, b = np.full(hz.size, psi[0]), np.full(hz.size, psi[1])
+    a_m, b_m, _ = engine._magnus_segment(a, b, hz, seg, PulseShape("Square"), None,
+                                         0.0, nstep, False)
+    c = 0.5 * np.exp(-1j * seg.phase) * math.pi / seg.duration
+    u = engine._exact_propagator(hz, c, seg.duration)
+    assert np.max(np.abs(a_m - (u[0] * a + u[1] * b))) <= 1e-14
+    assert np.max(np.abs(b_m - (u[2] * a + u[3] * b))) <= 1e-14
+
+
+def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
+    # Steps are grouped into blocks only to vectorize their propagators;
+    # one step per block gives the same bytes.
+    spec = replace(FIG4_SPEC, N=16)
+    params = SimParams(realizations=16, master_seed=3)
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    default = run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text()
+    monkeypatch.setattr(engine, "_BLOCK", 1)
+    assert run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text() == default
 
 
 def test_step_counts_of_the_fig4_schedule():

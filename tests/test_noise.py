@@ -227,7 +227,7 @@ def test_batched_draw_shapes_and_index_checks(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sigma_delta = 0 must not draw")
 
-    monkeypatch.setattr(noise, "_draw", no_draws)
+    monkeypatch.setattr(noise, "_pcg64_states", no_draws)
     flat = DephasingSpec(sigma_delta=0.0, master_seed=1)
     assert sample_detuning(flat, 5) == 0.0
     zeros = sample_detuning(flat, np.arange(4))
