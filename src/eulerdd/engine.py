@@ -13,37 +13,38 @@ detuning.  Ensemble averaging the projective readout over
 realizations is equivalent to propagating the density matrix because
 every realization evolves unitarily.
 
-Realizations are propagated as one vectorized batch of (M,) arrays,
-and every step is a closed-form SU(2) exponential of a constant H,
+Realizations are propagated as one vectorized batch of (M,) arrays.
+Delta pulses are exact pi rotations; every finite segment is applied
+the same way, as fourth-order Magnus steps (the Omega^[4] integrator
+of Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step is
+one closed-form SU(2) exponential,
 
     exp(-i t H) = cos(|h| t) - i t sinc(|h| t / pi) H,   |h| = sqrt(delta^2/4 + |c|^2),
 
-so propagation is unitary by construction.  Without the comb every
-idle and Square-pulse segment has a constant H and takes one such
-propagator, computed per distinct (duration, phase); Delta pulses are
-exact pi rotations.  Gaussian pulses, and every segment under the
-comb, take fourth-order Magnus steps (the Omega^[4] integrator of
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): one
-exponential per step, of an H built from its values at the step's two
-Gauss nodes plus their commutator, which in SU(2) is a closed-form
-cross product.  The steps of a block are set up as (steps, M) arrays
-at once; only their application to the state is sequential.  Every
-array expression is element-wise, the comb sum included, so a
-realization's trajectory depends only on its own draws and the run's
-step sizes, not on the batch or block layout, and results are
-reproducible from the master seed.
+of an H built from its values at the step's two Gauss nodes plus
+their commutator, which in SU(2) is a closed-form cross product, so
+propagation is unitary by construction.  A step is exact when H is
+constant over it.  Without the comb a segment's steps do not depend
+on when it starts, so they are built once per distinct (duration,
+phase) and reused; under the comb they are built lazily, one block of
+(steps, M) arrays at a time.  Only their application to the state is
+sequential.  Every array expression is element-wise, the comb sum
+included, so a realization's trajectory depends only on its own draws
+and the run's step sizes, not on the batch or block layout, and
+results are reproducible from the master seed.
 
-Step control: a segment integrated by Magnus steps, of duration T,
-takes ceil(T scale / 0.3) steps, where scale = max(peak drive + field
-bound, detuning bound, top comb frequency) bounds every angular rate,
-so a step turns the spin by about 0.3 rad at most.  A step is exact
-when H is constant over it.  An explicit dt gives ceil(T / dt)
-steps instead and is checked on every finite segment, exact ones
-included (at most tau_d/50 on a pulse, a priori local error below
-1e-6), raising StepTooLarge when too coarse.  Every propagation,
+Step control, evaluated once per segment and run: a segment with a
+constant H (an idle or a Square pulse without the comb) takes one
+step.  A segment whose H varies, of duration T, takes ceil(T scale /
+0.3) steps, where scale = max(peak drive + field bound, detuning
+bound, top comb frequency) bounds every angular rate, so a step turns
+the spin by about 0.3 rad at most; an explicit dt gives ceil(T / dt)
+steps instead.  An explicit dt is checked on every finite segment
+(at most tau_d/50 on a pulse, a priori local error below 1e-6),
+raising StepTooLarge when too coarse.  Every propagation,
 ``propagate`` and the dd, fid and relaxation runners alike, goes
 through one batch entry point that refuses, before propagating, a run
-that needs more than 2,000,000 integrated steps.
+that needs more than 2,000,000 steps on segments whose H varies.
 """
 from __future__ import annotations
 
@@ -54,8 +55,8 @@ import numpy as np
 
 from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
                       prep_unitary, pulse_envelope, readout_unitary)
-from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, derive_seed,
-                    sample_detuning, sample_realization)
+from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _indices,
+                    derive_seed, sample_detuning, sample_realization)
 from .su2core import SpinState, axis_rotation
 
 __all__ = [
@@ -90,8 +91,9 @@ class SimParams:
 
     dt = None selects the automatic per-segment step described in the
     module docstring.  An explicit dt is validated against every
-    segment but used only by integrated (Magnus) segments, shortened as
-    needed to divide each one exactly; exact segments do not step.
+    segment but sizes only the steps of segments whose H varies,
+    shortened as needed to divide each one exactly; a segment with a
+    constant H takes one exact step either way.
     envelope_T2, when set, multiplies dd curves by the
     intrinsic-dephasing envelope of ``apply_envelope``.
     """
@@ -175,18 +177,21 @@ _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _THETA = 0.3
 # Steps whose nodes and propagators are computed at once; bounds their memory.
 _BLOCK = 16
-# Integrated steps one propagation or calibration run may take.
+# Steps on segments whose H varies that one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
+# Largest steps x realizations of one comb-free segment whose step propagators
+# are kept for reuse; a longer segment builds them one block at a time.
+_CACHE_ENTRIES = 1 << 20
 
 
 def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
-                   delta_max: float, explicit_dt: float | None) -> tuple[float, int]:
-    """Peak drive of a segment and its integrated step count, 0 when it is exact.
+                   delta_max: float, explicit_dt: float | None) -> tuple[int, bool]:
+    """A segment's step count and whether its H varies; (0, False) for zero duration.
 
     The step rule and the explicit-dt checks are those of the module docstring.
     """
     if seg.duration == 0.0:
-        return 0.0, 0
+        return 0, False
     if seg.is_pulse and explicit_dt is not None and explicit_dt > seg.duration / 50.0:
         raise StepTooLarge(
             f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
@@ -206,15 +211,8 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
         comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
         scale = max(omega_peak + b_sup, delta_max, comb_max)
         nstep = max(1, math.ceil(seg.duration * scale / _THETA))
-    integrated = noise is not None or (seg.is_pulse and shape.kind != "Square")
-    return omega_peak, nstep if integrated else 0
-
-
-def _integrated_steps(items, shape: PulseShape, noise: Comb | None,
-                      delta_max: float, explicit_dt: float | None) -> int:
-    """Integrated steps the ("seg", Segment) items of a run take, validating dt."""
-    return sum(_segment_steps(item[1], shape, noise, delta_max, explicit_dt)[1]
-               for item in items if item[0] == "seg")
+    varies = noise is not None or (seg.is_pulse and shape.kind != "Square")
+    return (nstep, True) if varies else (1, False)
 
 
 def _exact_propagator(hz: np.ndarray, c, t: float):
@@ -231,25 +229,23 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     return cos + s * hz, s * c, s * np.conj(c), cos - s * hz
 
 
-def _magnus_segment(a, b, hz: np.ndarray, seg: Segment, shape: PulseShape,
-                    noise: Comb | None, t_abs: float, nstep: int, track: bool):
-    """Integrate one segment starting at t_abs by nstep fourth-order Magnus steps.
+def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
+                  hz: np.ndarray, t_abs: float, nstep: int):
+    """Yield the propagators of a segment's nstep Magnus steps, one block at a time.
 
-    A step of length h with transverse coefficients c1, c2 at its two
-    Gauss nodes is exp(-i h H_eff), Omega^[4] = (h/2)(A1 + A2) -
-    (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2) the commutator is
-    a cross product, so with k = sqrt(3) h / 6
+    The segment starts at t_abs; each block is (u00, u01, u10, u11),
+    (steps, M) arrays.  A step of length h with transverse coefficients
+    c1, c2 at its two Gauss nodes is exp(-i h H_eff), Omega^[4] =
+    (h/2)(A1 + A2) - (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2)
+    the commutator is a cross product, so with k = sqrt(3) h / 6
 
         c_eff = (c1 + c2) / 2 - i k hz (c1 - c2),
         hz_eff = hz + k Im(conj(c1) c2),
 
-    and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a
-    run.  Returns (a, b, largest | |psi| - 1 | after a step, 0.0 unless
-    track).
+    and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a run.
     """
     h = seg.duration / nstep
     k = math.sqrt(3.0) * h / 6.0
-    drift = 0.0
     for done in range(0, nstep, _BLOCK):
         steps = np.arange(done, min(nstep, done + _BLOCK))
         # The two Gauss nodes of every step in the block, interleaved.
@@ -261,35 +257,27 @@ def _magnus_segment(a, b, hz: np.ndarray, seg: Segment, shape: PulseShape,
         c1, c2 = c[0::2], c[1::2]
         c_eff = 0.5 * (c1 + c2) - (1j * k) * hz * (c1 - c2)
         hz_eff = hz + k * (np.conj(c1) * c2).imag
-        u00, u01, u10, u11 = _exact_propagator(hz_eff, c_eff, h)
-        for j in range(steps.size):
-            a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
-            if track:
-                norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-                drift = max(drift, float(np.max(np.abs(norm - 1.0))))
-    return a, b, drift
+        yield _exact_propagator(hz_eff, c_eff, h)
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray, psi0: np.ndarray,
-                     explicit_dt: float | None, delta_max: float,
                      diagnostics: dict | None = None):
-    """Propagate a batch through ("seg", Segment) / ("snap",) items.
+    """Propagate a batch through ("seg", Segment, nstep, varies) / ("snap",) items.
 
-    psi0 is the initial 2-vector of all M = deltas.size realizations;
-    returns one (M, 2) wavefunction copy per "snap" marker.  delta_max
-    is the detuning bound of the whole run, which sizes the steps.
-    Without the comb, idle and Square-pulse segments take their exact
-    propagator, and Delta pulses are exact pi rotations in every run;
-    all other finite segments are integrated by fourth-order Magnus steps.
-    `diagnostics`, if given, receives
-    "integrated_steps", "exact_segments" and "max_norm_drift".
+    nstep and varies are the segment's ``_segment_steps``.  psi0 is the
+    initial 2-vector of all M = deltas.size realizations; returns one
+    (M, 2) wavefunction copy per "snap" marker.  Delta pulses are exact
+    pi rotations, and every finite segment takes its Magnus steps,
+    built once per (duration, phase) without the comb.  `diagnostics`,
+    if given, receives "integrated_steps", "exact_segments" and
+    "max_norm_drift".
     """
     a = np.full(deltas.size, psi0[0], dtype=complex)
     b = np.full(deltas.size, psi0[1], dtype=complex)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
-    exact: dict = {}
+    cache: dict = {}
     t_abs = 0.0
     n_steps = n_exact = 0
     max_drift = 0.0
@@ -297,28 +285,30 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
         if item[0] == "snap":
             snaps.append(np.stack([a, b], axis=1))
             continue
-        seg: Segment = item[1]
-        omega_peak, nstep = _segment_steps(seg, shape, noise, delta_max, explicit_dt)
+        _, seg, nstep, varies = item
         if seg.duration == 0.0:
             if seg.is_pulse:  # Delta pulse: exact pi rotation about (cos phi, sin phi)
                 u = axis_rotation(seg.phase, math.pi)
                 a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
                 n_exact += 1
             continue
-        if nstep == 0:
-            # Constant Hamiltonian: one closed-form propagator per (duration, phase).
+        blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep)
+        if noise is None and nstep * hz.size <= _CACHE_ENTRIES:
+            # Without the comb the steps do not depend on t_abs: build them once.
             key = (seg.duration, seg.phase)
-            u = exact.get(key)
-            if u is None:
-                c = (0.5 * np.exp(-1j * seg.phase)) * omega_peak if seg.is_pulse else 0j
-                u = exact[key] = _exact_propagator(hz, c, seg.duration)
-            a, b = u[0] * a + u[1] * b, u[2] * a + u[3] * b
-            n_exact += 1
-        else:
-            a, b, drift = _magnus_segment(a, b, hz, seg, shape, noise, t_abs, nstep,
-                                          diagnostics is not None)
+            if key not in cache:
+                cache[key] = list(blocks)
+            blocks = cache[key]
+        for u00, u01, u10, u11 in blocks:
+            for j in range(u00.shape[0]):
+                a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
+                if diagnostics is not None:
+                    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+                    max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
+        if varies:
             n_steps += nstep
-            max_drift = max(max_drift, drift)
+        else:
+            n_exact += 1
         t_abs += seg.duration
     if diagnostics is not None:
         diagnostics.update(integrated_steps=n_steps, exact_segments=n_exact,
@@ -398,18 +388,20 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
                diagnostics: dict | None = None) -> list[np.ndarray]:
     """The one propagation entry point: every realization starts from psi0.
 
-    Returns one (deltas.size, 2) array per sorted time.  Raises
-    ValueError, before propagating, when the run needs more than
-    _STEP_BUDGET integrated steps.
+    Returns one (deltas.size, 2) array per sorted time.  The step rule
+    runs once per segment, sized by the run's detuning bound; ValueError,
+    before propagating, when segments whose H varies need more than
+    _STEP_BUDGET steps.
     """
-    items = _split_idles_at(schedule, times)
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     delta_max = float(np.max(np.abs(deltas)))
-    steps = _integrated_steps(items, shape, noise, delta_max, dt)
+    items = [item + _segment_steps(item[1], shape, noise, delta_max, dt) if item[0] == "seg"
+             else item for item in _split_idles_at(schedule, times)]
+    steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
                          f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
-    return _propagate_items(items, shape, noise, deltas, psi0, dt, delta_max, diagnostics)
+    return _propagate_items(items, shape, noise, deltas, psi0, diagnostics)
 
 
 def _curve(schedule: Schedule, times: list[float], ns: list[int],
@@ -465,19 +457,24 @@ def propagate(schedule: Schedule,
 
     The state starts from `initial_state` (a normalized 2-vector) or,
     by default, from the prepared superposition state.  Returns the
-    final SpinState, or a list of SpinStates at `snapshot_times` when
-    those are given.  Like every run, it raises ValueError before
-    propagating when it needs more than 2,000,000 integrated steps.
-    `diagnostics`, if provided, receives
-    "integrated_steps" (Magnus steps taken), "exact_segments" (segments
-    applied by their closed-form propagator, Delta pulses included) and
-    "max_norm_drift", the largest | |psi| - 1 | after an integrated
-    step, which only rounding moves; it is 0.0 when no segment was
-    integrated, as in a run without the comb and without Gaussian
-    pulses.
+    final SpinState, or a list of SpinStates at the sorted
+    `snapshot_times` when those are given.  Bad input (a realization
+    index outside [0, 2^64), a non-finite delta, a negative or
+    non-finite snapshot time) raises ValueError before any work; like
+    every run, it also raises ValueError before propagating when it
+    needs more than 2,000,000 steps on segments whose H varies.
+    `diagnostics`, if provided, receives "integrated_steps" (Magnus
+    steps on segments whose H varies), "exact_segments" (segments
+    with a constant H, each one exact step, and Delta pulses) and
+    "max_norm_drift", the largest | |psi| - 1 | after a step, which
+    only rounding moves.
     """
     params = params or SimParams()
-    noise, _ = _prepare_batch(noise_spec, None, params, [realization_index])
+    index = _indices(realization_index)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    times = ([schedule.total_time] if snapshot_times is None
+             else _checked_times(snapshot_times))
     if initial_state is None:
         psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     else:
@@ -486,8 +483,8 @@ def propagate(schedule: Schedule,
         if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError("initial_state must be normalized")
         psi0 = vec / nrm
-    times = list(snapshot_times) if snapshot_times is not None else [schedule.total_time]
-    snaps = _run_batch(schedule, times, noise, np.array([delta]), psi0, params.dt,
+    noise, _ = _prepare_batch(noise_spec, None, params, index)
+    snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), psi0, params.dt,
                        diagnostics)
     states = [SpinState.from_ket(psi[0]) for psi in snaps]
     return states if snapshot_times is not None else states[-1]
@@ -535,7 +532,7 @@ def _checked_times(t_list: list[float]) -> list[float]:
     """The readout times sorted, or ValueError unless all are finite and non-negative."""
     times = sorted(float(t) for t in t_list)
     if not times or not all(0.0 <= t < math.inf for t in times):
-        raise ValueError("t_list must contain finite non-negative times")
+        raise ValueError("need at least one time, each finite and non-negative")
     return times
 
 
@@ -602,8 +599,8 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     # Guard against hopeless targets: one relaxation run at the top of the
     # first bracket, 8 x guess, has to resolve the comb over 2 x target.
     top = Comb.of(replace(noise_spec, A=8.0 * guess), np.zeros((1, noise_spec.indices.size)))
-    steps = _integrated_steps([("seg", Segment(t_list[-1], None))], PulseShape("Square"),
-                              top, 0.0, params.dt)
+    steps, _ = _segment_steps(Segment(t_list[-1], None), PulseShape("Square"), top, 0.0,
+                              params.dt)
     if steps > _STEP_BUDGET:
         raise NoConvergence(
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "

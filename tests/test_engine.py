@@ -136,9 +136,10 @@ def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
     """run_dd_scan's curve values with every finite segment RK4-integrated.
 
     The reference integrator: classical RK4 at the step
-    duration / ceil(duration / dt), renormalized after every step, fed
-    by the engine's own draws (engine._prepare_batch) and snapshot
-    items (engine._split_idles_at).
+    duration / ceil(duration / step), with step = dt on pulses and 1 ns
+    on idles, renormalized after every step, fed by the engine's own
+    draws (engine._prepare_batch) and snapshot items
+    (engine._split_idles_at).
     """
     full = replace(spec, N=max(n_list))
     times = [n * full.tau_c for n in n_list]
@@ -161,7 +162,8 @@ def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
                 u = axis_rotation(seg.phase, math.pi)
                 a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
             continue
-        nstep = max(1, math.ceil(seg.duration / min(dt, seg.duration) - 1e-9))
+        step = dt if seg.is_pulse else 1e-9
+        nstep = max(1, math.ceil(seg.duration / min(step, seg.duration) - 1e-9))
         h = seg.duration / nstep
         done = 0
         while done < nstep:
@@ -233,6 +235,19 @@ def test_square_comb_scan_matches_rk4_oracle(tau_d):
     assert np.max(np.abs(curve.value - expect)) <= 1e-9
 
 
+@pytest.mark.parametrize("tau_d", [100e-9, 500e-9])
+def test_gaussian_scan_without_comb_matches_rk4_oracle(tau_d):
+    # Comb-free Gaussian pulses under detuning only: the engine builds each
+    # pulse's steps once and reuses them, and stays within 1e-6 of RK4.
+    n_list = [8, 16, 24, 32]
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    params = SimParams(realizations=64, master_seed=41)
+    spec = replace(FIG4_SPEC, tau_d=tau_d)
+    curve = run_dd_scan(spec, n_list, None, deph, params)
+    expect = rk4_dd_scan(spec, n_list, None, deph, params, tau_d / 400)
+    assert np.max(np.abs(curve.value - expect)) <= 1e-6
+
+
 @pytest.mark.parametrize("nstep", [1, 7, 40])
 def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
     # Without the comb a Square pulse has a constant H, so any number of
@@ -241,8 +256,11 @@ def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
     hz = 0.5 * np.array([-2.0, 0.0, 0.5, 3.0]) * SIGMA_FID
     psi = prep_unitary() @ KET0
     a, b = np.full(hz.size, psi[0]), np.full(hz.size, psi[1])
-    a_m, b_m, _ = engine._magnus_segment(a, b, hz, seg, PulseShape("Square"), None,
-                                         0.0, nstep, False)
+    a_m, b_m = a, b
+    for u00, u01, u10, u11 in engine._magnus_steps(seg, PulseShape("Square"), None, hz,
+                                                   0.0, nstep):
+        for j in range(u00.shape[0]):
+            a_m, b_m = u00[j] * a_m + u01[j] * b_m, u10[j] * a_m + u11[j] * b_m
     c = 0.5 * np.exp(-1j * seg.phase) * math.pi / seg.duration
     u = engine._exact_propagator(hz, c, seg.duration)
     assert np.max(np.abs(a_m - (u[0] * a + u[1] * b))) <= 1e-14
@@ -258,6 +276,17 @@ def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
     default = run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text()
     monkeypatch.setattr(engine, "_BLOCK", 1)
     assert run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text() == default
+
+
+def test_scan_without_comb_does_not_depend_on_the_step_cache(monkeypatch):
+    # Comb-free steps are kept for reuse only to save work; building them
+    # anew for every segment gives the same bytes.
+    spec = replace(FIG4_SPEC, N=16)
+    params = SimParams(realizations=16, master_seed=3)
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    default = run_dd_scan(spec, [8, 16], None, deph, params).to_csv_text()
+    monkeypatch.setattr(engine, "_CACHE_ENTRIES", 0)
+    assert run_dd_scan(spec, [8, 16], None, deph, params).to_csv_text() == default
 
 
 def test_step_counts_of_the_fig4_schedule():
@@ -293,13 +322,25 @@ def test_step_budget_refuses_runs_before_propagating(monkeypatch):
         propagate(build_schedule(replace(spec, N=1000)), FIG4_NOISE)
 
 
-def test_propagate_validation():
+def test_propagate_validation(monkeypatch):
     spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=100e-9)
     sched = build_schedule(spec)
     with pytest.raises(ValueError, match="normalized"):
         propagate(sched, initial_state=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="inside a pulse"):
         propagate(sched, snapshot_times=[1e-6 + 50e-9])
+    # Bad input raises ValueError before any work, with or without the comb.
+    def work_started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(engine, "_prepare_batch", work_started)
+    for noise in (None, small_noise()):
+        for kwargs in ({"delta": math.nan}, {"delta": math.inf},
+                       {"snapshot_times": [-1e-6]}, {"snapshot_times": [math.nan]},
+                       {"snapshot_times": [math.inf]}, {"realization_index": 2**64},
+                       {"realization_index": -1}):
+            with pytest.raises(ValueError):
+                propagate(sched, noise, **kwargs)
 
 
 def test_norm_drift_stays_tiny():
