@@ -8,11 +8,14 @@ parameters profiled out at each trial T (variable projection), and
 appropriate when the curve is known to relax from 1 to the fully
 mixed value 1/2.
 
-The decay time is found by a coarse geometric grid scan followed by
-damped Gauss-Newton refinement of the profiled weighted residual,
-which is robust to the strong nonlinearity in T and needs no starting
-guess.  Points are weighted by 1/stderr^2 unless any stderr is zero,
-in which case unit weights are used throughout.
+The decay time is found by a coarse geometric grid scan, one array
+pass over all trial T, followed by damped Gauss-Newton refinement of
+the profiled weighted residual, which is robust to the strong
+nonlinearity in T and needs no starting guess.  Points are weighted by
+1/stderr^2.  A point whose stderr is zero, such as the exact t = 0
+point of a relax or fid curve, would take infinite weight and is left
+out of the fit; only a curve whose every stderr is zero is fitted with
+unit weights.
 """
 from __future__ import annotations
 
@@ -100,12 +103,45 @@ def _profiled_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int,
     return float(np.sum(w * r * r)), base, con
 
 
+def _grid_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int, model: str,
+               grid: np.ndarray) -> np.ndarray:
+    """The profiled chi-square at every trial T of ``grid``, in one array pass.
+
+    Entry k equals _profiled_chi2(..., grid[k])[0] up to rounding.  The
+    fixed model takes the row sums of w r^2; the free model solves the
+    two-parameter weighted least squares in its centered closed form,
+    contrast = sum w (e - ebar)(v - vbar) / sum w (e - ebar)^2 and
+    baseline = vbar - contrast ebar.  Like lstsq, it takes contrast 0
+    where the design [sqrt(w), sqrt(w) e] has rank 1 to working
+    precision: its smaller singular value at most eps n times the larger.
+    """
+    e = np.exp(-((t[None, :] / grid[:, None]) ** p))
+    if model == "fixed":
+        r = v - (0.5 + 0.5 * e)
+    else:
+        total = np.sum(w)
+        dv = v - np.sum(w * v) / total
+        mean_e = np.sum(w * e, axis=1) / total
+        de = e - mean_e[:, None]
+        sxx = np.sum(w * de * de, axis=1)
+        # The design's Gram matrix has determinant total sxx and largest
+        # eigenvalue top; the singular values are the eigenvalues' roots.
+        sq = np.sum(w * e * e, axis=1)
+        top = 0.5 * (total + sq) + np.hypot(0.5 * (total - sq), total * mean_e)
+        rank2 = total * sxx > (np.finfo(float).eps * t.size * top) ** 2
+        con = np.divide(np.sum(w * de * dv, axis=1), sxx, out=np.zeros_like(sxx),
+                        where=rank2)
+        r = dv - con[:, None] * de
+    return np.sum(w * r * r, axis=1)
+
+
 def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     """Fit value(t) = baseline + contrast exp(-(t/T)^p) to a decay curve.
 
     curve provides t, value and stderr arrays (a DecayCurve or
-    anything shaped like one).  Raises Degenerate for constant or
-    too-short curves and NoDecay when the best T runs off to more
+    anything shaped like one).  Points whose stderr is zero are left
+    out unless every stderr is zero.  Raises Degenerate for constant
+    or too-short curves and NoDecay when the best T runs off to more
     than 1e3 times the sampled span.
     """
     if p not in (1, 2):
@@ -119,19 +155,24 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
         raise Degenerate(f"need at least 4 points, got {t.size}")
     if not np.all(np.isfinite(v)):
         raise ValueError("curve values must be finite")
+    unit_weights = bool(np.all(err == 0.0))
+    if not unit_weights:
+        fitted = err != 0.0
+        t, v, err = t[fitted], v[fitted], err[fitted]
+        if t.size < 4:
+            raise Degenerate(f"need at least 4 points with a nonzero stderr, got {t.size}")
     if float(np.max(v) - np.min(v)) <= 1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise Degenerate("curve is constant")
     span = float(t[-1] - t[0])
     if span <= 0:
         raise Degenerate("curve spans zero time")
-    unit_weights = bool(np.any(err == 0.0))
     w = np.ones_like(err) if unit_weights else 1.0 / (err * err)
 
     def chi2(trial_T: float) -> float:
         return _profiled_chi2(t, v, w, p, model, trial_T)[0]
 
     grid = np.geomspace(span * 1e-3, span * 2.0 * _NO_DECAY_FACTOR, 241)
-    values = np.array([chi2(x) for x in grid])
+    values = _grid_chi2(t, v, w, p, model, grid)
     k = int(np.argmin(values))
     if k == values.size - 1:
         raise NoDecay(f"best decay time beyond {_NO_DECAY_FACTOR:g} x span")

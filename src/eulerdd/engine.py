@@ -28,10 +28,12 @@ constant over it.  Without the comb a segment's steps do not depend
 on when it starts, so they are built once per distinct (duration,
 phase) and reused; under the comb they are built lazily, one block of
 (steps, M) arrays at a time.  Only their application to the state is
-sequential.  Every array expression is element-wise, the comb sum
-included, so a realization's trajectory depends only on its own draws
-and the run's step sizes, not on the batch or block layout, and
-results are reproducible from the master seed.
+sequential.  Every array expression is element-wise, except the comb
+sum, which gives each (node, realization) entry one fixed-length dot
+product in numpy's own einsum loop, with no BLAS (see noise.Comb).  So
+a realization's trajectory depends only on its own draws and the run's
+step sizes, not on the batch or block layout, and results are
+reproducible from the master seed.
 
 Step control, evaluated once per segment and run: a segment with a
 constant H (an idle or a Square pulse without the comb) takes one

@@ -11,6 +11,11 @@ synthesis bandwidth.  delta_omega is an ordinary frequency in Hz; all
 angular arguments use omega_n = 2 pi n delta_omega, which makes the
 weight denominator and the time argument consistent.  The field is
 periodic with period 1/delta_omega (1 ms at the 1 kHz default).
+Since omega_{-n} = -omega_n, the +-n tones of a realization pair into
+real coefficients of cos(omega_n t) and sin(omega_n t), stored once per
+run in a Comb; a field value is then one real dot product of length
+2 n_max + 1 per component, and a whole batch of realizations and times
+is one einsum call whose entries do not depend on the batch layout.
 
 The dephasing channel is a quasi-static detuning: one Gaussian draw
 per realization, constant during the run.  A Gaussian of width
@@ -340,35 +345,59 @@ def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
 class Comb:
     """Tones and per-realization coefficients of the transverse field.
 
-    Row m of ``coef`` holds 0.5 A W(n) e^{i phi_n} of one realization,
-    so c(t) = sum_n coef[m, n] e^{i omega_n t} is the coefficient of
-    the lowering structure 0.5 (b_x - i b_y): b_x = 2 Re c and
-    b_y = -2 Im c.  ``b_sup`` = A sum_n W(n) bounds |b| for every row.
+    The field of one realization is c(t) = sum_n coef_n e^{i omega_n t}
+    with coef_n = 0.5 A W(n) e^{i phi_n}, the coefficient of the
+    lowering structure 0.5 (b_x - i b_y): b_x = 2 Re c and b_y =
+    -2 Im c.  Since omega_{-n} = -omega_n exactly, the +-n tones pair
+    into
+
+        c(t) = coef_0 + sum_{n >= 1} [(coef_n + coef_{-n}) cos(omega_n t)
+                                      + i (coef_n - coef_{-n}) sin(omega_n t)],
+
+    a real-coefficient sum over the basis [1, cos(omega_n t),
+    sin(omega_n t)] of n = 1 .. n_max.  ``omega`` holds omega_1 ..
+    omega_{n_max}; ``parts[m, 0]`` and ``parts[m, 1]`` hold the real and
+    imaginary coefficients of row m in that basis order, so ``parts``
+    is (rows, 2, 2 n_max + 1).  ``b_sup`` = A sum_n W(n) bounds |b| for
+    every row.
     """
 
     omega: np.ndarray
-    coef: np.ndarray
+    parts: np.ndarray
     b_sup: float
 
     @classmethod
     def of(cls, spec: LorentzianNoiseSpec, phases: np.ndarray) -> "Comb":
         """Comb of the realizations whose phases are the rows of ``phases``."""
+        n = spec.n_max
         w = weights_all(spec)
-        return cls(omega=2.0 * np.pi * spec.indices * spec.delta_omega,
-                   coef=0.5 * spec.A * w[None, :] * np.exp(1j * phases),
+        coef = 0.5 * spec.A * w[None, :] * np.exp(1j * phases)
+        up, down = coef[:, n + 1:], coef[:, n - 1::-1]
+        pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1)
+        return cls(omega=2.0 * np.pi * spec.indices[n + 1:] * spec.delta_omega,
+                   parts=np.stack([pairs.real, pairs.imag], axis=1),
                    b_sup=float(spec.A * np.sum(w)))
 
     def c_at(self, t: np.ndarray) -> np.ndarray:
         """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
 
-        The sum is accumulated term by term in fixed index order, so
-        each entry is bitwise independent of the other rows and times.
-        It is built time-major and returned as a transposed view, so
-        ``c_at(t).T`` is a contiguous (t.size, rows) array.
+        One einsum over the (t.size, 2 n_max + 1) basis: each entry is
+        a fixed-length real dot product of contiguous operands, numpy's
+        own sum-of-products loop and no BLAS, so it is bitwise
+        independent of the other rows and times.  The cosines and sines
+        are written one time row per ufunc loop for the same reason.
+        The result is built time-major and returned as a transposed
+        view, so ``c_at(t).T`` is a contiguous (t.size, rows) array.
         """
-        out = np.zeros((t.size, self.coef.shape[0]), dtype=complex)
-        for k, coef in enumerate(self.coef.T):
-            out += coef[None, :] * np.exp(1j * self.omega[k] * t)[:, None]
+        n = self.omega.size
+        basis = np.empty((t.size, 2 * n + 1))
+        basis[:, 0] = 1.0
+        angle = t[:, None] * self.omega
+        np.cos(angle, out=basis[:, 1:n + 1])
+        np.sin(angle, out=basis[:, n + 1:])
+        out = np.empty((t.size, self.parts.shape[0]), dtype=complex)
+        np.einsum("tq,mjq->tmj", basis, self.parts,
+                  out=out.view(float).reshape(*out.shape, 2))
         return out.T
 
 

@@ -74,6 +74,65 @@ def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
     assert len(evaluations) < 300  # 241 grid points, then a few steps
 
 
+def scan_and_each(t, v, w, p, model):
+    """fit_decay's grid scan, and _profiled_chi2 at each of its trial T alone."""
+    span = t[-1] - t[0]
+    grid = np.geomspace(span * 1e-3, span * 2.0 * analysis._NO_DECAY_FACTOR, 241)
+    each = [analysis._profiled_chi2(t, v, w, p, model, x)[0] for x in grid]
+    return analysis._grid_chi2(t, v, w, p, model, grid), np.array(each)
+
+
+@pytest.mark.parametrize("model", ["free", "fixed"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_grid_scan_has_the_argmin_of_the_profiled_chi2(p, model):
+    # The one-pass grid scan against _profiled_chi2 evaluated at each trial
+    # T on its own: random decays sampled over several points, with random
+    # sizes, weights, offsets and time scales.
+    rng = np.random.default_rng(100 * p + len(model))
+    for _ in range(40):
+        n = int(rng.integers(8, 40))
+        T = 10.0 ** rng.uniform(-7, 0)
+        t = T * (np.linspace(rng.uniform(0.0, 0.3), rng.uniform(2.0, 6.0), n)
+                 + rng.uniform(0.0, 0.02, n))
+        err = rng.uniform(0.002, 0.05, n)
+        v = (rng.uniform(0.3, 0.6) + rng.uniform(0.2, 0.6) * np.exp(-((t / T) ** p))
+             + rng.normal(0.0, 1.0, n) * err)
+        scan, each = scan_and_each(t, v, 1.0 / err**2, p, model)
+        assert int(np.argmin(scan)) == int(np.argmin(each))
+
+
+def test_grid_scan_keeps_the_rank_cut_of_lstsq():
+    # One high point before a flat tail: the best fits are the fastest
+    # decays that lstsq still resolves from a constant.  Where the design
+    # has rank 1 to working precision, the scan too takes the constant fit.
+    for seed in range(6):
+        v = 0.5 + np.random.default_rng(seed).normal(0.0, 0.01, 10)
+        v[0] = 0.9
+        scan, each = scan_and_each(np.linspace(1.0, 10.0, 10), v, np.full(10, 1e4), 1, "free")
+        assert int(np.argmin(scan)) == int(np.argmin(each))
+
+
+def test_exact_points_are_left_out_of_the_weighted_fit():
+    # An exact t = 0 point (stderr 0, as in every relax or fid curve) takes
+    # no part in the fit, instead of switching the whole fit to unit weights.
+    t = np.linspace(0.1, 3.0, 16)
+    err = 0.002 + 0.02 * t / t[-1]
+    v = 0.5 + 0.5 * np.exp(-t) + np.random.default_rng(3).normal(0.0, 1.0, t.size) * err
+    noisy = [CurvePoint(float(ti), 0, float(vi), float(ei)) for ti, vi, ei in zip(t, v, err)]
+    exact = CurvePoint(0.0, 0, 1.0, 0.0)
+    for model in ("free", "fixed"):
+        fit = fit_decay(DecayCurve((exact, *noisy)), p=1, model=model)
+        assert fit == fit_decay(DecayCurve(tuple(noisy)), p=1, model=model)
+        assert fit.T == pytest.approx(1.0, rel=0.1)
+    # Unit weights remain only for a curve whose every stderr is zero, and a
+    # fit needs four points with a nonzero stderr.
+    unweighted = DecayCurve(tuple(CurvePoint(p.t, 0, p.value, 0.0) for p in noisy))
+    assert fit_decay(unweighted, p=1).T == pytest.approx(1.0, rel=0.1)
+    with pytest.raises(Degenerate, match="4 points with a nonzero stderr, got 3"):
+        fit_decay(DecayCurve((exact, *noisy[:3], *(CurvePoint(p.t, 0, p.value, 0.0)
+                                                    for p in noisy[3:6]))))
+
+
 def test_noisy_recovery_within_tolerance():
     fit = fit_decay(synthetic(1.83e-3, noise=0.01, seed=4), p=1, model="free")
     assert fit.T == pytest.approx(1.83e-3, rel=0.03)

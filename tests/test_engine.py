@@ -11,8 +11,9 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      SequenceSpec, SimParams, SpinState, StepTooLarge,
                      apply_envelope, axis_rotation, build_schedule,
                      calibrate_amplitude, fit_decay, golden_rule_amplitude,
-                     population0, prep_unitary, propagate, readout_unitary,
-                     run_dd_scan, run_fid, run_relaxation)
+                     field_at, population0, prep_unitary, propagate,
+                     readout_unitary, run_dd_scan, run_fid, run_relaxation,
+                     sample_realization, weights_all)
 from eulerdd import engine
 from eulerdd.cli import main as cli_main
 from eulerdd.control import Segment, pulse_envelope
@@ -132,18 +133,60 @@ def test_square_xy8_propagate_matches_expm_product():
         assert np.max(np.abs(state.rho - rho)) <= 1e-12
 
 
+# The strong comb and detuning of the fig4 Gaussian workload.
+FIG4_NOISE = LorentzianNoiseSpec(R=R_FAST, A=1838870.610118221)
+FIG4_SPEC = SequenceSpec("XY8", N=32, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
+
+
+def oracle_comb(spec, phases, t):
+    """(b_x, b_y) of the phase rows ``phases`` at the 1-d times ``t``, each (rows, t.size).
+
+    The comb written out tone by tone, sharing no code with noise.Comb:
+    b_x = A sum_n W(n) cos(omega_n t + phi_n) and
+    b_y = -A sum_n W(n) sin(omega_n t + phi_n), with W(n) from its
+    Lorentzian formula.
+    """
+    bx = np.zeros((phases.shape[0], t.size))
+    by = np.zeros((phases.shape[0], t.size))
+    for k, n in enumerate(range(-spec.n_max, spec.n_max + 1)):
+        omega = 2 * math.pi * n * spec.delta_omega
+        amp = spec.A * math.sqrt(2 * spec.delta_omega * spec.R / (omega**2 + spec.R**2))
+        arg = omega * t[None, :] + phases[:, k:k + 1]
+        bx += amp * np.cos(arg)
+        by -= amp * np.sin(arg)
+    return bx, by
+
+
+def test_field_at_matches_the_tone_by_tone_comb():
+    # field_at, and through it the paired cos/sin sum of noise.Comb, against
+    # the comb written out tone by tone, over a whole field period.
+    spec = replace(FIG4_NOISE, master_seed=8)
+    phases = sample_realization(spec, np.arange(5))
+    t = np.concatenate([np.linspace(0.0, 3e-6, 97), np.linspace(0.0, spec.period, 61)])
+    b_sup = spec.A * float(np.sum(weights_all(spec)))
+    want_x, want_y = oracle_comb(spec, phases, t)
+    for row, wx, wy in zip(phases, want_x, want_y):
+        bx, by = field_at(spec, row, t)
+        assert np.max(np.abs(bx - wx)) <= 1e-12 * b_sup
+        assert np.max(np.abs(by - wy)) <= 1e-12 * b_sup
+
+
 def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
     """run_dd_scan's curve values with every finite segment RK4-integrated.
 
     The reference integrator: classical RK4 at the step
     duration / ceil(duration / step), with step = dt on pulses and 1 ns
-    on idles, renormalized after every step, fed by the engine's own
-    draws (engine._prepare_batch) and snapshot items
-    (engine._split_idles_at).
+    on idles, renormalized after every step.  It takes the engine's
+    draws (its seeding route engine._seeded and the samplers) and
+    snapshot items (engine._split_idles_at), and sums the comb tone by
+    tone with oracle_comb.
     """
     full = replace(spec, N=max(n_list))
     times = [n * full.tau_c for n in n_list]
-    noise, deltas = engine._prepare_batch(noise_spec, dephasing, params)
+    _, deltas = engine._prepare_batch(None, dephasing, params)
+    if noise_spec is not None:
+        noise_spec = engine._seeded(noise_spec, params, engine._TAG_NOISE)
+        phases = sample_realization(noise_spec, np.arange(params.realizations))
     items = engine._split_idles_at(build_schedule(full), times)
     psi0 = prep_unitary() @ KET0
     a = np.full(deltas.size, psi0[0])
@@ -170,8 +213,9 @@ def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
             block = min(nstep - done, 256)
             # RK4 node times: step starts, midpoints, and ends on a half-step grid.
             rel = (done + 0.5 * np.arange(2 * block + 1)) * h
-            if noise is not None:
-                c_nodes = noise.c_at(t_abs + rel)
+            if noise_spec is not None:
+                bx, by = oracle_comb(noise_spec, phases, t_abs + rel)
+                c_nodes = 0.5 * (bx - 1j * by)
             else:
                 c_nodes = np.zeros((1, rel.size), dtype=complex)
             if seg.is_pulse:
@@ -203,11 +247,6 @@ def rk4_dd_scan(spec, n_list, noise_spec, dephasing, params, dt):
             done += block
         t_abs += seg.duration
     return np.array(values)
-
-
-# The strong comb and detuning of the fig4 Gaussian workload.
-FIG4_NOISE = LorentzianNoiseSpec(R=R_FAST, A=1838870.610118221)
-FIG4_SPEC = SequenceSpec("XY8", N=32, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
 
 
 def test_gaussian_comb_scan_matches_rk4_oracle():

@@ -1,14 +1,20 @@
-"""Property tests: schedule-layout invariants and config dump/parse round trips."""
+"""Property tests: schedule-layout invariants, batch-layout independence of the
+comb and the propagation, and config dump/parse round trips."""
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eulerdd import PulseShape, SEQUENCE_PHASES, SequenceSpec, build_schedule  # noqa: E402
+from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E402
+                     SEQUENCE_PHASES, SequenceSpec, SimParams, build_schedule,
+                     prep_unitary, sample_realization)
+from eulerdd import engine  # noqa: E402
 from eulerdd.cli import (_COMMON_KEYS, _EXPERIMENTS, ConfigError,  # noqa: E402
                          _dump_config, parse_config)
+from eulerdd.noise import Comb  # noqa: E402
 
 # Fixed example sequence, no example database: every run checks the same cases.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -53,6 +59,62 @@ def test_schedule_layout_invariants(spec):
         start = math.fsum(s.duration for s in segs[:2 * k - 1])
         centre = start + pulse.duration / 2
         assert centre == pytest.approx((2 * k - 1) * spec.tau_c / 2, rel=0, abs=tol)
+
+
+# The strong comb and detuning of the fig4 workloads, over 16 realizations.
+FIG4_NOISE = LorentzianNoiseSpec(R=2 * math.pi * 5e3, A=1838870.610118221, master_seed=11)
+FIG4_DEPHASING = DephasingSpec(sigma_delta=764439.7634449162, master_seed=12)
+ROWS = 16
+
+
+def index_layouts(size):
+    """Index arrays into range(size): a single index, a reversed run, or any
+    subset in any order, repeats included."""
+    any_order = st.lists(st.integers(0, size - 1), min_size=1, max_size=size)
+    return st.one_of(st.integers(0, size - 1).map(lambda i: [i]),
+                     any_order.map(lambda rows: sorted(set(rows), reverse=True)),
+                     any_order).map(np.array)
+
+
+COMB_TIMES = 3e-6 + np.arange(48) * 2.9e-9
+FULL_C = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(ROWS))).c_at(COMB_TIMES)
+
+
+@PROPERTY
+@given(index_layouts(ROWS),
+       st.lists(st.integers(0, COMB_TIMES.size), min_size=2, max_size=2, unique=True))
+def test_comb_values_do_not_depend_on_the_batch_layout(rows, ends):
+    # Each comb value is computed on its own: any rows, in any order, at
+    # any sub-range of the times give exactly the full evaluation's bytes.
+    start, stop = sorted(ends)
+    part = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, rows)).c_at(COMB_TIMES[start:stop])
+    assert part.tobytes() == FULL_C[rows, start:stop].tobytes()
+
+
+# XY8 with 100 ns Gaussian pulses under the fig4 comb: its field bound
+# b_sup sets every step, since each drawn |delta| is below it.
+RUN_SPEC = SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
+RUN_PARAMS = SimParams(realizations=ROWS, master_seed=0)
+
+
+def batch_states(rows):
+    noise, deltas = engine._prepare_batch(FIG4_NOISE, FIG4_DEPHASING, RUN_PARAMS, rows)
+    assert np.max(np.abs(deltas)) < noise.b_sup
+    times = [4 * RUN_SPEC.tau_c, 8 * RUN_SPEC.tau_c]
+    psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
+    return engine._run_batch(build_schedule(RUN_SPEC), times, noise, deltas, psi0, None)
+
+
+FULL_STATES = batch_states(np.arange(ROWS))
+
+
+@PROPERTY
+@given(index_layouts(ROWS))
+def test_run_batch_states_do_not_depend_on_the_batch_layout(rows):
+    # A realization's states are the same bytes whether it runs in the full
+    # batch, in a sub-batch, alone or in reversed index order.
+    for part, full in zip(batch_states(rows), FULL_STATES):
+        assert part.tobytes() == full[rows].tobytes()
 
 
 VALUES = {
