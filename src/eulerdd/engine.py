@@ -35,7 +35,8 @@ a realization's trajectory depends only on its own draws and the run's
 step sizes, not on the batch or block layout, and results are
 reproducible from the master seed.
 
-Step control, evaluated once per segment and run: a segment with a
+Step control, evaluated once per distinct (duration, is_pulse) of a
+run, since the rule reads no other field of a segment: a segment with a
 constant H (an idle or a Square pulse without the comb) takes one
 step.  A segment whose H varies, of duration T, takes ceil(T scale /
 0.3) steps, where scale = max(peak drive + field bound, detuning
@@ -370,16 +371,18 @@ def _seeded(spec, params: SimParams, tag: int):
 
 
 def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
-                   dephasing: DephasingSpec | None, params: SimParams, indices=None):
+                   dephasing: DephasingSpec | None, params: SimParams, indices=None,
+                   phases: np.ndarray | None = None):
     """The comb (None without a field) and detunings of realizations ``indices``.
 
     indices defaults to the run's 0 .. M-1; the draws are in index order.
+    ``phases``, if given, are the comb phase rows already drawn for them.
     """
     idx = np.arange(params.realizations) if indices is None else indices
     noise = None
     if noise_spec is not None and noise_spec.A > 0.0:
         spec = _seeded(noise_spec, params, _TAG_NOISE)
-        noise = Comb.of(spec, sample_realization(spec, idx))
+        noise = Comb.of(spec, sample_realization(spec, idx) if phases is None else phases)
     if dephasing is None:
         return noise, np.zeros(len(idx))
     return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), idx)
@@ -391,14 +394,22 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
     """The one propagation entry point: every realization starts from psi0.
 
     Returns one (deltas.size, 2) array per sorted time.  The step rule
-    runs once per segment, sized by the run's detuning bound; ValueError,
+    runs once per distinct (duration, is_pulse), the only segment fields
+    it reads, sized by the run's detuning bound; ValueError,
     before propagating, when segments whose H varies need more than
     _STEP_BUDGET steps.
     """
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     delta_max = float(np.max(np.abs(deltas)))
-    items = [item + _segment_steps(item[1], shape, noise, delta_max, dt) if item[0] == "seg"
-             else item for item in _split_idles_at(schedule, times)]
+    rule: dict[tuple[float, bool], tuple[int, bool]] = {}
+    items = []
+    for item in _split_idles_at(schedule, times):
+        if item[0] == "seg":
+            key = (item[1].duration, item[1].is_pulse)
+            if key not in rule:
+                rule[key] = _segment_steps(item[1], shape, noise, delta_max, dt)
+            item += rule[key]
+        items.append(item)
     steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
@@ -408,13 +419,14 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
 
 def _curve(schedule: Schedule, times: list[float], ns: list[int],
            noise_spec: LorentzianNoiseSpec | None, dephasing: DephasingSpec | None,
-           params: SimParams, pulses: bool) -> DecayCurve:
+           params: SimParams, pulses: bool, phases: np.ndarray | None = None) -> DecayCurve:
     """Mean ground-state population and its stderr at each of the sorted times, N = ns[k].
 
     With ``pulses`` a run starts in the prepared superposition and is
     read out after the readout pulse; without, it starts in |0>.
+    ``phases`` are passed on to ``_prepare_batch``.
     """
-    noise, deltas = _prepare_batch(noise_spec, dephasing, params)
+    noise, deltas = _prepare_batch(noise_spec, dephasing, params, phases=phases)
     ket0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = prep_unitary() @ ket0 if pulses else ket0
     read = readout_unitary()
@@ -558,16 +570,19 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
 
 def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
                    dephasing: DephasingSpec | None = None,
-                   params: SimParams | None = None) -> DecayCurve:
+                   params: SimParams | None = None, *,
+                   _phases: np.ndarray | None = None) -> DecayCurve:
     """Ground-state population under transverse noise, starting from |0>.
 
     No preparation or readout pulse is applied; the curve is the
-    survival probability P0(t), decaying from 1 toward 1/2.
+    survival probability P0(t), decaying from 1 toward 1/2.  ``_phases``
+    is private to ``calibrate_amplitude``: the seeded spec's phase rows
+    of realizations 0 .. M-1, drawn once for all of its runs.
     """
     params = params or SimParams()
     times = _checked_times(t_list)
     return _curve(_idle_schedule(times[-1]), times, [0] * len(times), noise_spec,
-                  dephasing, params, pulses=False)
+                  dephasing, params, pulses=False, phases=_phases)
 
 
 @dataclass(frozen=True)
@@ -608,11 +623,15 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "
             f"per run; beyond the calibration budget of {_STEP_BUDGET:,}")
 
+    # Only A changes between runs, so every run shares one draw of the phase rows.
+    spec = _seeded(noise_spec, params, _TAG_NOISE)
+    phases = sample_realization(spec, np.arange(params.realizations))
     # Fidelity level one e^-1 contrast step above the mixed state.
     level = 0.5 + 0.5 * math.exp(-1.0)
 
     def fitted_t1(amp: float) -> tuple[float, DecayCurve]:
-        curve = run_relaxation(replace(noise_spec, A=amp), t_list, params=params)
+        curve = run_relaxation(replace(spec, A=amp), t_list, params=params,
+                               _phases=phases)
         vals = curve.value
         if vals[0] <= level:
             # Decayed before the window opened: definitely too strong.

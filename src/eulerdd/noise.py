@@ -30,14 +30,17 @@ stream, m)), a splitmix64 chain, so any subset of realizations can be
 drawn in any order.  A spec without a master_seed draws as seed 0.
 The samplers take one index in [0, 2^64) or a 1-d array of them and
 compute every index's seeded PCG64 state at once, in uint64 arithmetic.
-Phase rows are then PCG64 arithmetic too: each draw's state is jumped
-to in closed form and turned into numpy's uniform double.  Detunings
-come from one reused generator set to each index's state in turn,
-since numpy's normal sampler needs its own tables.  Either way a
-batch equals the per-index draws bit for bit.  A realization of the
-comb is its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max;
-the one-realization helpers (field_at, parseval_power,
-export_waveform) take such a row.
+Draws are then PCG64 arithmetic too: each output's state is jumped to
+in closed form.  A phase is an output turned into numpy's uniform
+double.  A detuning is numpy's standard_normal, whose ziggurat
+(Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) takes each index's
+first output on its fast path with numpy's wi and ki tables, frozen in
+eulerdd._ziggurat; the ~1.5% of draws that path rejects need numpy's
+wedge and tail code and more outputs, so one generator is set to each
+of their states in turn.  Either way a batch equals the per-index
+draws bit for bit.  A realization of the comb is its phase row, the
+2 n_max + 1 phases of n = -n_max .. n_max; the one-realization helpers
+(field_at, parseval_power, export_waveform) take such a row.
 """
 from __future__ import annotations
 
@@ -46,6 +49,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _ziggurat
 
 __all__ = [
     "CutoffExceeded",
@@ -225,17 +230,15 @@ def _pcg64_states(master_seed: int | None, stream: int, idx: np.ndarray):
     return (*_add128(*state, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _uniform_phases(master_seed: int | None, stream: int, idx: np.ndarray,
-                    count: int) -> np.ndarray:
-    """The first ``count`` Generator.uniform(0, 2 pi) draws of every index, (n, count).
+def _pcg64_outputs(states, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of PCG64 from each of ``states``, (n, count).
 
-    PCG64 jumped ahead in closed form: after j steps the state is
-    MULT^j state + (MULT^(j-1) + ... + 1) inc mod 2^128, and each draw
-    is its XSL-RR output rotr64(hi ^ lo, hi >> 58), shifted to 53 bits
-    and scaled by 2^-53 and 2 pi, which is what numpy computes.
+    ``states`` is the (state_hi, state_lo, inc_hi, inc_lo) of
+    ``_pcg64_states``.  PCG64 is jumped ahead in closed form: after j
+    steps the state is MULT^j state + (MULT^(j-1) + ... + 1) inc mod
+    2^128, and its output is the XSL-RR rotr64(hi ^ lo, hi >> 58).
     """
-    st_hi, st_lo, inc_hi, inc_lo = (x[:, None] for x in _pcg64_states(master_seed,
-                                                                        stream, idx))
+    st_hi, st_lo, inc_hi, inc_lo = (x[:, None] for x in states)
     powers, sums, power, total = [], [], 1, 0
     for _ in range(count):
         total += power
@@ -246,8 +249,37 @@ def _uniform_phases(master_seed: int | None, stream: int, idx: np.ndarray,
                      *_mul128(inc_hi, inc_lo, *_halves(sums)))
     rot = hi >> np.uint64(58)
     x = hi ^ lo
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(float) * 2.0**-53 * (2 * np.pi)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+# numpy's ziggurat tables (eulerdd._ziggurat) as arrays indexed by strip.
+_ZIG_WI = np.array(_ziggurat.WI)
+_ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
+
+
+def _standard_normals(states) -> np.ndarray:
+    """Generator.standard_normal() of a generator at each of ``states``, shape (n,).
+
+    numpy's ziggurat fast path on every state's first output r: strip
+    i = r & 0xff, sign = bit 8, rabs = (r >> 9) & (2^52 - 1), z =
+    +-(rabs WI[i]), accepted iff rabs < KI[i].  The rest, about 1.5%,
+    need numpy's wedge and tail code and more outputs, so one generator
+    set to each of their states draws them.
+    """
+    r = _pcg64_outputs(states, 1)[:, 0]
+    strip = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+    z = rabs.astype(float) * _ZIG_WI[strip]
+    np.negative(z, out=z, where=(r & np.uint64(0x100)).astype(bool))
+    rejected = np.flatnonzero(rabs >= _ZIG_KI[strip])
+    gen = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for j, st_hi, st_lo, inc_hi, inc_lo in zip(rejected.tolist(), *(
+            x[rejected].tolist() for x in states)):
+        state["state"] = {"state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
+        gen.bit_generator.state = state
+        z[j] = gen.standard_normal()
+    return z
 
 
 @dataclass(frozen=True)
@@ -336,8 +368,9 @@ def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
     to the per-index draws.  Raises ValueError for an index outside
     [0, 2^64).
     """
-    phases = _uniform_phases(spec.master_seed, STREAM_NOISE, _indices(index),
-                             2 * spec.n_max + 1)
+    r = _pcg64_outputs(_pcg64_states(spec.master_seed, STREAM_NOISE, _indices(index)),
+                       2 * spec.n_max + 1)
+    phases = (r >> np.uint64(11)).astype(float) * 2.0**-53 * (2 * np.pi)
     return phases[0] if np.ndim(index) == 0 else phases
 
 
@@ -429,19 +462,11 @@ def sample_detuning(spec: DephasingSpec, index):
     if spec.sigma_delta == 0.0:
         count = _indices(index).size
         return 0.0 if np.ndim(index) == 0 else np.zeros(count)
-    # standard_normal's ziggurat needs numpy's own tables, so one generator
-    # is set to each index's state in turn.
-    gen = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    z = []
-    for st_hi, st_lo, inc_hi, inc_lo in zip(*(x.tolist() for x in _pcg64_states(
-            spec.master_seed, STREAM_DETUNING, _indices(index)))):
-        state["state"] = {"state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
-        gen.bit_generator.state = state
-        z.append(gen.standard_normal())
+    z = _standard_normals(_pcg64_states(spec.master_seed, STREAM_DETUNING,
+                                        _indices(index)))
     if np.ndim(index) == 0:
         return float(z[0] * spec.sigma_delta)
-    return np.array(z, dtype=float) * spec.sigma_delta
+    return z * spec.sigma_delta
 
 
 def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,

@@ -344,6 +344,35 @@ def test_step_counts_of_the_fig4_schedule():
     assert diag["exact_segments"] == 33
 
 
+def test_step_rule_runs_once_per_segment_class(monkeypatch):
+    # The rule reads only a segment's duration and is_pulse; a run asks it
+    # once per distinct pair, and propagates the bytes it would with one
+    # evaluation per segment.
+    spec = replace(FIG4_SPEC, N=16)
+    schedule = build_schedule(spec)
+    times = [8 * spec.tau_c, 16 * spec.tau_c]
+    noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
+                                          SimParams(realizations=16, master_seed=3))
+    psi0 = prep_unitary() @ KET0
+    rule = engine._segment_steps
+    per_segment = [item + rule(item[1], spec.shape, noise, float(np.max(np.abs(deltas))),
+                               None) if item[0] == "seg" else item
+                   for item in engine._split_idles_at(schedule, times)]
+    want = engine._propagate_items(per_segment, spec.shape, noise, deltas, psi0)
+    asked = []
+
+    def counted(seg, *args):
+        asked.append((seg.duration, seg.is_pulse))
+        return rule(seg, *args)
+
+    monkeypatch.setattr(engine, "_segment_steps", counted)
+    got = engine._run_batch(schedule, times, noise, deltas, psi0, None)
+    classes = {(item[1].duration, item[1].is_pulse) for item in per_segment
+               if item[0] == "seg"}
+    assert sorted(asked) == sorted(classes) and len(classes) < len(per_segment)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
 def test_step_budget_refuses_runs_before_propagating(monkeypatch):
     def propagation_started(*args, **kwargs):
         raise AssertionError("propagation started")
@@ -586,6 +615,25 @@ def test_calibration_converges_and_is_monotonic():
     # Halving the target time needs a stronger field.
     res2 = calibrate_amplitude(base, 6.4e-6, params=params)
     assert res2.A > res.A
+
+
+def test_calibration_draws_its_phase_rows_once(monkeypatch):
+    # Only A changes between the runs of a calibration, so they share one
+    # draw of the phase rows: the rows each run would draw itself.
+    draws = []
+
+    def counted(spec, index):
+        draws.append(spec)
+        return sample_realization(spec, index)
+
+    monkeypatch.setattr(engine, "sample_realization", counted)
+    base = LorentzianNoiseSpec(R=R_FAST, A=0.0)
+    params = SimParams(realizations=120, master_seed=7)
+    res = calibrate_amplitude(base, 12.87e-6, params=params)
+    assert res.iterations > 1 and len(draws) == 1
+    t_list = list(np.linspace(0.5 * 12.87e-6, 2.0 * 12.87e-6, 16))
+    fresh = run_relaxation(replace(base, A=res.A), t_list, params=params)
+    assert fresh.to_csv_text() == res.curve.to_csv_text()
 
 
 def test_calibration_rejects_hopeless_targets():

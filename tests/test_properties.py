@@ -1,5 +1,6 @@
 """Property tests: schedule-layout invariants, batch-layout independence of the
-comb and the propagation, and config dump/parse round trips."""
+comb and the propagation, batched detunings against per-index generators, and
+config dump/parse round trips."""
 import math
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E402
                      SEQUENCE_PHASES, SequenceSpec, SimParams, build_schedule,
-                     prep_unitary, sample_realization)
+                     derive_seed, prep_unitary, sample_detuning,
+                     sample_realization)
 from eulerdd import engine  # noqa: E402
 from eulerdd.cli import (_COMMON_KEYS, _EXPERIMENTS, ConfigError,  # noqa: E402
                          _dump_config, parse_config)
-from eulerdd.noise import Comb  # noqa: E402
+from eulerdd.noise import STREAM_DETUNING, Comb  # noqa: E402
 
 # Fixed example sequence, no example database: every run checks the same cases.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -115,6 +117,18 @@ def test_run_batch_states_do_not_depend_on_the_batch_layout(rows):
     # batch, in a sub-batch, alone or in reversed index order.
     for part, full in zip(batch_states(rows), FULL_STATES):
         assert part.tobytes() == full[rows].tobytes()
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_detuning_draws_equal_per_index_generators(master_seed, indices):
+    # Oracle: a fresh default_rng per index, whichever of the ziggurat's
+    # fast path and fallback the batched draw takes.
+    spec = DephasingSpec(sigma_delta=1.0, master_seed=master_seed)
+    want = np.array([np.random.default_rng(derive_seed(master_seed, STREAM_DETUNING, m))
+                     .standard_normal() for m in indices])
+    got = sample_detuning(spec, np.array(indices, dtype=np.uint64))
+    assert got.tobytes() == want.tobytes()
 
 
 VALUES = {
