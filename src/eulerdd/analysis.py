@@ -8,10 +8,14 @@ parameters profiled out at each trial T (variable projection), and
 appropriate when the curve is known to relax from 1 to the fully
 mixed value 1/2.
 
-The decay time is found by a coarse geometric grid scan, one array
-pass over all trial T, followed by damped Gauss-Newton refinement of
-the profiled weighted residual, which is robust to the strong
-nonlinearity in T and needs no starting guess.  Points are weighted by
+The decay time is found by a coarse geometric grid scan over trial T
+followed by damped Gauss-Newton refinement, which is robust to the
+strong nonlinearity in T and needs no starting guess.  One function,
+``_profiled_chi2``, gives the profiled weighted residual and the
+linear parameters at an array of trial T in one array pass, using the
+closed-form weighted least-squares solution; the scan, each
+Gauss-Newton trial step, the final parameters and the curvature that
+sets the variance of T all call it.  Points are weighted by
 1/stderr^2.  A point whose stderr is zero, such as the exact t = 0
 point of a relax or fid curve, would take infinite weight and is left
 out of the fit; only a curve whose every stderr is zero is fitted with
@@ -85,54 +89,40 @@ class FitResult:
         ]) + "\n")
 
 
-def _profiled_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int,
-                   model: str, trial_T: float) -> tuple[float, float, float]:
-    """Weighted residual at trial_T with linear parameters solved or fixed.
+def _profiled_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int, model: str,
+                   trial_T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted residual at each trial T, linear parameters solved or fixed.
 
-    Returns (chi2, baseline, contrast).
-    """
-    e = np.exp(-((t / trial_T) ** p))
-    if model == "fixed":
-        base, con = 0.5, 0.5
-    else:
-        sw = np.sqrt(w)
-        design = np.stack([sw, sw * e], axis=1)
-        sol, *_ = np.linalg.lstsq(design, sw * v, rcond=None)
-        base, con = float(sol[0]), float(sol[1])
-    r = v - (base + con * e)
-    return float(np.sum(w * r * r)), base, con
-
-
-def _grid_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int, model: str,
-               grid: np.ndarray) -> np.ndarray:
-    """The profiled chi-square at every trial T of ``grid``, in one array pass.
-
-    Entry k equals _profiled_chi2(..., grid[k])[0] up to rounding.  The
-    fixed model takes the row sums of w r^2; the free model solves the
-    two-parameter weighted least squares in its centered closed form,
-    contrast = sum w (e - ebar)(v - vbar) / sum w (e - ebar)^2 and
-    baseline = vbar - contrast ebar.  Like lstsq, it takes contrast 0
+    Returns arrays (chi2, baseline, contrast), one entry per trial T.
+    The fixed model pins baseline and contrast to 0.5.  The free model
+    solves the two-parameter weighted least squares in its centered
+    closed form, contrast = sum w (e - ebar)(v - vbar) / sum w (e - ebar)^2
+    and baseline = vbar - contrast ebar.  Like lstsq, it takes contrast 0
     where the design [sqrt(w), sqrt(w) e] has rank 1 to working
     precision: its smaller singular value at most eps n times the larger.
     """
-    e = np.exp(-((t[None, :] / grid[:, None]) ** p))
+    e = np.exp(-((t / trial_T[:, None]) ** p))
     if model == "fixed":
+        base = con = np.full(trial_T.shape, 0.5)
         r = v - (0.5 + 0.5 * e)
     else:
-        total = np.sum(w)
-        dv = v - np.sum(w * v) / total
-        mean_e = np.sum(w * e, axis=1) / total
+        total = w.sum()
+        mean_v = (w * v).sum() / total
+        dv = v - mean_v
+        we = w * e
+        mean_e = we.sum(axis=1) / total
         de = e - mean_e[:, None]
-        sxx = np.sum(w * de * de, axis=1)
+        wde = w * de
+        sxx = (wde * de).sum(axis=1)
         # The design's Gram matrix has determinant total sxx and largest
         # eigenvalue top; the singular values are the eigenvalues' roots.
-        sq = np.sum(w * e * e, axis=1)
+        sq = (we * e).sum(axis=1)
         top = 0.5 * (total + sq) + np.hypot(0.5 * (total - sq), total * mean_e)
         rank2 = total * sxx > (np.finfo(float).eps * t.size * top) ** 2
-        con = np.divide(np.sum(w * de * dv, axis=1), sxx, out=np.zeros_like(sxx),
-                        where=rank2)
+        con = np.divide((wde * dv).sum(axis=1), sxx, out=np.zeros_like(sxx), where=rank2)
+        base = mean_v - con * mean_e
         r = dv - con[:, None] * de
-    return np.sum(w * r * r, axis=1)
+    return (w * r * r).sum(axis=1), base, con
 
 
 def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
@@ -168,11 +158,8 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
         raise Degenerate("curve spans zero time")
     w = np.ones_like(err) if unit_weights else 1.0 / (err * err)
 
-    def chi2(trial_T: float) -> float:
-        return _profiled_chi2(t, v, w, p, model, trial_T)[0]
-
     grid = np.geomspace(span * 1e-3, span * 2.0 * _NO_DECAY_FACTOR, 241)
-    values = _grid_chi2(t, v, w, p, model, grid)
+    values, bases, cons = _profiled_chi2(t, v, w, p, model, grid)
     k = int(np.argmin(values))
     if k == values.size - 1:
         raise NoDecay(f"best decay time beyond {_NO_DECAY_FACTOR:g} x span")
@@ -182,9 +169,11 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     # The free model takes the T component of the step on the full
     # Jacobian [dr/dT, 1, e]: the dr/dT column alone ignores how the
     # profiled baseline and contrast follow T and converges only linearly.
+    # The full and the half step are evaluated in one call; the half step
+    # is taken only when the full one raises the chi-square.
     best_T = float(grid[k])
+    chi_min, base, con = float(values[k]), float(bases[k]), float(cons[k])
     for _ in range(200):
-        chi_here, base, con = _profiled_chi2(t, v, w, p, model, best_T)
         u = (t / best_T) ** p
         e = np.exp(-u)
         jac = con * e * p * u / best_T
@@ -200,18 +189,20 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
             step = float(np.linalg.lstsq(design, sw * r, rcond=None)[0][0])
         # Damping: keep T within a factor 2 per step and positive.
         new_T = min(max(best_T + step, 0.5 * best_T), 2.0 * best_T)
-        if chi2(new_T) > chi_here:
-            new_T = 0.5 * (best_T + new_T)
-            if chi2(new_T) > chi_here:
-                break
+        trial = np.array([new_T, 0.5 * (best_T + new_T)])
+        values, bases, cons = _profiled_chi2(t, v, w, p, model, trial)
+        j = 1 if values[0] > chi_min else 0
+        if values[j] > chi_min:
+            break
+        new_T = float(trial[j])
         done = abs(new_T - best_T) < 1e-8 * best_T
         best_T = new_T
+        chi_min, base, con = float(values[j]), float(bases[j]), float(cons[j])
         if done:
             break
     if best_T > _NO_DECAY_FACTOR * span:
         raise NoDecay(f"fitted T = {best_T:.3e} beyond "
                       f"{_NO_DECAY_FACTOR:g} x span = {span:.3e}")
-    chi_min, base, con = _profiled_chi2(t, v, w, p, model, best_T)
 
     vbar = float(np.sum(w * v) / np.sum(w))
     ss_tot = float(np.sum(w * (v - vbar) ** 2))
@@ -220,7 +211,8 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
 
     # Variance of T from the curvature of the profiled chi-square.
     h = 1e-4 * best_T
-    curv = (chi2(best_T + h) - 2.0 * chi_min + chi2(best_T - h)) / (h * h)
+    above, below = _profiled_chi2(t, v, w, p, model, np.array([best_T + h, best_T - h]))[0]
+    curv = float(above - 2.0 * chi_min + below) / (h * h)
     n_free = 3 if model == "free" else 1  # T plus any profiled linear params
     dof = max(t.size - n_free, 1)
     scale = chi_min / dof if unit_weights else 1.0

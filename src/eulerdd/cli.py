@@ -35,8 +35,9 @@ import numpy as np
 from .analysis import Degenerate, NoDecay, fit_decay
 from .control import (PulseShape, SEQUENCE_PHASES, SequenceSpec,
                       check_larmor_resonance)
-from .dgroup import (PulseWord, build_cayley, eulerian_cycle, generated_group,
-                     pauli_element, verify_average_decoupling, verify_eulerian)
+from .dgroup import (PulseWord, build_cayley, cumulative_path, eulerian_cycle,
+                     generated_group, pauli_element, verify_average_decoupling,
+                     verify_eulerian)
 from .engine import (DecayCurve, SimParams, calibrate_amplitude, run_dd_scan,
                      run_fid, run_relaxation)
 from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
@@ -223,20 +224,23 @@ def _build_export(cfg: dict):
 def _build_eulerian_check(cfg: dict):
     if ("word" in cfg) == ("sequence" in cfg):
         raise ConfigError("eulerian-check needs exactly one of word or sequence")
-    # SEQUENCE_PHASES holds only the phases 0 (an X pulse) and pi/2 (Y).
-    letters = cfg.get("word") or cfg.get("cycles", 1) * "".join(
-        "Y" if phase else "X" for phase in SEQUENCE_PHASES[cfg["sequence"]])
-    generators = [pauli_element(lab) for lab in sorted(set(letters))]
+    identity = pauli_element("I")
+    if "word" in cfg:
+        word = PulseWord(tuple(cfg["word"]))
+    else:
+        # SEQUENCE_PHASES holds only the phases 0 (an X pulse) and pi/2 (Y).
+        word = PulseWord(tuple("Y" if phase else "X"
+                               for phase in SEQUENCE_PHASES[cfg["sequence"]]))
+        # One closed cycle: the base word, twice when its product is not the
+        # identity; the product is a Pauli, so the doubled word closes.
+        if cumulative_path(word, identity)[-1].label != "I":
+            word = PulseWord(2 * word.letters)
+    generators = [pauli_element(lab) for lab in sorted(set(word.letters))]
     group = generated_group(generators)
     graph = build_cayley(group, generators)
-    start_label = cfg.get("start", "I").strip().upper()
-    if start_label not in [g.label for g in group]:
-        raise ConfigError(f"start vertex {start_label!r} not in the generated group")
-    start = pauli_element(start_label)
-    word = PulseWord(tuple(letters))
 
     def work() -> None:
-        check = verify_eulerian(word, graph, start=start)
+        check = verify_eulerian(word, graph)
         decoupled = verify_average_decoupling(word, {"X", "Y", "Z"})
         print(f"word = {''.join(word.letters)}")
         print(f"group = {','.join(g.label for g in group)}")
@@ -244,7 +248,7 @@ def _build_eulerian_check(cfg: dict):
         print(f"eulerian = {'ok' if check.passed else 'FAIL: ' + check.diagnostic}")
         print(f"decoupling_xyz = {'ok' if decoupled else 'FAIL'}")
         if not check.passed:
-            suggestion = eulerian_cycle(graph, start)
+            suggestion = eulerian_cycle(graph, identity)
             print(f"suggestion = {''.join(suggestion.letters)}")
     return work
 
@@ -275,8 +279,7 @@ _EXPERIMENTS = {
     "export-noise": _Experiment({"noise_r", "noise_a", "duration", "sample_rate"},
                                 {"delta_omega", "n_max", "realization_index"},
                                 True, _build_export),
-    "eulerian-check": _Experiment(set(), {"word", "sequence", "cycles", "start"},
-                                  False, _build_eulerian_check),
+    "eulerian-check": _Experiment(set(), {"word", "sequence"}, False, _build_eulerian_check),
 }
 
 # Key order here is the --dump-config order.
@@ -308,8 +311,6 @@ _SCHEMA: dict[str, callable] = {
     "sample_rate": _as_float,
     "realization_index": _as_uint64,
     "word": _as_word,
-    "cycles": int,
-    "start": str,
     "fit_p": int,
     "fit_model": _as_enum({"free": "free", "fixed": "fixed"}),
 }

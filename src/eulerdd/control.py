@@ -14,6 +14,7 @@ rotation and occupies zero schedule time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,12 @@ class SequenceSpec:
             raise ValueError(f"unknown sequence name {self.name!r}")
         if self.name == "Custom" and len(self.phases) == 0:
             raise ValueError("Custom sequence needs a non-empty phase pattern")
+        if not all(math.isfinite(phase) for phase in self.phases):
+            raise ValueError("phases must be finite")
+        try:
+            operator.index(self.N)
+        except TypeError:
+            raise ValueError(f"N must be an integer, got {self.N!r}") from None
         if self.N < 1:
             raise InvalidTiming("N must be >= 1")
         if not 0 < self.tau < math.inf:

@@ -52,6 +52,7 @@ that needs more than 2,000,000 steps on segments whose H varies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,6 +110,11 @@ class SimParams:
     def __post_init__(self) -> None:
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
+        try:
+            operator.index(self.realizations)
+        except TypeError:
+            raise ValueError(
+                f"realizations must be an integer, got {self.realizations!r}") from None
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if self.envelope_T2 is not None and not 0 < self.envelope_T2 < math.inf:

@@ -311,6 +311,10 @@ class LorentzianNoiseSpec:
     def __post_init__(self) -> None:
         if not 0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
+        try:
+            operator.index(self.n_max)
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not 0 <= self.A < math.inf:

@@ -26,11 +26,11 @@ from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
                      build_schedule, calibrate_amplitude, eulerian_cycle,
                      estimate_autocorrelation, fit_decay, generated_group,
                      normalize_coherence, parseval_power, pauli_element,
-                     pauli_group, population0, propagate, readout_unitary,
-                     run_dd_scan, run_fid, run_relaxation,
+                     pauli_group, population0, prep_unitary, propagate,
+                     readout_unitary, run_dd_scan, run_fid, run_relaxation,
                      sample_realization, verify_average_decoupling,
-                     verify_eulerian)
-from eulerdd.cli import main as cli_main
+                     verify_eulerian, engine)
+from eulerdd.cli import _config_text, parse_config
 
 MASTER_SEED = 20260815
 R_COMB = 2 * math.pi * 5e3  # comb correlation rate, rad/s
@@ -314,17 +314,43 @@ def test_criterion_09_noise_autocorrelation_and_parseval():
     assert elapsed < 30.0
 
 
-def test_criterion_10_worker_determinism(tmp_path):
+def fig2_states(rows):
+    """`_run_batch` states of the bundled fig2_xy8_slow run (M = 16) for the
+    realizations ``rows``, one (len(rows), 2) array per readout N."""
+    cfg = parse_config(_config_text("fig2_xy8_slow"))
+    spec = SequenceSpec(cfg["sequence"], N=max(cfg["n_list"]), tau=cfg["tau"],
+                        tau_d=cfg["tau_d"], shape=PulseShape(cfg["shape"]))
+    params = SimParams(realizations=16, master_seed=cfg["master_seed"])
+    noise, deltas = engine._prepare_batch(None, DephasingSpec(cfg["sigma_delta"]), params, rows)
+    times = [n * spec.tau_c for n in cfg["n_list"]]
+    psi0 = prep_unitary() @ KET0
+    return engine._run_batch(build_schedule(spec), times, noise, deltas, psi0, params.dt)
+
+
+def batch_layout_is_stable():
+    """Whether every realization's states are the same bytes in the full
+    batch, in sub-batches, alone and in reversed index order."""
+    full = fig2_states(np.arange(16))
+    layouts = [np.arange(16)[::-1], np.arange(7), np.arange(7, 16), np.array([11]),
+               np.array([15, 2, 9, 4])]
+    return all(part.tobytes() == whole[rows].tobytes()
+               for rows in layouts for part, whole in zip(fig2_states(rows), full))
+
+
+def test_criterion_10_batch_layout_determinism(monkeypatch):
+    # A curve does not depend on how its realizations are batched: each
+    # realization's propagated state is a function of its index alone.  A
+    # sampler that draws a batch's detunings from one generator gives
+    # realization m the draw of its position in the batch, and fails.
     start = time.perf_counter()
-    blobs = []
-    for workers in ("1", "8"):
-        out = tmp_path / f"workers{workers}.csv"
-        rc = cli_main(["fig2_xy8_slow", "--realizations", "16",
-                       "--threads", workers, "--out", str(out)])
-        assert rc == 0
-        blobs.append(out.read_bytes())
-    ok = blobs[0] == blobs[1]
+    ok = batch_layout_is_stable()
+    monkeypatch.setattr(engine, "sample_detuning", lambda spec, rows: spec.sigma_delta
+                        * np.random.default_rng(spec.master_seed).standard_normal(len(rows)))
+    caught = not batch_layout_is_stable()
+    monkeypatch.undo()
     elapsed = time.perf_counter() - start
-    report(10, ok, elapsed,
-           f"fig2_xy8_slow CSV identical at 1 vs 8 workers ({len(blobs[0])} bytes)")
-    assert ok
+    report(10, ok and caught, elapsed,
+           f"fig2_xy8_slow states at M = 16 {'equal' if ok else 'differ'} across batch "
+           f"layouts; a one-generator detuning sampler {'fails' if caught else 'passes'}")
+    assert ok and caught
+    assert elapsed < 30.0

@@ -45,11 +45,26 @@ def test_free_model_recovers_shifted_linear_parameters():
     assert fit.contrast == pytest.approx(0.31, abs=1e-6)
 
 
+def lstsq_chi2(t, v, w, p, model, trial_T):
+    """Oracle for analysis._profiled_chi2 at one trial T: (chi2, baseline,
+    contrast), the linear parameters fixed or solved by np.linalg.lstsq."""
+    e = np.exp(-((t / trial_T) ** p))
+    if model == "fixed":
+        base, con = 0.5, 0.5
+    else:
+        sw = np.sqrt(w)
+        design = np.stack([sw, sw * e], axis=1)
+        sol, *_ = np.linalg.lstsq(design, sw * v, rcond=None)
+        base, con = float(sol[0]), float(sol[1])
+    r = v - (base + con * e)
+    return float(np.sum(w * r * r)), base, con
+
+
 @pytest.mark.parametrize("p,seed", [(1, 0), (1, 5), (2, 0), (2, 5)])
 def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
     # A noisy curve over the calibration window [0.5, 2] x T, where
     # baseline and contrast trade off strongly against T.  Independent
-    # oracle: a bounded scalar minimization of the same profiled
+    # oracle: a bounded scalar minimization of the lstsq profiled
     # chi-square.  The fit must reach it well inside the iteration cap.
     T = 12.87e-6
     t = np.linspace(0.5, 2.0, 16) * T
@@ -60,33 +75,36 @@ def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
     profiled = analysis._profiled_chi2
 
     def counted(*args):
-        evaluations.append(args[-1])
+        evaluations.extend(args[-1])
         return profiled(*args)
 
     monkeypatch.setattr(analysis, "_profiled_chi2", counted)
     fit = fit_decay(curve, p=p, model="free")
     monkeypatch.undo()
     w = np.full(t.size, 1.0 / 0.01**2)
-    best = minimize_scalar(lambda x: profiled(t, v, w, p, "free", x)[0],
+    best = minimize_scalar(lambda x: lstsq_chi2(t, v, w, p, "free", x)[0],
                            bounds=(0.3 * T, 3.0 * T), method="bounded",
                            options={"xatol": 1e-15})
     assert fit.T == pytest.approx(best.x, rel=1e-6)
-    assert len(evaluations) < 300  # 241 grid points, then a few steps
+    chi2, base, con = lstsq_chi2(t, v, w, p, "free", fit.T)
+    assert fit.baseline == pytest.approx(base, rel=1e-9)
+    assert fit.contrast == pytest.approx(con, rel=1e-9)
+    assert len(evaluations) < 300  # 241 grid points, then two per step
 
 
 def scan_and_each(t, v, w, p, model):
-    """fit_decay's grid scan, and _profiled_chi2 at each of its trial T alone."""
+    """fit_decay's grid scan, and the lstsq oracle at each of its trial T alone."""
     span = t[-1] - t[0]
     grid = np.geomspace(span * 1e-3, span * 2.0 * analysis._NO_DECAY_FACTOR, 241)
-    each = [analysis._profiled_chi2(t, v, w, p, model, x)[0] for x in grid]
-    return analysis._grid_chi2(t, v, w, p, model, grid), np.array(each)
+    each = [lstsq_chi2(t, v, w, p, model, x)[0] for x in grid]
+    return analysis._profiled_chi2(t, v, w, p, model, grid)[0], np.array(each)
 
 
 @pytest.mark.parametrize("model", ["free", "fixed"])
 @pytest.mark.parametrize("p", [1, 2])
 def test_grid_scan_has_the_argmin_of_the_profiled_chi2(p, model):
-    # The one-pass grid scan against _profiled_chi2 evaluated at each trial
-    # T on its own: random decays sampled over several points, with random
+    # The one-pass grid scan against the lstsq oracle evaluated at each
+    # trial T on its own: random decays sampled over several points, with random
     # sizes, weights, offsets and time scales.
     rng = np.random.default_rng(100 * p + len(model))
     for _ in range(40):

@@ -310,6 +310,7 @@ def test_eulerian_check_passes_for_xy8(tmp_path, capsys):
     path = write_cfg(tmp_path, "experiment = eulerian-check\nsequence = xy8\n")
     assert main([path]) == 0
     out = capsys.readouterr().out
+    assert "word = XYXYYXYX" in out  # closed on itself: checked once
     assert "eulerian = ok" in out and "decoupling_xyz = ok" in out
     assert "suggestion" not in out
 
@@ -319,10 +320,29 @@ def test_eulerian_check_argument_rules(tmp_path, capsys):
                      "sequence = xy4\n")
     assert main([both]) == 1
     assert "exactly one of word or sequence" in capsys.readouterr().err
-    bad_start = write_cfg(tmp_path, "experiment = eulerian-check\nword = yy\n"
-                          "start = x\n", name="start.cfg")
-    assert main([bad_start]) == 1
-    assert "not in the generated group" in capsys.readouterr().err
+    # The verdict is the same from every start vertex, and k >= 2 closed
+    # cycles always repeat an edge, so neither key exists.
+    for key in ("start = x", "cycles = 2"):
+        extra = write_cfg(tmp_path, f"experiment = eulerian-check\nsequence = xy8\n{key}\n",
+                          name="extra.cfg")
+        assert main([extra]) == 1
+        assert f"unknown key {key.split()[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sequence,word,eulerian,decoupling", [
+    ("cpmg_y", "YY", "ok", "FAIL"),
+    ("xy4", "XYXY", "FAIL: 4 of 8 edges traversed; first missing edge I-Y->", "ok"),
+], ids=["cpmg_y", "xy4"])
+def test_eulerian_check_takes_one_closed_cycle_of_a_sequence(tmp_path, capsys, sequence,
+                                                              word, eulerian, decoupling):
+    # The base word, doubled when its Pauli product is not the identity:
+    # Y alone ends at Y, XY at Z.
+    path = write_cfg(tmp_path, f"experiment = eulerian-check\nsequence = {sequence}\n")
+    assert main([path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"word = {word}" in lines
+    assert f"eulerian = {eulerian}" in lines
+    assert f"decoupling_xyz = {decoupling}" in lines
 
 
 def test_export_noise_writes_samples(tmp_path, capsys):

@@ -72,6 +72,12 @@ def test_sequence_spec_validation():
         SequenceSpec(**{**good, "name": "Custom"})
     with pytest.raises(InvalidTiming, match="N must be"):
         SequenceSpec(**{**good, "N": 0})
+    with pytest.raises(ValueError, match="N must be an integer"):
+        SequenceSpec(**{**good, "N": 2.5})
+    assert SequenceSpec(**{**good, "N": np.int64(8)}).N == 8
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            SequenceSpec(**{**good, "name": "Custom", "phases": (0.0, bad)})
     with pytest.raises(InvalidTiming, match="tau must be positive"):
         SequenceSpec(**{**good, "tau": 0.0})
     with pytest.raises(InvalidTiming, match="tau_d must be positive"):

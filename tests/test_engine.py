@@ -576,6 +576,9 @@ def test_simparams_validation():
         SimParams(dt=0.0)
     with pytest.raises(ValueError, match="realizations"):
         SimParams(realizations=0)
+    with pytest.raises(ValueError, match="realizations must be an integer"):
+        SimParams(realizations=2.5)
+    assert SimParams(realizations=np.int64(3)).realizations == 3
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="envelope_T2"):
             SimParams(envelope_T2=bad)

@@ -48,9 +48,12 @@ def test_spec_validation_and_derived_quantities():
     assert sample_detuning(DephasingSpec(sigma_delta=1.0), 3) == sample_detuning(
         DephasingSpec(sigma_delta=1.0, master_seed=0), 3)
     for bad in (dict(R=0.0), dict(A=-1.0), dict(n_max=0), dict(delta_omega=0.0),
-                dict(master_seed=-1), dict(master_seed=2**64)):
+                dict(master_seed=-1), dict(master_seed=2**64), dict(n_max=2.5)):
         with pytest.raises(ValueError):
             LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        LorentzianNoiseSpec(R=R_FAST, A=1.0, n_max=2.5)
+    assert LorentzianNoiseSpec(R=R_FAST, A=1.0, n_max=np.int32(3)).n_max == 3
     # A seed outside [0, 2^64) would wrap onto another seed's streams.
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="outside"):

@@ -23,7 +23,6 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
-safe_text = st.text(alphabet="abcXYZ0123456789_-./", min_size=1, max_size=16)
 # An --out path may hold what a config line cannot: a '#' or edge spaces.
 any_path = st.text(alphabet="abc0123456789_-./# ", min_size=1, max_size=16)
 
@@ -157,8 +156,6 @@ VALUES = {
     "sample_rate": finite,
     "realization_index": st.integers(0, 2**64 - 1),
     "word": st.text(alphabet="XYZ", min_size=1, max_size=12),
-    "cycles": st.integers(-5, 50),
-    "start": safe_text,
     "fit_p": st.sampled_from([1, 2]),
     "fit_model": st.sampled_from(["free", "fixed"]),
 }
