@@ -8,14 +8,16 @@ parameters profiled out at each trial T (variable projection), and
 appropriate when the curve is known to relax from 1 to the fully
 mixed value 1/2.
 
-The decay time is found by a coarse geometric grid scan over trial T
-followed by damped Gauss-Newton refinement, which is robust to the
-strong nonlinearity in T and needs no starting guess.  One function,
-``_profiled_chi2``, gives the profiled weighted residual and the
-linear parameters at an array of trial T in one array pass, using the
-closed-form weighted least-squares solution; the scan, each
-Gauss-Newton trial step, the final parameters and the curvature that
-sets the variance of T all call it.  Points are weighted by
+The decay time is found by one search, with no starting guess and no
+derivative: a geometric grid scan over trial T, then passes of 9
+equally spaced log-T points over the two intervals around the best
+point so far, each pass a quarter as wide as the last, down to a
+spacing of 1e-4 in log T.  T is the vertex of the parabola through the
+last pass's argmin and its neighbours, whose second difference sets
+the variance of T.  One function, ``_profiled_chi2``, gives the
+profiled weighted residual and the closed-form weighted least-squares
+linear parameters at an array of trial T in one array pass; the scan,
+each pass and the final parameters call it.  Points are weighted by
 1/stderr^2.  A point whose stderr is zero, such as the exact t = 0
 point of a relax or fid curve, would take infinite weight and is left
 out of the fit; only a curve whose every stderr is zero is fitted with
@@ -58,9 +60,10 @@ class RangeViolation(ValueError):
 class FitResult:
     """Best-fit decay parameters.
 
-    covariance_T is the variance estimate of T from the curvature of
-    the profiled chi-square at the minimum (scaled by the reduced
-    chi-square when unit weights were used); r_squared is the weighted
+    covariance_T is the variance of T, 2 (h T)^2 / d2, from the second
+    difference d2 of the profiled chi-square over the search's last
+    three points, h apart in log T (times the reduced chi-square under
+    unit weights; inf unless d2 > 0); r_squared is the weighted
     coefficient of determination, clamped to [0, 1].
     """
 
@@ -159,60 +162,42 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     w = np.ones_like(err) if unit_weights else 1.0 / (err * err)
 
     grid = np.geomspace(span * 1e-3, span * 2.0 * _NO_DECAY_FACTOR, 241)
-    values, bases, cons = _profiled_chi2(t, v, w, p, model, grid)
+    values = _profiled_chi2(t, v, w, p, model, grid)[0]
     k = int(np.argmin(values))
     if k == values.size - 1:
         raise NoDecay(f"best decay time beyond {_NO_DECAY_FACTOR:g} x span")
 
-    # Damped Gauss-Newton on T, re-solving the linear parameters at each
-    # step (variable projection); converged when the relative step < 1e-8.
-    # The free model takes the T component of the step on the full
-    # Jacobian [dr/dT, 1, e]: the dr/dT column alone ignores how the
-    # profiled baseline and contrast follow T and converges only linearly.
-    # The full and the half step are evaluated in one call; the half step
-    # is taken only when the full one raises the chi-square.
-    best_T = float(grid[k])
-    chi_min, base, con = float(values[k]), float(bases[k]), float(cons[k])
-    for _ in range(200):
-        u = (t / best_T) ** p
-        e = np.exp(-u)
-        jac = con * e * p * u / best_T
-        den = float(np.sum(w * jac * jac))
-        if den <= 0.0:
-            break
-        r = v - (base + con * e)
-        if model == "fixed":
-            step = float(np.sum(w * jac * r)) / den
-        else:
-            sw = np.sqrt(w)
-            design = sw[:, None] * np.stack([jac, np.ones_like(e), e], axis=1)
-            step = float(np.linalg.lstsq(design, sw * r, rcond=None)[0][0])
-        # Damping: keep T within a factor 2 per step and positive.
-        new_T = min(max(best_T + step, 0.5 * best_T), 2.0 * best_T)
-        trial = np.array([new_T, 0.5 * (best_T + new_T)])
-        values, bases, cons = _profiled_chi2(t, v, w, p, model, trial)
-        j = 1 if values[0] > chi_min else 0
-        if values[j] > chi_min:
-            break
-        new_T = float(trial[j])
-        done = abs(new_T - best_T) < 1e-8 * best_T
-        best_T = new_T
-        chi_min, base, con = float(values[j]), float(bases[j]), float(cons[j])
-        if done:
-            break
+    # Each pass spans the two log-T intervals around the best point so far
+    # with 9 points, a quarter of the last spacing apart, down to 1e-4.
+    step = math.log(float(grid[1] / grid[0]))
+    x = math.log(float(grid[k]))
+    while step > 1e-4:
+        step /= 4.0
+        xs = x + step * np.arange(-4.0, 5.0)
+        values, _, cons = _profiled_chi2(t, v, w, p, model, np.exp(xs))
+        k = int(np.argmin(values))
+        x = float(xs[k])
+    # T at the vertex of the parabola through the argmin and its two
+    # neighbours.  There is none when the argmin is at the edge of the last
+    # pass (the scan's best was its smallest T) or a neighbour has rank 1
+    # (the chi-square steps there): T stays and its variance is infinite.
+    lo, mid, hi = (values[k - 1:k + 2].tolist() if 0 < k < 8 and np.all(cons[k - 1:k + 2])
+                   else (0.0, 0.0, 0.0))
+    d2 = lo - 2.0 * mid + hi
+    best_T = math.exp(x + (0.5 * step * (lo - hi) / d2 if d2 > 0 else 0.0))
     if best_T > _NO_DECAY_FACTOR * span:
         raise NoDecay(f"fitted T = {best_T:.3e} beyond "
                       f"{_NO_DECAY_FACTOR:g} x span = {span:.3e}")
+    final = _profiled_chi2(t, v, w, p, model, np.array([best_T]))
+    chi_min, base, con = (float(a[0]) for a in final)
 
     vbar = float(np.sum(w * v) / np.sum(w))
     ss_tot = float(np.sum(w * (v - vbar) ** 2))
-    r2 = 1.0 - chi_min / ss_tot if ss_tot > 0 else 0.0
-    r2 = min(1.0, max(0.0, r2))
+    r2 = min(1.0, max(0.0, 1.0 - chi_min / ss_tot)) if ss_tot > 0 else 0.0
 
-    # Variance of T from the curvature of the profiled chi-square.
-    h = 1e-4 * best_T
-    above, below = _profiled_chi2(t, v, w, p, model, np.array([best_T + h, best_T - h]))[0]
-    curv = float(above - 2.0 * chi_min + below) / (h * h)
+    # Curvature in T from the second difference in log T: at the minimum
+    # the first derivative, which would add a term, vanishes.
+    curv = d2 / (step * best_T) ** 2
     n_free = 3 if model == "free" else 1  # T plus any profiled linear params
     dof = max(t.size - n_free, 1)
     scale = chi_min / dof if unit_weights else 1.0

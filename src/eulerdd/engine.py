@@ -42,9 +42,12 @@ step.  A segment whose H varies, of duration T, takes ceil(T scale /
 0.3) steps, where scale = max(peak drive + field bound, detuning
 bound, top comb frequency) bounds every angular rate, so a step turns
 the spin by about 0.3 rad at most; an explicit dt gives ceil(T / dt)
-steps instead.  An explicit dt is checked on every finite segment
-(at most tau_d/50 on a pulse, a priori local error below 1e-6),
-raising StepTooLarge when too coarse.  Every propagation,
+steps instead.  The detuning bound is 4 sigma_delta for a run (a draw
+exceeds it with probability 6e-5) and |delta| for ``propagate``, not
+the largest draw of a batch, so the steps do not depend on which
+realizations share it.  An explicit dt is checked on every finite
+segment (at most tau_d/50 on a pulse, a priori local error below
+1e-6), raising StepTooLarge when too coarse.  Every propagation,
 ``propagate`` and the dd, fid and relaxation runners alike, goes
 through one batch entry point that refuses, before propagating, a run
 that needs more than 2,000,000 steps on segments whose H varies.
@@ -395,18 +398,18 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
 
 
 def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
-               deltas: np.ndarray, psi0: np.ndarray, dt: float | None,
+               deltas: np.ndarray, delta_max: float, psi0: np.ndarray, dt: float | None,
                diagnostics: dict | None = None) -> list[np.ndarray]:
     """The one propagation entry point: every realization starts from psi0.
 
     Returns one (deltas.size, 2) array per sorted time.  The step rule
     runs once per distinct (duration, is_pulse), the only segment fields
-    it reads, sized by the run's detuning bound; ValueError,
+    it reads, sized by the detuning bound delta_max, which the caller
+    takes from the spec and not from the batch's draws; ValueError,
     before propagating, when segments whose H varies need more than
     _STEP_BUDGET steps.
     """
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
-    delta_max = float(np.max(np.abs(deltas)))
     rule: dict[tuple[float, bool], tuple[int, bool]] = {}
     items = []
     for item in _split_idles_at(schedule, times):
@@ -433,12 +436,13 @@ def _curve(schedule: Schedule, times: list[float], ns: list[int],
     ``phases`` are passed on to ``_prepare_batch``.
     """
     noise, deltas = _prepare_batch(noise_spec, dephasing, params, phases=phases)
+    delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
     ket0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = prep_unitary() @ ket0 if pulses else ket0
     read = readout_unitary()
     points = []
-    for psi, t, n in zip(_run_batch(schedule, times, noise, deltas, psi0, params.dt),
-                         times, ns):
+    for psi, t, n in zip(_run_batch(schedule, times, noise, deltas, delta_max, psi0,
+                                    params.dt), times, ns):
         a = read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1] if pulses else psi[:, 0]
         pop = np.clip(a.real**2 + a.imag**2, 0.0, 1.0)
         stderr = float(np.std(pop, ddof=1) / math.sqrt(pop.size)) if pop.size > 1 else 0.0
@@ -504,8 +508,8 @@ def propagate(schedule: Schedule,
             raise ValueError("initial_state must be normalized")
         psi0 = vec / nrm
     noise, _ = _prepare_batch(noise_spec, None, params, index)
-    snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), psi0, params.dt,
-                       diagnostics)
+    snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), abs(float(delta)),
+                       psi0, params.dt, diagnostics)
     states = [SpinState.from_ket(psi[0]) for psi in snaps]
     return states if snapshot_times is not None else states[-1]
 

@@ -324,7 +324,8 @@ def fig2_states(rows):
     noise, deltas = engine._prepare_batch(None, DephasingSpec(cfg["sigma_delta"]), params, rows)
     times = [n * spec.tau_c for n in cfg["n_list"]]
     psi0 = prep_unitary() @ KET0
-    return engine._run_batch(build_schedule(spec), times, noise, deltas, psi0, params.dt)
+    return engine._run_batch(build_schedule(spec), times, noise, deltas,
+                             4.0 * cfg["sigma_delta"], psi0, params.dt)
 
 
 def batch_layout_is_stable():

@@ -6,8 +6,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from eulerdd import analysis
-from eulerdd import (CurvePoint, DecayCurve, Degenerate, FitResult, NoDecay,
-                     RangeViolation, fit_decay, normalize_coherence)
+from eulerdd import (CurvePoint, DecayCurve, Degenerate, FitResult,
+                     LorentzianNoiseSpec, NoDecay, RangeViolation, SimParams,
+                     calibrate_amplitude, fit_decay, normalize_coherence)
 
 
 def synthetic(T, p=1, baseline=0.5, contrast=0.5, n=20, t_max=None,
@@ -65,7 +66,7 @@ def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
     # A noisy curve over the calibration window [0.5, 2] x T, where
     # baseline and contrast trade off strongly against T.  Independent
     # oracle: a bounded scalar minimization of the lstsq profiled
-    # chi-square.  The fit must reach it well inside the iteration cap.
+    # chi-square.  The fit must reach it within a bounded number of trial T.
     T = 12.87e-6
     t = np.linspace(0.5, 2.0, 16) * T
     v = 0.5 + 0.45 * np.exp(-((t / T) ** p)) + np.random.default_rng(seed).normal(0.0, 0.01, 16)
@@ -89,7 +90,32 @@ def test_free_fit_reaches_the_profiled_chi2_minimum(monkeypatch, p, seed):
     chi2, base, con = lstsq_chi2(t, v, w, p, "free", fit.T)
     assert fit.baseline == pytest.approx(base, rel=1e-9)
     assert fit.contrast == pytest.approx(con, rel=1e-9)
-    assert len(evaluations) < 300  # 241 grid points, then two per step
+    assert len(evaluations) < 300  # 241 grid points, 5 passes of 9, then the vertex
+
+
+def test_calibration_fits_take_a_bounded_number_of_trial_T(monkeypatch):
+    # The criterion-6 calibration at its own seed.  Its bisection probes
+    # include poorly fitting curves (the 4th: r^2 0.84, contrast 6.3), on
+    # which a refinement that overshoots the minimum wanders for many
+    # steps.  Every fit must stay within the trial-T budget of the test above.
+    counts = []
+    profiled, fit = analysis._profiled_chi2, analysis.fit_decay
+
+    def counted_fit(*args, **kwargs):
+        counts.append(0)
+        return fit(*args, **kwargs)
+
+    def counted_chi2(*args):
+        counts[-1] += len(args[-1])
+        return profiled(*args)
+
+    monkeypatch.setattr(analysis, "fit_decay", counted_fit)
+    monkeypatch.setattr(analysis, "_profiled_chi2", counted_chi2)
+    cal = calibrate_amplitude(LorentzianNoiseSpec(R=31415.926535897932, A=0.0), 12.87e-6,
+                              params=SimParams(realizations=1000, master_seed=20260815))
+    # One of its 10 runs decays before the fit window opens and is not fitted.
+    assert cal.iterations == 10 and len(counts) == 9
+    assert max(counts) <= 300, counts
 
 
 def scan_and_each(t, v, w, p, model):
@@ -128,6 +154,24 @@ def test_grid_scan_keeps_the_rank_cut_of_lstsq():
         v[0] = 0.9
         scan, each = scan_and_each(np.linspace(1.0, 10.0, 10), v, np.full(10, 1e4), 1, "free")
         assert int(np.argmin(scan)) == int(np.argmin(each))
+
+
+def test_a_minimum_the_search_cannot_bracket_has_no_variance():
+    # Under 0.5, a fixed-model curve fits best with every point fully
+    # decayed: its chi-square falls toward T -> 0 and the scan's best is its
+    # smallest T.  One high point before a flat tail: the free fit matches
+    # that point exactly down to the smallest T that lstsq still resolves
+    # from a constant, where the chi-square steps up.  Neither is a parabola.
+    t = np.linspace(1.0, 10.0, 10)
+    noise = np.random.default_rng(0).normal(0.0, 0.01, 10)
+    spike = 0.5 + noise
+    spike[0] = 0.9
+    for v, model in ((0.45 + noise, "fixed"), (spike, "free")):
+        curve = DecayCurve(tuple(CurvePoint(float(ti), 0, float(vi), 0.01)
+                                 for ti, vi in zip(t, v)))
+        fit = fit_decay(curve, p=1, model=model)
+        assert fit.T < 0.01 * (t[-1] - t[0])
+        assert fit.covariance_T == math.inf
 
 
 def test_exact_points_are_left_out_of_the_weighted_fit():

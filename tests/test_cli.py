@@ -345,6 +345,23 @@ def test_eulerian_check_takes_one_closed_cycle_of_a_sequence(tmp_path, capsys, s
     assert f"decoupling_xyz = {decoupling}" in lines
 
 
+@pytest.mark.parametrize("text", [
+    FID_TEXT + "fit_model = fixed\n",
+    FID_TEXT + "fit_model = free\n",
+    "experiment = calibrate\nnoise_r = 31415.926535897932\ntarget_t1 = 12.87e-6\n"
+    "realizations = 60\nmaster_seed = 7\n",
+], ids=["fit_fixed", "fit_free", "calibrate"])
+def test_printed_values_parse_as_floats(tmp_path, capsys, text):
+    # Under numpy 2 a numpy scalar prints as np.float64(...), which no
+    # reader of the key = value lines can parse.
+    assert main([write_cfg(tmp_path, text), "--out", str(tmp_path / "out.csv")]) == 0
+    pairs = [line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+             if " = " in line]
+    assert len(pairs) >= 4
+    for key, value in pairs:
+        float(value)
+
+
 def test_export_noise_writes_samples(tmp_path, capsys):
     path = write_cfg(tmp_path, "experiment = export-noise\n"
                      "noise_r = 31415.926535897932\nnoise_a = 1e5\n"

@@ -355,8 +355,8 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
                                           SimParams(realizations=16, master_seed=3))
     psi0 = prep_unitary() @ KET0
     rule = engine._segment_steps
-    per_segment = [item + rule(item[1], spec.shape, noise, float(np.max(np.abs(deltas))),
-                               None) if item[0] == "seg" else item
+    per_segment = [item + rule(item[1], spec.shape, noise, 4.0 * SIGMA_FID, None)
+                   if item[0] == "seg" else item
                    for item in engine._split_idles_at(schedule, times)]
     want = engine._propagate_items(per_segment, spec.shape, noise, deltas, psi0)
     asked = []
@@ -366,7 +366,7 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
         return rule(seg, *args)
 
     monkeypatch.setattr(engine, "_segment_steps", counted)
-    got = engine._run_batch(schedule, times, noise, deltas, psi0, None)
+    got = engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, psi0, None)
     classes = {(item[1].duration, item[1].is_pulse) for item in per_segment
                if item[0] == "seg"}
     assert sorted(asked) == sorted(classes) and len(classes) < len(per_segment)

@@ -92,18 +92,31 @@ def test_comb_values_do_not_depend_on_the_batch_layout(rows, ends):
     assert part.tobytes() == FULL_C[rows, start:stop].tobytes()
 
 
-# XY8 with 100 ns Gaussian pulses under the fig4 comb: its field bound
-# b_sup sets every step, since each drawn |delta| is below it.
-RUN_SPEC = SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
+# Two XY8 runs.  With 100 ns Gaussian pulses under the fig4 comb, the
+# comb's field bound b_sup sets every step.  With the 500 ns Square pulses
+# and weak comb of the bundled fig3_xy8_slow, the detuning bound
+# 4 sigma_delta sets the idles' steps; a bound taken from the batch's
+# largest draw would make them depend on which realizations share it.
+FIG3_NOISE = LorentzianNoiseSpec(R=2 * math.pi * 5e3, A=142031.9491052709, master_seed=11)
+BATCH_RUNS = [
+    (SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian")),
+     FIG4_NOISE, FIG4_DEPHASING),
+    (SequenceSpec("XY8", N=16, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square")),
+     FIG3_NOISE, FIG4_DEPHASING),
+]
 RUN_PARAMS = SimParams(realizations=ROWS, master_seed=0)
 
 
 def batch_states(rows):
-    noise, deltas = engine._prepare_batch(FIG4_NOISE, FIG4_DEPHASING, RUN_PARAMS, rows)
-    assert np.max(np.abs(deltas)) < noise.b_sup
-    times = [4 * RUN_SPEC.tau_c, 8 * RUN_SPEC.tau_c]
+    """Each run's states at its half and full length, for realizations ``rows``."""
     psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
-    return engine._run_batch(build_schedule(RUN_SPEC), times, noise, deltas, psi0, None)
+    states = []
+    for spec, noise_spec, dephasing in BATCH_RUNS:
+        noise, deltas = engine._prepare_batch(noise_spec, dephasing, RUN_PARAMS, rows)
+        times = [spec.N // 2 * spec.tau_c, spec.N * spec.tau_c]
+        states += engine._run_batch(build_schedule(spec), times, noise, deltas,
+                                    4.0 * dephasing.sigma_delta, psi0, None)
+    return states
 
 
 FULL_STATES = batch_states(np.arange(ROWS))
