@@ -19,7 +19,7 @@ the same way, as fourth-order Magnus steps (the Omega^[4] integrator
 of Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step is
 one closed-form SU(2) exponential,
 
-    exp(-i t H) = cos(|h| t) - i t sinc(|h| t / pi) H,   |h| = sqrt(delta^2/4 + |c|^2),
+    exp(-i t H) = cos(|h| t) - i (sin(|h| t) / |h|) H,   |h| = sqrt(delta^2/4 + |c|^2),
 
 of an H built from its values at the step's two Gauss nodes plus
 their commutator, which in SU(2) is a closed-form cross product, so
@@ -29,8 +29,9 @@ on when it starts, so they are built once per distinct (duration,
 phase) and reused; under the comb they are built lazily, one block of
 (steps, M) arrays at a time.  Only their application to the state is
 sequential.  Every array expression is element-wise, except the comb
-sum, which gives each (node, realization) entry one fixed-length dot
-product in numpy's own einsum loop, with no BLAS (see noise.Comb).  So
+sum, which accumulates each (node, realization) entry over the 2 n_max
++ 1 basis functions in a fixed order, one multiply and one add at a
+time, in numpy's own einsum loop with no BLAS (see noise.Comb).  So
 a realization's trajectory depends only on its own draws and the run's
 step sizes, not on the batch or block layout, and results are
 reproducible from the master seed.
@@ -188,7 +189,9 @@ _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 # Largest rotation angle per automatic step, in units of the rate bound.
 _THETA = 0.3
 # Steps whose nodes and propagators are computed at once; bounds their memory.
-_BLOCK = 16
+# At M = 1000 a block's arrays then take about 1 MB, which the allocator keeps
+# for the next block instead of returning it and faulting it in again.
+_BLOCK = 8
 # Steps on segments whose H varies that one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
 # Largest steps x realizations of one comb-free segment whose step propagators
@@ -230,15 +233,31 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
 def _exact_propagator(hz: np.ndarray, c, t: float):
     """exp(-i t H) for H = [[hz, c], [conj(c), -hz]] as four element-wise arrays.
 
-    Returns (u00, u01, u10, u11) = cos(|h| t) - i t sinc(|h| t / pi) H with
-    |h| = sqrt(hz^2 + |c|^2); hz and c are scalars or arrays that
-    broadcast together, such as one row per step and one column per
-    realization.
+    Returns (u00, u01, u10, u11) = (alpha, beta, -conj(beta), conj(alpha))
+    with alpha = cos(w t) - i r hz and beta = -i r c, where w =
+    sqrt(hz^2 + |c|^2) and r = sin(w t) / w (r = t where w = 0); alpha
+    and beta are written part by part from real arrays.  hz is an array
+    and c an array or scalar that broadcasts with it, such as one row
+    per step and one column per realization.
     """
-    wt = np.sqrt(hz * hz + abs(c) ** 2) * t
-    cos = np.cos(wt)
-    s = (-1j * t) * np.sinc(wt / math.pi)
-    return cos + s * hz, s * c, s * np.conj(c), cos - s * hz
+    w = abs(c)
+    w *= w
+    w += hz * hz
+    np.sqrt(w, out=w)
+    wt = w * t
+    with np.errstate(invalid="ignore"):
+        r = np.sin(wt) / w
+    r[w == 0.0] = t
+    alpha = np.empty(w.shape, dtype=complex)
+    beta = np.empty(w.shape, dtype=complex)
+    np.cos(wt, out=alpha.real)
+    np.multiply(r, c.imag, out=beta.real)
+    np.negative(r, out=r)
+    np.multiply(r, hz, out=alpha.imag)
+    np.multiply(r, c.real, out=beta.imag)
+    minus_conj_beta = np.conj(beta)
+    np.negative(minus_conj_beta.view(float), out=minus_conj_beta.view(float))
+    return alpha, beta, minus_conj_beta, np.conj(alpha)
 
 
 def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
@@ -255,20 +274,34 @@ def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
         hz_eff = hz + k Im(conj(c1) c2),
 
     and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a run.
+    A block evaluates c at all its first Gauss nodes, then all its second,
+    so c1 and c2 are its contiguous halves, and writes hz_eff and the
+    parts of c_eff from their real and imaginary parts in place.  Without
+    the comb c has one column; only hz_eff and c_eff span the realizations.
     """
     h = seg.duration / nstep
     k = math.sqrt(3.0) * h / 6.0
+    kh = k * hz
     for done in range(0, nstep, _BLOCK):
         steps = np.arange(done, min(nstep, done + _BLOCK))
-        # The two Gauss nodes of every step in the block, interleaved.
-        rel = ((steps[:, None] + _NODES[None, :]) * h).ravel()
+        rel = ((steps[None, :] + _NODES[:, None]) * h).ravel()
         c = noise.c_at(t_abs + rel).T if noise is not None else np.zeros((rel.size, 1), complex)
         if seg.is_pulse:
-            c = c + (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration,
-                                                                     rel)[:, None]
-        c1, c2 = c[0::2], c[1::2]
-        c_eff = 0.5 * (c1 + c2) - (1j * k) * hz * (c1 - c2)
-        hz_eff = hz + k * (np.conj(c1) * c2).imag
+            c += (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration,
+                                                                  rel)[:, None]
+        c1, c2 = c[:steps.size], c[steps.size:]
+        hz_eff = c1.real * c2.imag
+        hz_eff -= c1.imag * c2.real
+        hz_eff *= k
+        hz_eff = hz_eff + hz
+        half = c1 + c2
+        half *= 0.5
+        d = np.subtract(c1, c2, out=c1)
+        c_eff = np.empty(hz_eff.shape, dtype=complex)
+        np.multiply(kh, d.imag, out=c_eff.real)
+        c_eff.real += half.real
+        np.multiply(kh, d.real, out=c_eff.imag)
+        np.subtract(half.imag, c_eff.imag, out=c_eff.imag)
         yield _exact_propagator(hz_eff, c_eff, h)
 
 
@@ -381,17 +414,19 @@ def _seeded(spec, params: SimParams, tag: int):
 
 def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
                    dephasing: DephasingSpec | None, params: SimParams, indices=None,
-                   phases: np.ndarray | None = None):
+                   phasors: np.ndarray | None = None):
     """The comb (None without a field) and detunings of realizations ``indices``.
 
     indices defaults to the run's 0 .. M-1; the draws are in index order.
-    ``phases``, if given, are the comb phase rows already drawn for them.
+    ``phasors``, if given, are e^{i phi} of the comb phase rows already
+    drawn for them.
     """
     idx = np.arange(params.realizations) if indices is None else indices
     noise = None
     if noise_spec is not None and noise_spec.A > 0.0:
         spec = _seeded(noise_spec, params, _TAG_NOISE)
-        noise = Comb.of(spec, sample_realization(spec, idx) if phases is None else phases)
+        noise = (Comb.of(spec, sample_realization(spec, idx)) if phasors is None
+                 else Comb._of_phasors(spec, phasors))
     if dephasing is None:
         return noise, np.zeros(len(idx))
     return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), idx)
@@ -428,14 +463,14 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
 
 def _curve(schedule: Schedule, times: list[float], ns: list[int],
            noise_spec: LorentzianNoiseSpec | None, dephasing: DephasingSpec | None,
-           params: SimParams, pulses: bool, phases: np.ndarray | None = None) -> DecayCurve:
+           params: SimParams, pulses: bool, phasors: np.ndarray | None = None) -> DecayCurve:
     """Mean ground-state population and its stderr at each of the sorted times, N = ns[k].
 
     With ``pulses`` a run starts in the prepared superposition and is
     read out after the readout pulse; without, it starts in |0>.
-    ``phases`` are passed on to ``_prepare_batch``.
+    ``phasors`` are passed on to ``_prepare_batch``.
     """
-    noise, deltas = _prepare_batch(noise_spec, dephasing, params, phases=phases)
+    noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
     delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
     ket0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = prep_unitary() @ ket0 if pulses else ket0
@@ -581,18 +616,18 @@ def run_fid(dephasing: DephasingSpec, t_list: list[float],
 def run_relaxation(noise_spec: LorentzianNoiseSpec, t_list: list[float],
                    dephasing: DephasingSpec | None = None,
                    params: SimParams | None = None, *,
-                   _phases: np.ndarray | None = None) -> DecayCurve:
+                   _phasors: np.ndarray | None = None) -> DecayCurve:
     """Ground-state population under transverse noise, starting from |0>.
 
     No preparation or readout pulse is applied; the curve is the
-    survival probability P0(t), decaying from 1 toward 1/2.  ``_phases``
-    is private to ``calibrate_amplitude``: the seeded spec's phase rows
-    of realizations 0 .. M-1, drawn once for all of its runs.
+    survival probability P0(t), decaying from 1 toward 1/2.  ``_phasors``
+    is private to ``calibrate_amplitude``: e^{i phi} of the seeded spec's
+    phase rows of realizations 0 .. M-1, computed once for all of its runs.
     """
     params = params or SimParams()
     times = _checked_times(t_list)
     return _curve(_idle_schedule(times[-1]), times, [0] * len(times), noise_spec,
-                  dephasing, params, pulses=False, phases=_phases)
+                  dephasing, params, pulses=False, phasors=_phasors)
 
 
 @dataclass(frozen=True)
@@ -633,15 +668,16 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "
             f"per run; beyond the calibration budget of {_STEP_BUDGET:,}")
 
-    # Only A changes between runs, so every run shares one draw of the phase rows.
+    # Only A changes between runs, so every run shares one draw of the phase
+    # rows and their phasors.
     spec = _seeded(noise_spec, params, _TAG_NOISE)
-    phases = sample_realization(spec, np.arange(params.realizations))
+    phasors = np.exp(1j * sample_realization(spec, np.arange(params.realizations)))
     # Fidelity level one e^-1 contrast step above the mixed state.
     level = 0.5 + 0.5 * math.exp(-1.0)
 
     def fitted_t1(amp: float) -> tuple[float, DecayCurve]:
         curve = run_relaxation(replace(spec, A=amp), t_list, params=params,
-                               _phases=phases)
+                               _phasors=phasors)
         vals = curve.value
         if vals[0] <= level:
             # Decayed before the window opened: definitely too strong.

@@ -13,9 +13,11 @@ weight denominator and the time argument consistent.  The field is
 periodic with period 1/delta_omega (1 ms at the 1 kHz default).
 Since omega_{-n} = -omega_n, the +-n tones of a realization pair into
 real coefficients of cos(omega_n t) and sin(omega_n t), stored once per
-run in a Comb; a field value is then one real dot product of length
-2 n_max + 1 per component, and a whole batch of realizations and times
-is one einsum call whose entries do not depend on the batch layout.
+run in a Comb with the basis index outermost.  A whole batch of
+realizations and times is one einsum call that sums each field value
+over the 2 n_max + 1 basis functions in a fixed order, one multiply
+and one add at a time along the realization axis, so its entries do
+not depend on the batch layout.
 
 The dephasing channel is a quasi-static detuning: one Gaussian draw
 per realization, constant during the run.  A Gaussian of width
@@ -393,9 +395,10 @@ class Comb:
 
     a real-coefficient sum over the basis [1, cos(omega_n t),
     sin(omega_n t)] of n = 1 .. n_max.  ``omega`` holds omega_1 ..
-    omega_{n_max}; ``parts[m, 0]`` and ``parts[m, 1]`` hold the real and
-    imaginary coefficients of row m in that basis order, so ``parts``
-    is (rows, 2, 2 n_max + 1).  ``b_sup`` = A sum_n W(n) bounds |b| for
+    omega_{n_max}; ``parts[q, m, 0]`` and ``parts[q, m, 1]`` hold the real
+    and imaginary coefficients of basis function q of row m, so
+    ``parts`` is a C-contiguous (2 n_max + 1, rows, 2) array with the
+    basis index outermost.  ``b_sup`` = A sum_n W(n) bounds |b| for
     every row.
     """
 
@@ -406,25 +409,31 @@ class Comb:
     @classmethod
     def of(cls, spec: LorentzianNoiseSpec, phases: np.ndarray) -> "Comb":
         """Comb of the realizations whose phases are the rows of ``phases``."""
+        return cls._of_phasors(spec, np.exp(1j * phases))
+
+    @classmethod
+    def _of_phasors(cls, spec: LorentzianNoiseSpec, phasors: np.ndarray) -> "Comb":
+        """``of`` from the rows of e^{i phi}, for callers that reuse them across A."""
         n = spec.n_max
         w = weights_all(spec)
-        coef = 0.5 * spec.A * w[None, :] * np.exp(1j * phases)
+        coef = 0.5 * spec.A * w[None, :] * phasors
         up, down = coef[:, n + 1:], coef[:, n - 1::-1]
-        pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1)
+        pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1).T
         return cls(omega=2.0 * np.pi * spec.indices[n + 1:] * spec.delta_omega,
-                   parts=np.stack([pairs.real, pairs.imag], axis=1),
+                   parts=np.ascontiguousarray(pairs).view(float).reshape(*pairs.shape, 2),
                    b_sup=float(spec.A * np.sum(w)))
 
     def c_at(self, t: np.ndarray) -> np.ndarray:
         """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
 
-        One einsum over the (t.size, 2 n_max + 1) basis: each entry is
-        a fixed-length real dot product of contiguous operands, numpy's
-        own sum-of-products loop and no BLAS, so it is bitwise
-        independent of the other rows and times.  The cosines and sines
-        are written one time row per ufunc loop for the same reason.
-        The result is built time-major and returned as a transposed
-        view, so ``c_at(t).T`` is a contiguous (t.size, rows) array.
+        One einsum of the (t.size, 2 n_max + 1) basis with ``parts``,
+        numpy's own sum-of-products loop and no BLAS.  Its inner loop runs
+        along the contiguous (rows, 2) axes, so each entry is summed one
+        multiply and one add at a time in the fixed order q = 0 .. 2 n_max,
+        bitwise independent of the other rows and times.  The cosines and
+        sines are written one time row per ufunc loop for the same reason.
+        The result is built time-major and returned as a transposed view,
+        so ``c_at(t).T`` is a contiguous (t.size, rows) array.
         """
         n = self.omega.size
         basis = np.empty((t.size, 2 * n + 1))
@@ -432,8 +441,8 @@ class Comb:
         angle = t[:, None] * self.omega
         np.cos(angle, out=basis[:, 1:n + 1])
         np.sin(angle, out=basis[:, n + 1:])
-        out = np.empty((t.size, self.parts.shape[0]), dtype=complex)
-        np.einsum("tq,mjq->tmj", basis, self.parts,
+        out = np.empty((t.size, self.parts.shape[1]), dtype=complex)
+        np.einsum("tq,qmj->tmj", basis, self.parts,
                   out=out.view(float).reshape(*out.shape, 2))
         return out.T
 

@@ -306,6 +306,30 @@ def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
     assert np.max(np.abs(b_m - (u[2] * a + u[3] * b))) <= 1e-14
 
 
+def test_exact_propagator_matches_expm():
+    # The closed form against scipy's expm on random H, on H whose |h| t is
+    # a multiple of pi or just off one, where sin(|h| t) vanishes, and on
+    # H = 0, where the w = 0 guard gives the identity.
+    rng = np.random.default_rng(17)
+    t = 1e-7
+    hz = rng.normal(size=48) * 1e7
+    c = (rng.normal(size=48) + 1j * rng.normal(size=48)) * 1e7
+    hz[:2], c[2:4] = 0.0, 0.0
+    turns = np.repeat(np.arange(1, 9), 3) * (1.0 + np.tile([0.0, 1e-9, -1e-13], 8))
+    near = slice(4, 4 + turns.size)
+    rescale = turns * math.pi / (np.sqrt(hz[near] ** 2 + abs(c[near]) ** 2) * t)
+    hz[near] *= rescale
+    c[near] *= rescale
+    hz[-1], c[-1] = 0.0, 0.0
+    u00, u01, u10, u11 = engine._exact_propagator(hz, c, t)
+    for j in range(hz.size):
+        want = expm(-1j * t * np.array([[hz[j], c[j]], [np.conj(c[j]), -hz[j]]]))
+        got = np.array([[u00[j], u01[j]], [u10[j], u11[j]]])
+        assert np.max(np.abs(got - want)) <= 1e-14, j
+    assert np.max(np.abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0)) <= 1e-15
+    assert (u00[-1], u01[-1], u10[-1], u11[-1]) == (1.0, 0.0, 0.0, 1.0)
+
+
 def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
     # Steps are grouped into blocks only to vectorize their propagators;
     # one step per block gives the same bytes.

@@ -134,6 +134,26 @@ def test_field_batching_is_bitwise_stable():
         assert float(sx) == bx[i] and float(sy) == by[i]
 
 
+def test_comb_values_at_production_size_do_not_depend_on_the_batch_layout():
+    # The comb sum runs along the contiguous (rows, 2) axes of parts; with
+    # 1000 rows that loop has 2000 entries, a SIMD body and a scalar tail.
+    # Each value is still the same bytes whether its row is evaluated alone,
+    # in a 7-row, strided or reversed sub-batch, or in the full batch.
+    spec = spec_with(A=1838870.610118221, master_seed=11)
+    phases = sample_realization(spec, np.arange(1000))
+    comb = noise.Comb.of(spec, phases)
+    assert comb.parts.shape == (21, 1000, 2) and comb.parts.flags.c_contiguous
+    t = 3e-6 + np.arange(32) * 2.9e-9
+    full = comb.c_at(t)
+    layouts = [[0], [999], [517], np.arange(7), np.arange(993, 1000), np.arange(3, 1000, 7),
+               np.arange(0, 1000, 2), np.arange(999, -1, -1), np.arange(998, 100, -3)]
+    for rows in layouts:
+        part = noise.Comb.of(spec, phases[rows]).c_at(t)
+        assert part.tobytes() == full[rows].tobytes()
+    # Any sub-range of times gives the same bytes as well.
+    assert comb.c_at(t[5:6]).tobytes() == full[:, 5:6].tobytes()
+
+
 def test_parseval_power_is_phase_independent():
     spec = spec_with(A=2.5e5, master_seed=11)
     targets = []
