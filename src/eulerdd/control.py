@@ -220,18 +220,17 @@ def build_schedule(spec: SequenceSpec) -> Schedule:
     Raises
     ------
     InvalidTiming
-        If any idle duration would be negative (guarded by the spec
-        validation; rechecked here).
+        If tau is not positive (guarded by the spec validation;
+        rechecked here).
     """
     tau, tau_d = spec.tau, spec.effective_tau_d
-    edge_idle = spec.tau_c / 2 - tau_d / 2
-    if edge_idle < 0 or tau <= 0:
+    if tau <= 0:
         raise InvalidTiming("idle durations must be positive")
     phases = spec.base_phases
-    segments: list[Segment] = [Segment(edge_idle)]
+    segments: list[Segment] = [Segment(tau)]
     for k in range(spec.N):
         segments.append(Segment(tau_d, float(phases[k % len(phases)])))
-        segments.append(Segment(2 * tau if k < spec.N - 1 else edge_idle))
+        segments.append(Segment(2 * tau if k < spec.N - 1 else tau))
     total = math.fsum(s.duration for s in segments)
     expected = spec.N * spec.tau_c
     if abs(total - expected) > 1e-15 + 1e-12 * expected:  # 1 fs class rounding guard

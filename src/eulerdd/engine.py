@@ -23,18 +23,40 @@ one closed-form SU(2) exponential,
 
 of an H built from its values at the step's two Gauss nodes plus
 their commutator, which in SU(2) is a closed-form cross product, so
-propagation is unitary by construction.  A step is exact when H is
-constant over it.  Without the comb a segment's steps do not depend
-on when it starts, so they are built once per distinct (duration,
-phase) and reused; under the comb they are built lazily, one block of
-(steps, M) arrays at a time.  Only their application to the state is
-sequential.  Every array expression is element-wise, except the comb
-sum, which accumulates each (node, realization) entry over the 2 n_max
-+ 1 basis functions in a fixed order, one multiply and one add at a
-time, in numpy's own einsum loop with no BLAS (see noise.Comb).  So
-a realization's trajectory depends only on its own draws and the run's
-step sizes, not on the batch or block layout, and results are
-reproducible from the master seed.
+propagation is unitary by construction.  Its cosine and sine come from
+one tangent, tn = tan(|h| t / 2), as (1 - tn^2) / (1 + tn^2) and 2 tn /
+(1 + tn^2), since numpy's vectorized tan costs a fraction of a sin and
+a cos.  Up to |h| t = 1e5 and at the poles of tn, the odd multiples of
+pi, they stay within 2.2e-16 (cos) and 4.4e-16 (sin) of numpy's sin
+and cos, and |alpha|^2 + |beta|^2 within 8.9e-16 of 1.  A step is
+exact when H is constant over it.  Without the comb a segment's steps
+do not depend on when it starts, so they are built once per distinct
+(duration, phase) and reused; under the comb they are built lazily,
+one block of (steps, M) arrays at a time.  Only their application to
+the state is sequential.
+
+The comb c(t) = sum_n coef_n e^{i omega_n t} changes slowly over a
+segment of duration T: its top tone turns by omega_max T, 6.3e-3 rad
+over a 100 ns pulse.  Its Chebyshev interpolant at k points of the
+segment is within b_sup (omega_max T / 4)^k / k! of it, since |c^(k)|
+<= omega_max^k b_sup / 2 and the node polynomial of k Chebyshev points
+is at most 2 (T / 4)^k.  So a segment takes the smallest k with
+(omega_max T / 4)^k / k! <= 2^-53, an error below b_sup 2^-53, about
+one unit in the last place of c.  Where k (q + 2 nstep) < 2 nstep q,
+with q = 2 n_max + 1, a segment sums the comb at its k points only and
+forms each step's mean and difference of c over its two Gauss nodes
+from them with fixed weights; with the rounding of both sums these stay
+within b_sup 2^-51 of the direct sum's.  Elsewhere, as on calibration's
+few long steps, a segment sums the comb at every node.
+
+Every array expression is element-wise, except the comb sum and the
+interpolation, each of which accumulates every (node, realization)
+entry over its q basis functions or k points in a fixed order, one
+multiply and one add at a time, in numpy's own einsum loop with no
+BLAS (see noise.Comb).  So a realization's trajectory depends only on
+its own draws and the run's step sizes, not on the batch or block
+layout, and results are reproducible from the master seed, bit for bit
+on one numpy build and SIMD dispatch level.
 
 Step control, evaluated once per distinct (duration, is_pulse) of a
 run, since the rule reads no other field of a segment: a segment with a
@@ -42,9 +64,12 @@ constant H (an idle or a Square pulse without the comb) takes one
 step.  A segment whose H varies, of duration T, takes ceil(T scale /
 0.3) steps, where scale = max(peak drive + field bound, detuning
 bound, top comb frequency) bounds every angular rate, so a step turns
-the spin by about 0.3 rad at most; an explicit dt gives ceil(T / dt)
-steps instead.  The detuning bound is 4 sigma_delta for a run (a draw
-exceeds it with probability 6e-5) and |delta| for ``propagate``, not
+the spin by about 0.3 rad at most.  The constant drive of a Square
+pulse is left out of the scale; its steps keep (peak drive + field
+bound) h <= 1 rad instead (see _segment_steps).  An explicit dt gives
+ceil(T / dt) steps instead.  The detuning bound is 4 sigma_delta for a
+run (a draw exceeds it with probability 6e-5) and |delta| for
+``propagate``, not
 the largest draw of a batch, so the steps do not depend on which
 realizations share it.  An explicit dt is checked on every finite
 segment (at most tau_d/50 on a pulse, a priori local error below
@@ -188,10 +213,13 @@ def golden_rule_amplitude(R: float, target_T1: float) -> float:
 _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 # Largest rotation angle per automatic step, in units of the rate bound.
 _THETA = 0.3
-# Steps whose nodes and propagators are computed at once; bounds their memory.
-# At M = 1000 a block's arrays then take about 1 MB, which the allocator keeps
-# for the next block instead of returning it and faulting it in again.
-_BLOCK = 8
+# Largest turn per automatic step under the constant drive of a Square pulse.
+_DRIVE_TURN = 1.0
+# (step, realization) entries whose nodes and propagators are computed at once,
+# in whole steps and at least one: 8 steps at M = 1000, 1 step at M >= 8000.
+# A block's arrays then take about 1 MB at any M, which the allocator keeps for
+# the next block instead of returning it and faulting it in again.
+_BLOCK = 8000
 # Steps on segments whose H varies that one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
 # Largest steps x realizations of one comb-free segment whose step propagators
@@ -204,6 +232,21 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
     """A segment's step count and whether its H varies; (0, False) for zero duration.
 
     The step rule and the explicit-dt checks are those of the module docstring.
+    The automatic scale leaves out the peak drive of a Square pulse.  Its
+    drive is constant, so H varies only through the comb, whose j-th
+    derivative is at most omega_max^j b_sup / 2.  The Omega^[4] step is
+    exact for a constant H, so each O(h^5) term of its local error
+    (Blanes et al.) is a constant times a product, of degree 5 in h, of
+    factors h |H| and at least one alpha_i = h^i H^(i-1) / (i-1)! with
+    i >= 2, which is at most (h b_sup / 2) (h omega_max)^(i-1).  The
+    factors h b_sup and h omega_max are at most 0.3 under the scale
+    without the drive.  The drive enters only through h |H| <= h
+    (Omega_peak + b_sup + delta_max) / 2, which a second bound, h
+    (Omega_peak + b_sup) <= 1, keeps below 0.65; without it a 24 ns
+    pulse under the fig4 comb takes one step and its curve moves by 6e-8.
+    A Gaussian pulse keeps the peak drive in its 0.3 scale: its
+    envelope's derivatives, of order Omega_peak / tau_d^j, make error
+    terms with no comb factor.
     """
     if seg.duration == 0.0:
         return 0, False
@@ -224,8 +267,10 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
                 f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
     else:
         comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
-        scale = max(omega_peak + b_sup, delta_max, comb_max)
-        nstep = max(1, math.ceil(seg.duration * scale / _THETA))
+        drive = omega_peak if shape.kind != "Square" else 0.0
+        scale = max(drive + b_sup, delta_max, comb_max)
+        nstep = max(1, math.ceil(seg.duration * scale / _THETA),
+                    math.ceil(seg.duration * (omega_peak + b_sup) / _DRIVE_TURN))
     varies = noise is not None or (seg.is_pulse and shape.kind != "Square")
     return (nstep, True) if varies else (1, False)
 
@@ -235,22 +280,33 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
 
     Returns (u00, u01, u10, u11) = (alpha, beta, -conj(beta), conj(alpha))
     with alpha = cos(w t) - i r hz and beta = -i r c, where w =
-    sqrt(hz^2 + |c|^2) and r = sin(w t) / w (r = t where w = 0); alpha
-    and beta are written part by part from real arrays.  hz is an array
-    and c an array or scalar that broadcasts with it, such as one row
-    per step and one column per realization.
+    sqrt(hz^2 + |c|^2) and r = sin(w t) / w (r = t where w = 0).  Both
+    come from one tangent, tn = tan(w t / 2): cos(w t) = (1 - tn^2) / (1 +
+    tn^2) and r = 2 tn / ((1 + tn^2) w).  w^2 is summed from products
+    and tn is taken of a fresh contiguous array, because numpy's abs and
+    tan round differently on some strides; so every entry gets the same
+    bytes in any batch layout.  alpha and beta are written part by part
+    from real arrays.  hz is an array and c an array or scalar that
+    broadcasts with it, such as one row per step and one column per
+    realization.
     """
-    w = abs(c)
-    w *= w
-    w += hz * hz
+    w = np.multiply(hz, hz, out=np.empty(np.broadcast(hz, c).shape))
+    w += c.real * c.real
+    w += c.imag * c.imag
     np.sqrt(w, out=w)
-    wt = w * t
-    with np.errstate(invalid="ignore"):
-        r = np.sin(wt) / w
-    r[w == 0.0] = t
+    tn = w * (0.5 * t)
+    np.tan(tn, out=tn)
+    den = tn * tn
     alpha = np.empty(w.shape, dtype=complex)
     beta = np.empty(w.shape, dtype=complex)
-    np.cos(wt, out=alpha.real)
+    np.subtract(1.0, den, out=alpha.real)
+    den += 1.0
+    alpha.real /= den
+    den *= w
+    with np.errstate(invalid="ignore"):
+        r = np.divide(tn, den, out=tn)
+    r += r
+    r[w == 0.0] = t
     np.multiply(r, c.imag, out=beta.real)
     np.negative(r, out=r)
     np.multiply(r, hz, out=alpha.imag)
@@ -260,48 +316,111 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     return alpha, beta, minus_conj_beta, np.conj(alpha)
 
 
+def _comb_interpolation(duration: float, nstep: int, noise: Comb):
+    """Chebyshev points and Gauss-node weights that interpolate the comb on a segment.
+
+    Returns None when the direct comb sum at the 2 nstep Gauss nodes is
+    cheaper, else (points, weights): the k first-kind Chebyshev points of
+    [0, duration], k the smallest with (omega_max duration / 4)^k / k! <=
+    2^-53, and the (2, nstep, k) weights that give every step's mean of c
+    over its two Gauss nodes (row 0) and their difference (row 1), from
+    the nodes' Lagrange weights.  The interpolant of c at k such points is
+    within b_sup (omega_max duration / 4)^k / k! of c (module docstring),
+    and costs k (q + 2 nstep) multiply-adds per realization against
+    2 nstep q for the direct sum, with q = 2 n_max + 1 basis functions.
+    Each weight row is computed from its own step's nodes alone.
+    """
+    q = noise.parts.shape[0]
+    rate = (float(noise.omega[-1]) if noise.omega.size else 0.0) * duration / 4.0
+    k, term = 0, 1.0
+    while term > 2.0 ** -53:
+        k += 1
+        if k * (q + 2 * nstep) >= 2 * nstep * q:
+            return None
+        term *= rate / k
+    x = np.cos((2 * np.arange(k) + 1) * (np.pi / (2 * k)))
+    y = 2.0 * (np.arange(nstep) + _NODES[:, None]) / nstep - 1.0
+    # Lagrange weight i of node y: the product over j != i of (y - x_j) / (x_i - x_j).
+    other = ~np.eye(k, dtype=bool)
+    factors = (y[..., None, None] - x) / np.where(other, x[:, None] - x, 1.0)
+    lagrange = np.where(other, factors, 1.0).prod(axis=-1)
+    weights = np.stack([0.5 * (lagrange[0] + lagrange[1]), lagrange[0] - lagrange[1]])
+    return 0.5 * duration * (1.0 + x), weights
+
+
+def _node_fields(seg: Segment, shape: PulseShape, noise: Comb | None, rows: int,
+                 t_abs: float, nstep: int, interpolation=None):
+    """Yield the node mean and difference of c for a segment's steps, one block at a time.
+
+    The segment starts at t_abs.  A block of s steps is a (2 s, rows)
+    array: the mean (c1 + c2) / 2 of c at each step's two Gauss nodes,
+    then their difference c1 - c2; without the comb it has one column.
+    ``interpolation``, the segment's ``_comb_interpolation`` if given,
+    forms both from the comb's values at the Chebyshev points, in the
+    einsum that sums the comb with the points as its basis axis.
+    """
+    h = seg.duration / nstep
+    block = max(1, _BLOCK // rows)
+    if noise is not None and interpolation is not None:
+        points, weights = interpolation
+        at_points = noise.c_at(t_abs + points).T
+        at_points = at_points.view(float).reshape(*at_points.shape, 2)
+    for done in range(0, nstep, block):
+        steps = np.arange(done, min(nstep, done + block))
+        rel = (steps[None, :] + _NODES[:, None]) * h
+        if noise is None:
+            c = np.zeros((2 * steps.size, 1), complex)
+        elif interpolation is None:
+            c = noise.c_at(t_abs + rel.ravel()).T
+            c1, c2 = c[:steps.size], c[steps.size:]
+            mean = c1 + c2
+            np.subtract(c1, c2, out=c2)
+            np.multiply(mean, 0.5, out=c1)
+        else:
+            c = np.empty((2 * steps.size, rows), complex)
+            np.einsum("tq,qmj->tmj", weights[:, steps].reshape(c.shape[0], -1), at_points,
+                      out=c.view(float).reshape(*c.shape, 2))
+        if seg.is_pulse:
+            env = pulse_envelope(shape, seg.duration, rel)
+            drive = 0.5 * np.exp(-1j * seg.phase)
+            c += drive * np.concatenate([0.5 * (env[0] + env[1]), env[0] - env[1]])[:, None]
+        yield c
+
+
 def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
-                  hz: np.ndarray, t_abs: float, nstep: int):
+                  hz: np.ndarray, t_abs: float, nstep: int, interpolation=None):
     """Yield the propagators of a segment's nstep Magnus steps, one block at a time.
 
     The segment starts at t_abs; each block is (u00, u01, u10, u11),
     (steps, M) arrays.  A step of length h with transverse coefficients
     c1, c2 at its two Gauss nodes is exp(-i h H_eff), Omega^[4] =
     (h/2)(A1 + A2) - (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2)
-    the commutator is a cross product, so with k = sqrt(3) h / 6
+    the commutator is a cross product, so with k = sqrt(3) h / 6, the
+    mean m = (c1 + c2) / 2 and the difference d = c1 - c2,
 
-        c_eff = (c1 + c2) / 2 - i k hz (c1 - c2),
-        hz_eff = hz + k Im(conj(c1) c2),
+        c_eff = m - i k hz d,
+        hz_eff = hz + k Im(conj(c1) c2) = hz + k Im(conj(d) m),
 
     and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a run.
-    A block evaluates c at all its first Gauss nodes, then all its second,
-    so c1 and c2 are its contiguous halves, and writes hz_eff and the
-    parts of c_eff from their real and imaginary parts in place.  Without
-    the comb c has one column; only hz_eff and c_eff span the realizations.
+    m and d are the contiguous halves of a ``_node_fields`` block, and
+    hz_eff and the parts of c_eff are written from their real and
+    imaginary parts in place.  Only hz_eff and c_eff are sure to span the
+    realizations.
     """
     h = seg.duration / nstep
     k = math.sqrt(3.0) * h / 6.0
     kh = k * hz
-    for done in range(0, nstep, _BLOCK):
-        steps = np.arange(done, min(nstep, done + _BLOCK))
-        rel = ((steps[None, :] + _NODES[:, None]) * h).ravel()
-        c = noise.c_at(t_abs + rel).T if noise is not None else np.zeros((rel.size, 1), complex)
-        if seg.is_pulse:
-            c += (0.5 * np.exp(-1j * seg.phase)) * pulse_envelope(shape, seg.duration,
-                                                                  rel)[:, None]
-        c1, c2 = c[:steps.size], c[steps.size:]
-        hz_eff = c1.real * c2.imag
-        hz_eff -= c1.imag * c2.real
+    for c in _node_fields(seg, shape, noise, hz.size, t_abs, nstep, interpolation):
+        mean, d = c[:c.shape[0] // 2], c[c.shape[0] // 2:]
+        hz_eff = d.real * mean.imag
+        hz_eff -= d.imag * mean.real
         hz_eff *= k
         hz_eff = hz_eff + hz
-        half = c1 + c2
-        half *= 0.5
-        d = np.subtract(c1, c2, out=c1)
         c_eff = np.empty(hz_eff.shape, dtype=complex)
         np.multiply(kh, d.imag, out=c_eff.real)
-        c_eff.real += half.real
+        c_eff.real += mean.real
         np.multiply(kh, d.real, out=c_eff.imag)
-        np.subtract(half.imag, c_eff.imag, out=c_eff.imag)
+        np.subtract(mean.imag, c_eff.imag, out=c_eff.imag)
         yield _exact_propagator(hz_eff, c_eff, h)
 
 
@@ -323,6 +442,7 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
     cache: dict = {}
+    interpolations: dict = {}
     t_abs = 0.0
     n_steps = n_exact = 0
     max_drift = 0.0
@@ -337,7 +457,13 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                 a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
                 n_exact += 1
             continue
-        blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep)
+        interpolation = None
+        if noise is not None:
+            key = (seg.duration, nstep)
+            if key not in interpolations:
+                interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
+            interpolation = interpolations[key]
+        blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep, interpolation)
         if noise is None and nstep * hz.size <= _CACHE_ENTRIES:
             # Without the comb the steps do not depend on t_abs: build them once.
             key = (seg.duration, seg.phase)
@@ -367,7 +493,9 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
     Snapshot times must fall on segment boundaries or inside idle
     segments, which are split; a time inside a pulse is an error.
     Boundary matching absorbs the float drift of summing segment
-    durations by comparing at 1e-6 of the shortest segment.
+    durations by comparing at 1e-6 of the shortest segment, and a time
+    that close to an idle's midpoint splits it into two exact halves,
+    which then share their steps.
     """
     items: list[tuple] = []
     queue = sorted(times)
@@ -383,10 +511,12 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
         while qi < len(queue) and queue[qi] < t_end - tol:
             if seg.is_pulse:
                 raise ValueError(f"snapshot time {queue[qi]!r} falls inside a pulse")
-            cut = queue[qi] - t
+            cut, rest = queue[qi] - t, t_end - queue[qi]
+            if abs(cut - seg.duration / 2) <= tol:
+                cut = rest = seg.duration / 2
             items.append(("seg", Segment(cut, None)))
             items.append(("snap",))
-            seg = Segment(t_end - queue[qi], None)
+            seg = Segment(rest, None)
             t = queue[qi]
             qi += 1
         items.append(("seg", seg))

@@ -1,6 +1,7 @@
 """Monte Carlo engine: propagation accuracy, determinism, and runners."""
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
 from eulerdd import engine
 from eulerdd.cli import main as cli_main
 from eulerdd.control import Segment, pulse_envelope
+from eulerdd.noise import Comb
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 R_FAST = 2 * math.pi * 5e3
@@ -328,6 +330,122 @@ def test_exact_propagator_matches_expm():
         assert np.max(np.abs(got - want)) <= 1e-14, j
     assert np.max(np.abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0)) <= 1e-15
     assert (u00[-1], u01[-1], u10[-1], u11[-1]) == (1.0, 0.0, 0.0, 1.0)
+
+
+# 2 pi to 60 digits, for reducing exact float angles.
+TWO_PI = 2 * Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+# (hz, Re c, Im c, w) with w = sqrt(hz^2 + |c|^2) an integer, so w is exact in floats.
+EXACT_NORMS = [(2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9), (6, 6, 7, 11),
+               (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("angle", [0.3, 7.0, 123.4, 3e3, 4.2e4, 1e5, 3 * math.pi,
+                                   101 * math.pi, 31831 * math.pi])
+def test_exact_propagator_matches_expm_at_large_angles(angle):
+    # Up to |h| t = 1e5 rad, and next to the odd multiples of pi where
+    # tan(|h| t / 2) has its poles.  Each w t is an exact float product, so
+    # the true exp(-i t H) is that of the angle reduced modulo 2 pi, for
+    # which expm is accurate.
+    scale = 2.0 ** 20
+    for hz0, re0, im0, w0 in EXACT_NORMS:
+        w = w0 * scale
+        exp2 = math.frexp(angle / w)[1] - 49
+        t = round(angle / w / 2.0 ** exp2) * 2.0 ** exp2  # w t is exact
+        with localcontext() as ctx:
+            ctx.prec = 60
+            reduced = float(Decimal(w * t) % TWO_PI)
+        h = scale * np.array([[hz0, re0 + 1j * im0], [re0 - 1j * im0, -hz0]])
+        want = expm(-1j * (reduced / w) * h)
+        u00, u01, u10, u11 = engine._exact_propagator(
+            np.array([hz0 * scale]), np.array([(re0 + 1j * im0) * scale]), t)
+        got = np.array([[u00[0], u01[0]], [u10[0], u11[0]]])
+        assert np.max(np.abs(got - want)) <= 1e-14, (hz0, re0, im0)
+        assert abs(abs(u00[0]) ** 2 + abs(u01[0]) ** 2 - 1.0) <= 1e-15
+
+
+def test_exact_propagator_bytes_do_not_depend_on_the_batch_layout():
+    # numpy's tan, sqrt and arithmetic run a vector body and a scalar tail;
+    # each entry gets the same bytes whether it is computed alone, in
+    # 1,000 rows or in a strided sub-batch.
+    rng = np.random.default_rng(5)
+    t = 1e-7
+    hz = rng.normal(size=1000) * 1e7
+    c = (rng.normal(size=1000) + 1j * rng.normal(size=1000)) * 1e7
+    # Angles w t from 0 to 1e5 rad, some next to odd multiples of pi.
+    turns = np.concatenate([rng.uniform(0.0, 1e5, 990), 2 * np.arange(10) + 1.0])
+    turns[-10:] *= math.pi
+    rescale = turns / (np.sqrt(hz ** 2 + abs(c) ** 2) * t)
+    hz *= rescale
+    c *= rescale
+    hz[7], c[7] = 0.0, 0.0
+    full = engine._exact_propagator(hz, c, t)
+    for rows in [slice(7, 8), slice(998, 999), slice(None, None, 3), slice(5, 905, 7),
+                 slice(None, None, -1), slice(1, 1000)]:
+        part = engine._exact_propagator(hz[rows], c[rows], t)
+        for got, want in zip(part, full):
+            assert got.tobytes() == want[rows].tobytes(), rows
+
+
+# The fig4 comb over 1000 realizations.
+FIG4_PHASES = sample_realization(replace(FIG4_NOISE, master_seed=9), np.arange(1000))
+
+
+def fig4_pulse_nodes(rows, interpolate):
+    """The comb alone over one fig4 pulse's steps, (2, steps, rows).
+
+    A 100 ns segment at t = 3.3 us with the step count of a 100 ns
+    Gaussian pulse under the fig4 comb, for the realizations ``rows`` of
+    FIG4_PHASES: the mean and the difference of the comb at each step's
+    two Gauss nodes, by interpolation or by the direct sum.
+    """
+    noise = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES[rows])
+    seg = Segment(100e-9, None)
+    nstep, _ = engine._segment_steps(Segment(100e-9, 0.0), PulseShape("Gaussian"), noise,
+                                     4.0 * SIGMA_FID, None)
+    interpolation = None
+    if interpolate:
+        interpolation = engine._comb_interpolation(seg.duration, nstep, noise)
+        assert interpolation is not None
+    blocks = list(engine._node_fields(seg, PulseShape("Square"), noise, len(rows), 3.3e-6,
+                                      nstep, interpolation))
+    mean = np.concatenate([b[:b.shape[0] // 2] for b in blocks])
+    difference = np.concatenate([b[b.shape[0] // 2:] for b in blocks])
+    return np.stack([mean, difference])
+
+
+def test_interpolated_comb_is_within_its_bound_of_the_direct_sum():
+    # The Chebyshev interpolant's error is at most b_sup 2^-53; with the
+    # rounding of both sums the node means and differences stay within
+    # b_sup 2^-51 of the direct comb sum's at every step of a fig4 pulse,
+    # for all 1000 rows.  One Chebyshev point fewer gives about 3e-14 b_sup.
+    rows = np.arange(1000)
+    b_sup = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES[:1]).b_sup
+    got = fig4_pulse_nodes(rows, True)
+    want = fig4_pulse_nodes(rows, False)
+    assert np.max(np.abs(got - want)) <= 2.0 ** -51 * b_sup
+
+
+def test_interpolated_comb_bytes_do_not_depend_on_layout_or_block(monkeypatch):
+    # Every value is summed on its own over the Chebyshev points: one row,
+    # a strided or reversed sub-batch, and one step per block give the
+    # bytes of the full 1000-row evaluation.
+    full = fig4_pulse_nodes(np.arange(1000), True)
+    for rows in [np.array([417]), np.arange(1000)[::-3], np.arange(3, 1000, 7)]:
+        assert fig4_pulse_nodes(rows, True).tobytes() == full[:, :, rows].tobytes()
+    monkeypatch.setattr(engine, "_BLOCK", 1)
+    assert fig4_pulse_nodes(np.arange(1000), True).tobytes() == full.tobytes()
+
+
+def test_snapshots_split_idles_into_exact_halves():
+    # A snapshot at a cycle boundary cuts that 2 tau idle at its midpoint,
+    # so every idle lasts exactly tau or 2 tau and the comb-free step cache
+    # builds one step set per distinct segment.
+    spec = SequenceSpec("XY8", N=40, tau=712e-9, tau_d=500e-9)
+    times = [n * spec.tau_c for n in range(8, 41, 8)]
+    items = engine._split_idles_at(build_schedule(spec), times)
+    idles = {item[1].duration for item in items if item[0] == "seg" and not item[1].is_pulse}
+    assert idles == {spec.tau, 2 * spec.tau}
+    assert sum(item[0] == "snap" for item in items) == len(times)
 
 
 def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):

@@ -2,6 +2,10 @@
 comb and the propagation, batched detunings against per-index generators, and
 config dump/parse round trips."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +133,37 @@ def test_run_batch_states_do_not_depend_on_the_batch_layout(rows):
     # batch, in a sub-batch, alone or in reversed index order.
     for part, full in zip(batch_states(rows), FULL_STATES):
         assert part.tobytes() == full[rows].tobytes()
+
+
+def dispatch_targets():
+    """The SIMD targets numpy dispatches to at run time that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_layout_checks_hold_at_every_dispatch_level():
+    # The two layout checks above rest on numpy's dispatched loops (einsum's
+    # multiply-add, tan) rounding their vector body and scalar tail alike.
+    # Rerun them with each dispatch target disabled, one process per core.
+    checks = [f"{__file__}::{test.__name__}" for test in
+              (test_comb_values_do_not_depend_on_the_batch_layout,
+               test_run_batch_states_do_not_depend_on_the_batch_layout)]
+    targets = dispatch_targets()
+    width = os.cpu_count() or 1
+    for start in range(0, len(targets), width):
+        runs = {}
+        for target in targets[start:start + width]:
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=target)
+            runs[target] = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *checks],
+                cwd=pathlib.Path(__file__).parents[1], env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True)
+        for target, run in runs.items():
+            out, _ = run.communicate(timeout=120)
+            assert run.returncode == 0, f"{target} disabled:\n{out[-3000:]}"
 
 
 @PROPERTY
