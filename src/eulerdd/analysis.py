@@ -21,7 +21,9 @@ each pass and the final parameters call it.  Points are weighted by
 1/stderr^2.  A point whose stderr is zero, such as the exact t = 0
 point of a relax or fid curve, would take infinite weight and is left
 out of the fit; only a curve whose every stderr is zero is fitted with
-unit weights.
+unit weights.  A best T beyond 1e3 times the sampled span is no decay
+(NoDecay), and one below a tenth of the smallest time step is a decay
+the sampling does not resolve (Degenerate).
 """
 from __future__ import annotations
 
@@ -49,7 +51,11 @@ class NoDecay(RuntimeError):
 
 
 class Degenerate(ValueError):
-    """The curve carries no decay information (constant or too short)."""
+    """The curve carries no decay information (constant, too short, or too sparse).
+
+    Too sparse: the fitted decay time is below a tenth of the smallest
+    time step, so the curve falls between two samples.
+    """
 
 
 class RangeViolation(ValueError):
@@ -134,8 +140,9 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     curve provides t, value and stderr arrays (a DecayCurve or
     anything shaped like one).  Points whose stderr is zero are left
     out unless every stderr is zero.  Raises Degenerate for constant
-    or too-short curves and NoDecay when the best T runs off to more
-    than 1e3 times the sampled span.
+    or too-short curves and when the best T is below a tenth of the
+    smallest step between the fitted times, and NoDecay when it runs
+    off to more than 1e3 times the sampled span.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -188,6 +195,13 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     if best_T > _NO_DECAY_FACTOR * span:
         raise NoDecay(f"fitted T = {best_T:.3e} beyond "
                       f"{_NO_DECAY_FACTOR:g} x span = {span:.3e}")
+    # The fast-end twin: a decay within a tenth of one time step falls
+    # between two samples, and any T below the sampling fits it alike.
+    gaps = np.diff(t)
+    resolution = float(gaps[gaps > 0].min())
+    if best_T < 0.1 * resolution:
+        raise Degenerate(f"fitted T = {best_T:.3e} below a tenth of the "
+                         f"smallest time step {resolution:.3e}")
     final = _profiled_chi2(t, v, w, p, model, np.array([best_T]))
     chi_min, base, con = (float(a[0]) for a in final)
 

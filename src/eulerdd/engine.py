@@ -14,10 +14,10 @@ realizations is equivalent to propagating the density matrix because
 every realization evolves unitarily.
 
 Realizations are propagated as one vectorized batch of (M,) arrays.
-Delta pulses are exact pi rotations; every finite segment is applied
-the same way, as fourth-order Magnus steps (the Omega^[4] integrator
-of Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step is
-one closed-form SU(2) exponential,
+Delta pulses are exact pi rotations; every finite segment takes
+fourth-order Magnus steps (the Omega^[4] integrator of Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step is one closed-form
+SU(2) exponential,
 
     exp(-i t H) = cos(|h| t) - i (sin(|h| t) / |h|) H,   |h| = sqrt(delta^2/4 + |c|^2),
 
@@ -29,11 +29,17 @@ one tangent, tn = tan(|h| t / 2), as (1 - tn^2) / (1 + tn^2) and 2 tn /
 a cos.  Up to |h| t = 1e5 and at the poles of tn, the odd multiples of
 pi, they stay within 2.2e-16 (cos) and 4.4e-16 (sin) of numpy's sin
 and cos, and |alpha|^2 + |beta|^2 within 8.9e-16 of 1.  A step is
-exact when H is constant over it.  Without the comb a segment's steps
-do not depend on when it starts, so they are built once per distinct
-(duration, phase) and reused; under the comb they are built lazily,
-one block of (steps, M) arrays at a time.  Only their application to
-the state is sequential.
+exact when H is constant over it.
+
+A segment advances the state in one of two ways.  Where its propagator
+does not depend on when it starts, as for a Delta pulse and for every
+finite segment without the comb, it applies one cached step per
+distinct (duration, phase): the pi rotation, or the product of the
+segment's Magnus steps, multiplied out once, block by block, into one
+(1, M) step.  Under the comb a finite segment applies its own Magnus
+steps, built lazily, one block of (steps, M) arrays at a time.  So a
+run holds one block plus one (1, M) step per class, and only the
+application of steps to the state is sequential.
 
 The comb c(t) = sum_n coef_n e^{i omega_n t} changes slowly over a
 segment of duration T: its top tone turns by omega_max T, 6.3e-3 rad
@@ -222,9 +228,6 @@ _DRIVE_TURN = 1.0
 _BLOCK = 8000
 # Steps on segments whose H varies that one propagation or calibration run may take.
 _STEP_BUDGET = 2_000_000
-# Largest steps x realizations of one comb-free segment whose step propagators
-# are kept for reuse; a longer segment builds them one block at a time.
-_CACHE_ENTRIES = 1 << 20
 
 
 def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
@@ -424,6 +427,30 @@ def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
         yield _exact_propagator(hz_eff, c_eff, h)
 
 
+def _apply(u, j, a, b):
+    """Step j of u = (u00, u01, u10, u11) applied to the column pair (a, b)."""
+    return u[0][j] * a + u[1][j] * b, u[2][j] * a + u[3][j] * b
+
+
+def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
+    """The one step of a segment whose propagator does not depend on its start.
+
+    A Delta pulse's step is its exact pi rotation about (cos phi, sin
+    phi), four (1,) arrays.  A comb-free finite segment's is the product
+    of its nstep Magnus steps as four (1, M) arrays, streamed one block
+    at a time: its |0> column (x, y) starts from the first step's
+    column, so a one-step segment keeps the bytes of that step, and its
+    SU(2) partner is (-conj y, conj x).
+    """
+    if seg.duration == 0.0:
+        return tuple(axis_rotation(seg.phase, math.pi).reshape(4, 1))
+    x = y = None
+    for u in _magnus_steps(seg, shape, None, hz, 0.0, nstep):
+        for j in range(u[0].shape[0]):
+            x, y = (u[0][j], u[2][j]) if x is None else _apply(u, j, x, y)
+    return x[None], -np.conj(y)[None], y[None], np.conj(x)[None]
+
+
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray, psi0: np.ndarray,
                      diagnostics: dict | None = None):
@@ -431,48 +458,37 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
 
     nstep and varies are the segment's ``_segment_steps``.  psi0 is the
     initial 2-vector of all M = deltas.size realizations; returns one
-    (M, 2) wavefunction copy per "snap" marker.  Delta pulses are exact
-    pi rotations, and every finite segment takes its Magnus steps,
-    built once per (duration, phase) without the comb.  `diagnostics`,
-    if given, receives "integrated_steps", "exact_segments" and
-    "max_norm_drift".
+    (M, 2) wavefunction copy per "snap" marker.  A segment advances the
+    state in one of two ways.  A Delta pulse, and every finite segment
+    without the comb, does not depend on when it starts: it applies one
+    ``_class_step``, built once per distinct (duration, phase).  A
+    finite segment under the comb applies its Magnus steps, built one
+    block at a time.  `diagnostics`, if given, receives
+    "integrated_steps", "exact_segments" and "max_norm_drift".
     """
-    a = np.full(deltas.size, psi0[0], dtype=complex)
-    b = np.full(deltas.size, psi0[1], dtype=complex)
+    a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
-    cache: dict = {}
-    interpolations: dict = {}
-    t_abs = 0.0
+    steps, interpolations = {}, {}
+    t_abs = max_drift = 0.0
     n_steps = n_exact = 0
-    max_drift = 0.0
     for item in items:
         if item[0] == "snap":
             snaps.append(np.stack([a, b], axis=1))
             continue
         _, seg, nstep, varies = item
-        if seg.duration == 0.0:
-            if seg.is_pulse:  # Delta pulse: exact pi rotation about (cos phi, sin phi)
-                u = axis_rotation(seg.phase, math.pi)
-                a, b = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
-                n_exact += 1
-            continue
-        interpolation = None
-        if noise is not None:
+        if noise is None or seg.duration == 0.0:
+            if seg not in steps:  # one per (duration, phase)
+                steps[seg] = [_class_step(seg, shape, hz, nstep)]
+            blocks = steps[seg]
+        else:
             key = (seg.duration, nstep)
             if key not in interpolations:
                 interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
-            interpolation = interpolations[key]
-        blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep, interpolation)
-        if noise is None and nstep * hz.size <= _CACHE_ENTRIES:
-            # Without the comb the steps do not depend on t_abs: build them once.
-            key = (seg.duration, seg.phase)
-            if key not in cache:
-                cache[key] = list(blocks)
-            blocks = cache[key]
-        for u00, u01, u10, u11 in blocks:
-            for j in range(u00.shape[0]):
-                a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
+            blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep, interpolations[key])
+        for u in blocks:
+            for j in range(u[0].shape[0]):
+                a, b = _apply(u, j, a, b)
                 if diagnostics is not None:
                     norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
                     max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
@@ -495,7 +511,7 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
     Boundary matching absorbs the float drift of summing segment
     durations by comparing at 1e-6 of the shortest segment, and a time
     that close to an idle's midpoint splits it into two exact halves,
-    which then share their steps.
+    which then share their step.  A zero-length idle is left out.
     """
     items: list[tuple] = []
     queue = sorted(times)
@@ -519,7 +535,8 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
             seg = Segment(rest, None)
             t = queue[qi]
             qi += 1
-        items.append(("seg", seg))
+        if seg.duration > 0.0 or seg.is_pulse:
+            items.append(("seg", seg))
         t = t_end
     while qi < len(queue):
         if queue[qi] > t + tol:
@@ -814,8 +831,12 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
             return 0.5 * t_list[0], curve
         try:
             fit = fit_decay(curve, p=1, model="free")
-        except (NoDecay, Degenerate):
+        except NoDecay:
             return math.inf, curve
+        except Degenerate:
+            # Constant, so it never decays, unless it fell below the level
+            # faster than the window's sampling resolves: too strong.
+            return (0.5 * t_list[0] if vals.min() <= level else math.inf), curve
         if fit.contrast <= 0.0:
             # Overdriven runs swing around 0.5 instead of decaying; the
             # inverted fit is meaningless, so fall back to the first

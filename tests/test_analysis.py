@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from eulerdd import analysis
+from eulerdd import analysis, engine
 from eulerdd import (CurvePoint, DecayCurve, Degenerate, FitResult,
                      LorentzianNoiseSpec, NoDecay, RangeViolation, SimParams,
                      calibrate_amplitude, fit_decay, normalize_coherence)
@@ -20,6 +20,12 @@ def synthetic(T, p=1, baseline=0.5, contrast=0.5, n=20, t_max=None,
     v = np.clip(v, 0.0, 1.0)
     err = noise if stderr is None else stderr
     return DecayCurve(tuple(CurvePoint(float(ti), 0, float(vi), err)
+                            for ti, vi in zip(t, v)))
+
+
+def points(t, v, stderr):
+    """A DecayCurve of values v at times t, every point with the same stderr."""
+    return DecayCurve(tuple(CurvePoint(float(ti), 0, float(vi), stderr)
                             for ti, vi in zip(t, v)))
 
 
@@ -157,21 +163,64 @@ def test_grid_scan_keeps_the_rank_cut_of_lstsq():
 
 
 def test_a_minimum_the_search_cannot_bracket_has_no_variance():
-    # Under 0.5, a fixed-model curve fits best with every point fully
-    # decayed: its chi-square falls toward T -> 0 and the scan's best is its
-    # smallest T.  One high point before a flat tail: the free fit matches
-    # that point exactly down to the smallest T that lstsq still resolves
-    # from a constant, where the chi-square steps up.  Neither is a parabola.
-    t = np.linspace(1.0, 10.0, 10)
+    # One high point before a flat tail: the free fit matches that point
+    # exactly down to the smallest T that lstsq still resolves from a
+    # constant, where the chi-square steps up instead of curving.  That T
+    # is about t[0] / 32; with the curve sampled from five steps in, it
+    # lies above a tenth of a step, so the fit stands, with no variance.
     noise = np.random.default_rng(0).normal(0.0, 0.01, 10)
     spike = 0.5 + noise
     spike[0] = 0.9
+    t = np.linspace(5.0, 14.0, 10)
+    fit = fit_decay(points(t, spike, 0.01), p=1, model="free")
+    assert 0.1 < fit.T < 0.03 * (t[-1] - t[0])
+    assert fit.covariance_T == math.inf
+    # Sampled from one step in, the same spike fits below a tenth of a
+    # step.  Under 0.5, a fixed-model curve fits best with every point
+    # fully decayed: its chi-square falls toward T -> 0 and the scan's best
+    # is its smallest T.  Both are decays faster than the sampling.
+    t = np.linspace(1.0, 10.0, 10)
     for v, model in ((0.45 + noise, "fixed"), (spike, "free")):
-        curve = DecayCurve(tuple(CurvePoint(float(ti), 0, float(vi), 0.01)
-                                 for ti, vi in zip(t, v)))
-        fit = fit_decay(curve, p=1, model=model)
-        assert fit.T < 0.01 * (t[-1] - t[0])
-        assert fit.covariance_T == math.inf
+        with pytest.raises(Degenerate, match="below a tenth of the smallest time step"):
+            fit_decay(points(t, v, 0.01), p=1, model=model)
+
+
+@pytest.mark.parametrize("model", ["free", "fixed"])
+@pytest.mark.parametrize("T", [1e-9, 50e-9])
+def test_a_decay_faster_than_the_sampling_is_degenerate(T, model):
+    # 16 points 1 us apart, the fast-end twin of NoDecay: any T below the
+    # sampling fits a decay within the first step alike (the scan's floor,
+    # 1.4e-8 s, with r^2 = 0.99 for a true T of 1 ns or 50 ns), so a fit
+    # below a tenth of the smallest step is refused.
+    t = np.linspace(0.0, 15e-6, 16)
+    v = 0.5 + 0.5 * np.exp(-t / T) + np.random.default_rng(3).normal(0.0, 0.01, 16)
+    with pytest.raises(Degenerate, match="below a tenth of the smallest time step"):
+        fit_decay(points(t, np.clip(v, 0.0, 1.0), 0.01), p=1, model=model)
+    # A decay over a fifth of a step is resolved and fitted.
+    fit = fit_decay(points(t, 0.5 + 0.5 * np.exp(-t / 0.2e-6), 1e-3), p=1, model=model)
+    assert fit.T == pytest.approx(0.2e-6, rel=1e-6)
+
+
+def test_calibration_reads_a_decay_faster_than_the_sampling_as_too_strong(monkeypatch):
+    # A stand-in for the relaxation runs: an exponential of T1 ~ 1 / A^2
+    # up to twice the golden-rule guess, and above it a curve that falls to
+    # the mixed level within a nanosecond, sampled 1 us apart from t = 0.
+    # The fit refuses that curve as too fast; the calibration must bracket
+    # the target with it as a too strong amplitude, not as one that never
+    # decays, and converge at the guess.
+    target = 10e-6
+    guess = math.sqrt(31415.926535897932 / target)
+
+    def relaxation(spec, t_list, dephasing=None, params=None, *, _phasors=None):
+        t = np.array(t_list)
+        if spec.A > 2.0 * guess:
+            return points(t - t[0], 0.5 + 0.5 * np.exp(-(t - t[0]) / 1e-9), 1e-3)
+        return points(t, 0.5 + 0.5 * np.exp(-t / (target * (guess / spec.A) ** 2)), 1e-3)
+
+    monkeypatch.setattr(engine, "run_relaxation", relaxation)
+    cal = calibrate_amplitude(LorentzianNoiseSpec(R=31415.926535897932, A=0.0), target,
+                              params=SimParams(realizations=4))
+    assert cal.A == pytest.approx(guess, rel=1e-12) and cal.iterations == 3
 
 
 def test_exact_points_are_left_out_of_the_weighted_fit():

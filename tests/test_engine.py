@@ -438,8 +438,8 @@ def test_interpolated_comb_bytes_do_not_depend_on_layout_or_block(monkeypatch):
 
 def test_snapshots_split_idles_into_exact_halves():
     # A snapshot at a cycle boundary cuts that 2 tau idle at its midpoint,
-    # so every idle lasts exactly tau or 2 tau and the comb-free step cache
-    # builds one step set per distinct segment.
+    # so every idle lasts exactly tau or 2 tau and a comb-free run builds
+    # one step per distinct segment.
     spec = SequenceSpec("XY8", N=40, tau=712e-9, tau_d=500e-9)
     times = [n * spec.tau_c for n in range(8, 41, 8)]
     items = engine._split_idles_at(build_schedule(spec), times)
@@ -459,15 +459,81 @@ def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
     assert run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text() == default
 
 
-def test_scan_without_comb_does_not_depend_on_the_step_cache(monkeypatch):
-    # Comb-free steps are kept for reuse only to save work; building them
-    # anew for every segment gives the same bytes.
+def test_scan_without_comb_matches_step_by_step_application():
+    # Without the comb each segment class applies one cached step, the
+    # product of its Magnus steps.  Applying those steps to the state one
+    # by one, as under the comb, gives the same curve within 1e-14.
     spec = replace(FIG4_SPEC, N=16)
+    n_list = [8, 16]
     params = SimParams(realizations=16, master_seed=3)
     deph = DephasingSpec(sigma_delta=SIGMA_FID)
-    default = run_dd_scan(spec, [8, 16], None, deph, params).to_csv_text()
-    monkeypatch.setattr(engine, "_CACHE_ENTRIES", 0)
-    assert run_dd_scan(spec, [8, 16], None, deph, params).to_csv_text() == default
+    curve = run_dd_scan(spec, n_list, None, deph, params)
+    _, deltas = engine._prepare_batch(None, deph, params)
+    hz = 0.5 * deltas
+    psi = prep_unitary() @ KET0
+    a, b = np.full(hz.size, psi[0]), np.full(hz.size, psi[1])
+    read = readout_unitary()
+    values, stderrs = [], []
+    for item in engine._split_idles_at(build_schedule(spec), [n * spec.tau_c for n in n_list]):
+        if item[0] == "snap":
+            pop = np.abs(read[0, 0] * a + read[0, 1] * b) ** 2
+            values.append(np.mean(pop))
+            stderrs.append(np.std(pop, ddof=1) / math.sqrt(pop.size))
+            continue
+        nstep, _ = engine._segment_steps(item[1], spec.shape, None, 4.0 * SIGMA_FID, None)
+        for u00, u01, u10, u11 in engine._magnus_steps(item[1], spec.shape, None, hz, 0.0,
+                                                       nstep):
+            for j in range(u00.shape[0]):
+                a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
+    assert np.max(np.abs(curve.value - values)) <= 1e-14
+    assert np.max(np.abs(curve.stderr - stderrs)) <= 1e-14
+
+
+def test_scan_without_comb_builds_each_segment_class_once(monkeypatch):
+    # Without the comb a segment's steps do not depend on when it starts:
+    # at any M, even where the steps of a Gaussian pulse would hold more
+    # than a million entries, a run builds them once per distinct finite
+    # (duration, phase), here the idles tau and 2 tau and two pulse phases.
+    spec = replace(FIG4_SPEC, N=16)
+    built = []
+    magnus_steps = engine._magnus_steps
+
+    def counted(seg, *args):
+        built.append((seg.duration, seg.phase))
+        return magnus_steps(seg, *args)
+
+    monkeypatch.setattr(engine, "_magnus_steps", counted)
+    run_dd_scan(spec, [8, 16], None, DephasingSpec(sigma_delta=SIGMA_FID),
+                SimParams(realizations=60_000, master_seed=3))
+    assert len(built) == 4
+    assert set(built) == {(spec.tau, None), (2 * spec.tau, None), (spec.tau_d, 0.0),
+                          (spec.tau_d, math.pi / 2)}
+
+
+DIAGNOSED_RUNS = [
+    (FIG4_SPEC, FIG4_NOISE),
+    (FIG4_SPEC, None),
+    (SequenceSpec("XY8", N=32, tau=82e-9, tau_d=0.0, shape=PulseShape("Delta")), FIG4_NOISE),
+]
+
+
+@pytest.mark.parametrize("spec, noise_spec", DIAGNOSED_RUNS)
+def test_diagnostics_count_every_segment_once(spec, noise_spec):
+    # integrated_steps is the step rule's count summed over the segments
+    # whose H varies, and exact_segments counts the others: a Gaussian run
+    # under the comb, the same run without it, and Delta pulses under it.
+    params = SimParams(master_seed=5)
+    times = [8 * spec.tau_c, 24 * spec.tau_c, spec.N * spec.tau_c]
+    diag = {}
+    propagate(build_schedule(spec), noise_spec, delta=SIGMA_FID, params=params,
+              snapshot_times=times, diagnostics=diag)
+    noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([0]))
+    rules = [engine._segment_steps(item[1], spec.shape, noise, SIGMA_FID, None)
+             for item in engine._split_idles_at(build_schedule(spec), times)
+             if item[0] == "seg"]
+    assert diag["integrated_steps"] == sum(nstep for nstep, varies in rules if varies)
+    assert diag["exact_segments"] == sum(not varies for _, varies in rules)
+    assert diag["max_norm_drift"] <= 1e-13
 
 
 def test_step_counts_of_the_fig4_schedule():

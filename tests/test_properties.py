@@ -96,17 +96,22 @@ def test_comb_values_do_not_depend_on_the_batch_layout(rows, ends):
     assert part.tobytes() == FULL_C[rows, start:stop].tobytes()
 
 
-# Two XY8 runs.  With 100 ns Gaussian pulses under the fig4 comb, the
+# Four XY8 runs.  With 100 ns Gaussian pulses under the fig4 comb, the
 # comb's field bound b_sup sets every step.  With the 500 ns Square pulses
 # and weak comb of the bundled fig3_xy8_slow, the detuning bound
 # 4 sigma_delta sets the idles' steps; a bound taken from the batch's
 # largest draw would make them depend on which realizations share it.
+# Without the comb, Gaussian pulses and Delta pulses each apply one cached
+# step per segment class, a product of Magnus steps or a pi rotation.
 FIG3_NOISE = LorentzianNoiseSpec(R=2 * math.pi * 5e3, A=142031.9491052709, master_seed=11)
+GAUSSIAN_XY8 = SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
 BATCH_RUNS = [
-    (SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian")),
-     FIG4_NOISE, FIG4_DEPHASING),
+    (GAUSSIAN_XY8, FIG4_NOISE, FIG4_DEPHASING),
     (SequenceSpec("XY8", N=16, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square")),
      FIG3_NOISE, FIG4_DEPHASING),
+    (GAUSSIAN_XY8, None, FIG4_DEPHASING),
+    (SequenceSpec("XY8", N=8, tau=82e-9, tau_d=0.0, shape=PulseShape("Delta")),
+     None, FIG4_DEPHASING),
 ]
 RUN_PARAMS = SimParams(realizations=ROWS, master_seed=0)
 
