@@ -38,8 +38,8 @@ from .control import (PulseShape, SEQUENCE_PHASES, SequenceSpec,
 from .dgroup import (PulseWord, build_cayley, cumulative_path, eulerian_cycle,
                      generated_group, pauli_element, verify_average_decoupling,
                      verify_eulerian)
-from .engine import (DecayCurve, SimParams, calibrate_amplitude, run_dd_scan,
-                     run_fid, run_relaxation)
+from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, calibrate_amplitude,
+                     run_dd_scan, run_fid, run_relaxation)
 from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
                     sample_realization)
 
@@ -164,9 +164,9 @@ def _build_dd(cfg: dict):
     params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
     shape = PulseShape(kind=cfg.get("shape", "Square"),
                        gauss_trunc=cfg.get("gauss_trunc", 2.5))
-    n_list = sorted(set(cfg["n_list"])) if "n_list" in cfg else None
-    spec = SequenceSpec(name=cfg["sequence"], N=max(n_list) if n_list else 360,
-                        tau=cfg["tau"], tau_d=cfg["tau_d"], shape=shape)
+    n_list = sorted(set(cfg.get("n_list", DEFAULT_N_LIST)))
+    spec = SequenceSpec(name=cfg["sequence"], N=n_list[-1], tau=cfg["tau"],
+                        tau_d=cfg["tau_d"], shape=shape)
 
     def work() -> None:
         if "f_larmor" in cfg:

@@ -215,17 +215,10 @@ def build_schedule(spec: SequenceSpec) -> Schedule:
 
     Layout: [idle tau] then N repetitions of [pulse tau_d][idle 2*tau],
     with the final idle shortened to tau, i.e. pulse k is centered at
-    (2k - 1) * tau_c / 2.  Delta pulses occupy zero time.
-
-    Raises
-    ------
-    InvalidTiming
-        If tau is not positive (guarded by the spec validation;
-        rechecked here).
+    (2k - 1) * tau_c / 2.  Delta pulses occupy zero time.  SequenceSpec
+    has already checked that tau is positive.
     """
     tau, tau_d = spec.tau, spec.effective_tau_d
-    if tau <= 0:
-        raise InvalidTiming("idle durations must be positive")
     phases = spec.base_phases
     segments: list[Segment] = [Segment(tau)]
     for k in range(spec.N):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2core import pauli, phase_distance, phase_equal
+from .su2core import pauli, phase_equal
 
 __all__ = [
     "NotClosed",
@@ -33,6 +33,7 @@ __all__ = [
     "GroupElement",
     "CayleyGraph",
     "PulseWord",
+    "EulerianCheck",
     "pauli_group",
     "pauli_element",
     "generated_group",
@@ -118,7 +119,7 @@ def pauli_group() -> list[GroupElement]:
 def _classify(u: np.ndarray, vertices: tuple[GroupElement, ...]) -> str | None:
     """Label of the vertex equal to ``u`` up to global phase, else None."""
     for v in vertices:
-        if phase_distance(u, v.unitary) <= 1e-9:
+        if phase_equal(u, v.unitary):
             return v.label
     return None
 
@@ -175,14 +176,10 @@ def build_cayley(group: list[GroupElement], generators: list[GroupElement]) -> C
     for g in gens:
         if _classify(g.unitary, vertices) is None:
             raise NotClosed(f"generator {g.label} is not in the group (up to phase)")
-    edges = []
-    for v in vertices:
-        for g in gens:
-            target = _classify(v.unitary @ g.unitary, vertices)
-            if target is None:  # unreachable once closure passed
-                raise NotClosed(f"edge {v.label}*{g.label} leaves the group")
-            edges.append((v.label, g.label, target))
-    return CayleyGraph(vertices=vertices, generators=gens, edges=tuple(edges))
+    # Closure and the generators' membership put every edge target in the group.
+    edges = tuple((v.label, g.label, _classify(v.unitary @ g.unitary, vertices))
+                  for v in vertices for g in gens)
+    return CayleyGraph(vertices=vertices, generators=gens, edges=edges)
 
 
 def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:

@@ -59,8 +59,8 @@ Every array expression is element-wise, except the comb sum and the
 interpolation, each of which accumulates every (node, realization)
 entry over its q basis functions or k points in a fixed order, one
 multiply and one add at a time, in numpy's own einsum loop with no
-BLAS (see noise.Comb).  So a realization's trajectory depends only on
-its own draws and the run's step sizes, not on the batch or block
+BLAS (see noise._comb_sum).  So a realization's trajectory depends only
+on its own draws and the run's step sizes, not on the batch or block
 layout, and results are reproducible from the master seed, bit for bit
 on one numpy build and SIMD dispatch level.
 
@@ -94,8 +94,8 @@ import numpy as np
 
 from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
                       prep_unitary, pulse_envelope, readout_unitary)
-from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _indices,
-                    derive_seed, sample_detuning, sample_realization)
+from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _comb_sum,
+                    _indices, derive_seed, sample_detuning, sample_realization)
 from .su2core import SpinState, axis_rotation
 
 __all__ = [
@@ -269,7 +269,7 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
             raise StepTooLarge(
                 f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
     else:
-        comb_max = float(noise.omega[-1]) if noise is not None and noise.omega.size else 0.0
+        comb_max = float(noise.omega[-1]) if noise is not None else 0.0
         drive = omega_peak if shape.kind != "Square" else 0.0
         scale = max(drive + b_sup, delta_max, comb_max)
         nstep = max(1, math.ceil(seg.duration * scale / _THETA),
@@ -334,7 +334,7 @@ def _comb_interpolation(duration: float, nstep: int, noise: Comb):
     Each weight row is computed from its own step's nodes alone.
     """
     q = noise.parts.shape[0]
-    rate = (float(noise.omega[-1]) if noise.omega.size else 0.0) * duration / 4.0
+    rate = float(noise.omega[-1]) * duration / 4.0
     k, term = 0, 1.0
     while term > 2.0 ** -53:
         k += 1
@@ -360,7 +360,8 @@ def _node_fields(seg: Segment, shape: PulseShape, noise: Comb | None, rows: int,
     then their difference c1 - c2; without the comb it has one column.
     ``interpolation``, the segment's ``_comb_interpolation`` if given,
     forms both from the comb's values at the Chebyshev points, in the
-    einsum that sums the comb with the points as its basis axis.
+    contraction that sums the comb (noise._comb_sum), with the points as
+    its basis axis.
     """
     h = seg.duration / nstep
     block = max(1, _BLOCK // rows)
@@ -380,9 +381,7 @@ def _node_fields(seg: Segment, shape: PulseShape, noise: Comb | None, rows: int,
             np.subtract(c1, c2, out=c2)
             np.multiply(mean, 0.5, out=c1)
         else:
-            c = np.empty((2 * steps.size, rows), complex)
-            np.einsum("tq,qmj->tmj", weights[:, steps].reshape(c.shape[0], -1), at_points,
-                      out=c.view(float).reshape(*c.shape, 2))
+            c = _comb_sum(weights[:, steps].reshape(2 * steps.size, -1), at_points)
         if seg.is_pulse:
             env = pulse_envelope(shape, seg.duration, rel)
             drive = 0.5 * np.exp(-1j * seg.phase)
@@ -452,8 +451,7 @@ def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
-                     deltas: np.ndarray, psi0: np.ndarray,
-                     diagnostics: dict | None = None):
+                     deltas: np.ndarray, psi0: np.ndarray):
     """Propagate a batch through ("seg", Segment, nstep, varies) / ("snap",) items.
 
     nstep and varies are the segment's ``_segment_steps``.  psi0 is the
@@ -463,20 +461,19 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     without the comb, does not depend on when it starts: it applies one
     ``_class_step``, built once per distinct (duration, phase).  A
     finite segment under the comb applies its Magnus steps, built one
-    block at a time.  `diagnostics`, if given, receives
-    "integrated_steps", "exact_segments" and "max_norm_drift".
+    block at a time.  It keeps no diagnostics: ``_run_batch`` reads the
+    step counts from the items and the norm drift from the snapshots.
     """
     a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
     steps, interpolations = {}, {}
-    t_abs = max_drift = 0.0
-    n_steps = n_exact = 0
+    t_abs = 0.0
     for item in items:
         if item[0] == "snap":
             snaps.append(np.stack([a, b], axis=1))
             continue
-        _, seg, nstep, varies = item
+        _, seg, nstep, _ = item
         if noise is None or seg.duration == 0.0:
             if seg not in steps:  # one per (duration, phase)
                 steps[seg] = [_class_step(seg, shape, hz, nstep)]
@@ -489,17 +486,7 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
         for u in blocks:
             for j in range(u[0].shape[0]):
                 a, b = _apply(u, j, a, b)
-                if diagnostics is not None:
-                    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-                    max_drift = max(max_drift, float(np.max(np.abs(norm - 1.0))))
-        if varies:
-            n_steps += nstep
-        else:
-            n_exact += 1
         t_abs += seg.duration
-    if diagnostics is not None:
-        diagnostics.update(integrated_steps=n_steps, exact_segments=n_exact,
-                           max_norm_drift=max_drift)
     return snaps
 
 
@@ -589,7 +576,10 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
     it reads, sized by the detuning bound delta_max, which the caller
     takes from the spec and not from the batch's draws; ValueError,
     before propagating, when segments whose H varies need more than
-    _STEP_BUDGET steps.
+    _STEP_BUDGET steps.  ``diagnostics``, if given, receives the plan's
+    "integrated_steps" (Magnus steps on segments whose H varies) and
+    "exact_segments" (the other segments, each one exact step), and
+    "max_norm_drift", the largest | |psi| - 1 | over the returned states.
     """
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     rule: dict[tuple[float, bool], tuple[int, bool]] = {}
@@ -601,11 +591,18 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
                 rule[key] = _segment_steps(item[1], shape, noise, delta_max, dt)
             item += rule[key]
         items.append(item)
-    steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
+    segs = [item for item in items if item[0] == "seg"]
+    steps = sum(item[2] for item in segs if item[3])
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
                          f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
-    return _propagate_items(items, shape, noise, deltas, psi0, diagnostics)
+    snaps = _propagate_items(items, shape, noise, deltas, psi0)
+    if diagnostics is not None:
+        drift = max(float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))) for psi in snaps)
+        diagnostics.update(integrated_steps=steps,
+                           exact_segments=sum(not item[3] for item in segs),
+                           max_norm_drift=drift)
+    return snaps
 
 
 def _curve(schedule: Schedule, times: list[float], ns: list[int],
@@ -670,10 +667,11 @@ def propagate(schedule: Schedule,
     every run, it also raises ValueError before propagating when it
     needs more than 2,000,000 steps on segments whose H varies.
     `diagnostics`, if provided, receives "integrated_steps" (Magnus
-    steps on segments whose H varies), "exact_segments" (segments
-    with a constant H, each one exact step, and Delta pulses) and
-    "max_norm_drift", the largest | |psi| - 1 | after a step, which
-    only rounding moves.
+    steps on segments whose H varies) and "exact_segments" (segments
+    with a constant H, each one exact step, and Delta pulses), both
+    counted from the run's step plan, and "max_norm_drift", the largest
+    | |psi| - 1 | at a readout (each snapshot time, or the final state),
+    which only rounding moves.
     """
     params = params or SimParams()
     index = _indices(realization_index)
@@ -696,11 +694,11 @@ def propagate(schedule: Schedule,
     return states if snapshot_times is not None else states[-1]
 
 
-# Default N grid: multiples of 8 up to 360, subsampled to 16 points.
+# The N grid of a dd config without n_list: multiples of 8 up to 360, 16 points.
 DEFAULT_N_LIST = tuple(range(8, 360, 24)) + (360,)
 
 
-def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
+def run_dd_scan(spec: SequenceSpec, n_list: list[int],
                 noise_spec: LorentzianNoiseSpec | None = None,
                 dephasing: DephasingSpec | None = None,
                 params: SimParams | None = None) -> DecayCurve:
@@ -711,11 +709,9 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int] | None = None,
     boundary t = N tau_c; this is exact because each prefix of the
     schedule equals the N-cycle schedule.  If params.envelope_T2 is
     set the intrinsic-dephasing envelope is applied to the resulting
-    curve.  n_list defaults to DEFAULT_N_LIST.
+    curve.
     """
     params = params or SimParams()
-    if n_list is None:
-        n_list = DEFAULT_N_LIST
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive cycle counts")
@@ -789,14 +785,13 @@ class CalibrationResult:
 
 
 def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
-                        params: SimParams | None = None, tolerance: float = 0.05,
-                        max_iter: int = 30) -> CalibrationResult:
-    """Bisect the noise amplitude A until the fitted T1 matches target_T1.
+                        params: SimParams | None = None) -> CalibrationResult:
+    """Bisect the noise amplitude A until the fitted T1 is within 5% of target_T1.
 
     The fitted time comes from an exponential fit with free baseline
     over t in [0.5, 2] x target_T1; the spec's A field is ignored.
-    Raises NoConvergence if no bracket exists or max_iter bisections
-    do not reach the relative tolerance.
+    Raises NoConvergence if no bracket exists or 30 relaxation runs do
+    not reach the tolerance.
     """
     from .analysis import Degenerate, NoDecay, fit_decay
 
@@ -845,15 +840,16 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
             return (t_list[below[0]] if below.size else t_list[0]), curve
         return fit.T, curve
 
+    max_iter = 30
     lo, hi = guess / 8.0, guess * 8.0
-    t_lo, curve_lo = fitted_t1(lo)
+    t_lo, _ = fitted_t1(lo)
     evals = 1
     # T1 decreases with A: lo must overshoot the target, hi undershoot.
     t_hi = None
     while t_lo < target_T1 and evals < max_iter:
         hi, t_hi = lo, t_lo
         lo = lo / 8.0
-        t_lo, curve_lo = fitted_t1(lo)
+        t_lo, _ = fitted_t1(lo)
         evals += 1
     if t_hi is None:
         t_hi, _ = fitted_t1(hi)
@@ -865,14 +861,13 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
             evals += 1
     if not (t_lo >= target_T1 >= t_hi):
         raise NoConvergence("could not bracket the target relaxation time")
-    best = (abs(t_lo - target_T1), lo, t_lo, curve_lo)
+    best = (abs(t_lo - target_T1), lo, t_lo)
     while evals < max_iter:
         mid = math.sqrt(lo * hi)
         t_mid, curve_mid = fitted_t1(mid)
         evals += 1
-        if abs(t_mid - target_T1) < best[0]:
-            best = (abs(t_mid - target_T1), mid, t_mid, curve_mid)
-        if abs(t_mid - target_T1) <= tolerance * target_T1:
+        best = min(best, (abs(t_mid - target_T1), mid, t_mid))
+        if abs(t_mid - target_T1) <= 0.05 * target_T1:
             return CalibrationResult(A=mid, achieved_T1=t_mid, target_T1=target_T1,
                                      iterations=evals, curve=curve_mid)
         if t_mid > target_T1:

@@ -426,12 +426,10 @@ class Comb:
     def c_at(self, t: np.ndarray) -> np.ndarray:
         """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
 
-        One einsum of the (t.size, 2 n_max + 1) basis with ``parts``,
-        numpy's own sum-of-products loop and no BLAS.  Its inner loop runs
-        along the contiguous (rows, 2) axes, so each entry is summed one
-        multiply and one add at a time in the fixed order q = 0 .. 2 n_max,
-        bitwise independent of the other rows and times.  The cosines and
-        sines are written one time row per ufunc loop for the same reason.
+        The (t.size, 2 n_max + 1) basis contracted with ``parts`` by
+        ``_comb_sum``, so each entry is bitwise independent of the other
+        rows and times.  The cosines and sines are written one time row
+        per ufunc loop for the same reason.
         The result is built time-major and returned as a transposed view,
         so ``c_at(t).T`` is a contiguous (t.size, rows) array.
         """
@@ -441,10 +439,31 @@ class Comb:
         angle = t[:, None] * self.omega
         np.cos(angle, out=basis[:, 1:n + 1])
         np.sin(angle, out=basis[:, n + 1:])
-        out = np.empty((t.size, self.parts.shape[1]), dtype=complex)
-        np.einsum("tq,qmj->tmj", basis, self.parts,
-                  out=out.view(float).reshape(*out.shape, 2))
-        return out.T
+        return _comb_sum(basis, self.parts).T
+
+
+def _comb_sum(basis: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """sum_q basis[t, q] (parts[q, m, 0] + i parts[q, m, 1]), a complex (t, m) array.
+
+    The one contraction behind every comb value: numpy's own einsum
+    loop, no BLAS, written into the result's float view.  Its inner loop
+    runs along the contiguous (m, 2) axes, so each entry is summed one
+    multiply and one add at a time in the fixed order q = 0, 1, ..., and
+    its bytes do not depend on the other rows of ``basis`` or columns of
+    ``parts``.
+    """
+    out = np.empty((basis.shape[0], parts.shape[1]), dtype=complex)
+    np.einsum("tq,qmj->tmj", basis, parts, out=out.view(float).reshape(*out.shape, 2))
+    return out
+
+
+def _phase_row(spec: LorentzianNoiseSpec, phases) -> np.ndarray:
+    """``phases`` as a float array, or ValueError unless it is one row of 2 n_max + 1."""
+    row = np.asarray(phases, dtype=float)
+    if row.shape != (2 * spec.n_max + 1,):
+        raise ValueError(f"phases must be one row of {2 * spec.n_max + 1} comb "
+                         f"phases, got shape {row.shape}")
+    return row
 
 
 def field_at(spec: LorentzianNoiseSpec, phases: np.ndarray, t):
@@ -456,10 +475,7 @@ def field_at(spec: LorentzianNoiseSpec, phases: np.ndarray, t):
     Evaluated as 2 Re c and -2 Im c of the comb sum the engine integrates.
     Raises ValueError unless ``phases`` is 1-d of length 2 n_max + 1.
     """
-    row = np.asarray(phases, dtype=float)
-    if row.shape != (2 * spec.n_max + 1,):
-        raise ValueError(f"phases must be one row of {2 * spec.n_max + 1} comb "
-                         f"phases, got shape {row.shape}")
+    row = _phase_row(spec, phases)
     t = np.asarray(t, dtype=float)
     c = Comb.of(spec, row[None, :]).c_at(t.reshape(-1))[0].reshape(t.shape)
     return 2.0 * c.real, -2.0 * c.imag
@@ -482,12 +498,11 @@ def sample_detuning(spec: DephasingSpec, index):
     return z * spec.sigma_delta
 
 
-def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,
-                             time_samples: int = 256) -> float:
+def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int) -> float:
     """Monte Carlo estimate of <b_x(t) b_x(t+lag)> / <b_x(t)^2>.
 
-    Averages over ``time_samples`` uniform times spanning one field
-    period and over ``M`` realizations.
+    Averages over 256 uniform times spanning one field period and over
+    ``M`` realizations.
 
     Requires M >= 50 so the random-phase cross terms average down.
     """
@@ -495,28 +510,33 @@ def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int,
         raise ValueError("M must be >= 50")
     if spec.A == 0:
         raise ValueError("autocorrelation undefined for A = 0")
-    t = np.arange(time_samples) * (spec.period / time_samples)
+    t = np.arange(256) * (spec.period / 256)
     comb = Comb.of(spec, sample_realization(spec, np.arange(M)))
     bx = 2.0 * comb.c_at(np.concatenate([t, t + lag])).real
-    bx0, bx1 = bx[:, :time_samples], bx[:, time_samples:]
+    bx0, bx1 = np.split(bx, 2, axis=1)
     return float(np.sum(np.mean(bx0 * bx1, axis=1)) / np.sum(np.mean(bx0 * bx0, axis=1)))
 
 
-def parseval_power(spec: LorentzianNoiseSpec, phases: np.ndarray,
-                   time_samples: int = 64) -> tuple[float, float]:
+def parseval_power(spec: LorentzianNoiseSpec, phases: np.ndarray) -> tuple[float, float]:
     """Time-averaged (<b_x^2> + <b_y^2>)/2 of a phase row over one period, and its target.
 
-    The target is the comb-power identity (A^2 / 2) sum_n W(n)^2.  The
-    x/y average is the quantity fixed per realization: b_x alone keeps
-    a phase-dependent contribution from the +-n frequency pairs and the
-    constant n = 0 tone, while |b_x + i b_y|^2 time-averages to the
-    same deterministic value for every phase draw.
+    The average is over 64 uniform times.  The target is the comb-power
+    identity (A^2 / 2) sum_n W(n)^2.  The x/y average is the quantity
+    fixed per realization: b_x alone keeps a phase-dependent
+    contribution from the +-n frequency pairs and the constant n = 0
+    tone, while |b_x + i b_y|^2 time-averages to the same deterministic
+    value for every phase draw.
     """
-    t = np.arange(time_samples) * (spec.period / time_samples)
+    t = np.arange(64) * (spec.period / 64)
     bx, by = field_at(spec, phases, t)
     measured = float(np.mean(bx * bx + by * by) / 2)
     target = 0.5 * spec.A**2 * float(np.sum(weights_all(spec) ** 2))
     return measured, target
+
+
+# Samples evaluated and written at a time, so an export's memory does not
+# grow with its length.
+_EXPORT_CHUNK = 65536
 
 
 def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
@@ -524,7 +544,8 @@ def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
     """Write a CSV trace of (t, b_x, b_y) of a phase row; returns the row count.
 
     Rows are t_i = i / sample_rate for i = 0 .. round(duration *
-    sample_rate) - 1, matching ``field_at`` exactly at those instants.
+    sample_rate) - 1, matching ``field_at`` exactly at those instants;
+    they are evaluated and written in chunks of _EXPORT_CHUNK samples.
     The file is deterministic byte for byte: repr float formatting and
     LF line endings.
 
@@ -538,10 +559,12 @@ def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
     count = int(round(duration * sample_rate))
     if count > 10**8:
         raise SampleBudgetExceeded(f"{count} samples exceed the 1e8 budget")
-    t = np.arange(count) / sample_rate
-    bx, by = field_at(spec, phases, t)
+    row = _phase_row(spec, phases)
     with open(path, "w", newline="\n") as fh:
         fh.write("t_s,bx_rad_s,by_rad_s\n")
-        for i in range(count):
-            fh.write(f"{float(t[i])!r},{float(bx[i])!r},{float(by[i])!r}\n")
+        for start in range(0, count, _EXPORT_CHUNK):
+            t = np.arange(start, min(count, start + _EXPORT_CHUNK)) / sample_rate
+            bx, by = field_at(spec, row, t)
+            for ti, bxi, byi in zip(t.tolist(), bx.tolist(), by.tolist()):
+                fh.write(f"{ti!r},{bxi!r},{byi!r}\n")
     return count

@@ -152,6 +152,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - phase * b)))
 
 
-def phase_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when ``a`` equals ``b`` up to a global phase, to ``tol``."""
-    return phase_distance(a, b) <= tol
+def phase_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a`` equals ``b`` up to a global phase, to 1e-9."""
+    return phase_distance(a, b) <= 1e-9

@@ -1,7 +1,8 @@
 """Config parsing, CLI exit codes, and end-to-end command behavior."""
+import numpy as np
 import pytest
 
-from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
+from eulerdd import (DEFAULT_N_LIST, DephasingSpec, LorentzianNoiseSpec, PulseShape,
                      SequenceSpec, SimParams, calibrate_amplitude)
 from eulerdd.cli import (ConfigError, bundled_config_names, main,
                          parse_config)
@@ -227,6 +228,28 @@ def test_main_dd_run_with_delta_pulses(tmp_path, capsys):
     # tau_c = 2 us sits exactly on the k = 2 resonance of 0.5 MHz.
     assert "larmor check: WARNING" in printed and "weak (even k)" in printed
     assert f"wrote 4 points to {out}" in printed
+
+
+def test_dd_without_n_list_scans_the_default_grid(tmp_path):
+    path = write_cfg(tmp_path, "experiment = dd\nsequence = xy8\ntau = 1e-6\n"
+                     "tau_d = 0\nshape = delta\nsigma_delta = 764439.7634449162\n"
+                     "realizations = 2\n")
+    out = tmp_path / "dd.csv"
+    assert main([path, "--out", str(out)]) == 0
+    ns = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert ns == list(DEFAULT_N_LIST)
+
+
+def test_relax_geometric_time_grid(tmp_path, capsys):
+    text = ("experiment = relax\nnoise_r = 31415.926535897932\nnoise_a = 1e5\n"
+            "t_max = 2e-5\nt_points = 6\nt_spacing = geometric\nrealizations = 2\n")
+    out = tmp_path / "relax.csv"
+    assert main([write_cfg(tmp_path, text + "t_min = 1e-6\n"), "--out", str(out)]) == 0
+    t = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert np.array_equal(t, np.geomspace(1e-6, 2e-5, 6))
+    # A geometric grid cannot start at t = 0.
+    assert main([write_cfg(tmp_path, text + "t_min = 0\n"), "--out", str(out)]) == 1
+    assert "geometric spacing needs t_min > 0" in capsys.readouterr().err
 
 
 def test_seed_override_changes_results(tmp_path):

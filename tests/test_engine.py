@@ -828,6 +828,32 @@ def test_calibration_converges_and_is_monotonic():
     assert res2.A > res.A
 
 
+def test_calibration_expands_its_bracket_upward_to_the_fig4_amplitude(monkeypatch):
+    # At T1 = 1 us both ends of the first bracket, guess / 8 and 8 guess,
+    # relax too slowly, so calibration moves the top up 8x before it
+    # bisects.  At the criterion-6 seed it reproduces the frozen fig4
+    # amplitude, which holds T1 within 15% at a fresh seed.
+    guess = golden_rule_amplitude(R_FAST, 1e-6)
+    amplitudes = []
+    relaxation = engine.run_relaxation
+
+    def counted(spec, *args, **kwargs):
+        amplitudes.append(spec.A / guess)
+        return relaxation(spec, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_relaxation", counted)
+    cal = calibrate_amplitude(LorentzianNoiseSpec(R=R_FAST, A=0.0), 1e-6,
+                              params=SimParams(realizations=1000, master_seed=20260815))
+    assert amplitudes[:3] == pytest.approx([0.125, 8.0, 64.0], rel=1e-12)
+    assert cal.iterations == len(amplitudes) == 6
+    assert abs(cal.A - FIG4_NOISE.A) / FIG4_NOISE.A <= 1e-9
+    t_list = list(np.linspace(0.5e-6, 2e-6, 16))
+    refit = fit_decay(relaxation(replace(FIG4_NOISE, A=cal.A), t_list,
+                                 params=SimParams(realizations=1000, master_seed=20260816)),
+                      p=1, model="free")
+    assert refit.T == pytest.approx(1e-6, rel=0.15)
+
+
 def test_calibration_draws_its_phase_rows_once(monkeypatch):
     # Only A changes between the runs of a calibration, so they share one
     # draw of the phase rows: the rows each run would draw itself.

@@ -304,3 +304,27 @@ def test_export_waveform(tmp_path):
         export_waveform(spec, real, duration=10.0, sample_rate=1e8, path=path)
     with pytest.raises(ValueError, match="positive"):
         export_waveform(spec, real, duration=0.0, sample_rate=1e6, path=path)
+
+
+def test_export_waveform_writes_in_chunks(tmp_path, monkeypatch):
+    # The export evaluates and writes a bounded number of samples at a
+    # time, and its bytes equal one field_at call over all of them.
+    spec = spec_with(A=2e5, master_seed=5)
+    row = sample_realization(spec, 3)
+    count, rate = 1000, 1e7
+    t = np.arange(count) / rate
+    bx, by = field_at(spec, row, t)
+    want = "t_s,bx_rad_s,by_rad_s\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(c)!r}\n" for a, b, c in zip(t, bx, by))
+    sizes = []
+
+    def counted(spec, phases, t):
+        sizes.append(np.size(t))
+        return field_at(spec, phases, t)
+
+    monkeypatch.setattr(noise, "_EXPORT_CHUNK", 128)
+    monkeypatch.setattr(noise, "field_at", counted)
+    path = tmp_path / "trace.csv"
+    assert export_waveform(spec, row, count / rate, rate, path) == count
+    assert path.read_bytes() == want.encode()
+    assert sum(sizes) == count and max(sizes) <= 128
