@@ -38,8 +38,8 @@ from .control import (PulseShape, SEQUENCE_PHASES, SequenceSpec,
 from .dgroup import (PulseWord, build_cayley, cumulative_path, eulerian_cycle,
                      generated_group, pauli_element, verify_average_decoupling,
                      verify_eulerian)
-from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, calibrate_amplitude,
-                     run_dd_scan, run_fid, run_relaxation)
+from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, _TAG_NOISE, _seeded,
+                     calibrate_amplitude, run_dd_scan, run_fid, run_relaxation)
 from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
                     sample_realization)
 
@@ -112,10 +112,10 @@ def _sim_params(cfg: dict) -> SimParams:
                      envelope_T2=cfg.get("envelope_t2"))
 
 
-def _comb_spec(cfg: dict, A: float, master_seed: int | None = None) -> LorentzianNoiseSpec:
+def _comb_spec(cfg: dict, A: float) -> LorentzianNoiseSpec:
     return LorentzianNoiseSpec(R=cfg["noise_r"], A=A,
                                delta_omega=cfg.get("delta_omega", 1e3),
-                               n_max=cfg.get("n_max", 10), master_seed=master_seed)
+                               n_max=cfg.get("n_max", 10))
 
 
 def _noise_spec(cfg: dict) -> LorentzianNoiseSpec | None:
@@ -210,7 +210,10 @@ def _build_calibrate(cfg: dict):
 
 
 def _build_export(cfg: dict):
-    spec = _comb_spec(cfg, cfg["noise_a"], master_seed=cfg.get("master_seed", 0))
+    # Seeded as the runners seed the comb, so the export is the field that
+    # realization realization_index of a run at the same seed sees.
+    spec = _seeded(_comb_spec(cfg, cfg["noise_a"]),
+                   SimParams(master_seed=cfg.get("master_seed", 0)), _TAG_NOISE)
     if cfg["duration"] <= 0 or cfg["sample_rate"] <= 0:
         raise ConfigError("duration and sample_rate must be positive")
 

@@ -11,12 +11,21 @@ zeroth-order averaging condition.
 
 Conventions
 -----------
-Vertices and edges live in label space, i.e. group elements are
-compared up to a global phase, and an edge from ``v`` through
-generator ``h`` ends at the class of ``v @ h``.  Cumulative paths keep
-full phases and multiply on the left, ``g_l = p_l @ g_{l-1}``, which is
-the time ordering of the physical propagators; for the (projectively
-abelian) Pauli group both conventions trace the same labeled walk.
+All arithmetic is exact integer arithmetic on labels; no matrix is
+multiplied and nothing is compared to a tolerance.  A Pauli class is
+its (x, z) bits, I = 0, X = 1, Z = 2, Y = 3, and the class of a
+product is the XOR of its factors' bits.  The full product is
+sigma_a sigma_b = i^k sigma_(a XOR b), with k = 0 when a or b is I or
+a = b, k = 1 for XY, YZ and ZX, and k = 3 for YX, ZY and XZ.  Two
+classes commute iff one of them is I or they are equal.
+
+A ``GroupElement`` is i^phase times a Pauli: its label and its phase,
+a power of i mod 4.  Vertices and edges live in label space: an edge
+from ``v`` through generator ``h`` ends at the class of ``v h``.
+Cumulative paths keep the phase and multiply on the left,
+``g_l = p_l g_{l-1}``, which is the time ordering of the physical
+propagators; since classes multiply by XOR, both orders trace the
+same labeled walk.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2core import pauli, phase_equal
+from .su2core import PAULI_LABELS, pauli
 
 __all__ = [
     "NotClosed",
@@ -44,6 +53,11 @@ __all__ = [
     "verify_average_decoupling",
 ]
 
+_LABEL_OF = ("I", "X", "Z", "Y")  # indexed by the (x, z) bits, x + 2 z
+_BITS = {label: bits for bits, label in enumerate(_LABEL_OF)}
+# Ordered (a, b) bit pairs with sigma_a sigma_b = +i sigma_c: XY, YZ, ZX.
+_CYCLIC = {(1, 3), (3, 2), (2, 1)}
+
 
 class NotClosed(ValueError):
     """A product of group elements left the declared vertex set."""
@@ -57,25 +71,45 @@ class Disconnected(ValueError):
     """The generator set does not connect the vertex set."""
 
 
+def _bits(label: str) -> int:
+    """The (x, z) bits of a Pauli label; ValueError for any other string."""
+    try:
+        return _BITS[label]
+    except KeyError:
+        raise ValueError(f"unknown Pauli label {label!r}; expected one of {PAULI_LABELS}") from None
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """A group element: full-phase unitary plus its canonical label.
+    """A Pauli group element, i**phase times the Pauli ``label``.
 
-    The label is the canonical name among I, X, Y, Z (or any declared
-    vertex label) identifying the element up to a global phase.
+    The label is one of I, X, Y, Z and names the element's class; the
+    phase is a power of i, stored mod 4.
     """
 
-    unitary: np.ndarray
     label: str
+    phase: int = 0
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError("GroupElement unitary must be 2x2")
-        if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-12:
-            raise ValueError(f"GroupElement {self.label!r} is not unitary to 1e-12")
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+        _bits(self.label)
+        object.__setattr__(self, "phase", self.phase % 4)
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The element as a fresh 2x2 complex matrix."""
+        return 1j ** self.phase * pauli(self.label)
+
+
+def _anticommute(a: int, b: int) -> bool:
+    """Whether the classes of bits ``a`` and ``b`` anticommute."""
+    return a != 0 and b != 0 and a != b
+
+
+def _product(g: GroupElement, h: GroupElement) -> GroupElement:
+    """The product ``g h``, phase included."""
+    a, b = _bits(g.label), _bits(h.label)
+    k = 1 if (a, b) in _CYCLIC else 3 if _anticommute(a, b) else 0
+    return GroupElement(_LABEL_OF[a ^ b], g.phase + h.phase + k)
 
 
 @dataclass(frozen=True)
@@ -108,20 +142,12 @@ class PulseWord:
 
 def pauli_element(label: str) -> GroupElement:
     """GroupElement for a plain Pauli matrix (phase +1)."""
-    return GroupElement(pauli(label), label)
+    return GroupElement(label)
 
 
 def pauli_group() -> list[GroupElement]:
     """The projective Pauli group {I, X, Y, Z} with phase-+1 representatives."""
-    return [pauli_element(lab) for lab in ("I", "X", "Y", "Z")]
-
-
-def _classify(u: np.ndarray, vertices: tuple[GroupElement, ...]) -> str | None:
-    """Label of the vertex equal to ``u`` up to global phase, else None."""
-    for v in vertices:
-        if phase_equal(u, v.unitary):
-            return v.label
-    return None
+    return [pauli_element(lab) for lab in PAULI_LABELS]
 
 
 def generated_group(generators: list[GroupElement]) -> list[GroupElement]:
@@ -132,27 +158,17 @@ def generated_group(generators: list[GroupElement]) -> list[GroupElement]:
     """
     if not generators:
         raise EmptyGenerators("need at least one generator")
-    classes = tuple(pauli_group())
-    found = {"I"}
-    frontier = ["I"]
-    while frontier:
-        label = frontier.pop()
-        for g in generators:
-            target = _classify(pauli(label) @ g.unitary, classes)
-            if target is None:
-                raise NotClosed(f"product {label} @ {g.label} leaves the Pauli classes")
-            if target not in found:
-                found.add(target)
-                frontier.append(target)
-    return [pauli_element(lab) for lab in ("I", "X", "Y", "Z") if lab in found]
+    found = {0}
+    for g in generators:
+        found |= {a ^ _bits(g.label) for a in found}
+    return [pauli_element(lab) for lab in PAULI_LABELS if _BITS[lab] in found]
 
 
 def build_cayley(group: list[GroupElement], generators: list[GroupElement]) -> CayleyGraph:
     """Build the Cayley graph of ``group`` under ``generators``.
 
-    Closure of the vertex set is verified by exhaustive multiplication;
-    generator products must land inside the vertex set up to a global
-    phase.
+    The vertex classes must be closed under XOR, and every generator's
+    class must be a vertex; phases play no part.
 
     Raises
     ------
@@ -168,18 +184,23 @@ def build_cayley(group: list[GroupElement], generators: list[GroupElement]) -> C
     labels = [v.label for v in vertices]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate vertex labels: {labels}")
-    for a in vertices:
-        for b in vertices:
-            if _classify(a.unitary @ b.unitary, vertices) is None:
-                raise NotClosed(f"product {a.label}*{b.label} leaves the group")
+    bits = {_bits(lab) for lab in labels}
+    if any(a ^ b not in bits for a in bits for b in bits):
+        raise NotClosed(f"products of {labels} leave the group")
     gens = tuple(generators)
     for g in gens:
-        if _classify(g.unitary, vertices) is None:
+        if _bits(g.label) not in bits:
             raise NotClosed(f"generator {g.label} is not in the group (up to phase)")
-    # Closure and the generators' membership put every edge target in the group.
-    edges = tuple((v.label, g.label, _classify(v.unitary @ g.unitary, vertices))
+    edges = tuple((v.label, g.label, _LABEL_OF[_bits(v.label) ^ _bits(g.label)])
                   for v in vertices for g in gens)
     return CayleyGraph(vertices=vertices, generators=gens, edges=edges)
+
+
+def _vertex_label(graph: CayleyGraph, start: GroupElement) -> str:
+    """``start``'s label, or ValueError when it names no vertex of ``graph``."""
+    if start.label not in {v.label for v in graph.vertices}:
+        raise ValueError(f"start element {start.label!r} is not a graph vertex")
+    return start.label
 
 
 def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
@@ -195,11 +216,8 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
         generating set; checked anyway).
     """
     target_of = {(v, g): t for v, g, t in graph.edges}
-    unused = {v.label: list(range(len(graph.generators))) for v in graph.vertices}
-    gen_labels = [g.label for g in graph.generators]
-    start_label = _classify(np.asarray(start.unitary), graph.vertices)
-    if start_label is None:
-        raise ValueError(f"start element {start.label!r} is not a graph vertex")
+    unused = {v.label: [g.label for g in graph.generators] for v in graph.vertices}
+    start_label = _vertex_label(graph, start)
 
     # Hierholzer, iterative: walk greedily, back up when stuck, splice.
     stack: list[tuple[str, str | None]] = [(start_label, None)]  # (vertex, incoming generator)
@@ -207,8 +225,7 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
     while stack:
         v, _ = stack[-1]
         if unused[v]:
-            gi = unused[v].pop(0)
-            g = gen_labels[gi]
+            g = unused[v].pop(0)
             stack.append((target_of[(v, g)], g))
         else:
             _, gen_in = stack.pop()
@@ -221,21 +238,17 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
 
 
 def cumulative_path(word: PulseWord, start: GroupElement) -> list[GroupElement]:
-    """Running left products g_l = p_l @ p_{l-1} @ ... @ p_1 @ start.
+    """Running left products g_l = p_l p_{l-1} ... p_1 start.
 
     Full phases are kept, so the signed sequence of propagators is
-    reproduced exactly; labels are assigned up to global phase against
-    the Pauli group.
+    reproduced exactly.  Raises ValueError for a letter that is not a
+    Pauli label.
     """
-    paulis = pauli_group()
-    current = np.asarray(start.unitary)
+    current = start
     out: list[GroupElement] = []
     for letter in word.letters:
-        current = pauli(letter) @ current
-        label = _classify(current, tuple(paulis))
-        if label is None:
-            raise NotClosed(f"cumulative product after {letter!r} left the Pauli group")
-        out.append(GroupElement(current, label))
+        current = _product(pauli_element(letter), current)
+        out.append(current)
     return out
 
 
@@ -264,15 +277,7 @@ def verify_eulerian(word: PulseWord, graph: CayleyGraph,
     for letter in word.letters:
         if letter not in gen_labels:
             raise ValueError(f"word letter {letter!r} is not a graph generator")
-    if start is None:
-        ident = [v for v in graph.vertices if phase_equal(v.unitary, np.eye(2))]
-        if not ident:
-            raise ValueError("graph has no identity vertex; pass start explicitly")
-        start_label = ident[0].label
-    else:
-        start_label = _classify(np.asarray(start.unitary), graph.vertices)
-        if start_label is None:
-            raise ValueError(f"start element {start.label!r} is not a graph vertex")
+    start_label = _vertex_label(graph, pauli_element("I") if start is None else start)
 
     target_of = {(v, g): t for v, g, t in graph.edges}
     seen: set[tuple[str, str]] = set()
@@ -300,15 +305,10 @@ def verify_average_decoupling(word: PulseWord, errors: set[str]) -> bool:
     """Zeroth-order averaging check: sum_l g_l^dag E g_l = 0 over the path.
 
     ``errors`` is a set of Pauli labels; the cumulative path is taken
-    from the identity.  The condition is insensitive to the phases of
-    the path elements.
+    from the identity.  Each term is +E when g_l and E commute and -E
+    when they anticommute, so the sum vanishes iff the two counts are
+    equal; the phases of the path elements play no part.
     """
-    path = cumulative_path(word, pauli_element("I"))
-    for err in errors:
-        e = pauli(err)
-        total = np.zeros((2, 2), dtype=complex)
-        for g in path:
-            total += g.unitary.conj().T @ e @ g.unitary
-        if np.max(np.abs(total)) > 1e-12:
-            return False
-    return True
+    path = [_bits(g.label) for g in cumulative_path(word, pauli_element("I"))]
+    return all(2 * sum(_anticommute(g, e) for g in path) == len(path)
+               for e in [_bits(err) for err in errors])

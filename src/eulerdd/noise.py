@@ -551,14 +551,17 @@ def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
 
     Raises
     ------
+    ValueError
+        If duration or sample_rate is not positive and finite.
     SampleBudgetExceeded
         If more than 1e8 samples are requested.
     """
-    if duration <= 0 or sample_rate <= 0:
-        raise ValueError("duration and sample_rate must be positive")
-    count = int(round(duration * sample_rate))
-    if count > 10**8:
-        raise SampleBudgetExceeded(f"{count} samples exceed the 1e8 budget")
+    if not (0 < duration < math.inf and 0 < sample_rate < math.inf):
+        raise ValueError("duration and sample_rate must be positive and finite")
+    samples = duration * sample_rate  # may overflow to inf, so not rounded yet
+    if samples > 10**8 + 0.5:
+        raise SampleBudgetExceeded(f"{samples:.6g} samples exceed the 1e8 budget")
+    count = int(round(samples))
     row = _phase_row(spec, phases)
     with open(path, "w", newline="\n") as fh:
         fh.write("t_s,bx_rad_s,by_rad_s\n")

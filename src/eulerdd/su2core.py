@@ -18,8 +18,6 @@ __all__ = [
     "axis_rotation",
     "SpinState",
     "population0",
-    "phase_equal",
-    "phase_distance",
 ]
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -130,28 +128,3 @@ def population0(state: SpinState) -> float:
     if not -1e-9 <= value <= 1 + 1e-9:
         raise ValueError(f"population0 out of range: {value!r}")
     return min(max(value, 0.0), 1.0)
-
-
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over unit phases e^{i alpha} of max-abs entry of (a - e^{i alpha} b).
-
-    The minimizing phase aligns the largest-magnitude entries, which is
-    exact for the unitary-vs-unitary comparisons this is used for.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    k = np.argmax(np.abs(b))
-    bk = b.flat[k]
-    if abs(bk) < 1e-300:
-        return float(np.max(np.abs(a - b)))
-    phase = a.flat[k] / bk
-    mag = abs(phase)
-    if mag < 1e-300:
-        return float(np.max(np.abs(a - b)))
-    phase /= mag
-    return float(np.max(np.abs(a - phase * b)))
-
-
-def phase_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when ``a`` equals ``b`` up to a global phase, to 1e-9."""
-    return phase_distance(a, b) <= 1e-9

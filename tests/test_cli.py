@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from eulerdd import (DEFAULT_N_LIST, DephasingSpec, LorentzianNoiseSpec, PulseShape,
-                     SequenceSpec, SimParams, calibrate_amplitude)
+                     SequenceSpec, SimParams, calibrate_amplitude, engine)
 from eulerdd.cli import (ConfigError, bundled_config_names, main,
                          parse_config)
 
@@ -393,6 +393,24 @@ def test_export_noise_writes_samples(tmp_path, capsys):
     assert main([path, "--out", str(out)]) == 0
     assert f"wrote 100 samples to {out}" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "t_s,bx_rad_s,by_rad_s"
+
+
+def test_export_noise_is_the_field_a_run_sees(tmp_path, capsys):
+    # Realization m of an export at a seed is realization m of a dd or
+    # relax run at that seed: the same seeding route, the same comb sum.
+    path = write_cfg(tmp_path, "experiment = export-noise\n"
+                     "noise_r = 31415.926535897932\nnoise_a = 1838870.610118221\n"
+                     "duration = 2e-3\nsample_rate = 1e6\nmaster_seed = 7\n"
+                     "realization_index = 1\n")
+    out = tmp_path / "noise.csv"
+    assert main([path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    t, bx, by = np.loadtxt(out, delimiter=",", skiprows=1).T
+    assert t.size == 2000
+    spec = LorentzianNoiseSpec(R=31415.926535897932, A=1838870.610118221)
+    comb, _ = engine._prepare_batch(spec, None, SimParams(realizations=2, master_seed=7))
+    c = comb.c_at(t)[1]
+    assert np.array_equal(bx, 2.0 * c.real) and np.array_equal(by, -2.0 * c.imag)
 
 
 def test_calibrate_command(tmp_path, capsys):

@@ -4,12 +4,28 @@ import itertools
 import numpy as np
 import pytest
 
-from eulerdd import (Disconnected, EmptyGenerators, NotClosed, PulseWord,
-                     build_cayley, cumulative_path, eulerian_cycle,
-                     generated_group, pauli, pauli_element, pauli_group,
-                     phase_equal, verify_average_decoupling, verify_eulerian)
+from eulerdd import (PAULI_LABELS, Disconnected, EmptyGenerators, NotClosed,
+                     PulseShape, PulseWord, build_cayley, cumulative_path,
+                     eulerian_cycle, generated_group, pauli, pauli_element,
+                     pauli_group, pulse_envelope, verify_average_decoupling,
+                     verify_eulerian)
 
 XY = [pauli_element("X"), pauli_element("Y")]
+
+
+def phase_equal(a, b):
+    """Whether a = c b for a c in {1, i, -1, -i}, compared exactly.
+
+    Products of Pauli matrices have entries 0, +-1 and +-i, so the matrix
+    route of the group checks needs no tolerance either.
+    """
+    return any(np.array_equal(a, c * b) for c in (1, 1j, -1, -1j))
+
+
+def matrix_class(u):
+    """The label of the Pauli class of ``u``, by matrix comparison."""
+    (label,) = [lab for lab in PAULI_LABELS if phase_equal(u, pauli(lab))]
+    return label
 
 
 def full_graph():
@@ -124,3 +140,103 @@ def test_disconnected_generators():
     graph = build_cayley(pauli_group(), [pauli_element("I")])
     with pytest.raises(Disconnected):
         eulerian_cycle(graph, pauli_element("I"))
+
+
+def test_exact_arithmetic_matches_the_matrix_route():
+    # The products of pauli() matrices are the oracle: every word of length
+    # 1 to 6 over {X, Y, Z} from every start, phases included, so a single
+    # flipped sign in the product table fails here.
+    count = 0
+    for n in range(1, 7):
+        for letters in itertools.product("XYZ", repeat=n):
+            word = PulseWord(letters)
+            count += 1
+            for start in PAULI_LABELS:
+                acc = pauli(start)
+                for letter, elem in zip(letters, cumulative_path(word, pauli_element(start))):
+                    acc = pauli(letter) @ acc
+                    assert np.array_equal(elem.unitary, acc)
+            # sum_l g_l^dag E g_l over the path from I, whose entries are exact.
+            path = list(itertools.accumulate((pauli(x) for x in letters), lambda a, p: p @ a))
+            for err in "XYZ":
+                total = sum(u.conj().T @ pauli(err) @ u for u in path)
+                assert verify_average_decoupling(word, {err}) == (not total.any())
+    assert count == 1092
+
+
+def test_cayley_edges_match_matrix_classes():
+    for n in range(1, 4):
+        for subset in itertools.combinations("XYZ", n):
+            gens = [pauli_element(lab) for lab in subset]
+            group = generated_group(gens)
+            closure = {"I"}
+            while True:
+                grown = closure | {matrix_class(pauli(v) @ pauli(g))
+                                   for v in closure for g in subset}
+                if grown == closure:
+                    break
+                closure = grown
+            assert [v.label for v in group] == [lab for lab in PAULI_LABELS if lab in closure]
+            graph = build_cayley(group, gens)
+            assert graph.edges == tuple((v.label, g, matrix_class(pauli(v.label) @ pauli(g)))
+                                        for v in group for g in subset)
+
+
+def test_unknown_labels_raise_value_error():
+    with pytest.raises(ValueError, match="unknown Pauli label"):
+        cumulative_path(PulseWord(("Q",)), pauli_element("I"))
+    with pytest.raises(ValueError, match="unknown Pauli label"):
+        cumulative_path(PulseWord(("X", "x")), pauli_element("I"))
+    with pytest.raises(ValueError, match="unknown Pauli label"):
+        verify_average_decoupling(PulseWord(("X", "X")), {"Q"})
+    with pytest.raises(ValueError, match="unknown Pauli label"):
+        pauli_element("Q")
+
+
+def first_order_size(omega: np.ndarray, tau: float) -> np.ndarray:
+    """max |entry| of F_alpha = int U_c^dag sigma_alpha U_c dt, per length-8 XY word.
+
+    ``omega`` is a pulse envelope on a uniform grid over [0, tau_d], with
+    tau_d = 1; it is rescaled to area exactly pi.  The cycle is [idle tau]
+    then eight [pulse][idle 2 tau] with the last idle tau.  Every word's
+    integrals use the same pulse quadrature, so a word's F vanishes to
+    rounding whenever the Eulerian cancellation holds, whatever its error.
+    Returns a (256,) array, words in itertools.product("XY", repeat=8) order.
+    """
+    k = omega.size - 1
+    w = np.full(k + 1, 1.0 / k)
+    w[[0, -1]] /= 2
+    theta = np.concatenate([[0.0], np.cumsum((omega[1:] + omega[:-1]) / (2 * k))])
+    theta *= np.pi / theta[-1]
+    sig = np.array([pauli(lab) for lab in "XYZ"])
+    axes = np.array([pauli("X"), pauli("Y")])  # phase 0 and pi/2
+    half = theta[None, :, None, None] / 2
+    v = np.cos(half) * pauli("I") - 1j * np.sin(half) * axes[:, None]  # (axis, s, 2, 2)
+    a = np.einsum("s,psik,aij,psjl->pakl", w, v.conj(), sig, v, optimize=True)
+    letters = np.array(list(itertools.product((0, 1), repeat=8)))
+    p = np.empty((len(letters), 9, 2, 2), dtype=complex)
+    p[:, 0] = pauli("I")
+    for l in range(8):
+        p[:, l + 1] = v[letters[:, l], -1] @ p[:, l]
+    pulses = np.einsum("wlik,wlaij,wljm->wakm", p[:, :8].conj(), a[letters], p[:, :8],
+                       optimize=True)
+    idles = np.einsum("l,wlik,aij,wljm->wakm", [tau] + 7 * [2 * tau] + [tau], p.conj(), sig,
+                      p, optimize=True)
+    return np.abs(pulses + idles).max(axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_first_order_term_vanishes_exactly_for_eulerian_words(tau):
+    # The paper's claim at first order: F = 0 for a pulse of any shape
+    # iff the word walks an Eulerian cycle of the Cayley graph.  Pulses
+    # back to back (tau = 0) are the bounded-control limit.
+    graph = build_cayley(pauli_group(), XY)
+    eulerian = np.array([verify_eulerian(PulseWord(letters), graph).passed
+                         for letters in itertools.product("XY", repeat=8)])
+    assert eulerian.sum() == 8
+    s = np.linspace(0.0, 1.0, 2001)
+    for omega in (pulse_envelope(PulseShape("Square"), 1.0, s),
+                  pulse_envelope(PulseShape("Gaussian"), 1.0, s),
+                  s):  # a ramp, theta proportional to t^2
+        size = first_order_size(omega, tau)
+        assert np.array_equal(size <= 1e-13, eulerian)

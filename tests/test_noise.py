@@ -300,10 +300,13 @@ def test_export_waveform(tmp_path):
     t0, bx0, by0 = (float(v) for v in lines[1].split(","))
     ex, ey = field_at(spec, real, 0.0)
     assert (t0, bx0, by0) == (0.0, float(ex), float(ey))
-    with pytest.raises(SampleBudgetExceeded):
-        export_waveform(spec, real, duration=10.0, sample_rate=1e8, path=path)
-    with pytest.raises(ValueError, match="positive"):
-        export_waveform(spec, real, duration=0.0, sample_rate=1e6, path=path)
+    for duration, rate in ((10.0, 1e8), (1e200, 1e200)):
+        with pytest.raises(SampleBudgetExceeded):
+            export_waveform(spec, real, duration=duration, sample_rate=rate, path=path)
+    for duration, rate in ((0.0, 1e6), (math.inf, 1e6), (math.nan, 1e6), (1e-4, math.inf),
+                           (1e-4, math.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            export_waveform(spec, real, duration=duration, sample_rate=rate, path=path)
 
 
 def test_export_waveform_writes_in_chunks(tmp_path, monkeypatch):
