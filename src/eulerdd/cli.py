@@ -7,19 +7,25 @@ experiment are rejected with their line number.  A handful of
 bundled configs ship with the package and can be named directly in
 place of a path (e.g. ``eulerdd fig2_xy8_slow``).
 
-Each experiment is one ``_EXPERIMENTS`` record: its keys, whether it
-needs an output path, and a builder that checks the config, builds
-every spec and returns the work.  The work runs only after the build,
-so every config error is reported before any work starts.
+Each experiment is one ``_EXPERIMENTS`` record: the keys it reads,
+whether it needs an output path, and a builder that builds every spec
+and returns the work.  The work runs only after the build, so every
+config error is reported before any work starts.  Every value passes
+one converter of ``_SCHEMA``, which also holds its range rule: a flag
+that sets a key (``--seed``, ``--realizations``, ``--out``) goes
+through the same converter and applies only where the experiment
+reads the key.  An absent key is the only way to switch a part of the
+model off: ``noise_a = 0`` is a comb of zero amplitude and
+``sigma_delta = 0`` a detuning of zero width.
 
 Curve experiments write the DecayCurve CSV to the required output
 path (``out`` key or ``--out``) and print a fit summary plus, when
 ``f_larmor`` is set, the Larmor-resonance check.
 
 Exit codes: 0 on success, 1 on config errors (parse failures,
-unknown or inapplicable keys, out-of-range or non-finite values, or
-specs that refuse the values), 2 when a valid experiment fails at
-runtime.
+unknown or inapplicable keys and flags, out-of-range or non-finite
+values, or specs that refuse the values), 2 when a valid experiment
+fails at runtime.
 """
 from __future__ import annotations
 
@@ -39,7 +45,8 @@ from .dgroup import (PulseWord, build_cayley, cumulative_path, eulerian_cycle,
                      generated_group, pauli_element, verify_average_decoupling,
                      verify_eulerian)
 from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, _TAG_NOISE, _seeded,
-                     calibrate_amplitude, run_dd_scan, run_fid, run_relaxation)
+                     apply_envelope, calibrate_amplitude, run_dd_scan, run_fid,
+                     run_relaxation)
 from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
                     sample_realization)
 
@@ -64,8 +71,31 @@ def _as_nonnegative_float(raw: str) -> float:
     return value
 
 
+def _as_positive_float(raw: str) -> float:
+    value = _as_float(raw)
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _as_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+
+
+def _as_int_at_least(low: int):
+    def convert(raw: str) -> int:
+        value = _as_int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return convert
+
+
 def _as_uint64(raw: str) -> int:
-    value = int(raw)
+    value = _as_int(raw)
     if not 0 <= value < 2**64:
         raise ValueError("must lie in [0, 2^64)")
     return value
@@ -75,7 +105,8 @@ def _as_enum(options: dict[str, str]):
     def convert(raw: str) -> str:
         key = raw.strip().lower()
         if key not in options:
-            raise ValueError(f"expected one of {', '.join(sorted(set(options.values())))}")
+            names = sorted({str(v) for v in options.values()})
+            raise ValueError(f"expected one of {', '.join(names)}")
         return options[key]
     return convert
 
@@ -85,12 +116,12 @@ def _as_n_list(raw: str) -> tuple[int, ...]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ValueError("ranges take the form start:stop:step")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = (_as_int(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError("range needs step > 0 and stop >= start")
         values = tuple(range(start, stop + 1, step))
     else:
-        values = tuple(int(p) for p in raw.split(",") if p.strip())
+        values = tuple(_as_int(p) for p in raw.split(",") if p.strip())
     if not values:
         raise ValueError("empty list")
     if min(values) < 1:
@@ -106,36 +137,25 @@ def _as_word(raw: str) -> str:
 
 
 def _sim_params(cfg: dict) -> SimParams:
-    return SimParams(dt=cfg.get("dt"),
-                     realizations=cfg.get("realizations", 1000),
-                     master_seed=cfg.get("master_seed", 0),
-                     envelope_T2=cfg.get("envelope_t2"))
+    return SimParams(dt=cfg.get("dt"), realizations=cfg.get("realizations", 1000),
+                     master_seed=cfg.get("master_seed", 0))
 
 
-def _comb_spec(cfg: dict, A: float) -> LorentzianNoiseSpec:
-    return LorentzianNoiseSpec(R=cfg["noise_r"], A=A,
+def _comb_spec(cfg: dict, A: float | None = None) -> LorentzianNoiseSpec | None:
+    """The config's comb at amplitude A, by default noise_a; None when it sets none."""
+    if "noise_r" not in cfg:
+        return None
+    return LorentzianNoiseSpec(R=cfg["noise_r"], A=cfg["noise_a"] if A is None else A,
                                delta_omega=cfg.get("delta_omega", 1e3),
                                n_max=cfg.get("n_max", 10))
 
 
-def _noise_spec(cfg: dict) -> LorentzianNoiseSpec | None:
-    if cfg.get("noise_a", 0.0) <= 0.0:
-        return None
-    if "noise_r" not in cfg:
-        raise ConfigError("noise_a needs noise_r")
-    return _comb_spec(cfg, cfg["noise_a"])
-
-
 def _dephasing_spec(cfg: dict) -> DephasingSpec | None:
-    if cfg.get("sigma_delta", 0.0) > 0.0:
-        return DephasingSpec(sigma_delta=cfg["sigma_delta"])
-    return None
+    return DephasingSpec(sigma_delta=cfg["sigma_delta"]) if "sigma_delta" in cfg else None
 
 
 def _time_grid(cfg: dict) -> list[float]:
     t_max, points = cfg["t_max"], cfg.get("t_points", 24)
-    if points < 2:
-        raise ConfigError("t_points must be at least 2")
     if cfg.get("t_spacing") == "geometric":
         t_min = cfg.get("t_min", t_max / points)
         if t_min <= 0:
@@ -161,7 +181,7 @@ def _emit_curve(curve: DecayCurve, cfg: dict, p: int, model: str) -> None:
 
 
 def _build_dd(cfg: dict):
-    params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
+    params, noise, dephasing = _sim_params(cfg), _comb_spec(cfg), _dephasing_spec(cfg)
     shape = PulseShape(kind=cfg.get("shape", "Square"),
                        gauss_trunc=cfg.get("gauss_trunc", 2.5))
     n_list = sorted(set(cfg.get("n_list", DEFAULT_N_LIST)))
@@ -172,21 +192,19 @@ def _build_dd(cfg: dict):
         if "f_larmor" in cfg:
             print(check_larmor_resonance(spec.tau_c, cfg["f_larmor"]).message())
         curve = run_dd_scan(spec, n_list, noise_spec=noise, dephasing=dephasing, params=params)
+        if "envelope_t2" in cfg:
+            curve = apply_envelope(curve, cfg["envelope_t2"])
         _emit_curve(curve, cfg, 1, "free")
     return work
 
 
 def _build_fid(cfg: dict):
-    params = _sim_params(cfg)
-    dephasing = DephasingSpec(sigma_delta=cfg["sigma_delta"])
-    grid = _time_grid(cfg)
+    params, dephasing, grid = _sim_params(cfg), _dephasing_spec(cfg), _time_grid(cfg)
     return lambda: _emit_curve(run_fid(dephasing, grid, params=params), cfg, 2, "fixed")
 
 
 def _build_relax(cfg: dict):
-    params, noise, dephasing = _sim_params(cfg), _noise_spec(cfg), _dephasing_spec(cfg)
-    if noise is None:
-        raise ConfigError("relax needs noise_a > 0")
+    params, noise, dephasing = _sim_params(cfg), _comb_spec(cfg), _dephasing_spec(cfg)
     grid = _time_grid(cfg)
     return lambda: _emit_curve(run_relaxation(noise, grid, dephasing=dephasing, params=params),
                                cfg, 1, "free")
@@ -194,8 +212,6 @@ def _build_relax(cfg: dict):
 
 def _build_calibrate(cfg: dict):
     params, noise = _sim_params(cfg), _comb_spec(cfg, 1.0)
-    if cfg["target_t1"] <= 0:
-        raise ConfigError("target_t1 must be positive")
 
     def work() -> None:
         result = calibrate_amplitude(noise, cfg["target_t1"], params=params)
@@ -212,10 +228,7 @@ def _build_calibrate(cfg: dict):
 def _build_export(cfg: dict):
     # Seeded as the runners seed the comb, so the export is the field that
     # realization realization_index of a run at the same seed sees.
-    spec = _seeded(_comb_spec(cfg, cfg["noise_a"]),
-                   SimParams(master_seed=cfg.get("master_seed", 0)), _TAG_NOISE)
-    if cfg["duration"] <= 0 or cfg["sample_rate"] <= 0:
-        raise ConfigError("duration and sample_rate must be positive")
+    spec = _seeded(_comb_spec(cfg), _sim_params(cfg), _TAG_NOISE)
 
     def work() -> None:
         phases = sample_realization(spec, cfg.get("realization_index", 0))
@@ -257,31 +270,32 @@ def _build_eulerian_check(cfg: dict):
 
 
 class _Experiment(NamedTuple):
-    """An experiment's config keys, whether it writes `out`, and its builder."""
+    """The keys an experiment reads, whether it writes `out`, and its builder."""
 
     required: set[str]
     optional: set[str]
     needs_out: bool
-    build: Callable[[dict], Callable[[], None]]  # checks cfg, returns the work
+    build: Callable[[dict], Callable[[], None]]  # builds the specs, returns the work
 
 
-_COMMON_KEYS = {"experiment", "master_seed", "realizations", "dt", "out"}
+# The run keys of the Monte Carlo experiments, and their fit keys.
+_RUN_KEYS = {"master_seed", "realizations", "dt", "out"}
 _FIT_KEYS = {"fit_p", "fit_model"}
 _EXPERIMENTS = {
     "dd": _Experiment({"sequence", "tau", "tau_d"},
                       {"shape", "gauss_trunc", "n_list", "noise_r", "noise_a", "delta_omega",
-                       "n_max", "sigma_delta", "envelope_t2", "f_larmor"} | _FIT_KEYS,
-                      True, _build_dd),
-    "fid": _Experiment({"sigma_delta", "t_max"}, {"t_min", "t_points"} | _FIT_KEYS,
+                       "n_max", "sigma_delta", "envelope_t2", "f_larmor"}
+                      | _FIT_KEYS | _RUN_KEYS, True, _build_dd),
+    "fid": _Experiment({"sigma_delta", "t_max"}, {"t_min", "t_points"} | _FIT_KEYS | _RUN_KEYS,
                        True, _build_fid),
     "relax": _Experiment({"noise_r", "noise_a", "t_max", "t_points"},
                          {"delta_omega", "n_max", "sigma_delta", "t_min", "t_spacing"}
-                         | _FIT_KEYS, True, _build_relax),
-    "calibrate": _Experiment({"noise_r", "target_t1"}, {"delta_omega", "n_max"},
+                         | _FIT_KEYS | _RUN_KEYS, True, _build_relax),
+    "calibrate": _Experiment({"noise_r", "target_t1"}, {"delta_omega", "n_max"} | _RUN_KEYS,
                              False, _build_calibrate),
     "export-noise": _Experiment({"noise_r", "noise_a", "duration", "sample_rate"},
-                                {"delta_omega", "n_max", "realization_index"},
-                                True, _build_export),
+                                {"delta_omega", "n_max", "realization_index", "master_seed",
+                                 "out"}, True, _build_export),
     "eulerian-check": _Experiment(set(), {"word", "sequence"}, False, _build_eulerian_check),
 }
 
@@ -289,8 +303,8 @@ _EXPERIMENTS = {
 _SCHEMA: dict[str, callable] = {
     "experiment": _as_enum({name: name for name in _EXPERIMENTS}),
     "master_seed": _as_uint64,
-    "realizations": int,
-    "dt": _as_float,
+    "realizations": _as_int_at_least(1),
+    "dt": _as_positive_float,
     "out": str,
     "sequence": _as_enum({"cpmg_y": "CPMG_Y", "xy4": "XY4", "xy8": "XY8"}),
     "tau": _as_float,
@@ -299,22 +313,22 @@ _SCHEMA: dict[str, callable] = {
     "gauss_trunc": _as_float,
     "n_list": _as_n_list,
     "noise_r": _as_float,
-    "noise_a": _as_float,
+    "noise_a": _as_nonnegative_float,
     "delta_omega": _as_float,
-    "n_max": int,
-    "sigma_delta": _as_float,
-    "envelope_t2": _as_float,
-    "f_larmor": _as_float,
+    "n_max": _as_int,
+    "sigma_delta": _as_nonnegative_float,
+    "envelope_t2": _as_positive_float,
+    "f_larmor": _as_positive_float,
     "t_min": _as_nonnegative_float,
     "t_max": _as_nonnegative_float,
-    "t_points": int,
+    "t_points": _as_int_at_least(2),
     "t_spacing": _as_enum({"linear": "linear", "geometric": "geometric"}),
-    "target_t1": _as_float,
-    "duration": _as_float,
-    "sample_rate": _as_float,
+    "target_t1": _as_positive_float,
+    "duration": _as_positive_float,
+    "sample_rate": _as_positive_float,
     "realization_index": _as_uint64,
     "word": _as_word,
-    "fit_p": int,
+    "fit_p": _as_enum({"1": 1, "2": 2}),
     "fit_model": _as_enum({"free": "free", "fixed": "fixed"}),
 }
 
@@ -370,7 +384,7 @@ def parse_config(text: str) -> dict:
     exp = values["experiment"]
     required, optional = _EXPERIMENTS[exp].required, _EXPERIMENTS[exp].optional
     for key in values:
-        if key not in _COMMON_KEYS | required | optional:
+        if key not in {"experiment"} | required | optional:
             raise ConfigError(f"line {lines[key]}: key {key!r} does not apply to "
                               f"experiment {exp!r}")
     missing = required - set(values)
@@ -379,8 +393,12 @@ def parse_config(text: str) -> dict:
                           f"{', '.join(sorted(missing))}")
     if "gauss_trunc" in values and values.get("shape") != "Gaussian":
         raise ConfigError(f"line {lines['gauss_trunc']}: gauss_trunc needs shape = gaussian")
-    if values.get("fit_p") not in (None, 1, 2):
-        raise ConfigError(f"line {lines['fit_p']}: fit_p must be 1 or 2")
+    # The comb keys an experiment reads come together; delta_omega and n_max need them.
+    comb = {"noise_r", "noise_a"} & (required | optional)
+    for key in ("noise_r", "noise_a", "delta_omega", "n_max"):
+        if key in values and not comb <= values.keys():
+            raise ConfigError(f"line {lines[key]}: {key} is a comb key; "
+                              "the comb needs both noise_r and noise_a")
     if "n_list" in values:
         base = len(SEQUENCE_PHASES[values["sequence"]])
         for n in values["n_list"]:
@@ -414,35 +432,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run decoupling simulations and noise exports from a config file.")
     parser.add_argument("config",
                         help="path to a key=value config file, or a bundled config name")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override master_seed, in [0, 2^64)")
-    parser.add_argument("--realizations", type=int, default=None,
-                        help="override the Monte Carlo realization count")
-    parser.add_argument("--threads", type=int, default=None,
+    # Flags are read as text and pass their key's converter in main.
+    parser.add_argument("--seed", help="set master_seed, in [0, 2^64)")
+    parser.add_argument("--realizations", help="set the Monte Carlo realization count")
+    parser.add_argument("--threads",
                         help="accepted for compatibility: must be >= 1, has no effect")
-    parser.add_argument("--out", default=None, help="override the output path")
+    parser.add_argument("--out", help="set the output path")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit")
     return parser
+
+
+def _flag(name: str, convert: Callable[[str], object], raw: str):
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"--{name} {exc}") from None
+
+
+_FLAG_KEYS = {"seed": "master_seed", "realizations": "realizations", "out": "out"}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(_config_text(args.config))
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must lie in [0, 2^64)")
-            cfg["master_seed"] = args.seed
-        if args.realizations is not None:
-            if args.realizations < 1:
-                raise ConfigError("--realizations must be >= 1")
-            cfg["realizations"] = args.realizations
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        if args.out is not None:
-            cfg["out"] = args.out
         experiment = _EXPERIMENTS[cfg["experiment"]]
+        for name, key in _FLAG_KEYS.items():
+            raw = getattr(args, name)
+            if raw is not None and key not in experiment.optional:
+                raise ConfigError(f"--{name} does not apply to experiment "
+                                  f"{cfg['experiment']!r}")
+            if raw is not None:
+                cfg[key] = _flag(name, _SCHEMA[key], raw)
+        if args.threads is not None:
+            _flag("threads", _as_int_at_least(1), args.threads)
         if experiment.needs_out and not cfg.get("out"):
             raise ConfigError(
                 f"{cfg['experiment']} needs an output path: set out= or pass --out")

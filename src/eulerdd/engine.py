@@ -133,14 +133,11 @@ class SimParams:
     segment but sizes only the steps of segments whose H varies,
     shortened as needed to divide each one exactly; a segment with a
     constant H takes one exact step either way.
-    envelope_T2, when set, multiplies dd curves by the
-    intrinsic-dephasing envelope of ``apply_envelope``.
     """
 
     dt: float | None = None
     realizations: int = 1000
     master_seed: int = 0
-    envelope_T2: float | None = None
 
     def __post_init__(self) -> None:
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -152,8 +149,6 @@ class SimParams:
                 f"realizations must be an integer, got {self.realizations!r}") from None
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.envelope_T2 is not None and not 0 < self.envelope_T2 < math.inf:
-            raise ValueError("envelope_T2 must be positive and finite")
         _check_seed(self.master_seed)
 
 
@@ -707,9 +702,7 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int],
     A single schedule at max(n_list) is propagated once per
     realization, with the state snapshotted at every requested cycle
     boundary t = N tau_c; this is exact because each prefix of the
-    schedule equals the N-cycle schedule.  If params.envelope_T2 is
-    set the intrinsic-dephasing envelope is applied to the resulting
-    curve.
+    schedule equals the N-cycle schedule.
     """
     params = params or SimParams()
     n_list = sorted(set(int(n) for n in n_list))
@@ -720,14 +713,10 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int],
         if n % base:
             raise ValueError(f"N = {n} is not a multiple of the {spec.name} "
                              f"cycle length {base}")
-    full = SequenceSpec(name=spec.name, N=n_list[-1], tau=spec.tau, tau_d=spec.tau_d,
-                        shape=spec.shape, phases=spec.phases)
+    full = replace(spec, N=n_list[-1])
     times = [n * full.tau_c for n in n_list]
-    curve = _curve(build_schedule(full), times, n_list, noise_spec, dephasing, params,
-                   pulses=True)
-    if params.envelope_T2 is not None:
-        curve = apply_envelope(curve, params.envelope_T2)
-    return curve
+    return _curve(build_schedule(full), times, n_list, noise_spec, dephasing, params,
+                  pulses=True)
 
 
 def _checked_times(t_list: list[float]) -> list[float]:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from eulerdd import (DEFAULT_N_LIST, DephasingSpec, LorentzianNoiseSpec, PulseShape,
-                     SequenceSpec, SimParams, calibrate_amplitude, engine)
+from eulerdd import (DEFAULT_N_LIST, CurvePoint, DecayCurve, DephasingSpec,
+                     LorentzianNoiseSpec, PulseShape, SequenceSpec, SimParams,
+                     apply_envelope, calibrate_amplitude, engine)
 from eulerdd.cli import (ConfigError, bundled_config_names, main,
                          parse_config)
 
@@ -76,7 +77,7 @@ def test_parse_config_cross_key_rules():
     with pytest.raises(ConfigError, match="gauss_trunc needs shape = gaussian"):
         parse_config("experiment = dd\nsequence = xy8\ntau = 1e-6\n"
                      "tau_d = 1e-7\ngauss_trunc = 2.0\n")
-    with pytest.raises(ConfigError, match="fit_p must be 1 or 2"):
+    with pytest.raises(ConfigError, match="line 4: bad value for 'fit_p': expected one of 1, 2"):
         parse_config("experiment = fid\nsigma_delta = 1e5\nt_max = 1e-6\nfit_p = 3\n")
 
 
@@ -151,6 +152,69 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
     assert "wrote 5 points" in capsys.readouterr().out
 
 
+EULER_TEXT = "experiment = eulerian-check\nsequence = xy8\n"
+EXPORT_TEXT = ("experiment = export-noise\nnoise_r = 31415.926535897932\nnoise_a = 1e5\n"
+               "duration = 1e-5\nsample_rate = 1e6\n")
+DD_TEXT = ("experiment = dd\nsequence = xy8\ntau = 5e-7\ntau_d = 1e-7\nn_list = 8\n"
+           "realizations = 4\n")
+OUT = ("--out", "never.csv")
+
+
+@pytest.mark.parametrize("text,flags,message", [
+    # An experiment takes only the run keys it reads.
+    (EULER_TEXT + "realizations = 4\n", (),
+     "line 3: key 'realizations' does not apply to experiment 'eulerian-check'"),
+    (EULER_TEXT + "dt = 1e-9\n", (), "line 3: key 'dt' does not apply"),
+    (EULER_TEXT + "master_seed = 1\n", (), "line 3: key 'master_seed' does not apply"),
+    (EXPORT_TEXT + "realizations = 4\n", OUT,
+     "line 6: key 'realizations' does not apply to experiment 'export-noise'"),
+    (EXPORT_TEXT + "dt = 1e-9\n", OUT, "line 6: key 'dt' does not apply"),
+    # A flag sets its key, so it applies where the key does.
+    (EULER_TEXT, ("--seed", "1"), "--seed does not apply to experiment 'eulerian-check'"),
+    (EULER_TEXT, ("--realizations", "4"), "--realizations does not apply"),
+    (EULER_TEXT, OUT, "--out does not apply to experiment 'eulerian-check'"),
+    (EXPORT_TEXT, ("--realizations", "4", *OUT),
+     "--realizations does not apply to experiment 'export-noise'"),
+    # A malformed flag value is a config error, not an argparse one.
+    (DD_TEXT, ("--seed", "abc", *OUT), "--seed must be an integer, got 'abc'"),
+    (DD_TEXT, ("--threads", "x", *OUT), "--threads must be an integer, got 'x'"),
+    # Absent is the only off: a negative amplitude or width is no switch.
+    (DD_TEXT + "noise_r = 31415.926535897932\nnoise_a = -5\n", OUT,
+     "line 8: bad value for 'noise_a': must be non-negative"),
+    (DD_TEXT + "sigma_delta = -1\n", OUT,
+     "line 7: bad value for 'sigma_delta': must be non-negative"),
+    # The comb keys come together.
+    (DD_TEXT + "noise_r = 31415.926535897932\n", OUT,
+     "line 7: noise_r is a comb key; the comb needs both noise_r and noise_a"),
+    (DD_TEXT + "noise_a = 1e5\n", OUT, "line 7: noise_a is a comb key"),
+    (DD_TEXT + "delta_omega = 1e3\n", OUT, "line 7: delta_omega is a comb key"),
+    (DD_TEXT + "n_max = 5\n", OUT, "line 7: n_max is a comb key"),
+    # Range rules live in the converters, which name the line.
+    (DD_TEXT + "envelope_t2 = 0\n", OUT, "line 7: bad value for 'envelope_t2': must be positive"),
+    (DD_TEXT + "envelope_t2 = -1e-3\n", OUT, "line 7: bad value for 'envelope_t2'"),
+    (DD_TEXT + "f_larmor = 0\n", OUT, "line 7: bad value for 'f_larmor': must be positive"),
+    (DD_TEXT + "f_larmor = -5e5\n", OUT, "line 7: bad value for 'f_larmor'"),
+])
+def test_each_setting_has_one_route(tmp_path, capsys, monkeypatch, text, flags, message):
+    # Every refusal exits 1 before any work: it names its line or flag,
+    # prints nothing to stdout and writes no file.
+    monkeypatch.chdir(tmp_path)
+    assert main([write_cfg(tmp_path, text, name="bad.cfg"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_zero_amplitude_and_width_mean_zero(tmp_path):
+    # A zero comb amplitude and a zero detuning width run the model they
+    # name, which is the same as leaving the keys out.
+    runs = {"off": "", "zero": "noise_r = 31415.926535897932\nnoise_a = 0\nsigma_delta = 0\n"}
+    for name, keys in runs.items():
+        assert main([write_cfg(tmp_path, DD_TEXT + keys), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "off").read_bytes() == (tmp_path / "zero").read_bytes()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_input_is_rejected(tmp_path, capsys, value):
     # The CLI stops at the offending line with exit 1 before any run starts.
@@ -172,7 +236,7 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, value):
         lambda: LorentzianNoiseSpec(R=1e4, A=1.0, delta_omega=x),
         lambda: DephasingSpec(sigma_delta=x),
         lambda: SimParams(dt=x),
-        lambda: SimParams(envelope_T2=x),
+        lambda: apply_envelope(DecayCurve((CurvePoint(0.0, 0, 1.0, 0.0),)), x),
         lambda: calibrate_amplitude(LorentzianNoiseSpec(R=1e4, A=0.0), x),
     ]
     for build in builders:

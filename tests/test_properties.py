@@ -18,8 +18,8 @@ from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E4
                      derive_seed, prep_unitary, sample_detuning,
                      sample_realization)
 from eulerdd import engine  # noqa: E402
-from eulerdd.cli import (_COMMON_KEYS, _EXPERIMENTS, ConfigError,  # noqa: E402
-                         _dump_config, parse_config)
+from eulerdd.cli import (_EXPERIMENTS, ConfigError, _dump_config,  # noqa: E402
+                         parse_config)
 from eulerdd.noise import STREAM_DETUNING, Comb  # noqa: E402
 
 # Fixed example sequence, no example database: every run checks the same cases.
@@ -27,6 +27,7 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 # An --out path may hold what a config line cannot: a '#' or edge spaces.
 any_path = st.text(alphabet="abc0123456789_-./# ", min_size=1, max_size=16)
 
@@ -185,8 +186,8 @@ def test_detuning_draws_equal_per_index_generators(master_seed, indices):
 
 VALUES = {
     "master_seed": st.integers(0, 2**64 - 1),
-    "realizations": st.integers(-10, 10**7),
-    "dt": finite,
+    "realizations": st.integers(1, 10**7),
+    "dt": positive,
     "out": any_path,
     "sequence": st.sampled_from(["CPMG_Y", "XY4", "XY8"]),
     "tau": finite,
@@ -194,19 +195,19 @@ VALUES = {
     "shape": st.sampled_from(["Delta", "Square", "Gaussian"]),
     "gauss_trunc": finite,
     "noise_r": finite,
-    "noise_a": finite,
+    "noise_a": non_negative,
     "delta_omega": finite,
     "n_max": st.integers(-5, 100),
-    "sigma_delta": finite,
-    "envelope_t2": finite,
-    "f_larmor": finite,
+    "sigma_delta": non_negative,
+    "envelope_t2": positive,
+    "f_larmor": positive,
     "t_min": non_negative,
     "t_max": non_negative,
-    "t_points": st.integers(-5, 1000),
+    "t_points": st.integers(2, 1000),
     "t_spacing": st.sampled_from(["linear", "geometric"]),
-    "target_t1": finite,
-    "duration": finite,
-    "sample_rate": finite,
+    "target_t1": positive,
+    "duration": positive,
+    "sample_rate": positive,
     "realization_index": st.integers(0, 2**64 - 1),
     "word": st.text(alphabet="XYZ", min_size=1, max_size=12),
     "fit_p": st.sampled_from([1, 2]),
@@ -221,11 +222,16 @@ def configs(draw):
     exp = draw(st.sampled_from(sorted(_EXPERIMENTS)))
     required, optional = _EXPERIMENTS[exp].required, _EXPERIMENTS[exp].optional
     cfg = {"experiment": exp}
-    for key in sorted((_COMMON_KEYS | required | optional) & VALUES.keys()):
+    for key in sorted((required | optional) & VALUES.keys()):
         if key in required or draw(st.booleans()):
             cfg[key] = draw(VALUES[key])
     if cfg.get("shape") != "Gaussian":
         cfg.pop("gauss_trunc", None)
+    # The comb keys come together, and delta_omega and n_max need them.
+    comb = {"noise_r", "noise_a"} & (required | optional)
+    if not comb <= cfg.keys():
+        for key in ("noise_r", "noise_a", "delta_omega", "n_max"):
+            cfg.pop(key, None)
     if exp == "dd" and draw(st.booleans()):
         # Cycle counts are positive multiples of the sequence's cycle length.
         base = len(SEQUENCE_PHASES[cfg["sequence"]])
