@@ -22,10 +22,10 @@ Curve experiments write the DecayCurve CSV to the required output
 path (``out`` key or ``--out``) and print a fit summary plus, when
 ``f_larmor`` is set, the Larmor-resonance check.
 
-Exit codes: 0 on success, 1 on config errors (parse failures,
-unknown or inapplicable keys and flags, out-of-range or non-finite
-values, or specs that refuse the values), 2 when a valid experiment
-fails at runtime.
+Exit codes: 0 on success, 1 on config errors (parse failures, a
+malformed command line, unknown or inapplicable keys and flags,
+out-of-range or non-finite values, or specs that refuse the values), 2
+when a valid experiment fails at runtime.
 """
 from __future__ import annotations
 
@@ -426,8 +426,15 @@ def _dump_config(cfg: dict) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1), not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulerdd",
         description="Run decoupling simulations and noise exports from a config file.")
     parser.add_argument("config",
@@ -454,8 +461,8 @@ _FLAG_KEYS = {"seed": "master_seed", "realizations": "realizations", "out": "out
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = parse_config(_config_text(args.config))
         experiment = _EXPERIMENTS[cfg["experiment"]]
         for name, key in _FLAG_KEYS.items():

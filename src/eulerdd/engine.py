@@ -31,15 +31,21 @@ pi, they stay within 2.2e-16 (cos) and 4.4e-16 (sin) of numpy's sin
 and cos, and |alpha|^2 + |beta|^2 within 8.9e-16 of 1.  A step is
 exact when H is constant over it.
 
-A segment advances the state in one of two ways.  Where its propagator
-does not depend on when it starts, as for a Delta pulse and for every
-finite segment without the comb, it applies one cached step per
-distinct (duration, phase): the pi rotation, or the product of the
-segment's Magnus steps, multiplied out once, block by block, into one
-(1, M) step.  Under the comb a finite segment applies its own Magnus
-steps, built lazily, one block of (steps, M) arrays at a time.  So a
-run holds one block plus one (1, M) step per class, and only the
-application of steps to the state is sequential.
+Where a segment's propagator does not depend on when it starts, as for
+a Delta pulse and for every finite segment without the comb, it has
+one class step per distinct (duration, phase): the pi rotation, or the
+product of the segment's Magnus steps, multiplied out once, block by
+block, into one (1, M) step.  Without the comb every segment has one,
+so the state advances once per snapshot: the class steps of the
+segments between two snapshots are multiplied into one (1, M) interval
+step, once per distinct run of segments, such as the one XY8 cycle
+between each two cycle counts of a regular scan.  An interval of one
+segment, as on an FID grid, takes that segment's class step.  Under
+the comb a Delta pulse applies its class step and a finite segment its
+own Magnus steps, built lazily, one block of (steps, M) arrays at a
+time.  So a run holds one block plus one (1, M) step per class and per
+interval, and only the application of steps to the state is
+sequential.
 
 The comb c(t) = sum_n coef_n e^{i omega_n t} changes slowly over a
 segment of duration T: its top tone turns by omega_max T, 6.3e-3 rad
@@ -426,23 +432,32 @@ def _apply(u, j, a, b):
     return u[0][j] * a + u[1][j] * b, u[2][j] * a + u[3][j] * b
 
 
+def _product(blocks):
+    """The SU(2) steps of ``blocks``, applied in order, multiplied into one step.
+
+    Each block is (u00, u01, u10, u11) with one row per step, and so is
+    the result, with one row.  The steps are streamed onto the product's
+    |0> column (x, y), which starts from the first step's column, so a
+    product of one step keeps that step's bytes; its SU(2) partner is
+    (-conj y, conj x).
+    """
+    x = y = None
+    for u in blocks:
+        for j in range(u[0].shape[0]):
+            x, y = (u[0][j], u[2][j]) if x is None else _apply(u, j, x, y)
+    return x[None], -np.conj(y)[None], y[None], np.conj(x)[None]
+
+
 def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
     """The one step of a segment whose propagator does not depend on its start.
 
     A Delta pulse's step is its exact pi rotation about (cos phi, sin
-    phi), four (1,) arrays.  A comb-free finite segment's is the product
-    of its nstep Magnus steps as four (1, M) arrays, streamed one block
-    at a time: its |0> column (x, y) starts from the first step's
-    column, so a one-step segment keeps the bytes of that step, and its
-    SU(2) partner is (-conj y, conj x).
+    phi), four (1,) arrays.  A comb-free finite segment's is the
+    ``_product`` of its nstep Magnus steps, streamed one block at a time.
     """
     if seg.duration == 0.0:
         return tuple(axis_rotation(seg.phase, math.pi).reshape(4, 1))
-    x = y = None
-    for u in _magnus_steps(seg, shape, None, hz, 0.0, nstep):
-        for j in range(u[0].shape[0]):
-            x, y = (u[0][j], u[2][j]) if x is None else _apply(u, j, x, y)
-    return x[None], -np.conj(y)[None], y[None], np.conj(x)[None]
+    return _product(_magnus_steps(seg, shape, None, hz, 0.0, nstep))
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
@@ -451,28 +466,49 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
 
     nstep and varies are the segment's ``_segment_steps``.  psi0 is the
     initial 2-vector of all M = deltas.size realizations; returns one
-    (M, 2) wavefunction copy per "snap" marker.  A segment advances the
-    state in one of two ways.  A Delta pulse, and every finite segment
-    without the comb, does not depend on when it starts: it applies one
-    ``_class_step``, built once per distinct (duration, phase).  A
-    finite segment under the comb applies its Magnus steps, built one
-    block at a time.  It keeps no diagnostics: ``_run_batch`` reads the
-    step counts from the items and the norm drift from the snapshots.
+    (M, 2) wavefunction copy per "snap" marker.  A Delta pulse, and every
+    finite segment without the comb, does not depend on when it starts:
+    its ``_class_step`` is built once per distinct (duration, phase).
+    Without the comb every segment is such a step, so the state advances
+    once per "snap" marker, by the ``_product`` of the class steps of the
+    segments since the last marker, built once per distinct tuple of
+    segments; an interval of one segment applies that segment's class
+    step.  Under the comb a Delta pulse applies its class step and a
+    finite segment its Magnus steps, built one block at a time.  It keeps
+    no diagnostics: ``_run_batch`` reads the step counts from the items
+    and the norm drift from the snapshots.
     """
     a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
-    steps, interpolations = {}, {}
+    steps, intervals, interpolations = {}, {}, {}
+    interval = []  # the comb-free "seg" items since the last marker
+
+    def class_step(item):
+        _, seg, nstep, _ = item
+        if seg not in steps:  # one per (duration, phase)
+            steps[seg] = _class_step(seg, shape, hz, nstep)
+        return steps[seg]
+
     t_abs = 0.0
     for item in items:
         if item[0] == "snap":
+            if interval:
+                key = tuple(interval)
+                u = intervals.get(key)
+                if u is None:
+                    u = intervals[key] = (class_step(interval[0]) if len(interval) == 1
+                                          else _product(map(class_step, interval)))
+                a, b = _apply(u, 0, a, b)
+                interval = []
             snaps.append(np.stack([a, b], axis=1))
             continue
+        if noise is None:
+            interval.append(item)
+            continue
         _, seg, nstep, _ = item
-        if noise is None or seg.duration == 0.0:
-            if seg not in steps:  # one per (duration, phase)
-                steps[seg] = [_class_step(seg, shape, hz, nstep)]
-            blocks = steps[seg]
+        if seg.duration == 0.0:
+            blocks = [class_step(item)]
         else:
             key = (seg.duration, nstep)
             if key not in interpolations:

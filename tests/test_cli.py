@@ -133,6 +133,9 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
         (FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 1e-6\n",
          "t_min and t_max do not span 5 distinct times"),
         (FID_TEXT + "threads = 2\n", "line 8: unknown key 'threads'"),
+        # A malformed command line is a config error too, not argparse's exit 2.
+        (FID_TEXT, "unrecognized arguments: --bogus", "--bogus"),
+        (FID_TEXT, "argument --seed: expected one argument", "--seed"),
     ]
     out = tmp_path / "never.csv"
     for text, message, *flags in cases:
@@ -146,6 +149,11 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert repr(str(tmp_path)) in captured.err
     assert captured.out == "" and not out.exists()
+    # Help is no error.
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: eulerdd" in capsys.readouterr().out
     # A reversed grid is sorted and runs.
     reversed_grid = FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 3e-6\n"
     assert main([write_cfg(tmp_path, reversed_grid), "--out", str(out)]) == 0

@@ -460,8 +460,8 @@ def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
 
 
 def test_scan_without_comb_matches_step_by_step_application():
-    # Without the comb each segment class applies one cached step, the
-    # product of its Magnus steps.  Applying those steps to the state one
+    # Without the comb the state advances once per snapshot, by a product
+    # of the segments' Magnus steps.  Applying those steps to the state one
     # by one, as under the comb, gives the same curve within 1e-14.
     spec = replace(FIG4_SPEC, N=16)
     n_list = [8, 16]
@@ -508,6 +508,73 @@ def test_scan_without_comb_builds_each_segment_class_once(monkeypatch):
     assert len(built) == 4
     assert set(built) == {(spec.tau, None), (2 * spec.tau, None), (spec.tau_d, 0.0),
                           (spec.tau_d, math.pi / 2)}
+
+
+def class_steps_in_sequence(schedule, times, deltas, delta_max, psi0):
+    """Comb-free states at the sorted times, each segment's class step applied in turn."""
+    shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
+    hz = 0.5 * deltas
+    a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
+    states = []
+    for item in engine._split_idles_at(schedule, times):
+        if item[0] == "snap":
+            states.append(np.stack([a, b], axis=1))
+            continue
+        nstep, _ = engine._segment_steps(item[1], shape, None, delta_max, None)
+        u00, u01, u10, u11 = engine._class_step(item[1], shape, hz, nstep)
+        a, b = u00[0] * a + u01[0] * b, u10[0] * a + u11[0] * b
+    return states
+
+
+FIG2_SLOW = SequenceSpec("XY8", N=360, tau=712e-9, tau_d=500e-9)
+INTERVAL_RUNS = [
+    (FIG2_SLOW, range(8, 361, 8)),
+    (FIG2_SLOW, [8, 16, 40, 48, 200, 352, 360]),
+    (replace(FIG2_SLOW, N=64, shape=PulseShape("Gaussian")), range(8, 65, 8)),
+    (replace(FIG2_SLOW, N=64, tau_d=0.0, shape=PulseShape("Delta")), range(8, 65, 8)),
+]
+
+
+def readout(states):
+    """Mean readout population and its stderr at each state of a run."""
+    read = readout_unitary()
+    pops = [np.abs(read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1]) ** 2 for psi in states]
+    return (np.array([np.mean(pop) for pop in pops]),
+            np.array([np.std(pop, ddof=1) / math.sqrt(pop.size) for pop in pops]))
+
+
+@pytest.mark.parametrize("spec, n_list", INTERVAL_RUNS)
+def test_scan_without_comb_matches_class_steps_in_sequence(spec, n_list):
+    # Without the comb the state advances once per snapshot, by the product
+    # of the class steps since the last one: on fig2's regular grid, an
+    # irregular one, and comb-free Gaussian and Delta pulses, the curve
+    # stays within 1e-14 of applying every segment's class step in turn.
+    # A state differs by the product's rounding, about 5e-16 for one XY8
+    # cycle, once per snapshot it recurs at: 2.2e-14 after fig2's 45.
+    params = SimParams(realizations=256, master_seed=4)
+    _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
+    psi0 = prep_unitary() @ KET0
+    times = [n * spec.tau_c for n in n_list]
+    got = engine._run_batch(build_schedule(spec), times, None, deltas, 4.0 * SIGMA_FID,
+                            psi0, None)
+    want = class_steps_in_sequence(build_schedule(spec), times, deltas, 4.0 * SIGMA_FID, psi0)
+    assert len(got) == len(want) == len(times)
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13
+    for g, w in zip(readout(got), readout(want)):
+        assert np.max(np.abs(g - w)) <= 1e-14
+
+
+def test_fid_grid_applies_each_class_step_once():
+    # Between two times of an FID grid lies one idle, so the state takes
+    # that idle's class step itself: the bytes of applying it in turn.
+    params = SimParams(realizations=1000, master_seed=4)
+    _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
+    psi0 = prep_unitary() @ KET0
+    times = list(np.geomspace(1e-8, 2e-5, 100))
+    schedule = engine._idle_schedule(times[-1])
+    got = engine._run_batch(schedule, times, None, deltas, 4.0 * SIGMA_FID, psi0, None)
+    want = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, psi0)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 DIAGNOSED_RUNS = [

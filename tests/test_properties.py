@@ -102,8 +102,9 @@ def test_comb_values_do_not_depend_on_the_batch_layout(rows, ends):
 # and weak comb of the bundled fig3_xy8_slow, the detuning bound
 # 4 sigma_delta sets the idles' steps; a bound taken from the batch's
 # largest draw would make them depend on which realizations share it.
-# Without the comb, Gaussian pulses and Delta pulses each apply one cached
-# step per segment class, a product of Magnus steps or a pi rotation.
+# Without the comb, Gaussian pulses and Delta pulses advance the state
+# once per snapshot, by a cached product of the segments' class steps
+# (products of Magnus steps, or pi rotations).
 FIG3_NOISE = LorentzianNoiseSpec(R=2 * math.pi * 5e3, A=142031.9491052709, master_seed=11)
 GAUSSIAN_XY8 = SequenceSpec("XY8", N=8, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
 BATCH_RUNS = [
