@@ -549,8 +549,9 @@ def test_scan_without_comb_matches_class_steps_in_sequence(spec, n_list):
     # of the class steps since the last one: on fig2's regular grid, an
     # irregular one, and comb-free Gaussian and Delta pulses, the curve
     # stays within 1e-14 of applying every segment's class step in turn.
-    # A state differs by the product's rounding, about 5e-16 for one XY8
-    # cycle, once per snapshot it recurs at: 2.2e-14 after fig2's 45.
+    # A state also carries the product's rounding, about 5e-16 for one XY8
+    # cycle, once per snapshot: up to 2.2e-14 after fig2's 45 at M = 1000,
+    # so states are held to 1e-13.
     params = SimParams(realizations=256, master_seed=4)
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
     psi0 = prep_unitary() @ KET0
