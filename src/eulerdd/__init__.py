@@ -7,7 +7,7 @@ The package is organized as a pipeline:
 - control: pulse shapes, sequence timing, schedules, resonance screen.
 - noise: the injected Lorentzian comb and quasi-static dephasing.
 - engine: batched unitary Monte Carlo propagation and experiment runners.
-- analysis: decay fitting and coherence normalization.
+- analysis: decay fitting.
 - cli: the config-driven ``eulerdd`` command.
 """
 from . import analysis, control, dgroup, engine, noise, su2core

@@ -1,4 +1,4 @@
-"""Decay-curve fitting and coherence normalization.
+"""Decay-curve fitting.
 
 The model is value(t) = baseline + contrast * exp(-(t/T)^p) with the
 stretching exponent p fixed to 1 (exponential) or 2 (Gaussian).  Two
@@ -35,10 +35,8 @@ import numpy as np
 __all__ = [
     "NoDecay",
     "Degenerate",
-    "RangeViolation",
     "FitResult",
     "fit_decay",
-    "normalize_coherence",
 ]
 
 # Fitted T beyond this multiple of the sampled span is indistinguishable
@@ -56,10 +54,6 @@ class Degenerate(ValueError):
     Too sparse: the fitted decay time is below a tenth of the smallest
     time step, so the curve falls between two samples.
     """
-
-
-class RangeViolation(ValueError):
-    """A fidelity lies below the coherence floor and cannot be normalized."""
 
 
 @dataclass(frozen=True)
@@ -219,21 +213,3 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
 
     return FitResult(T=best_T, p=p, baseline=base, contrast=con,
                      r_squared=r2, covariance_T=cov)
-
-
-def normalize_coherence(curve):
-    """Map readout fidelities to coherences via C = 2 F - 1.
-
-    stderr scales by the same factor of 2.  Raises RangeViolation if
-    any fidelity lies below 0.45: values that far under the mixed
-    level 0.5 signal a calibration or readout error, not coherence.
-    """
-    from .engine import CurvePoint, DecayCurve
-
-    for pt in curve.points:
-        if pt.value < 0.45:
-            raise RangeViolation(
-                f"fidelity {pt.value!r} at t = {pt.t!r} below the 0.45 floor")
-    pts = tuple(CurvePoint(pt.t, pt.N, max(0.0, 2.0 * pt.value - 1.0),
-                           2.0 * pt.stderr) for pt in curve.points)
-    return DecayCurve(pts)

@@ -22,7 +22,6 @@ import numpy as np
 from .su2core import axis_rotation
 
 __all__ = [
-    "OutOfSegment",
     "InvalidTiming",
     "PulseShape",
     "SequenceSpec",
@@ -30,17 +29,12 @@ __all__ = [
     "Schedule",
     "SEQUENCE_PHASES",
     "LarmorCheck",
-    "envelope_at",
     "pulse_envelope",
     "build_schedule",
     "check_larmor_resonance",
     "prep_unitary",
     "readout_unitary",
 ]
-
-
-class OutOfSegment(ValueError):
-    """Envelope evaluated outside [0, tau_d]."""
 
 
 class InvalidTiming(ValueError):
@@ -89,31 +83,6 @@ def pulse_envelope(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarr
     area = sigma * math.sqrt(2.0 * math.pi) * math.erf(half / math.sqrt(2.0))
     x = (rel - tau_d / 2.0) / sigma
     return np.where(np.abs(x) > shape.gauss_trunc, 0.0, (math.pi / area) * np.exp(-0.5 * x * x))
-
-
-def envelope_at(shape: PulseShape, t, tau_d: float):
-    """Drive envelope Omega(t) in rad/s, for t (a float or an array) inside [0, tau_d].
-
-    Square pulses return pi / tau_d everywhere in the segment.
-    Gaussian pulses return the truncated Gaussian, renormalized after
-    truncation so the integrated area is pi to 1e-9.  Delta pulses are
-    represented as exact rotations and have no envelope.  Evaluates
-    ``pulse_envelope``, the envelope the engine integrates.
-
-    Raises
-    ------
-    OutOfSegment
-        If t is outside [0, tau_d].
-    """
-    if shape.kind == "Delta":
-        raise OutOfSegment("Delta pulses have no time-resolved envelope")
-    if tau_d <= 0:
-        raise InvalidTiming("tau_d must be positive for a finite-width pulse")
-    rel = np.asarray(t, dtype=float)
-    if not np.all((rel >= 0.0) & (rel <= tau_d)):
-        raise OutOfSegment(f"t = {t!r} outside pulse segment [0, {tau_d!r}]")
-    env = pulse_envelope(shape, tau_d, rel)
-    return float(env) if env.ndim == 0 else env
 
 
 @dataclass(frozen=True)

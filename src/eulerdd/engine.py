@@ -73,19 +73,20 @@ on one numpy build and SIMD dispatch level.
 Step control, evaluated once per distinct (duration, is_pulse) of a
 run, since the rule reads no other field of a segment: a segment with a
 constant H (an idle or a Square pulse without the comb) takes one
-step.  A segment whose H varies, of duration T, takes ceil(T scale /
-0.3) steps, where scale = max(peak drive + field bound, detuning
-bound, top comb frequency) bounds every angular rate, so a step turns
-the spin by about 0.3 rad at most.  The constant drive of a Square
-pulse is left out of the scale; its steps keep (peak drive + field
-bound) h <= 1 rad instead (see _segment_steps).  An explicit dt gives
+step.  An idle or a Square pulse under the comb, of duration T, varies
+only through the comb, so it takes max(1, ceil(T omega_max / 0.3),
+ceil(T (peak drive + field bound + detuning bound) / 1)) steps: the top
+comb tone turns by at most 0.3 rad per step and the spin by at most
+1 rad (see _segment_steps).  A Gaussian pulse, of duration T, takes
+ceil(T scale / 0.3) steps, where scale = max(peak drive + field bound,
+detuning bound, top comb frequency) bounds every angular rate, so a
+step turns the spin by about 0.3 rad at most.  An explicit dt gives
 ceil(T / dt) steps instead.  The detuning bound is 4 sigma_delta for a
 run (a draw exceeds it with probability 6e-5) and |delta| for
-``propagate``, not
-the largest draw of a batch, so the steps do not depend on which
-realizations share it.  An explicit dt is checked on every finite
-segment (at most tau_d/50 on a pulse, a priori local error below
-1e-6), raising StepTooLarge when too coarse.  Every propagation,
+``propagate``, not the largest draw of a batch, so the steps do not
+depend on which realizations share it.  An explicit dt is checked on
+every finite segment (at most tau_d/50 on a pulse, a priori local error
+below 1e-6), raising StepTooLarge when too coarse.  Every propagation,
 ``propagate`` and the dd, fid and relaxation runners alike, goes
 through one batch entry point that refuses, before propagating, a run
 that needs more than 2,000,000 steps on segments whose H varies.
@@ -220,7 +221,7 @@ def golden_rule_amplitude(R: float, target_T1: float) -> float:
 _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 # Largest rotation angle per automatic step, in units of the rate bound.
 _THETA = 0.3
-# Largest turn per automatic step under the constant drive of a Square pulse.
+# Largest turn of the spin per automatic step of an idle or a Square pulse.
 _DRIVE_TURN = 1.0
 # (step, realization) entries whose nodes and propagators are computed at once,
 # in whole steps and at least one: 8 steps at M = 1000, 1 step at M >= 8000.
@@ -235,20 +236,18 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
                    delta_max: float, explicit_dt: float | None) -> tuple[int, bool]:
     """A segment's step count and whether its H varies; (0, False) for zero duration.
 
-    The step rule and the explicit-dt checks are those of the module docstring.
-    The automatic scale leaves out the peak drive of a Square pulse.  Its
-    drive is constant, so H varies only through the comb, whose j-th
-    derivative is at most omega_max^j b_sup / 2.  The Omega^[4] step is
-    exact for a constant H, so each O(h^5) term of its local error
-    (Blanes et al.) is a constant times a product, of degree 5 in h, of
-    factors h |H| and at least one alpha_i = h^i H^(i-1) / (i-1)! with
-    i >= 2, which is at most (h b_sup / 2) (h omega_max)^(i-1).  The
-    factors h b_sup and h omega_max are at most 0.3 under the scale
-    without the drive.  The drive enters only through h |H| <= h
-    (Omega_peak + b_sup + delta_max) / 2, which a second bound, h
-    (Omega_peak + b_sup) <= 1, keeps below 0.65; without it a 24 ns
-    pulse under the fig4 comb takes one step and its curve moves by 6e-8.
-    A Gaussian pulse keeps the peak drive in its 0.3 scale: its
+    The step rule and the explicit-dt checks are those of the module
+    docstring.  An idle or a Square pulse has a constant drive, so under
+    the comb its H varies only through the comb, whose j-th derivative is
+    at most omega_max^j b_sup / 2.  The Omega^[4] step is exact for a
+    constant H, so each O(h^5) term of its local error (Blanes et al.) is
+    a constant times a product, of degree 5 in h, of factors h |H| and at
+    least one alpha_i = h^i H^(i-1) / (i-1)! with i >= 2, which is at most
+    (h b_sup / 2) (h omega_max)^(i-1).  So only h omega_max <= 0.3 needs
+    the rate scale, and h (Omega_peak + b_sup + delta_max) <= 1 bounds
+    the other factors, h |H| and h b_sup / 2, by 1/2; without that bound
+    a 24 ns pulse under the fig4 comb takes one step and its curve moves
+    by 6e-8.  A Gaussian pulse keeps the peak drive in its 0.3 scale: its
     envelope's derivatives, of order Omega_peak / tau_d^j, make error
     terms with no comb factor.
     """
@@ -261,6 +260,7 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
     omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
                   if seg.is_pulse else 0.0)
     b_sup = noise.b_sup if noise is not None else 0.0
+    gaussian = seg.is_pulse and shape.kind != "Square"
     if explicit_dt is not None:
         nstep = max(1, math.ceil(seg.duration / min(explicit_dt, seg.duration) - 1e-9))
         h = seg.duration / nstep
@@ -271,12 +271,14 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
                 f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
     else:
         comb_max = float(noise.omega[-1]) if noise is not None else 0.0
-        drive = omega_peak if shape.kind != "Square" else 0.0
-        scale = max(drive + b_sup, delta_max, comb_max)
-        nstep = max(1, math.ceil(seg.duration * scale / _THETA),
-                    math.ceil(seg.duration * (omega_peak + b_sup) / _DRIVE_TURN))
-    varies = noise is not None or (seg.is_pulse and shape.kind != "Square")
-    return (nstep, True) if varies else (1, False)
+        if gaussian:
+            nstep = max(1, math.ceil(
+                seg.duration * max(omega_peak + b_sup, delta_max, comb_max) / _THETA))
+        else:
+            nstep = max(1, math.ceil(seg.duration * comb_max / _THETA),
+                        math.ceil(seg.duration * (omega_peak + b_sup + delta_max)
+                                  / _DRIVE_TURN))
+    return (nstep, True) if noise is not None or gaussian else (1, False)
 
 
 def _exact_propagator(hz: np.ndarray, c, t: float):

@@ -42,7 +42,7 @@ wedge and tail code and more outputs, so one generator is set to each
 of their states in turn.  Either way a batch equals the per-index
 draws bit for bit.  A realization of the comb is its phase row, the
 2 n_max + 1 phases of n = -n_max .. n_max; the one-realization helpers
-(field_at, parseval_power, export_waveform) take such a row.
+(field_at, export_waveform) take such a row.
 """
 from __future__ import annotations
 
@@ -67,8 +67,6 @@ __all__ = [
     "field_at",
     "sample_realization",
     "sample_detuning",
-    "estimate_autocorrelation",
-    "parseval_power",
     "export_waveform",
 ]
 
@@ -496,42 +494,6 @@ def sample_detuning(spec: DephasingSpec, index):
     if np.ndim(index) == 0:
         return float(z[0] * spec.sigma_delta)
     return z * spec.sigma_delta
-
-
-def estimate_autocorrelation(spec: LorentzianNoiseSpec, lag: float, M: int) -> float:
-    """Monte Carlo estimate of <b_x(t) b_x(t+lag)> / <b_x(t)^2>.
-
-    Averages over 256 uniform times spanning one field period and over
-    ``M`` realizations.
-
-    Requires M >= 50 so the random-phase cross terms average down.
-    """
-    if M < 50:
-        raise ValueError("M must be >= 50")
-    if spec.A == 0:
-        raise ValueError("autocorrelation undefined for A = 0")
-    t = np.arange(256) * (spec.period / 256)
-    comb = Comb.of(spec, sample_realization(spec, np.arange(M)))
-    bx = 2.0 * comb.c_at(np.concatenate([t, t + lag])).real
-    bx0, bx1 = np.split(bx, 2, axis=1)
-    return float(np.sum(np.mean(bx0 * bx1, axis=1)) / np.sum(np.mean(bx0 * bx0, axis=1)))
-
-
-def parseval_power(spec: LorentzianNoiseSpec, phases: np.ndarray) -> tuple[float, float]:
-    """Time-averaged (<b_x^2> + <b_y^2>)/2 of a phase row over one period, and its target.
-
-    The average is over 64 uniform times.  The target is the comb-power
-    identity (A^2 / 2) sum_n W(n)^2.  The x/y average is the quantity
-    fixed per realization: b_x alone keeps a phase-dependent
-    contribution from the +-n frequency pairs and the constant n = 0
-    tone, while |b_x + i b_y|^2 time-averages to the same deterministic
-    value for every phase draw.
-    """
-    t = np.arange(64) * (spec.period / 64)
-    bx, by = field_at(spec, phases, t)
-    measured = float(np.mean(bx * bx + by * by) / 2)
-    target = 0.5 * spec.A**2 * float(np.sum(weights_all(spec) ** 2))
-    return measured, target
 
 
 # Samples evaluated and written at a time, so an export's memory does not

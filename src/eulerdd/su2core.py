@@ -1,7 +1,7 @@
 """Exact complex 2x2 linear algebra for a spin-1/2.
 
-Pauli operators, axis rotations, density-matrix states, and the
-population readout used throughout the package.  The computational
+Pauli operators, axis rotations and density-matrix states used
+throughout the package.  The computational
 basis is fixed once here: index 0 is the level |0>, index 1 the level
 |-1>.  Spin operators are S_k = pauli(k) / 2.
 
@@ -17,7 +17,6 @@ __all__ = [
     "pauli",
     "axis_rotation",
     "SpinState",
-    "population0",
 ]
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -116,15 +115,3 @@ class SpinState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpinState({self.rho.tolist()!r})"
-
-
-def population0(state: SpinState) -> float:
-    """Population of the |0> level, Re(rho[0][0]).
-
-    Values within 1e-9 outside [0, 1] are clamped to the boundary;
-    anything further out raises ``ValueError``.
-    """
-    value = state.rho[0, 0].real
-    if not -1e-9 <= value <= 1 + 1e-9:
-        raise ValueError(f"population0 out of range: {value!r}")
-    return min(max(value, 0.0), 1.0)

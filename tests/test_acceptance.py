@@ -24,13 +24,13 @@ import pytest
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
                      PulseWord, SequenceSpec, SimParams, build_cayley,
                      build_schedule, calibrate_amplitude, eulerian_cycle,
-                     estimate_autocorrelation, fit_decay, generated_group,
-                     normalize_coherence, parseval_power, pauli_element,
-                     pauli_group, population0, prep_unitary, propagate,
-                     readout_unitary, run_dd_scan, run_fid, run_relaxation,
-                     sample_realization, verify_average_decoupling,
-                     verify_eulerian, engine)
+                     fit_decay, generated_group, pauli_element, pauli_group,
+                     prep_unitary, propagate, readout_unitary, run_dd_scan,
+                     run_fid, run_relaxation, sample_realization,
+                     verify_average_decoupling, verify_eulerian, engine)
 from eulerdd.cli import _config_text, parse_config
+from helpers import (estimate_autocorrelation, normalize_coherence, parseval_power,
+                     population0)
 
 MASTER_SEED = 20260815
 R_COMB = 2 * math.pi * 5e3  # comb correlation rate, rad/s

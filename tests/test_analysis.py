@@ -7,8 +7,9 @@ from scipy.optimize import minimize_scalar
 
 from eulerdd import analysis, engine
 from eulerdd import (CurvePoint, DecayCurve, Degenerate, FitResult,
-                     LorentzianNoiseSpec, NoDecay, RangeViolation, SimParams,
-                     calibrate_amplitude, fit_decay, normalize_coherence)
+                     LorentzianNoiseSpec, NoDecay, SimParams, calibrate_amplitude,
+                     fit_decay)
+from helpers import RangeViolation, normalize_coherence
 
 
 def synthetic(T, p=1, baseline=0.5, contrast=0.5, n=20, t_max=None,

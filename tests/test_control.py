@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from eulerdd import (InvalidTiming, LarmorCheck, OutOfSegment, PulseShape,
-                     SEQUENCE_PHASES, SequenceSpec, build_schedule,
-                     check_larmor_resonance, envelope_at, prep_unitary,
-                     readout_unitary)
+from eulerdd import (InvalidTiming, LarmorCheck, PulseShape, SEQUENCE_PHASES,
+                     SequenceSpec, build_schedule, check_larmor_resonance,
+                     prep_unitary, readout_unitary)
+from helpers import OutOfSegment, envelope_at
 
 TAU_D = 100e-9
 

@@ -12,13 +12,14 @@ from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      SequenceSpec, SimParams, SpinState, StepTooLarge,
                      apply_envelope, axis_rotation, build_schedule,
                      calibrate_amplitude, fit_decay, golden_rule_amplitude,
-                     field_at, population0, prep_unitary, propagate,
-                     readout_unitary, run_dd_scan, run_fid, run_relaxation,
-                     sample_realization, weights_all)
+                     field_at, prep_unitary, propagate, readout_unitary,
+                     run_dd_scan, run_fid, run_relaxation, sample_realization,
+                     weights_all)
 from eulerdd import engine
 from eulerdd.cli import main as cli_main
 from eulerdd.control import Segment, pulse_envelope
 from eulerdd.noise import Comb
+from helpers import population0
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 R_FAST = 2 * math.pi * 5e3
@@ -607,7 +608,8 @@ def test_diagnostics_count_every_segment_once(spec, noise_spec):
 def test_step_counts_of_the_fig4_schedule():
     # One realization through the fig4 workload's schedule (32 Gaussian
     # pulses, strong comb, a 3-sigma detuning) integrates at most 1500
-    # Magnus steps, about 0.3 rad of rotation each.
+    # Magnus steps: 24 per pulse, about 0.3 rad of rotation each, and one
+    # or two per idle, which varies only through the comb.
     diag = {}
     propagate(build_schedule(FIG4_SPEC), FIG4_NOISE, delta=3 * SIGMA_FID,
               params=SimParams(master_seed=1), diagnostics=diag)
@@ -618,6 +620,66 @@ def test_step_counts_of_the_fig4_schedule():
     propagate(build_schedule(FIG4_SPEC), delta=3 * SIGMA_FID, diagnostics=diag)
     assert 32 <= diag["integrated_steps"] <= 1000
     assert diag["exact_segments"] == 33
+
+
+def test_step_counts_of_segments_that_vary_only_through_the_comb():
+    # Under the fig4 comb and a 4-sigma detuning bound, an idle or a Square
+    # pulse turns the spin by at most 1 rad per step, and a Gaussian
+    # pulse keeps its 0.3 rad steps.  Without the comb an idle or a Square
+    # pulse has a constant H and takes one exact step.
+    noise = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(4)))
+    square, gaussian = PulseShape("Square"), PulseShape("Gaussian")
+    for seg, shape, want in [(Segment(82e-9, None), square, 1),
+                             (Segment(164e-9, None), square, 2),
+                             (Segment(500e-9, 0.0), square, 9),
+                             (Segment(100e-9, 0.0), gaussian, 24)]:
+        assert engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None) == (want, True)
+    for seg in (Segment(164e-9, None), Segment(500e-9, 0.0)):
+        assert engine._segment_steps(seg, square, None, 4.0 * SIGMA_FID, None) == (1, False)
+
+
+def refined_steps(monkeypatch, factor):
+    """Multiply the automatic step count of every segment whose H varies by ``factor``."""
+    rule = engine._segment_steps
+
+    def finer(*args):
+        nstep, varies = rule(*args)
+        return (factor * nstep if varies else nstep), varies
+
+    monkeypatch.setattr(engine, "_segment_steps", finer)
+
+
+# The criterion-6 comb: its amplitude holds T1 at 12.87 us.
+RELAX_NOISE = LorentzianNoiseSpec(R=R_FAST, A=142031.9491052709)
+
+
+@pytest.mark.parametrize("points, bound", [(27, 5e-8), (3, 5e-7)])
+def test_relaxation_under_the_comb_matches_four_times_the_steps(monkeypatch, points, bound):
+    # A relaxation run is one idle under the comb, cut at each snapshot;
+    # its steps are sized by the comb's pace.  On fig3_relax's grid of 1 us
+    # intervals, one step each, the curve stays within 5e-8 of the same run
+    # at four times the steps.  Cut at 13 us only, an interval takes 7
+    # steps of 1.9 us and the curve stays within 5e-7 (measured 2.0e-7;
+    # 5.8e-6 if the spin may turn by 3 rad per step).
+    t_list = list(np.linspace(0.0, 26e-6, points))
+    params = SimParams(realizations=64, master_seed=20260815)
+    curve = run_relaxation(RELAX_NOISE, t_list, params=params)
+    refined_steps(monkeypatch, 4)
+    fine = run_relaxation(RELAX_NOISE, t_list, params=params)
+    assert np.max(np.abs(curve.value - fine.value)) <= bound
+
+
+def test_square_scan_under_the_comb_matches_four_times_the_steps(monkeypatch):
+    # 500 ns Square XY4 under the criterion-6 comb and detuning, out to
+    # 360 periods: within 5e-9 of the same scan at four times the steps.
+    spec = SequenceSpec("XY4", N=360, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square"))
+    n_list = [8, 64, 200, 360]
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    params = SimParams(realizations=64, master_seed=20260815)
+    curve = run_dd_scan(spec, n_list, RELAX_NOISE, deph, params)
+    refined_steps(monkeypatch, 4)
+    fine = run_dd_scan(spec, n_list, RELAX_NOISE, deph, params)
+    assert np.max(np.abs(curve.value - fine.value)) <= 5e-9
 
 
 def test_step_rule_runs_once_per_segment_class(monkeypatch):
@@ -653,12 +715,12 @@ def test_step_budget_refuses_runs_before_propagating(monkeypatch):
     def propagation_started(*args, **kwargs):
         raise AssertionError("propagation started")
 
-    # One second under the strong comb needs about 2.3e7 steps, and so
-    # does a dd scan of 1000 periods of 200 us; the budget is 2e6.
+    # One second under the strong comb needs about 6.9e6 steps, and a dd
+    # scan of 1000 periods of 400 us about 2.8e6; the budget is 2e6.
     monkeypatch.setattr(engine, "_propagate_items", propagation_started)
     with pytest.raises(ValueError, match="budget"):
         run_relaxation(FIG4_NOISE, [1.0], params=SimParams(realizations=2))
-    spec = replace(FIG4_SPEC, tau=100e-6)
+    spec = replace(FIG4_SPEC, tau=200e-6)
     with pytest.raises(ValueError, match="budget"):
         run_dd_scan(spec, [1000], FIG4_NOISE, params=SimParams(realizations=2))
     # A single realization through propagate meets the same budget.

@@ -6,11 +6,11 @@ import pytest
 from scipy import stats
 
 from eulerdd import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
-                     SampleBudgetExceeded, derive_seed,
-                     estimate_autocorrelation, export_waveform, field_at,
-                     parseval_power, sample_detuning, sample_realization,
-                     splitmix64, weight, weights_all)
+                     SampleBudgetExceeded, derive_seed, export_waveform, field_at,
+                     sample_detuning, sample_realization, splitmix64, weight,
+                     weights_all)
 import ziggurat_probe
+from helpers import estimate_autocorrelation, parseval_power
 from eulerdd import _ziggurat, noise
 from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE, _seed_sequence_state
 

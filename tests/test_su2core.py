@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from eulerdd import SpinState, axis_rotation, pauli, population0
+from eulerdd import SpinState, axis_rotation, pauli
+from helpers import population0
 
 
 def test_pauli_algebra():
