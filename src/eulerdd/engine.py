@@ -41,10 +41,16 @@ segments between two snapshots are multiplied into one (1, M) interval
 step, once per distinct run of segments, such as the one XY8 cycle
 between each two cycle counts of a regular scan.  An interval of one
 segment, as on an FID grid, takes that segment's class step.  Under
-the comb a Delta pulse applies its class step and a finite segment its
-own Magnus steps, built lazily, one block of (steps, M) arrays at a
-time.  So a run holds one block plus one (1, M) step per class and per
-interval, and only the application of steps to the state is
+the comb a Delta pulse applies its class step, and the finite segments
+of a run take their Magnus steps from one pipeline: every step keeps
+its segment, start, index and length, and the steps are built lazily
+in run order, in blocks of (steps, M) arrays that run across segment
+and snapshot boundaries.  The steps of a block that sum the comb
+directly share one comb sum.  So a calibration's relaxation run, 16
+short idles taking 17 to 40 steps in all, builds three to five blocks
+at M = 1000, not sixteen or more.  A block is let go before the next
+is built, so a run holds one block plus one (1, M) step per class and
+per interval, and only the application of steps to the state is
 sequential.
 
 The comb c(t) = sum_n coef_n e^{i omega_n t} changes slowly over a
@@ -224,7 +230,8 @@ _THETA = 0.3
 # Largest turn of the spin per automatic step of an idle or a Square pulse.
 _DRIVE_TURN = 1.0
 # (step, realization) entries whose nodes and propagators are computed at once,
-# in whole steps and at least one: 8 steps at M = 1000, 1 step at M >= 8000.
+# in whole steps and at least one: 8 steps at M = 1000, 1 step at M >= 8000,
+# taken in run order from any segments.
 # A block's arrays then take about 1 MB at any M, which the allocator keeps for
 # the next block instead of returning it and faulting it in again.
 _BLOCK = 8000
@@ -294,7 +301,8 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     bytes in any batch layout.  alpha and beta are written part by part
     from real arrays.  hz is an array and c an array or scalar that
     broadcasts with it, such as one row per step and one column per
-    realization.
+    realization; t is a float or an array that broadcasts with them,
+    such as one row per step.
     """
     w = np.multiply(hz, hz, out=np.empty(np.broadcast(hz, c).shape))
     w += c.real * c.real
@@ -312,7 +320,7 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     with np.errstate(invalid="ignore"):
         r = np.divide(tn, den, out=tn)
     r += r
-    r[w == 0.0] = t
+    np.copyto(r, t, where=w == 0.0)
     np.multiply(r, c.imag, out=beta.real)
     np.negative(r, out=r)
     np.multiply(r, hz, out=alpha.imag)
@@ -354,79 +362,195 @@ def _comb_interpolation(duration: float, nstep: int, noise: Comb):
     return 0.5 * duration * (1.0 + x), weights
 
 
-def _node_fields(seg: Segment, shape: PulseShape, noise: Comb | None, rows: int,
-                 t_abs: float, nstep: int, interpolation=None):
-    """Yield the node mean and difference of c for a segment's steps, one block at a time.
+@dataclass(frozen=True)
+class _StepClass:
+    """What the Magnus steps of one distinct segment share, wherever it starts.
 
-    The segment starts at t_abs.  A block of s steps is a (2 s, rows)
-    array: the mean (c1 + c2) / 2 of c at each step's two Gauss nodes,
-    then their difference c1 - c2; without the comb it has one column.
-    ``interpolation``, the segment's ``_comb_interpolation`` if given,
-    forms both from the comb's values at the Chebyshev points, in the
-    contraction that sums the comb (noise._comb_sum), with the points as
-    its basis axis.
+    h is the step length duration / nstep; rel the (2, nstep) offsets
+    (j + node) h of step j's two Gauss nodes from the segment's start,
+    where the envelope or the direct comb sum needs them, else None;
+    interpolation the segment's ``_comb_interpolation`` (None without
+    the comb); and drive, for a pulse, the (2, nstep, 1) terms that each
+    step's node mean (row 0) and difference (row 1) of c gain from the
+    drive, else None.
+    """
+
+    h: float
+    rel: np.ndarray | None
+    interpolation: tuple | None
+    drive: np.ndarray | None
+
+
+def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int,
+                interpolations: dict) -> _StepClass:
+    """The ``_StepClass`` of a segment taking nstep steps.
+
+    ``interpolations`` shares the comb interpolation between the
+    segments of one (duration, nstep).
     """
     h = seg.duration / nstep
-    block = max(1, _BLOCK // rows)
-    if noise is not None and interpolation is not None:
-        points, weights = interpolation
-        at_points = noise.c_at(t_abs + points).T
-        at_points = at_points.view(float).reshape(*at_points.shape, 2)
-    for done in range(0, nstep, block):
-        steps = np.arange(done, min(nstep, done + block))
-        rel = (steps[None, :] + _NODES[:, None]) * h
-        if noise is None:
-            c = np.zeros((2 * steps.size, 1), complex)
-        elif interpolation is None:
-            c = noise.c_at(t_abs + rel.ravel()).T
-            c1, c2 = c[:steps.size], c[steps.size:]
+    rel = interpolation = drive = None
+    if noise is not None:
+        key = (seg.duration, nstep)
+        if key not in interpolations:
+            interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
+        interpolation = interpolations[key]
+    if seg.is_pulse or (noise is not None and interpolation is None):
+        rel = (np.arange(nstep)[None, :] + _NODES[:, None]) * h
+    if seg.is_pulse:
+        env = pulse_envelope(shape, seg.duration, rel)
+        drive = 0.5 * np.exp(-1j * seg.phase)
+        drive = (drive * np.concatenate([0.5 * (env[0] + env[1]), env[0] - env[1]])
+                 ).reshape(2, nstep, 1)
+    return _StepClass(h, rel, interpolation, drive)
+
+
+def _node_fields(plan, shape: PulseShape, noise: Comb | None, rows: int):
+    """Yield (h, c) for the Magnus steps of ``plan``, one block at a time.
+
+    ``plan`` lists finite segments in run order as (seg, t_abs, nstep):
+    the segment starts at t_abs and takes nstep steps.  A block holds
+    max(1, _BLOCK // rows) steps, filled in run order whatever segment
+    a step belongs to, and the last block the rest.  c is a (2, s,
+    rows) array for a block of s steps: the mean (c1 + c2) / 2 of c at
+    each step's two Gauss nodes, then their difference c1 - c2; without
+    the comb it has one column.  h is the steps' length, a float when
+    they share it, else an (s, 1) column.
+    """
+    size = max(1, _BLOCK // rows)
+    classes, interpolations = {}, {}
+    chunks, filled = [], 0
+    for seg, t_abs, nstep in plan:
+        if seg not in classes:
+            classes[seg] = _step_class(seg, shape, noise, nstep, interpolations)
+        step_class = classes[seg]
+        at_points = None
+        if step_class.interpolation is not None:
+            at_points = noise.c_at(t_abs + step_class.interpolation[0]).T
+            at_points = at_points.view(float).reshape(*at_points.shape, 2)
+        done = 0
+        while done < nstep:
+            take = min(nstep - done, size - filled)
+            chunks.append((step_class, t_abs, done, done + take, at_points))
+            done += take
+            filled += take
+            if filled == size:
+                yield _block_fields(chunks, noise)
+                chunks, filled = [], 0
+    if chunks:
+        yield _block_fields(chunks, noise)
+
+
+def _block_fields(chunks, noise: Comb | None):
+    """(h, c) of ``_node_fields`` for one block of chunks (_StepClass, t_abs, j0, j1, at_points).
+
+    A chunk is steps j0 .. j1 - 1 of one segment.  The chunks that sum
+    the comb directly share one ``Comb.c_at`` call at all their nodes,
+    first nodes then second nodes; a chunk whose segment interpolates
+    forms its mean and its difference rows from the comb's values
+    ``at_points`` at that segment's Chebyshev points, each in the
+    contraction that sums the comb (noise._comb_sum), with the points as
+    its basis axis.  Each chunk writes its own rows of the block, and a
+    pulse chunk then adds its drive terms to them.
+    """
+    counts = [j1 - j0 for _, _, j0, j1, _ in chunks]
+    lengths = [step_class.h for step_class, *_ in chunks]
+    h = (lengths[0] if lengths.count(lengths[0]) == len(lengths)
+         else np.repeat(lengths, counts)[:, None])
+    mixed = False
+    if noise is None:
+        c = np.zeros((2, sum(counts), 1), complex)
+    else:
+        rows = noise.parts.shape[1]
+        direct = [t_abs + step_class.rel[:, j0:j1]
+                  for step_class, t_abs, j0, j1, at_points in chunks if at_points is None]
+        if direct:
+            c1, c2 = nodes = noise.c_at(np.concatenate(direct, axis=1).ravel()).T.reshape(
+                2, -1, rows)
+        mixed = len(direct) < len(chunks)
+        if mixed:
+            c = np.empty((2, sum(counts), rows), complex)
+        else:  # every step sums the comb directly: its mean and difference in place
+            c = nodes
             mean = c1 + c2
             np.subtract(c1, c2, out=c2)
             np.multiply(mean, 0.5, out=c1)
-        else:
-            c = _comb_sum(weights[:, steps].reshape(2 * steps.size, -1), at_points)
-        if seg.is_pulse:
-            env = pulse_envelope(shape, seg.duration, rel)
-            drive = 0.5 * np.exp(-1j * seg.phase)
-            c += drive * np.concatenate([0.5 * (env[0] + env[1]), env[0] - env[1]])[:, None]
-        yield c
+    row = first = 0
+    for (step_class, _, j0, j1, at_points), n in zip(chunks, counts):
+        if mixed:
+            mean, d = c[:, row:row + n]
+            if at_points is None:
+                np.add(c1[first:first + n], c2[first:first + n], out=mean)
+                np.multiply(mean, 0.5, out=mean)
+                np.subtract(c1[first:first + n], c2[first:first + n], out=d)
+                first += n
+            else:
+                weights = step_class.interpolation[1]
+                _comb_sum(weights[0, j0:j1], at_points, out=mean)
+                _comb_sum(weights[1, j0:j1], at_points, out=d)
+        if step_class.drive is not None:
+            c[:, row:row + n] += step_class.drive[:, j0:j1]
+        row += n
+    return h, c
 
 
-def _magnus_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
-                  hz: np.ndarray, t_abs: float, nstep: int, interpolation=None):
-    """Yield the propagators of a segment's nstep Magnus steps, one block at a time.
+def _magnus_steps(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
+    """Yield the propagators of the Magnus steps of ``plan``, one block at a time.
 
-    The segment starts at t_abs; each block is (u00, u01, u10, u11),
-    (steps, M) arrays.  A step of length h with transverse coefficients
-    c1, c2 at its two Gauss nodes is exp(-i h H_eff), Omega^[4] =
-    (h/2)(A1 + A2) - (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2)
-    the commutator is a cross product, so with k = sqrt(3) h / 6, the
-    mean m = (c1 + c2) / 2 and the difference d = c1 - c2,
+    ``plan`` and the blocks are those of ``_node_fields``; each block is
+    (u00, u01, u10, u11), (steps, M) arrays.  A block's node fields are
+    let go before its exponentials are taken, and its effective fields
+    before the next block is built.
+    """
+    for h, c in _node_fields(plan, shape, noise, hz.size):
+        hz_eff, c_eff = _magnus_fields(hz, h, c)
+        del c
+        yield _exact_propagator(hz_eff, c_eff, h)
+        del hz_eff, c_eff
+
+
+def _magnus_fields(hz: np.ndarray, h, c):
+    """The effective (hz_eff, c_eff) of a block of Magnus steps from its ``_node_fields`` (h, c).
+
+    A step of length h with transverse coefficients c1, c2 at its two
+    Gauss nodes is exp(-i h H_eff), Omega^[4] = (h/2)(A1 + A2) -
+    (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2) the commutator is
+    a cross product, so with k = sqrt(3) h / 6, the mean m = (c1 + c2) /
+    2 and the difference d = c1 - c2,
 
         c_eff = m - i k hz d,
         hz_eff = hz + k Im(conj(c1) c2) = hz + k Im(conj(d) m),
 
     and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a run.
-    m and d are the contiguous halves of a ``_node_fields`` block, and
+    m and d are the halves c[0] and c[1] of the block's fields, and
     hz_eff and the parts of c_eff are written from their real and
     imaginary parts in place.  Only hz_eff and c_eff are sure to span the
     realizations.
     """
-    h = seg.duration / nstep
+    mean, d = c
     k = math.sqrt(3.0) * h / 6.0
     kh = k * hz
-    for c in _node_fields(seg, shape, noise, hz.size, t_abs, nstep, interpolation):
-        mean, d = c[:c.shape[0] // 2], c[c.shape[0] // 2:]
-        hz_eff = d.real * mean.imag
-        hz_eff -= d.imag * mean.real
-        hz_eff *= k
-        hz_eff = hz_eff + hz
-        c_eff = np.empty(hz_eff.shape, dtype=complex)
-        np.multiply(kh, d.imag, out=c_eff.real)
-        c_eff.real += mean.real
-        np.multiply(kh, d.real, out=c_eff.imag)
-        np.subtract(mean.imag, c_eff.imag, out=c_eff.imag)
-        yield _exact_propagator(hz_eff, c_eff, h)
+    hz_eff = d.real * mean.imag
+    hz_eff -= d.imag * mean.real
+    hz_eff *= k
+    hz_eff = hz_eff + hz
+    c_eff = np.empty(hz_eff.shape, dtype=complex)
+    np.multiply(kh, d.imag, out=c_eff.real)
+    c_eff.real += mean.real
+    np.multiply(kh, d.real, out=c_eff.imag)
+    np.subtract(mean.imag, c_eff.imag, out=c_eff.imag)
+    return hz_eff, c_eff
+
+
+def _rows(blocks):
+    """(block, j) for every step j of every block, in order.
+
+    A block is let go before the next one is built.
+    """
+    for u in blocks:
+        for j in range(u[0].shape[0]):
+            yield u, j
+        del u
 
 
 def _apply(u, j, a, b):
@@ -459,11 +583,11 @@ def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
     """
     if seg.duration == 0.0:
         return tuple(axis_rotation(seg.phase, math.pi).reshape(4, 1))
-    return _product(_magnus_steps(seg, shape, None, hz, 0.0, nstep))
+    return _product(_magnus_steps([(seg, 0.0, nstep)], shape, None, hz))
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
-                     deltas: np.ndarray, psi0: np.ndarray):
+                     deltas: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
     """Propagate a batch through ("seg", Segment, nstep, varies) / ("snap",) items.
 
     nstep and varies are the segment's ``_segment_steps``.  psi0 is the
@@ -475,15 +599,16 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     once per "snap" marker, by the ``_product`` of the class steps of the
     segments since the last marker, built once per distinct tuple of
     segments; an interval of one segment applies that segment's class
-    step.  Under the comb a Delta pulse applies its class step and a
-    finite segment its Magnus steps, built one block at a time.  It keeps
-    no diagnostics: ``_run_batch`` reads the step counts from the items
-    and the norm drift from the snapshots.
+    step.  Under the comb a Delta pulse applies its class step, and the
+    finite segments apply the run's Magnus steps in order, from one
+    ``_magnus_steps`` over all of them, built one block at a time.  It
+    keeps no diagnostics: ``_run_batch`` reads the step counts from the
+    items and the norm drift from the snapshots.
     """
     a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
-    steps, intervals, interpolations = {}, {}, {}
+    steps, intervals = {}, {}
     interval = []  # the comb-free "seg" items since the last marker
 
     def class_step(item):
@@ -492,7 +617,14 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
             steps[seg] = _class_step(seg, shape, hz, nstep)
         return steps[seg]
 
-    t_abs = 0.0
+    if noise is not None:
+        plan, t_abs = [], 0.0
+        for item in items:
+            if item[0] == "seg":
+                if item[1].duration > 0.0:
+                    plan.append((item[1], t_abs, item[2]))
+                t_abs += item[1].duration
+        magnus = _rows(_magnus_steps(plan, shape, noise, hz))
     for item in items:
         if item[0] == "snap":
             if interval:
@@ -503,23 +635,16 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                                           else _product(map(class_step, interval)))
                 a, b = _apply(u, 0, a, b)
                 interval = []
-            snaps.append(np.stack([a, b], axis=1))
-            continue
-        if noise is None:
+            snaps.append(np.empty((deltas.size, 2), complex))
+            snaps[-1][:, 0] = a
+            snaps[-1][:, 1] = b
+        elif noise is None:
             interval.append(item)
-            continue
-        _, seg, nstep, _ = item
-        if seg.duration == 0.0:
-            blocks = [class_step(item)]
+        elif item[1].duration == 0.0:
+            a, b = _apply(class_step(item), 0, a, b)
         else:
-            key = (seg.duration, nstep)
-            if key not in interpolations:
-                interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
-            blocks = _magnus_steps(seg, shape, noise, hz, t_abs, nstep, interpolations[key])
-        for u in blocks:
-            for j in range(u[0].shape[0]):
-                a, b = _apply(u, j, a, b)
-        t_abs += seg.duration
+            for _ in range(item[2]):
+                a, b = _apply(*next(magnus), a, b)
     return snaps
 
 
@@ -550,7 +675,8 @@ def _split_idles_at(schedule: Schedule, times: list[float]):
             cut, rest = queue[qi] - t, t_end - queue[qi]
             if abs(cut - seg.duration / 2) <= tol:
                 cut = rest = seg.duration / 2
-            items.append(("seg", Segment(cut, None)))
+            if cut > 0.0:  # a repeated time cuts nothing
+                items.append(("seg", Segment(cut, None)))
             items.append(("snap",))
             seg = Segment(rest, None)
             t = queue[qi]
@@ -645,21 +771,28 @@ def _curve(schedule: Schedule, times: list[float], ns: list[int],
 
     With ``pulses`` a run starts in the prepared superposition and is
     read out after the readout pulse; without, it starts in |0>.
-    ``phasors`` are passed on to ``_prepare_batch``.
+    ``phasors`` are passed on to ``_prepare_batch``.  Repeated times
+    raise ValueError before any draw.
     """
+    if any(later <= t for t, later in zip(times, times[1:])):
+        raise ValueError("curve times must be strictly increasing")
     noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
     delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
     ket0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = prep_unitary() @ ket0 if pulses else ket0
     read = readout_unitary()
-    points = []
-    for psi, t, n in zip(_run_batch(schedule, times, noise, deltas, delta_max, psi0,
-                                    params.dt), times, ns):
+    states = _run_batch(schedule, times, noise, deltas, delta_max, psi0, params.dt)
+    size = deltas.size
+    pop = np.empty((len(times), size))
+    for row, psi in zip(pop, states):
         a = read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1] if pulses else psi[:, 0]
-        pop = np.clip(a.real**2 + a.imag**2, 0.0, 1.0)
-        stderr = float(np.std(pop, ddof=1) / math.sqrt(pop.size)) if pop.size > 1 else 0.0
-        points.append(CurvePoint(t, n, float(np.mean(pop)), stderr))
-    return DecayCurve(tuple(points))
+        np.add(a.real**2, a.imag**2, out=row)
+    np.clip(pop, 0.0, 1.0, out=pop)
+    values = np.mean(pop, axis=1)
+    stderrs = (np.std(pop, axis=1, ddof=1) / math.sqrt(size) if size > 1
+               else np.zeros(len(times)))
+    return DecayCurve(tuple(CurvePoint(t, n, float(value), float(stderr))
+                            for t, n, value, stderr in zip(times, ns, values, stderrs)))
 
 
 def apply_envelope(curve: DecayCurve, T2: float) -> DecayCurve:

@@ -396,8 +396,9 @@ class Comb:
     omega_{n_max}; ``parts[q, m, 0]`` and ``parts[q, m, 1]`` hold the real
     and imaginary coefficients of basis function q of row m, so
     ``parts`` is a C-contiguous (2 n_max + 1, rows, 2) array with the
-    basis index outermost.  ``b_sup`` = A sum_n W(n) bounds |b| for
-    every row.
+    basis index outermost.  It is built in that order from the
+    transposed phasors, with no transposed copy.  ``b_sup`` = A sum_n
+    W(n) bounds |b| for every row.
     """
 
     omega: np.ndarray
@@ -411,14 +412,22 @@ class Comb:
 
     @classmethod
     def _of_phasors(cls, spec: LorentzianNoiseSpec, phasors: np.ndarray) -> "Comb":
-        """``of`` from the rows of e^{i phi}, for callers that reuse them across A."""
+        """``of`` from the rows of e^{i phi}, for callers that reuse them across A.
+
+        The coefficients are formed from the transposed phasors and the
+        pairs written into the stored (basis, row) order, C-contiguous.
+        """
         n = spec.n_max
         w = weights_all(spec)
-        coef = 0.5 * spec.A * w[None, :] * phasors
-        up, down = coef[:, n + 1:], coef[:, n - 1::-1]
-        pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1).T
+        coef = np.multiply((0.5 * spec.A * w)[:, None], phasors.T, order="C")
+        up, down = coef[n + 1:], coef[n - 1::-1]
+        pairs = np.empty(coef.shape, dtype=complex)
+        pairs[0] = coef[n]
+        np.add(up, down, out=pairs[1:n + 1])
+        np.subtract(up, down, out=pairs[n + 1:])
+        pairs[n + 1:] *= 1j
         return cls(omega=2.0 * np.pi * spec.indices[n + 1:] * spec.delta_omega,
-                   parts=np.ascontiguousarray(pairs).view(float).reshape(*pairs.shape, 2),
+                   parts=pairs.view(float).reshape(*pairs.shape, 2),
                    b_sup=float(spec.A * np.sum(w)))
 
     def c_at(self, t: np.ndarray) -> np.ndarray:
@@ -440,7 +449,7 @@ class Comb:
         return _comb_sum(basis, self.parts).T
 
 
-def _comb_sum(basis: np.ndarray, parts: np.ndarray) -> np.ndarray:
+def _comb_sum(basis: np.ndarray, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_q basis[t, q] (parts[q, m, 0] + i parts[q, m, 1]), a complex (t, m) array.
 
     The one contraction behind every comb value: numpy's own einsum
@@ -448,9 +457,11 @@ def _comb_sum(basis: np.ndarray, parts: np.ndarray) -> np.ndarray:
     runs along the contiguous (m, 2) axes, so each entry is summed one
     multiply and one add at a time in the fixed order q = 0, 1, ..., and
     its bytes do not depend on the other rows of ``basis`` or columns of
-    ``parts``.
+    ``parts``.  ``out``, if given, is a C-contiguous complex (t, m) array
+    to write.
     """
-    out = np.empty((basis.shape[0], parts.shape[1]), dtype=complex)
+    if out is None:
+        out = np.empty((basis.shape[0], parts.shape[1]), dtype=complex)
     np.einsum("tq,qmj->tmj", basis, parts, out=out.view(float).reshape(*out.shape, 2))
     return out
 

@@ -6,6 +6,8 @@
 - estimate_autocorrelation and parseval_power: the comb's statistics,
   criterion 9's diagnostics.
 - population0: the |0> population of a SpinState.
+- comb_parts: the comb's coefficient table by its pairing formula,
+  built realization-major and transposed, the oracle of Comb.parts.
 """
 import numpy as np
 
@@ -110,3 +112,19 @@ def population0(state: SpinState) -> float:
     if not -1e-9 <= value <= 1 + 1e-9:
         raise ValueError(f"population0 out of range: {value!r}")
     return min(max(value, 0.0), 1.0)
+
+
+def comb_parts(spec: LorentzianNoiseSpec, phases: np.ndarray) -> np.ndarray:
+    """``Comb.of(spec, phases).parts`` by the +-n pairing formula, built realization-major.
+
+    coef_n = 0.5 A W(n) e^{i phi_n} per row of ``phases``; the basis
+    [1, cos(omega_n t), sin(omega_n t)] takes coef_0, coef_n + coef_{-n}
+    and i (coef_n - coef_{-n}).  The (rows, 2 n_max + 1) table is
+    transposed into a C-contiguous (2 n_max + 1, rows, 2) array of real
+    and imaginary parts.
+    """
+    n = spec.n_max
+    coef = 0.5 * spec.A * weights_all(spec)[None, :] * np.exp(1j * phases)
+    up, down = coef[:, n + 1:], coef[:, n - 1::-1]
+    pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1).T
+    return np.ascontiguousarray(pairs).view(float).reshape(*pairs.shape, 2)

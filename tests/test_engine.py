@@ -138,6 +138,8 @@ def test_square_xy8_propagate_matches_expm_product():
 
 # The strong comb and detuning of the fig4 Gaussian workload.
 FIG4_NOISE = LorentzianNoiseSpec(R=R_FAST, A=1838870.610118221)
+# The criterion-6 comb: its amplitude holds T1 at 12.87 us.
+RELAX_NOISE = LorentzianNoiseSpec(R=R_FAST, A=142031.9491052709)
 FIG4_SPEC = SequenceSpec("XY8", N=32, tau=82e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
 
 
@@ -299,8 +301,8 @@ def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
     psi = prep_unitary() @ KET0
     a, b = np.full(hz.size, psi[0]), np.full(hz.size, psi[1])
     a_m, b_m = a, b
-    for u00, u01, u10, u11 in engine._magnus_steps(seg, PulseShape("Square"), None, hz,
-                                                   0.0, nstep):
+    for u00, u01, u10, u11 in engine._magnus_steps([(seg, 0.0, nstep)], PulseShape("Square"),
+                                                   None, hz):
         for j in range(u00.shape[0]):
             a_m, b_m = u00[j] * a_m + u01[j] * b_m, u10[j] * a_m + u11[j] * b_m
     c = 0.5 * np.exp(-1j * seg.phase) * math.pi / seg.duration
@@ -403,15 +405,13 @@ def fig4_pulse_nodes(rows, interpolate):
     seg = Segment(100e-9, None)
     nstep, _ = engine._segment_steps(Segment(100e-9, 0.0), PulseShape("Gaussian"), noise,
                                      4.0 * SIGMA_FID, None)
-    interpolation = None
-    if interpolate:
-        interpolation = engine._comb_interpolation(seg.duration, nstep, noise)
-        assert interpolation is not None
-    blocks = list(engine._node_fields(seg, PulseShape("Square"), noise, len(rows), 3.3e-6,
-                                      nstep, interpolation))
-    mean = np.concatenate([b[:b.shape[0] // 2] for b in blocks])
-    difference = np.concatenate([b[b.shape[0] // 2:] for b in blocks])
-    return np.stack([mean, difference])
+    assert engine._comb_interpolation(seg.duration, nstep, noise) is not None
+    with pytest.MonkeyPatch.context() as patch:
+        if not interpolate:
+            patch.setattr(engine, "_comb_interpolation", lambda *args: None)
+        blocks = [c for _, c in engine._node_fields([(seg, 3.3e-6, nstep)],
+                                                    PulseShape("Square"), noise, len(rows))]
+    return np.concatenate(blocks, axis=1)
 
 
 def test_interpolated_comb_is_within_its_bound_of_the_direct_sum():
@@ -450,14 +450,85 @@ def test_snapshots_split_idles_into_exact_halves():
 
 
 def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
-    # Steps are grouped into blocks only to vectorize their propagators;
-    # one step per block gives the same bytes.
-    spec = replace(FIG4_SPEC, N=16)
-    params = SimParams(realizations=16, master_seed=3)
+    # Steps are grouped into blocks only to vectorize their propagators,
+    # and a block runs across segment and snapshot boundaries: one step
+    # per block, three, or the default give the same bytes.  The runs are
+    # a Gaussian scan under the fig4 comb; a relaxation on fig3_relax's
+    # grid and a calibration, whose blocks gather many short idles; and a
+    # scan shaped like fig3_xy8_fast, whose blocks mix segments that
+    # interpolate the comb with idles that sum it directly.
     deph = DephasingSpec(sigma_delta=SIGMA_FID)
-    default = run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text()
-    monkeypatch.setattr(engine, "_BLOCK", 1)
-    assert run_dd_scan(spec, [8, 16], FIG4_NOISE, deph, params).to_csv_text() == default
+    fig4 = SimParams(realizations=16, master_seed=3)
+    fast = SequenceSpec("XY8", N=64, tau=950e-9, tau_d=24e-9, shape=PulseShape("Square"))
+    params = SimParams(realizations=64, master_seed=20260815)
+    runs = {
+        "fig4": (fig4, lambda: run_dd_scan(replace(FIG4_SPEC, N=16), [8, 16], FIG4_NOISE, deph,
+                                           fig4).to_csv_text()),
+        "relax": (params, lambda: run_relaxation(RELAX_NOISE, list(np.linspace(0.0, 26e-6, 27)),
+                                                 params=params).to_csv_text()),
+        "calibrate": (params, lambda: calibrate_amplitude(RELAX_NOISE, 12.87e-6, params).A),
+        "fast": (params, lambda: run_dd_scan(fast, [8, 32, 64], RELAX_NOISE, deph,
+                                             params).to_csv_text()),
+    }
+    # The fast scan's 2 tau idles and 24 ns pulses interpolate the comb; its
+    # tau idles, at the start and beside each snapshot, sum it directly.
+    noise = Comb.of(RELAX_NOISE, sample_realization(RELAX_NOISE, np.arange(4)))
+    for seg, interpolates in [(Segment(fast.tau, None), False),
+                              (Segment(2 * fast.tau, None), True), (Segment(24e-9, 0.0), True)]:
+        nstep, _ = engine._segment_steps(seg, fast.shape, noise, 4.0 * SIGMA_FID, None)
+        assert (engine._comb_interpolation(seg.duration, nstep, noise) is not None
+                ) == interpolates
+    default = {name: run() for name, (_, run) in runs.items()}
+    for name, (run_params, run) in runs.items():
+        for steps in (1, 3):
+            monkeypatch.setattr(engine, "_BLOCK", steps * run_params.realizations)
+            assert run() == default[name], (name, steps)
+        monkeypatch.undo()
+
+
+def test_relaxation_builds_full_blocks_across_segments(monkeypatch):
+    # One relaxation shaped like a calibrate_t1 run: the criterion-6 comb,
+    # 16 times over [0.5, 2] x 12.87 us, M = 1000.  Its Magnus steps fill
+    # blocks of 8 in run order across its 16 segments and snapshots, so it
+    # builds ceil(steps / 8) blocks, each full but the last.
+    t_list = list(np.linspace(0.5 * 12.87e-6, 2.0 * 12.87e-6, 16))
+    noise, deltas = engine._prepare_batch(RELAX_NOISE, None,
+                                          SimParams(realizations=1000, master_seed=20260815))
+    built = []
+    exact_propagator = engine._exact_propagator
+
+    def counted(hz, c, t):
+        built.append(hz.shape[0])
+        return exact_propagator(hz, c, t)
+
+    monkeypatch.setattr(engine, "_exact_propagator", counted)
+    diag = {}
+    engine._run_batch(engine._idle_schedule(t_list[-1]), t_list, noise, deltas, 0.0, KET0,
+                      None, diag)
+    steps = diag["integrated_steps"]
+    assert len(built) == math.ceil(steps / 8) < len(t_list)
+    assert built == [8] * (steps // 8) + ([steps % 8] if steps % 8 else [])
+
+
+def test_repeated_readout_times_are_refused_before_any_draw(monkeypatch):
+    # A curve's times must be strictly increasing: FID and relaxation runs
+    # refuse a repeated time before they draw or propagate a realization.
+    # propagate still returns one state per snapshot time, repeats included,
+    # inside an idle or at the end, with or without the comb.
+    spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=100e-9)
+    for noise in (None, small_noise(seed=2)):
+        for t in (0.5e-6, spec.N * spec.tau_c):
+            first, second = propagate(build_schedule(spec), noise, snapshot_times=[t, t])
+            assert np.array_equal(first.rho, second.rho)
+
+    def work_started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(engine, "_prepare_batch", work_started)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_fid(DephasingSpec(sigma_delta=SIGMA_FID), [1e-6, 1e-6])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_relaxation(FIG4_NOISE, [2e-6, 1e-6, 2e-6])
 
 
 def test_scan_without_comb_matches_step_by_step_application():
@@ -482,8 +553,8 @@ def test_scan_without_comb_matches_step_by_step_application():
             stderrs.append(np.std(pop, ddof=1) / math.sqrt(pop.size))
             continue
         nstep, _ = engine._segment_steps(item[1], spec.shape, None, 4.0 * SIGMA_FID, None)
-        for u00, u01, u10, u11 in engine._magnus_steps(item[1], spec.shape, None, hz, 0.0,
-                                                       nstep):
+        for u00, u01, u10, u11 in engine._magnus_steps([(item[1], 0.0, nstep)], spec.shape,
+                                                       None, hz):
             for j in range(u00.shape[0]):
                 a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
     assert np.max(np.abs(curve.value - values)) <= 1e-14
@@ -499,9 +570,9 @@ def test_scan_without_comb_builds_each_segment_class_once(monkeypatch):
     built = []
     magnus_steps = engine._magnus_steps
 
-    def counted(seg, *args):
-        built.append((seg.duration, seg.phase))
-        return magnus_steps(seg, *args)
+    def counted(plan, *args):
+        built.extend((seg.duration, seg.phase) for seg, _, _ in plan)
+        return magnus_steps(plan, *args)
 
     monkeypatch.setattr(engine, "_magnus_steps", counted)
     run_dd_scan(spec, [8, 16], None, DephasingSpec(sigma_delta=SIGMA_FID),
@@ -647,10 +718,6 @@ def refined_steps(monkeypatch, factor):
         return (factor * nstep if varies else nstep), varies
 
     monkeypatch.setattr(engine, "_segment_steps", finer)
-
-
-# The criterion-6 comb: its amplitude holds T1 at 12.87 us.
-RELAX_NOISE = LorentzianNoiseSpec(R=R_FAST, A=142031.9491052709)
 
 
 @pytest.mark.parametrize("points, bound", [(27, 5e-8), (3, 5e-7)])

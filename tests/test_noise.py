@@ -10,9 +10,9 @@ from eulerdd import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
                      sample_detuning, sample_realization, splitmix64, weight,
                      weights_all)
 import ziggurat_probe
-from helpers import estimate_autocorrelation, parseval_power
+from helpers import comb_parts, estimate_autocorrelation, parseval_power
 from eulerdd import _ziggurat, noise
-from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE, _seed_sequence_state
+from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE, Comb, _seed_sequence_state
 
 R_SLOW = 2 * math.pi * 1e3
 R_FAST = 2 * math.pi * 5e3
@@ -132,6 +132,24 @@ def test_field_batching_is_bitwise_stable():
     for i, ti in enumerate(t):
         sx, sy = field_at(spec, real, float(ti))
         assert float(sx) == bx[i] and float(sy) == by[i]
+
+
+# The fig4 comb and the criterion-6 comb, at their configs' seed.
+TABLE_SPECS = [spec_with(A=1838870.610118221, master_seed=20260815),
+               spec_with(A=142031.9491052709, master_seed=20260815)]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=["fig4", "criterion6"])
+@pytest.mark.parametrize("rows", [1, 1000])
+def test_comb_table_matches_the_pairing_formula(spec, rows):
+    # Comb.parts is built in its stored (basis, realization) order; it
+    # holds the bytes of the pairing formula built realization-major and
+    # transposed, as a C-contiguous (2 n_max + 1, rows, 2) array.
+    phases = sample_realization(spec, np.arange(rows))
+    parts = Comb.of(spec, phases).parts
+    assert parts.shape == (2 * spec.n_max + 1, rows, 2)
+    assert parts.flags.c_contiguous
+    assert parts.tobytes() == comb_parts(spec, phases).tobytes()
 
 
 def test_comb_values_at_production_size_do_not_depend_on_the_batch_layout():
