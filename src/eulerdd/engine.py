@@ -1,6 +1,6 @@
 """Propagation of the driven spin and the Monte Carlo experiment runners.
 
-Per realization the state is a two-component wavefunction evolving
+Per realization a two-component wavefunction is propagated from |0>
 under the rotating-frame Hamiltonian
 
     H(t) = (Omega(t) cos(phi) + b_x(t)) S_x
@@ -9,9 +9,15 @@ under the rotating-frame Hamiltonian
 
 with Omega the pulse envelope, (b_x, b_y) the injected transverse
 noise of one realization, and delta that realization's static
-detuning.  Ensemble averaging the projective readout over
-realizations is equivalent to propagating the density matrix because
-every realization evolves unitarily.
+detuning.  Every step is in SU(2), so the state (a, b) that a run
+holds at each readout time is the first column of the realization's
+propagator U = [[a, -conj b], [b, conj a]], and a run returns that
+column.  Readouts are read from it: a relaxation's population |a|^2,
+a decoupling scan's or an FID's |<0| R U P |0>|^2, with P the
+preparation and R the readout pulse, and ``propagate``'s U psi for
+any psi.  Ensemble averaging the projective readout over realizations
+is equivalent to propagating the density matrix because every
+realization evolves unitarily.
 
 Realizations are propagated as one vectorized batch of (M,) arrays.
 Delta pulses are exact pi rotations; every finite segment takes
@@ -39,19 +45,19 @@ block, into one (1, M) step.  Without the comb every segment has one,
 so the state advances once per snapshot: the class steps of the
 segments between two snapshots are multiplied into one (1, M) interval
 step, once per distinct run of segments, such as the one XY8 cycle
-between each two cycle counts of a regular scan.  An interval of one
-segment, as on an FID grid, takes that segment's class step.  Under
-the comb a Delta pulse applies its class step, and the finite segments
-of a run take their Magnus steps from one pipeline: every step keeps
-its segment, start, index and length, and the steps are built lazily
-in run order, in blocks of (steps, M) arrays that run across segment
-and snapshot boundaries.  The steps of a block that sum the comb
-directly share one comb sum.  So a calibration's relaxation run, 16
-short idles taking 17 to 40 steps in all, builds three to five blocks
-at M = 1000, not sixteen or more.  A block is let go before the next
-is built, so a run holds one block plus one (1, M) step per class and
-per interval, and only the application of steps to the state is
-sequential.
+between each two cycle counts of a regular scan.  The product of one
+finite segment, as between two times of an FID grid, is that segment's
+class step, bit for bit.  Under the comb a Delta pulse applies its
+class step, and the finite segments of a run take their Magnus steps
+from one pipeline: every step keeps its segment, start, index and
+length, and the steps are built lazily in run order, in blocks of
+(steps, M) arrays that run across segment and snapshot boundaries.
+The steps of a block that sum the comb directly share one comb sum.
+So a calibration's relaxation run, 16 short idles taking 17 to 40
+steps in all, builds three to five blocks at M = 1000, not sixteen or
+more.  A block is let go before the next is built, so a run holds one
+block plus one (1, M) step per class and per interval, and only the
+application of steps to the state is sequential.
 
 The comb c(t) = sum_n coef_n e^{i omega_n t} changes slowly over a
 segment of duration T: its top tone turns by omega_max T, 6.3e-3 rad
@@ -563,9 +569,9 @@ def _product(blocks):
 
     Each block is (u00, u01, u10, u11) with one row per step, and so is
     the result, with one row.  The steps are streamed onto the product's
-    |0> column (x, y), which starts from the first step's column, so a
-    product of one step keeps that step's bytes; its SU(2) partner is
-    (-conj y, conj x).
+    |0> column (x, y), which starts from the first step's column; its
+    SU(2) partner is (-conj y, conj x).  So the product of one step that
+    is itself in this form, a Magnus step or a product, keeps its bytes.
     """
     x = y = None
     for u in blocks:
@@ -587,25 +593,25 @@ def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
-                     deltas: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
-    """Propagate a batch through ("seg", Segment, nstep, varies) / ("snap",) items.
+                     deltas: np.ndarray) -> list[np.ndarray]:
+    """Propagate a batch from |0> through ("seg", Segment, nstep, varies) / ("snap",) items.
 
-    nstep and varies are the segment's ``_segment_steps``.  psi0 is the
-    initial 2-vector of all M = deltas.size realizations; returns one
-    (M, 2) wavefunction copy per "snap" marker.  A Delta pulse, and every
+    nstep and varies are the segment's ``_segment_steps``.  Every one of
+    the M = deltas.size realizations starts at |0>; returns one (M, 2)
+    copy of their states (a, b) per "snap" marker, at each marker the
+    first column of each one's propagator.  A Delta pulse, and every
     finite segment without the comb, does not depend on when it starts:
     its ``_class_step`` is built once per distinct (duration, phase).
     Without the comb every segment is such a step, so the state advances
     once per "snap" marker, by the ``_product`` of the class steps of the
     segments since the last marker, built once per distinct tuple of
-    segments; an interval of one segment applies that segment's class
-    step.  Under the comb a Delta pulse applies its class step, and the
-    finite segments apply the run's Magnus steps in order, from one
+    segments.  Under the comb a Delta pulse applies its class step, and
+    the finite segments apply the run's Magnus steps in order, from one
     ``_magnus_steps`` over all of them, built one block at a time.  It
     keeps no diagnostics: ``_run_batch`` reads the step counts from the
     items and the norm drift from the snapshots.
     """
-    a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
+    a, b = np.ones(deltas.size, complex), np.zeros(deltas.size, complex)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
     steps, intervals = {}, {}
@@ -629,11 +635,9 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
         if item[0] == "snap":
             if interval:
                 key = tuple(interval)
-                u = intervals.get(key)
-                if u is None:
-                    u = intervals[key] = (class_step(interval[0]) if len(interval) == 1
-                                          else _product(map(class_step, interval)))
-                a, b = _apply(u, 0, a, b)
+                if key not in intervals:
+                    intervals[key] = _product(map(class_step, interval))
+                a, b = _apply(intervals[key], 0, a, b)
                 interval = []
             snaps.append(np.empty((deltas.size, 2), complex))
             snaps[-1][:, 0] = a
@@ -726,11 +730,13 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
 
 
 def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
-               deltas: np.ndarray, delta_max: float, psi0: np.ndarray, dt: float | None,
+               deltas: np.ndarray, delta_max: float, dt: float | None,
                diagnostics: dict | None = None) -> list[np.ndarray]:
-    """The one propagation entry point: every realization starts from psi0.
+    """The one propagation entry point: every realization starts at |0>.
 
-    Returns one (deltas.size, 2) array per sorted time.  The step rule
+    Returns one (deltas.size, 2) array per sorted time, the first column
+    (a, b) of each realization's propagator U = [[a, -conj b], [b,
+    conj a]] at that time, by ``_propagate_items``.  The step rule
     runs once per distinct (duration, is_pulse), the only segment fields
     it reads, sized by the detuning bound delta_max, which the caller
     takes from the spec and not from the batch's draws; ValueError,
@@ -738,7 +744,7 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
     _STEP_BUDGET steps.  ``diagnostics``, if given, receives the plan's
     "integrated_steps" (Magnus steps on segments whose H varies) and
     "exact_segments" (the other segments, each one exact step), and
-    "max_norm_drift", the largest | |psi| - 1 | over the returned states.
+    "max_norm_drift", the largest | |(a, b)| - 1 | over the returned columns.
     """
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     rule: dict[tuple[float, bool], tuple[int, bool]] = {}
@@ -755,7 +761,7 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
                          f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
-    snaps = _propagate_items(items, shape, noise, deltas, psi0)
+    snaps = _propagate_items(items, shape, noise, deltas)
     if diagnostics is not None:
         drift = max(float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))) for psi in snaps)
         diagnostics.update(integrated_steps=steps,
@@ -769,27 +775,31 @@ def _curve(schedule: Schedule, times: list[float], ns: list[int],
            params: SimParams, pulses: bool, phasors: np.ndarray | None = None) -> DecayCurve:
     """Mean ground-state population and its stderr at each of the sorted times, N = ns[k].
 
-    With ``pulses`` a run starts in the prepared superposition and is
-    read out after the readout pulse; without, it starts in |0>.
-    ``phasors`` are passed on to ``_prepare_batch``.  Repeated times
-    raise ValueError before any draw.
+    Every point is read from the propagator's first column (a, b) at its
+    time: |a|^2, the population of a run from |0>, or with ``pulses``
+    |<0| R U P |0>|^2, that of the superposition prepared by P =
+    prep_unitary() and read out after R = readout_unitary(), which is
+    linear in a, conj a, b and conj b.  Each point is read from its own
+    snapshot: one array of all of them, 512 KB for a calibration run's
+    16 points at M = 1000, is fresh memory on every run, and made a
+    calibration about 10% slower.  ``phasors`` are passed on to
+    ``_prepare_batch``.  Repeated times raise ValueError before any draw.
     """
     if any(later <= t for t, later in zip(times, times[1:])):
         raise ValueError("curve times must be strictly increasing")
     noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
     delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    psi0 = prep_unitary() @ ket0 if pulses else ket0
-    read = readout_unitary()
-    states = _run_batch(schedule, times, noise, deltas, delta_max, psi0, params.dt)
-    size = deltas.size
-    pop = np.empty((len(times), size))
-    for row, psi in zip(pop, states):
-        a = read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1] if pulses else psi[:, 0]
+    states = _run_batch(schedule, times, noise, deltas, delta_max, params.dt)
+    if pulses:
+        (r0, r1), (p0, p1) = readout_unitary()[0], prep_unitary()[:, 0]
+    pop = np.empty((len(times), deltas.size))
+    for row, (a, b) in zip(pop, (psi.T for psi in states)):
+        if pulses:  # <0| R U P |0>
+            a = r0 * p0 * a + r1 * p1 * np.conj(a) + r1 * p0 * b - r0 * p1 * np.conj(b)
         np.add(a.real**2, a.imag**2, out=row)
     np.clip(pop, 0.0, 1.0, out=pop)
     values = np.mean(pop, axis=1)
-    stderrs = (np.std(pop, axis=1, ddof=1) / math.sqrt(size) if size > 1
+    stderrs = (np.std(pop, axis=1, ddof=1) / math.sqrt(deltas.size) if deltas.size > 1
                else np.zeros(len(times)))
     return DecayCurve(tuple(CurvePoint(t, n, float(value), float(stderr))
                             for t, n, value, stderr in zip(times, ns, values, stderrs)))
@@ -824,9 +834,11 @@ def propagate(schedule: Schedule,
               diagnostics: dict | None = None):
     """Propagate a single realization through a schedule.
 
-    The state starts from `initial_state` (a normalized 2-vector) or,
-    by default, from the prepared superposition state.  Returns the
-    final SpinState, or a list of SpinStates at the sorted
+    The realization is propagated from |0>, which gives the first column
+    (a, b) of its propagator U = [[a, -conj b], [b, conj a]], and the
+    state returned is U psi for psi = `initial_state` (a normalized
+    2-vector) or, by default, the prepared superposition state.  Returns
+    the final SpinState, or a list of SpinStates at the sorted
     `snapshot_times` when those are given.  Bad input (a realization
     index outside [0, 2^64), a non-finite delta, a negative or
     non-finite snapshot time) raises ValueError before any work; like
@@ -836,8 +848,8 @@ def propagate(schedule: Schedule,
     steps on segments whose H varies) and "exact_segments" (segments
     with a constant H, each one exact step, and Delta pulses), both
     counted from the run's step plan, and "max_norm_drift", the largest
-    | |psi| - 1 | at a readout (each snapshot time, or the final state),
-    which only rounding moves.
+    | |(a, b)| - 1 | at a readout (each snapshot time, or the final
+    time), which only rounding moves.
     """
     params = params or SimParams()
     index = _indices(realization_index)
@@ -846,7 +858,7 @@ def propagate(schedule: Schedule,
     times = ([schedule.total_time] if snapshot_times is None
              else _checked_times(snapshot_times))
     if initial_state is None:
-        psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
+        psi0 = prep_unitary()[:, 0]
     else:
         vec = np.asarray(initial_state, dtype=complex).reshape(2)
         nrm = float(np.linalg.norm(vec))
@@ -855,8 +867,9 @@ def propagate(schedule: Schedule,
         psi0 = vec / nrm
     noise, _ = _prepare_batch(noise_spec, None, params, index)
     snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), abs(float(delta)),
-                       psi0, params.dt, diagnostics)
-    states = [SpinState.from_ket(psi[0]) for psi in snaps]
+                       params.dt, diagnostics)
+    states = [SpinState.from_ket(np.array([[a, -np.conj(b)], [b, np.conj(a)]]) @ psi0)
+              for a, b in (psi[0] for psi in snaps)]
     return states if snapshot_times is not None else states[-1]
 
 

@@ -25,8 +25,8 @@ from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
                      PulseWord, SequenceSpec, SimParams, build_cayley,
                      build_schedule, calibrate_amplitude, eulerian_cycle,
                      fit_decay, generated_group, pauli_element, pauli_group,
-                     prep_unitary, propagate, readout_unitary, run_dd_scan,
-                     run_fid, run_relaxation, sample_realization,
+                     propagate, readout_unitary, run_dd_scan, run_fid,
+                     run_relaxation, sample_realization,
                      verify_average_decoupling, verify_eulerian, engine)
 from eulerdd.cli import _config_text, parse_config
 from helpers import (estimate_autocorrelation, normalize_coherence, parseval_power,
@@ -323,9 +323,8 @@ def fig2_states(rows):
     params = SimParams(realizations=16, master_seed=cfg["master_seed"])
     noise, deltas = engine._prepare_batch(None, DephasingSpec(cfg["sigma_delta"]), params, rows)
     times = [n * spec.tau_c for n in cfg["n_list"]]
-    psi0 = prep_unitary() @ KET0
     return engine._run_batch(build_schedule(spec), times, noise, deltas,
-                             4.0 * cfg["sigma_delta"], psi0, params.dt)
+                             4.0 * cfg["sigma_delta"], params.dt)
 
 
 def batch_layout_is_stable():

@@ -503,8 +503,8 @@ def test_relaxation_builds_full_blocks_across_segments(monkeypatch):
 
     monkeypatch.setattr(engine, "_exact_propagator", counted)
     diag = {}
-    engine._run_batch(engine._idle_schedule(t_list[-1]), t_list, noise, deltas, 0.0, KET0,
-                      None, diag)
+    engine._run_batch(engine._idle_schedule(t_list[-1]), t_list, noise, deltas, 0.0, None,
+                      diag)
     steps = diag["integrated_steps"]
     assert len(built) == math.ceil(steps / 8) < len(t_list)
     assert built == [8] * (steps // 8) + ([steps % 8] if steps % 8 else [])
@@ -607,10 +607,16 @@ INTERVAL_RUNS = [
 ]
 
 
-def readout(states):
-    """Mean readout population and its stderr at each state of a run."""
-    read = readout_unitary()
-    pops = [np.abs(read[0, 0] * psi[:, 0] + read[0, 1] * psi[:, 1]) ** 2 for psi in states]
+def readout(columns):
+    """Mean readout population and its stderr at each propagator column (a, b) of a run.
+
+    The population is |<0| R U P |0>|^2 with U = [[a, -conj b], [b, conj a]],
+    P = prep_unitary() and R = readout_unitary(), as a dd scan reads it.
+    """
+    read, prep = readout_unitary()[0], prep_unitary()[:, 0]
+    pops = [np.abs(np.einsum("i,ijm,j->m", read, np.array(
+        [[psi[:, 0], -np.conj(psi[:, 1])], [psi[:, 1], np.conj(psi[:, 0])]]), prep)) ** 2
+        for psi in columns]
     return (np.array([np.mean(pop) for pop in pops]),
             np.array([np.std(pop, ddof=1) / math.sqrt(pop.size) for pop in pops]))
 
@@ -619,35 +625,115 @@ def readout(states):
 def test_scan_without_comb_matches_class_steps_in_sequence(spec, n_list):
     # Without the comb the state advances once per snapshot, by the product
     # of the class steps since the last one: on fig2's regular grid, an
-    # irregular one, and comb-free Gaussian and Delta pulses, the curve
-    # stays within 1e-14 of applying every segment's class step in turn.
+    # irregular one, and comb-free Gaussian and Delta pulses, the curve read
+    # from the propagator's column stays within 1e-14 of applying every
+    # segment's class step in turn to |0>.
     # A state also carries the product's rounding, about 5e-16 for one XY8
     # cycle, once per snapshot: up to 2.2e-14 after fig2's 45 at M = 1000,
     # so states are held to 1e-13.
     params = SimParams(realizations=256, master_seed=4)
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
-    psi0 = prep_unitary() @ KET0
     times = [n * spec.tau_c for n in n_list]
-    got = engine._run_batch(build_schedule(spec), times, None, deltas, 4.0 * SIGMA_FID,
-                            psi0, None)
-    want = class_steps_in_sequence(build_schedule(spec), times, deltas, 4.0 * SIGMA_FID, psi0)
+    got = engine._run_batch(build_schedule(spec), times, None, deltas, 4.0 * SIGMA_FID, None)
+    want = class_steps_in_sequence(build_schedule(spec), times, deltas, 4.0 * SIGMA_FID, KET0)
     assert len(got) == len(want) == len(times)
     assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13
     for g, w in zip(readout(got), readout(want)):
         assert np.max(np.abs(g - w)) <= 1e-14
 
 
+KET1 = np.array([0.0, 1.0], dtype=complex)
+
+
+def second_columns(columns):
+    """(-conj b, conj a) of each first column (a, b): U's second column, U|1>."""
+    columns = np.array(columns)
+    return np.stack([-np.conj(columns[..., 1]), np.conj(columns[..., 0])], axis=-1)
+
+
 def test_fid_grid_applies_each_class_step_once():
     # Between two times of an FID grid lies one idle, so the state takes
     # that idle's class step itself: the bytes of applying it in turn.
+    # The column is the propagator: (-conj b, conj a) equals the class
+    # steps applied in turn to |1>, value for value.  Only the sign of
+    # zero differs: an idle under detuning alone leaves b exactly 0, and
+    # -conj b is -0 where the propagated |1> has +0.
     params = SimParams(realizations=1000, master_seed=4)
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
-    psi0 = prep_unitary() @ KET0
     times = list(np.geomspace(1e-8, 2e-5, 100))
     schedule = engine._idle_schedule(times[-1])
-    got = engine._run_batch(schedule, times, None, deltas, 4.0 * SIGMA_FID, psi0, None)
-    want = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, psi0)
+    got = engine._run_batch(schedule, times, None, deltas, 4.0 * SIGMA_FID, None)
+    want = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, KET0)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    flipped = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, KET1)
+    assert np.array_equal(second_columns(got), flipped)
+
+
+def comb_steps_in_sequence(schedule, times, noise, deltas, delta_max, psi0):
+    """States at the sorted times under the comb, the engine's own steps applied in run order.
+
+    The steps are the Magnus steps of one engine._magnus_steps over the
+    run's finite segments, and each Delta pulse's engine._class_step.
+    """
+    shape = schedule.spec.shape
+    hz = 0.5 * deltas
+    items = [item + engine._segment_steps(item[1], shape, noise, delta_max, None)
+             if item[0] == "seg" else item for item in engine._split_idles_at(schedule, times)]
+    plan, t_abs = [], 0.0
+    for item in items:
+        if item[0] == "seg":
+            if item[1].duration > 0.0:
+                plan.append((item[1], t_abs, item[2]))
+            t_abs += item[1].duration
+    magnus = ((u, j) for u in engine._magnus_steps(plan, shape, noise, hz)
+              for j in range(u[0].shape[0]))
+    a, b = (np.full(deltas.size, amplitude, dtype=complex) for amplitude in psi0)
+    states = []
+    for item in items:
+        if item[0] == "snap":
+            states.append(np.stack([a, b], axis=1))
+            continue
+        steps = ([(engine._class_step(item[1], shape, hz, item[2]), 0)]
+                 if item[1].duration == 0.0 else [next(magnus) for _ in range(item[2])])
+        for u, j in steps:
+            a, b = u[0][j] * a + u[1][j] * b, u[2][j] * a + u[3][j] * b
+    return states
+
+
+@pytest.mark.parametrize("kind", ["Gaussian", "Square", "Delta"])
+def test_comb_run_column_is_the_propagator(kind):
+    # Every step is in SU(2), so the first column (a, b) that a run returns
+    # fixes the realization's propagator: (-conj b, conj a) is, bit for bit,
+    # the engine's steps applied in run order to |1>.  XY8 under the fig4
+    # comb and detuning, with each pulse shape.
+    spec = replace(FIG4_SPEC, N=16, shape=PulseShape(kind),
+                   tau_d=0.0 if kind == "Delta" else FIG4_SPEC.tau_d)
+    noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
+                                          SimParams(realizations=16, master_seed=3))
+    times = [8 * spec.tau_c, 16 * spec.tau_c]
+    got = engine._run_batch(build_schedule(spec), times, noise, deltas, 4.0 * SIGMA_FID, None)
+    want = comb_steps_in_sequence(build_schedule(spec), times, noise, deltas,
+                                  4.0 * SIGMA_FID, KET1)
+    assert second_columns(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("noise_spec", [FIG4_NOISE, None])
+def test_propagate_returns_the_propagator_times_the_initial_state(noise_spec):
+    # propagate reads U psi from the column (a, b) of one run from |0>, for
+    # psi = |0>, |1> and the prepared state, at every snapshot time.
+    spec = replace(FIG4_SPEC, N=16)
+    params = SimParams(master_seed=5)
+    times = [8 * spec.tau_c, 16 * spec.tau_c]
+    noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([3]))
+    a, b = np.array(engine._run_batch(build_schedule(spec), times, noise,
+                                      np.array([SIGMA_FID]), SIGMA_FID, None))[:, 0].T
+    for psi in (KET0, KET1, prep_unitary() @ KET0):
+        states = propagate(build_schedule(spec), noise_spec, realization_index=3,
+                           delta=SIGMA_FID, params=params, initial_state=psi,
+                           snapshot_times=times)
+        for state, a_t, b_t in zip(states, a, b):
+            u = np.array([[a_t, -np.conj(b_t)], [b_t, np.conj(a_t)]])
+            assert np.max(np.abs(state.rho - SpinState.from_ket(u @ psi).rho)) <= 1e-15
 
 
 DIAGNOSED_RUNS = [
@@ -758,12 +844,11 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
     times = [8 * spec.tau_c, 16 * spec.tau_c]
     noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
                                           SimParams(realizations=16, master_seed=3))
-    psi0 = prep_unitary() @ KET0
     rule = engine._segment_steps
     per_segment = [item + rule(item[1], spec.shape, noise, 4.0 * SIGMA_FID, None)
                    if item[0] == "seg" else item
                    for item in engine._split_idles_at(schedule, times)]
-    want = engine._propagate_items(per_segment, spec.shape, noise, deltas, psi0)
+    want = engine._propagate_items(per_segment, spec.shape, noise, deltas)
     asked = []
 
     def counted(seg, *args):
@@ -771,7 +856,7 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
         return rule(seg, *args)
 
     monkeypatch.setattr(engine, "_segment_steps", counted)
-    got = engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, psi0, None)
+    got = engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, None)
     classes = {(item[1].duration, item[1].is_pulse) for item in per_segment
                if item[0] == "seg"}
     assert sorted(asked) == sorted(classes) and len(classes) < len(per_segment)
@@ -817,7 +902,10 @@ def test_propagate_validation(monkeypatch):
 
 
 def test_norm_drift_stays_tiny():
-    spec = SequenceSpec("XY8", N=8, tau=500e-9, tau_d=100e-9)
+    # The drift is that of the propagator's column, which starts at |0>:
+    # its norm is still exactly 1 after 8 cycles and off by 4.4e-16 after
+    # 16, so the run takes 32 for the drift to be non-zero as well as tiny.
+    spec = SequenceSpec("XY8", N=32, tau=500e-9, tau_d=100e-9)
     diag = {}
     propagate(build_schedule(spec), noise_spec=small_noise(seed=4), delta=2e5,
               params=SimParams(master_seed=4), diagnostics=diag)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E402
                      SEQUENCE_PHASES, SequenceSpec, SimParams, build_schedule,
-                     derive_seed, prep_unitary, sample_detuning,
+                     derive_seed, sample_detuning,
                      sample_realization)
 from eulerdd import engine  # noqa: E402
 from eulerdd.cli import (_EXPERIMENTS, ConfigError, _dump_config,  # noqa: E402
@@ -120,13 +120,12 @@ RUN_PARAMS = SimParams(realizations=ROWS, master_seed=0)
 
 def batch_states(rows):
     """Each run's states at its half and full length, for realizations ``rows``."""
-    psi0 = prep_unitary() @ np.array([1.0, 0.0], dtype=complex)
     states = []
     for spec, noise_spec, dephasing in BATCH_RUNS:
         noise, deltas = engine._prepare_batch(noise_spec, dephasing, RUN_PARAMS, rows)
         times = [spec.N // 2 * spec.tau_c, spec.N * spec.tau_c]
         states += engine._run_batch(build_schedule(spec), times, noise, deltas,
-                                    4.0 * dephasing.sigma_delta, psi0, None)
+                                    4.0 * dephasing.sigma_delta, None)
     return states
 
 
