@@ -2,7 +2,7 @@
 
 The package is organized as a pipeline:
 
-- su2core: SU(2) primitives (Pauli matrices, rotations, states).
+- su2core: SU(2) primitives (Pauli matrices, rotations).
 - dgroup: decoupling-group Cayley graphs, Eulerian cycles, word checks.
 - control: pulse shapes, sequence timing, schedules, resonance screen.
 - noise: the injected Lorentzian comb and quasi-static dephasing.

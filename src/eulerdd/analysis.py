@@ -64,7 +64,11 @@ class FitResult:
     difference d2 of the profiled chi-square over the search's last
     three points, h apart in log T (times the reduced chi-square under
     unit weights; inf unless d2 > 0); r_squared is the weighted
-    coefficient of determination, clamped to [0, 1].
+    coefficient of determination, clamped to [0, 1].  Only about the
+    first 8 significant digits of covariance_T carry information: d2
+    cancels about half the digits of three chi-square values at most
+    1e-4 apart in log T, so curve values moved by 5.6e-16 moved it by
+    up to 1.8e-8 relative, and T by 4.0e-13.
     """
 
     T: float

@@ -14,8 +14,8 @@ holds at each readout time is the first column of the realization's
 propagator U = [[a, -conj b], [b, conj a]], and a run returns that
 column.  Readouts are read from it: a relaxation's population |a|^2,
 a decoupling scan's or an FID's |<0| R U P |0>|^2, with P the
-preparation and R the readout pulse, and ``propagate``'s U psi for
-any psi.  Ensemble averaging the projective readout over realizations
+preparation and R the readout pulse, and ``propagate`` returns U
+itself.  Ensemble averaging the projective readout over realizations
 is equivalent to propagating the density matrix because every
 realization evolves unitarily.
 
@@ -115,7 +115,7 @@ from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedul
                       prep_unitary, pulse_envelope, readout_unitary)
 from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _comb_sum,
                     _indices, derive_seed, sample_detuning, sample_realization)
-from .su2core import SpinState, axis_rotation
+from .su2core import axis_rotation
 
 __all__ = [
     "StepTooLarge",
@@ -829,19 +829,17 @@ def propagate(schedule: Schedule,
               realization_index: int = 0,
               delta: float = 0.0,
               params: SimParams | None = None,
-              initial_state: np.ndarray | None = None,
               snapshot_times: list[float] | None = None,
               diagnostics: dict | None = None):
-    """Propagate a single realization through a schedule.
+    """Propagator of a single realization through a schedule.
 
     The realization is propagated from |0>, which gives the first column
-    (a, b) of its propagator U = [[a, -conj b], [b, conj a]], and the
-    state returned is U psi for psi = `initial_state` (a normalized
-    2-vector) or, by default, the prepared superposition state.  Returns
-    the final SpinState, or a list of SpinStates at the sorted
-    `snapshot_times` when those are given.  Bad input (a realization
-    index outside [0, 2^64), a non-finite delta, a negative or
-    non-finite snapshot time) raises ValueError before any work; like
+    (a, b) of its propagator U = [[a, -conj b], [b, conj a]].  Returns U
+    as a 2x2 complex array at the schedule's end, or a list of them at
+    the sorted `snapshot_times` when those are given; a state psi
+    evolves to U @ psi.  Bad input (a realization index outside
+    [0, 2^64), a non-finite delta, a negative or non-finite snapshot
+    time) raises ValueError before any work; like
     every run, it also raises ValueError before propagating when it
     needs more than 2,000,000 steps on segments whose H varies.
     `diagnostics`, if provided, receives "integrated_steps" (Magnus
@@ -857,20 +855,11 @@ def propagate(schedule: Schedule,
         raise ValueError(f"delta must be finite, got {delta!r}")
     times = ([schedule.total_time] if snapshot_times is None
              else _checked_times(snapshot_times))
-    if initial_state is None:
-        psi0 = prep_unitary()[:, 0]
-    else:
-        vec = np.asarray(initial_state, dtype=complex).reshape(2)
-        nrm = float(np.linalg.norm(vec))
-        if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError("initial_state must be normalized")
-        psi0 = vec / nrm
     noise, _ = _prepare_batch(noise_spec, None, params, index)
     snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), abs(float(delta)),
                        params.dt, diagnostics)
-    states = [SpinState.from_ket(np.array([[a, -np.conj(b)], [b, np.conj(a)]]) @ psi0)
-              for a, b in (psi[0] for psi in snaps)]
-    return states if snapshot_times is not None else states[-1]
+    props = [np.array([[a, -np.conj(b)], [b, np.conj(a)]]) for a, b in (col[0] for col in snaps)]
+    return props if snapshot_times is not None else props[-1]
 
 
 # The N grid of a dd config without n_list: multiples of 8 up to 360, 16 points.

@@ -1,9 +1,8 @@
 """Exact complex 2x2 linear algebra for a spin-1/2.
 
-Pauli operators, axis rotations and density-matrix states used
-throughout the package.  The computational
-basis is fixed once here: index 0 is the level |0>, index 1 the level
-|-1>.  Spin operators are S_k = pauli(k) / 2.
+Pauli operators and axis rotations used throughout the package.  The
+computational basis is fixed once here: index 0 is the level |0>,
+index 1 the level |-1>.  Spin operators are S_k = pauli(k) / 2.
 
 All values are plain numpy arrays of complex128 and are treated as
 immutable after construction; every function returns fresh arrays.
@@ -16,7 +15,6 @@ __all__ = [
     "PAULI_LABELS",
     "pauli",
     "axis_rotation",
-    "SpinState",
 ]
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -72,46 +70,3 @@ def axis_rotation(phi: float, theta: float) -> np.ndarray:
     axis = np.cos(phi) * _PAULI["X"] + np.sin(phi) * _PAULI["Y"]
     return np.cos(theta / 2) * _PAULI["I"] - 1j * np.sin(theta / 2) * axis
 
-
-class SpinState:
-    """Density matrix of the spin-1/2, basis (|0>, |-1>).
-
-    Parameters
-    ----------
-    rho : array_like
-        2x2 complex density matrix.  Validated on construction:
-        Hermitian to 1e-10, unit trace to 1e-10, eigenvalues >= -1e-10.
-    """
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho) -> None:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"SpinState needs a 2x2 matrix, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho.view(float))):
-            raise ValueError("SpinState entries must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("SpinState must be Hermitian to 1e-10")
-        if abs(rho.trace() - 1.0) > 1e-10:
-            raise ValueError("SpinState must have unit trace to 1e-10")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("SpinState must be positive semidefinite to 1e-10")
-        self.rho = rho
-        self.rho.flags.writeable = False
-
-    @classmethod
-    def from_ket(cls, psi) -> "SpinState":
-        """Build the pure state |psi><psi| / <psi|psi>."""
-        psi = np.asarray(psi, dtype=complex).reshape(2)
-        norm = np.vdot(psi, psi).real
-        if norm <= 0:
-            raise ValueError("zero ket")
-        return cls(np.outer(psi, psi.conj()) / norm)
-
-    def evolved(self, unitary: np.ndarray) -> "SpinState":
-        """Return U rho U^dagger as a new state."""
-        return SpinState(unitary @ self.rho @ unitary.conj().T)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpinState({self.rho.tolist()!r})"

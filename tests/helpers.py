@@ -5,15 +5,15 @@
 - normalize_coherence: readout fidelities mapped to coherences.
 - estimate_autocorrelation and parseval_power: the comb's statistics,
   criterion 9's diagnostics.
-- population0: the |0> population of a SpinState.
+- population0: the |0> population of a ket.
 - comb_parts: the comb's coefficient table by its pairing formula,
   built realization-major and transposed, the oracle of Comb.parts.
 """
 import numpy as np
 
 from eulerdd import (CurvePoint, DecayCurve, InvalidTiming, LorentzianNoiseSpec,
-                     PulseShape, SpinState, field_at, pulse_envelope,
-                     sample_realization, weights_all)
+                     PulseShape, field_at, pulse_envelope, sample_realization,
+                     weights_all)
 from eulerdd.noise import Comb
 
 
@@ -102,16 +102,16 @@ def parseval_power(spec: LorentzianNoiseSpec, phases: np.ndarray) -> tuple[float
     return measured, target
 
 
-def population0(state: SpinState) -> float:
-    """Population of the |0> level, Re(rho[0][0]).
+def population0(psi: np.ndarray) -> float:
+    """Population |psi_0|^2 of the |0> level in the ket ``psi``.
 
-    Values within 1e-9 outside [0, 1] are clamped to the boundary;
-    anything further out raises ``ValueError``.
+    Values within 1e-9 above 1 are clamped to 1; anything further out
+    raises ``ValueError``.
     """
-    value = state.rho[0, 0].real
-    if not -1e-9 <= value <= 1 + 1e-9:
+    value = abs(psi[0]) ** 2
+    if value > 1 + 1e-9:
         raise ValueError(f"population0 out of range: {value!r}")
-    return min(max(value, 0.0), 1.0)
+    return min(value, 1.0)
 
 
 def comb_parts(spec: LorentzianNoiseSpec, phases: np.ndarray) -> np.ndarray:

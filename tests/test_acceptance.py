@@ -25,8 +25,8 @@ from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
                      PulseWord, SequenceSpec, SimParams, build_cayley,
                      build_schedule, calibrate_amplitude, eulerian_cycle,
                      fit_decay, generated_group, pauli_element, pauli_group,
-                     propagate, readout_unitary, run_dd_scan, run_fid,
-                     run_relaxation, sample_realization,
+                     prep_unitary, propagate, readout_unitary, run_dd_scan,
+                     run_fid, run_relaxation, sample_realization,
                      verify_average_decoupling, verify_eulerian, engine)
 from eulerdd.cli import _config_text, parse_config
 from helpers import (estimate_autocorrelation, normalize_coherence, parseval_power,
@@ -90,9 +90,8 @@ def test_criterion_02_rk4_order():
     sched = build_schedule(spec)
 
     def final_rho(divisor):
-        state = propagate(sched, delta=3e5, initial_state=KET0,
-                          params=SimParams(dt=tau_d / divisor))
-        return state.rho
+        psi = propagate(sched, delta=3e5, params=SimParams(dt=tau_d / divisor)) @ KET0
+        return np.outer(psi, psi.conj())
 
     ref = final_rho(8192)
     divisors = np.array([64.0, 128.0, 256.0, 512.0])
@@ -111,9 +110,8 @@ def test_criterion_03_rabi_exactness():
     start = time.perf_counter()
     tau_d = 100e-9
     spec = SequenceSpec("CPMG_Y", N=1, tau=1e-9, tau_d=tau_d)
-    state = propagate(build_schedule(spec), initial_state=KET0,
-                      params=SimParams(dt=tau_d / 1000))
-    leak = population0(state)
+    u = propagate(build_schedule(spec), params=SimParams(dt=tau_d / 1000))
+    leak = population0(u @ KET0)
     ok = leak <= 1e-8
     elapsed = time.perf_counter() - start
     report(3, ok, elapsed, f"square pi pulse leakage = {leak:.2e}")
@@ -189,14 +187,13 @@ def test_criterion_05_pure_dephasing_robustness():
     # orders are asymptotic; at delta = sigma higher terms still bend them.
     tau_c = 2 * SLOW["tau"] + SLOW["tau_d"]
     tau_ds = np.array([125e-9, 250e-9, 500e-9])
-    read = readout_unitary()
+    read, prep = readout_unitary(), prep_unitary()
 
     def loss(name, tau_d, dt=None):
         spec = SequenceSpec(name, N=8, tau=(tau_c - tau_d) / 2, tau_d=tau_d)
-        state = propagate(build_schedule(spec), delta=SIGMA_185 / 2,
-                          params=SimParams(dt=dt))
+        u = propagate(build_schedule(spec), delta=SIGMA_185 / 2, params=SimParams(dt=dt))
         # 1 - C = 2 (1 - F), read from the |1> population without cancellation.
-        return 2.0 * float(state.evolved(read).rho[1, 1].real)
+        return 2.0 * float(abs((read @ u @ prep @ KET0)[1]) ** 2)
 
     for name, order in (("XY4", 4.0), ("XY8", 6.0)):
         losses = np.array([loss(name, td) for td in tau_ds])

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      LorentzianNoiseSpec, NoConvergence, PulseShape,
-                     SequenceSpec, SimParams, SpinState, StepTooLarge,
+                     SequenceSpec, SimParams, StepTooLarge,
                      apply_envelope, axis_rotation, build_schedule,
                      calibrate_amplitude, fit_decay, golden_rule_amplitude,
                      field_at, prep_unitary, propagate, readout_unitary,
@@ -44,29 +44,29 @@ def test_pi_pulse_inverts_population(kind):
     # One noiseless pi pulse about Y takes |0> to |1> up to RK4 error.
     spec = SequenceSpec("CPMG_Y", N=1, tau=1e-6, tau_d=100e-9,
                         shape=PulseShape(kind))
-    state = propagate(build_schedule(spec), initial_state=KET0)
-    assert population0(state) < 1e-8
+    u = propagate(build_schedule(spec))
+    assert population0(u @ KET0) < 1e-8
 
 
 def test_delta_pulses_are_exact_rotations():
     spec = SequenceSpec("XY4", N=4, tau=1e-6, tau_d=0.0, shape=PulseShape("Delta"))
-    final = propagate(build_schedule(spec), initial_state=KET0)
+    final = propagate(build_schedule(spec)) @ KET0
     u = np.eye(2, dtype=complex)
     for phase in (0.0, math.pi / 2, 0.0, math.pi / 2):
         u = axis_rotation(phase, math.pi) @ u
-    expect = SpinState.from_ket(u @ KET0)
-    assert np.allclose(final.rho, expect.rho, atol=1e-12)
+    expect = u @ KET0
+    assert np.allclose(np.outer(final, final.conj()), np.outer(expect, expect.conj()),
+                       atol=1e-12)
 
 
 def test_propagate_snapshots_at_cycle_boundaries():
     spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=0.0, shape=PulseShape("Delta"))
     tau_c = spec.tau_c
-    states = propagate(build_schedule(spec), initial_state=KET0,
-                       snapshot_times=[tau_c, 2 * tau_c])
-    assert len(states) == 2
+    props = propagate(build_schedule(spec), snapshot_times=[tau_c, 2 * tau_c])
+    assert len(props) == 2
     # After X then Y the noiseless state is back to a population eigenstate.
-    assert population0(states[0]) == pytest.approx(0.0, abs=1e-12)
-    assert population0(states[1]) == pytest.approx(1.0, abs=1e-12)
+    assert population0(props[0] @ KET0) == pytest.approx(0.0, abs=1e-12)
+    assert population0(props[1] @ KET0) == pytest.approx(1.0, abs=1e-12)
 
 
 def quadrature_fidelity(phases, tau, tau_d, sigma, n_list, nodes=64):
@@ -115,8 +115,8 @@ def test_dd_scan_matches_gauss_hermite_oracle():
 
 def test_square_xy8_propagate_matches_expm_product():
     # Without the comb every idle and square pulse is a constant-Hamiltonian
-    # segment, so propagate equals the product of the segments' matrix
-    # exponentials at every cycle boundary.
+    # segment, so propagate's U equals the product of the segments' matrix
+    # exponentials at every cycle boundary, global phase included.
     spec = SequenceSpec("XY8", N=16, tau=712e-9, tau_d=500e-9)
     delta = 0.5 * SIGMA_FID
     idle = expm(-1j * spec.tau * delta * SZ)
@@ -128,12 +128,11 @@ def test_square_xy8_propagate_matches_expm_product():
         h = drive * (math.cos(phi) * SX + math.sin(phi) * SY) + delta * SZ
         u = idle @ expm(-1j * spec.tau_d * h) @ idle @ u
         if (k + 1) % 8 == 0:
-            psi = u @ KET0
-            expect.append(np.outer(psi, psi.conj()))
-    states = propagate(build_schedule(spec), delta=delta, initial_state=KET0,
-                       snapshot_times=[8 * spec.tau_c, 16 * spec.tau_c])
-    for state, rho in zip(states, expect):
-        assert np.max(np.abs(state.rho - rho)) <= 1e-12
+            expect.append(u)
+    props = propagate(build_schedule(spec), delta=delta,
+                      snapshot_times=[8 * spec.tau_c, 16 * spec.tau_c])
+    for got, want in zip(props, expect):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # The strong comb and detuning of the fig4 Gaussian workload.
@@ -513,13 +512,13 @@ def test_relaxation_builds_full_blocks_across_segments(monkeypatch):
 def test_repeated_readout_times_are_refused_before_any_draw(monkeypatch):
     # A curve's times must be strictly increasing: FID and relaxation runs
     # refuse a repeated time before they draw or propagate a realization.
-    # propagate still returns one state per snapshot time, repeats included,
-    # inside an idle or at the end, with or without the comb.
+    # propagate still returns one propagator per snapshot time, repeats
+    # included, inside an idle or at the end, with or without the comb.
     spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=100e-9)
     for noise in (None, small_noise(seed=2)):
         for t in (0.5e-6, spec.N * spec.tau_c):
             first, second = propagate(build_schedule(spec), noise, snapshot_times=[t, t])
-            assert np.array_equal(first.rho, second.rho)
+            assert np.array_equal(first, second)
 
     def work_started(*args, **kwargs):
         raise AssertionError("work started")
@@ -718,22 +717,54 @@ def test_comb_run_column_is_the_propagator(kind):
 
 
 @pytest.mark.parametrize("noise_spec", [FIG4_NOISE, None])
-def test_propagate_returns_the_propagator_times_the_initial_state(noise_spec):
-    # propagate reads U psi from the column (a, b) of one run from |0>, for
-    # psi = |0>, |1> and the prepared state, at every snapshot time.
+def test_propagate_returns_the_propagator(noise_spec):
+    # propagate builds U from the column (a, b) of one run from |0>: at
+    # every snapshot time its columns are (a, b) and (-conj b, conj a),
+    # byte for byte.  Without snapshot times it returns U at the end alone.
     spec = replace(FIG4_SPEC, N=16)
     params = SimParams(master_seed=5)
     times = [8 * spec.tau_c, 16 * spec.tau_c]
     noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([3]))
-    a, b = np.array(engine._run_batch(build_schedule(spec), times, noise,
-                                      np.array([SIGMA_FID]), SIGMA_FID, None))[:, 0].T
-    for psi in (KET0, KET1, prep_unitary() @ KET0):
-        states = propagate(build_schedule(spec), noise_spec, realization_index=3,
-                           delta=SIGMA_FID, params=params, initial_state=psi,
-                           snapshot_times=times)
-        for state, a_t, b_t in zip(states, a, b):
-            u = np.array([[a_t, -np.conj(b_t)], [b_t, np.conj(a_t)]])
-            assert np.max(np.abs(state.rho - SpinState.from_ket(u @ psi).rho)) <= 1e-15
+    columns = engine._run_batch(build_schedule(spec), times, noise, np.array([SIGMA_FID]),
+                                SIGMA_FID, None)
+    props = propagate(build_schedule(spec), noise_spec, realization_index=3,
+                      delta=SIGMA_FID, params=params, snapshot_times=times)
+    for u, column in zip(props, columns):
+        assert u.shape == (2, 2) and u.dtype == complex
+        assert u[:, 0].tobytes() == column[0].tobytes()
+        assert u[:, 1].tobytes() == second_columns(column[0]).tobytes()
+    final = propagate(build_schedule(spec), noise_spec, realization_index=3,
+                      delta=SIGMA_FID, params=params)
+    last, = propagate(build_schedule(spec), noise_spec, realization_index=3,
+                      delta=SIGMA_FID, params=params, snapshot_times=times[-1:])
+    assert final.tobytes() == last.tobytes()
+
+
+SQUARE_SLOW = SequenceSpec("XY8", N=40, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square"))
+
+
+@pytest.mark.parametrize("spec, noise_spec, n_list", [
+    (FIG4_SPEC, FIG4_NOISE, [8, 16, 32]),
+    (SQUARE_SLOW, None, range(8, 41, 8)),
+    (replace(SQUARE_SLOW, shape=PulseShape("Gaussian")), None, range(8, 41, 8)),
+])
+def test_propagate_follows_realization_m_of_a_run(spec, noise_spec, n_list):
+    # With realization m's detuning, propagate's first column is, bit for
+    # bit, the column a run propagates for realization m at the run's
+    # snapshot times.  The run sizes its steps by 4 sigma_delta, as _curve
+    # runs it, and propagate by |delta|; that changes no step count for a
+    # Gaussian pulse under the fig4 comb, sized by its peak drive, nor
+    # without the comb.  (It does for a Square pulse under the comb.)
+    params = SimParams(realizations=16, master_seed=20260815)
+    schedule = build_schedule(spec)
+    times = [n * spec.tau_c for n in n_list]
+    noise, deltas = engine._prepare_batch(noise_spec, DephasingSpec(sigma_delta=SIGMA_FID),
+                                          params)
+    run = np.array(engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, None))
+    for m, delta in enumerate(deltas):
+        props = propagate(schedule, noise_spec, realization_index=m, delta=delta,
+                          params=params, snapshot_times=times)
+        assert np.array([u[:, 0] for u in props]).tobytes() == run[:, m].tobytes()
 
 
 DIAGNOSED_RUNS = [
@@ -883,8 +914,6 @@ def test_step_budget_refuses_runs_before_propagating(monkeypatch):
 def test_propagate_validation(monkeypatch):
     spec = SequenceSpec("XY4", N=2, tau=1e-6, tau_d=100e-9)
     sched = build_schedule(spec)
-    with pytest.raises(ValueError, match="normalized"):
-        propagate(sched, initial_state=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="inside a pulse"):
         propagate(sched, snapshot_times=[1e-6 + 50e-9])
     # Bad input raises ValueError before any work, with or without the comb.
@@ -915,15 +944,15 @@ def test_norm_drift_stays_tiny():
 def test_propagate_and_dd_scan_share_the_seeding_route():
     # An unseeded comb takes its seed from params.master_seed the same way
     # in both entry points, so realization 0 is the same trajectory.  The
-    # readouts differ only in rounding: propagate returns the density
-    # matrix and reads out U rho U^dagger, the runner |(U psi)_0|^2.
+    # readouts differ only in rounding: here |<0| R U P |0>|^2 is formed by
+    # matrix products, the runner's from U's first column by its formula.
     spec = SequenceSpec("XY4", N=4, tau=500e-9, tau_d=100e-9, shape=PulseShape("Gaussian"))
     noise = small_noise(A=1.4e6)
     params = SimParams(realizations=8, master_seed=5)
 
     def single(p, index=0):
-        state = propagate(build_schedule(spec), noise, realization_index=index, params=p)
-        return population0(state.evolved(readout_unitary()))
+        u = propagate(build_schedule(spec), noise, realization_index=index, params=p)
+        return population0(readout_unitary() @ u @ prep_unitary() @ KET0)
 
     curve = run_dd_scan(spec, [4], noise, params=replace(params, realizations=1))
     assert single(params) == pytest.approx(curve.points[0].value, rel=0.0, abs=1e-14)
