@@ -740,6 +740,32 @@ def test_propagate_returns_the_propagator(noise_spec):
     assert final.tobytes() == last.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["Gaussian", "Square", "Delta"])
+def test_propagate_returns_special_unitaries(kind):
+    # Each U that propagate returns is in SU(2) to rounding, at the start,
+    # between and after the cycles: U^dagger U = I and det U = 1.  So a
+    # density matrix U rho U^dagger stays Hermitian with unit trace and
+    # its eigenvalues, here those of a pure state, unchanged.  XY8 under
+    # the fig4 comb and detuning, with each pulse shape.
+    spec = replace(FIG4_SPEC, N=16, shape=PulseShape(kind),
+                   tau_d=0.0 if kind == "Delta" else FIG4_SPEC.tau_d)
+    times = [0.0, 0.5 * spec.tau, 8 * spec.tau_c, 16 * spec.tau_c]
+    props = propagate(build_schedule(spec), FIG4_NOISE, realization_index=7,
+                      delta=SIGMA_FID, params=SimParams(master_seed=11),
+                      snapshot_times=times)
+    assert np.array_equal(props[0], np.eye(2))
+    for u in props:
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
+        assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+        psi = u @ prep_unitary() @ KET0
+        rho = np.outer(psi, psi.conj())
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho) == pytest.approx([0.0, 1.0], abs=1e-12)
+    # Later snapshots moved away from the identity: the comb and the pulses acted.
+    assert np.max(np.abs(props[-1] - np.eye(2))) > 1e-3
+
+
 SQUARE_SLOW = SequenceSpec("XY8", N=40, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square"))
 
 
