@@ -33,16 +33,15 @@ drawn in any order.  A spec without a master_seed draws as seed 0.
 The samplers take one index in [0, 2^64) or a 1-d array of them and
 compute every index's seeded PCG64 state at once, in uint64 arithmetic.
 Draws are then PCG64 arithmetic too: each output's state is jumped to
-in closed form.  A phase is an output turned into numpy's uniform
-double.  A detuning is numpy's standard_normal, whose ziggurat
-(Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) takes each index's
-first output on its fast path with numpy's wi and ki tables, frozen in
-eulerdd._ziggurat; the ~1.5% of draws that path rejects need numpy's
-wedge and tail code and more outputs, so one generator is set to each
-of their states in turn.  Either way a batch equals the per-index
-draws bit for bit.  A realization of the comb is its phase row, the
-2 n_max + 1 phases of n = -n_max .. n_max; the one-realization helpers
-(field_at, export_waveform) take such a row.
+in closed form, and an output r becomes numpy's random() double
+(r >> 11) 2^-53 in [0, 1).  A phase is 2 pi times such a double.  A
+detuning is the Box-Muller normal (Box & Muller, Ann. Math. Stat. 29,
+610, 1958) of its index's first two doubles u1 and u2,
+sqrt(-2 log1p(-u1)) cos(2 pi u2), so |z| <= sqrt(106 ln 2) ~ 8.57.
+Each is elementwise arithmetic on its own index's outputs, so a batch
+equals the per-index draws bit for bit.  A realization of the comb is
+its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max; the
+one-realization helpers (field_at, export_waveform) take such a row.
 """
 from __future__ import annotations
 
@@ -51,8 +50,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _ziggurat
 
 __all__ = [
     "CutoffExceeded",
@@ -252,34 +249,19 @@ def _pcg64_outputs(states, count: int) -> np.ndarray:
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-# numpy's ziggurat tables (eulerdd._ziggurat) as arrays indexed by strip.
-_ZIG_WI = np.array(_ziggurat.WI)
-_ZIG_KI = np.array(_ziggurat.KI, dtype=np.uint64)
+def _doubles(r: np.ndarray) -> np.ndarray:
+    """numpy's random() double (r >> 11) 2^-53 in [0, 1) of each 64-bit output r."""
+    return (r >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def _standard_normals(states) -> np.ndarray:
-    """Generator.standard_normal() of a generator at each of ``states``, shape (n,).
+    """Box-Muller normals of the first two random() doubles u1, u2 of each of ``states``.
 
-    numpy's ziggurat fast path on every state's first output r: strip
-    i = r & 0xff, sign = bit 8, rabs = (r >> 9) & (2^52 - 1), z =
-    +-(rabs WI[i]), accepted iff rabs < KI[i].  The rest, about 1.5%,
-    need numpy's wedge and tail code and more outputs, so one generator
-    set to each of their states draws them.
+    z = sqrt(-2 log1p(-u1)) cos(2 pi u2), shape (n,): the draw of
+    default_rng(seed).random(2) followed by the same formula.
     """
-    r = _pcg64_outputs(states, 1)[:, 0]
-    strip = (r & np.uint64(0xFF)).astype(np.intp)
-    rabs = (r >> np.uint64(9)) & np.uint64((1 << 52) - 1)
-    z = rabs.astype(float) * _ZIG_WI[strip]
-    np.negative(z, out=z, where=(r & np.uint64(0x100)).astype(bool))
-    rejected = np.flatnonzero(rabs >= _ZIG_KI[strip])
-    gen = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for j, st_hi, st_lo, inc_hi, inc_lo in zip(rejected.tolist(), *(
-            x[rejected].tolist() for x in states)):
-        state["state"] = {"state": st_hi << 64 | st_lo, "inc": inc_hi << 64 | inc_lo}
-        gen.bit_generator.state = state
-        z[j] = gen.standard_normal()
-    return z
+    u = _doubles(_pcg64_outputs(states, 2))
+    return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
 @dataclass(frozen=True)
@@ -374,7 +356,7 @@ def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
     """
     r = _pcg64_outputs(_pcg64_states(spec.master_seed, STREAM_NOISE, _indices(index)),
                        2 * spec.n_max + 1)
-    phases = (r >> np.uint64(11)).astype(float) * 2.0**-53 * (2 * np.pi)
+    phases = _doubles(r) * (2 * np.pi)
     return phases[0] if np.ndim(index) == 0 else phases
 
 

@@ -8,13 +8,15 @@
 - population0: the |0> population of a ket.
 - comb_parts: the comb's coefficient table by its pairing formula,
   built realization-major and transposed, the oracle of Comb.parts.
+- per_index_normal: realization m's unit detuning from its own
+  generator, the oracle of the batched detuning draws.
 """
 import numpy as np
 
 from eulerdd import (CurvePoint, DecayCurve, InvalidTiming, LorentzianNoiseSpec,
-                     PulseShape, field_at, pulse_envelope, sample_realization,
-                     weights_all)
-from eulerdd.noise import Comb
+                     PulseShape, derive_seed, field_at, pulse_envelope,
+                     sample_realization, weights_all)
+from eulerdd.noise import STREAM_DETUNING, Comb
 
 
 class OutOfSegment(ValueError):
@@ -128,3 +130,13 @@ def comb_parts(spec: LorentzianNoiseSpec, phases: np.ndarray) -> np.ndarray:
     up, down = coef[:, n + 1:], coef[:, n - 1::-1]
     pairs = np.concatenate([coef[:, n:n + 1], up + down, 1j * (up - down)], axis=1).T
     return np.ascontiguousarray(pairs).view(float).reshape(*pairs.shape, 2)
+
+
+def per_index_normal(master_seed: int, m: int) -> float:
+    """Box-Muller normal of realization m's generator: z = sqrt(-2 log1p(-u1)) cos(2 pi u2).
+
+    u1, u2 = np.random.default_rng(derive_seed(master_seed,
+    STREAM_DETUNING, m)).random(2), a fresh generator per index.
+    """
+    u1, u2 = np.random.default_rng(derive_seed(master_seed, STREAM_DETUNING, m)).random(2)
+    return float(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))

@@ -879,17 +879,26 @@ def test_relaxation_under_the_comb_matches_four_times_the_steps(monkeypatch, poi
     assert np.max(np.abs(curve.value - fine.value)) <= bound
 
 
-def test_square_scan_under_the_comb_matches_four_times_the_steps(monkeypatch):
+@pytest.mark.parametrize("seed", [20260815, 1, 2, 3, 4, 5, 6, 7])
+def test_square_scan_under_the_comb_matches_four_times_the_steps(monkeypatch, seed):
     # 500 ns Square XY4 under the criterion-6 comb and detuning, out to
-    # 360 periods: within 5e-9 of the same scan at four times the steps.
+    # 360 periods, at 1x, 2x and 4x the steps.  The difference itself
+    # depends on the draws (1e-9 to 1.1e-8 over these seeds), so the
+    # claim is the rule's order: a fourth-order error e_k ~ k^-4 gives
+    # |c1 - c4| / |c2 - c4| = 17, a third-order one 9.  The difference is
+    # also held to the 5e-8 of the relaxation test's comb idles.
     spec = SequenceSpec("XY4", N=360, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square"))
     n_list = [8, 64, 200, 360]
     deph = DephasingSpec(sigma_delta=SIGMA_FID)
-    params = SimParams(realizations=64, master_seed=20260815)
-    curve = run_dd_scan(spec, n_list, RELAX_NOISE, deph, params)
-    refined_steps(monkeypatch, 4)
-    fine = run_dd_scan(spec, n_list, RELAX_NOISE, deph, params)
-    assert np.max(np.abs(curve.value - fine.value)) <= 5e-9
+    params = SimParams(realizations=64, master_seed=seed)
+    curves = []
+    for factor in (1, 2, 4):
+        refined_steps(monkeypatch, factor)
+        curves.append(run_dd_scan(spec, n_list, RELAX_NOISE, deph, params).value)
+        monkeypatch.undo()
+    coarse, half = (np.max(np.abs(c - curves[2])) for c in curves[:2])
+    assert coarse <= 5e-8
+    assert coarse >= 12 * half
 
 
 def test_step_rule_runs_once_per_segment_class(monkeypatch):

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E402
                      SEQUENCE_PHASES, SequenceSpec, SimParams, build_schedule,
-                     derive_seed, sample_detuning,
-                     sample_realization)
+                     sample_detuning, sample_realization)
 from eulerdd import engine  # noqa: E402
 from eulerdd.cli import (_EXPERIMENTS, ConfigError, _dump_config,  # noqa: E402
                          parse_config)
-from eulerdd.noise import STREAM_DETUNING, Comb  # noqa: E402
+from eulerdd.noise import Comb  # noqa: E402
+from helpers import per_index_normal  # noqa: E402
 
 # Fixed example sequence, no example database: every run checks the same cases.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -152,7 +152,8 @@ def dispatch_targets():
 
 def test_layout_checks_hold_at_every_dispatch_level():
     # The two layout checks above rest on numpy's dispatched loops (einsum's
-    # multiply-add, tan) rounding their vector body and scalar tail alike.
+    # multiply-add, tan, the detunings' log1p and cos) rounding their
+    # vector body and scalar tail alike.
     # Rerun them with each dispatch target disabled, one process per core.
     checks = [f"{__file__}::{test.__name__}" for test in
               (test_comb_values_do_not_depend_on_the_batch_layout,
@@ -175,11 +176,10 @@ def test_layout_checks_hold_at_every_dispatch_level():
 @PROPERTY
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=40))
 def test_detuning_draws_equal_per_index_generators(master_seed, indices):
-    # Oracle: a fresh default_rng per index, whichever of the ziggurat's
-    # fast path and fallback the batched draw takes.
+    # Oracle: a fresh default_rng per index and the Box-Muller normal of
+    # its first two random() doubles.
     spec = DephasingSpec(sigma_delta=1.0, master_seed=master_seed)
-    want = np.array([np.random.default_rng(derive_seed(master_seed, STREAM_DETUNING, m))
-                     .standard_normal() for m in indices])
+    want = np.array([per_index_normal(master_seed, m) for m in indices])
     got = sample_detuning(spec, np.array(indices, dtype=np.uint64))
     assert got.tobytes() == want.tobytes()
 
