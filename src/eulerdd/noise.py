@@ -32,12 +32,13 @@ stream, m)), a splitmix64 chain, so any subset of realizations can be
 drawn in any order.  A spec without a master_seed draws as seed 0.
 The samplers take one index in [0, 2^64) or a 1-d array of them and
 compute every index's seeded PCG64 state at once, in uint64 arithmetic.
-Draws are then PCG64 arithmetic too: each output's state is jumped to
-in closed form, and an output r becomes numpy's random() double
-(r >> 11) 2^-53 in [0, 1).  A phase is 2 pi times such a double.  A
-detuning is the Box-Muller normal (Box & Muller, Ann. Math. Stat. 29,
-610, 1958) of its index's first two doubles u1 and u2,
-sqrt(-2 log1p(-u1)) cos(2 pi u2), so |z| <= sqrt(106 ln 2) ~ 8.57.
+Draws are then PCG64 arithmetic too: every state takes one step of the
+generator's own recurrence, state MULT + inc mod 2^128, per output,
+and an output r becomes numpy's random() double (r >> 11) 2^-53 in
+[0, 1).  A phase is 2 pi times such a double.  A detuning is the
+Box-Muller normal (Box & Muller, Ann. Math. Stat. 29, 610, 1958) of
+its index's first two doubles u1 and u2, sqrt(-2 log1p(-u1))
+cos(2 pi u2), so |z| <= sqrt(106 ln 2) ~ 8.57.
 Each is elementwise arithmetic on its own index's outputs, so a batch
 equals the per-index draws bit for bit.  A realization of the comb is
 its phase row, the 2 n_max + 1 phases of n = -n_max .. n_max; the
@@ -112,61 +113,73 @@ def derive_seed(master_seed: int, *parts: int) -> int:
 # numpy's SeedSequence hash constants (pool size 4) and the PCG64
 # multiplier, from numpy/random/bit_generator.pyx and pcg64.h.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0 .. count, a (count + 1, 1) uint32 column."""
+    return np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+# The pool's 4 entry hashes and 12 mixing hashes walk one constant
+# sequence; the 8 output words walk the other.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row k of ``values`` by hash constants k and k + 1 of ``consts``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> np.uint32(16))
 
 
 def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
     """SeedSequence(s).generate_state(4, np.uint64) of every uint64 seed s, shape (n, 4).
 
-    numpy's hash on uint32 arrays.  A seed is one or two 32-bit entropy
-    words; a one-word seed equals the two-word one with a zero high
-    word, since the pool pads missing entropy with hashes of 0.
+    numpy's hash on a (4, n) uint32 pool.  A seed is one or two 32-bit
+    entropy words; a one-word seed equals the two-word one with a zero
+    high word, since the pool pads missing entropy with hashes of 0.
+    Mixing round ``src`` leaves pool row ``src`` as it is and mixes its
+    hashes into the three other rows, so each round is one array step.
     """
     u32 = np.uint32
-    const = [_INIT_A]
-
-    def hashmix(value):
-        value = value ^ u32(const[0])
-        const[0] = const[0] * _MULT_A & _M32
-        value = value * u32(const[0])
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return r ^ (r >> u32(16))
-
-    zero = np.zeros(seeds.shape, dtype=u32)
-    pool = [hashmix((seeds & np.uint64(_M32)).astype(u32)),
-            hashmix((seeds >> np.uint64(32)).astype(u32)), hashmix(zero), hashmix(zero)]
+    pool = np.zeros((4, seeds.size), dtype=u32)
+    pool[0], pool[1] = seeds & np.uint64(_M32), seeds >> np.uint64(32)
+    pool = _hashmix(pool, _HASH_A[:5])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words, h = [], _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ u32(h)
-        h = h * _MULT_B & _M32
-        value = value * u32(h)
-        words.append((value ^ (value >> u32(16))).astype(np.uint64))
-    return np.stack([words[2 * k] | (words[2 * k + 1] << np.uint64(32))
-                     for k in range(4)], axis=1)
+        dst = [d for d in range(4) if d != src]
+        mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * _hashmix(
+            pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> u32(16))
+    words = _hashmix(np.tile(pool, (2, 1)), _HASH_B).astype(np.uint64)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+
+
+def _index(i) -> int:
+    """An int realization index, or ValueError outside [0, 2^64) instead of wrapping."""
+    i = operator.index(i)
+    if not 0 <= i <= _M64:
+        raise ValueError(f"realization index {i} is outside [0, 2^64)")
+    return i
 
 
 def _indices(index) -> np.ndarray:
     """An int or 1-d integer array of realization indices as a uint64 array.
 
-    An index outside [0, 2^64) raises ValueError instead of wrapping.
+    An index outside [0, 2^64) raises ValueError instead of wrapping.  A
+    sequence that is not an array, and an object array, are checked
+    entry by entry, since numpy would turn [-1, 2^63] into floats and
+    [2^64] into an object array.
     """
     if np.ndim(index) == 0:
-        i = operator.index(index)
-        if not 0 <= i <= _M64:
-            raise ValueError(f"realization index {i} is outside [0, 2^64)")
-        return np.array([i], dtype=np.uint64)
-    idx = np.asarray(index)
+        return np.array([_index(index)], dtype=np.uint64)
+    idx = index if isinstance(index, np.ndarray) else np.asarray(index, dtype=object)
+    if idx.ndim == 1 and idx.dtype == object:
+        return np.array([_index(i) for i in idx], dtype=np.uint64)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise TypeError("realization indices must be an int or a 1-d integer array")
     if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
@@ -201,11 +214,9 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
 
 
-def _halves(values) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints mod 2^128 as a uint64 (hi, lo) pair of 1-d arrays."""
-    ints = [v & _M128 for v in values]
-    return (np.array([v >> 64 for v in ints], dtype=np.uint64),
-            np.array([v & _M64 for v in ints], dtype=np.uint64))
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * MULT + inc mod 2^128, on uint64 (hi, lo) halves."""
+    return _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
 
 
 def _pcg64_states(master_seed: int | None, stream: int, idx: np.ndarray):
@@ -222,31 +233,26 @@ def _pcg64_states(master_seed: int | None, stream: int, idx: np.ndarray):
     s0, s1, s2, s3 = _seed_sequence_state(seeds).T
     one = np.uint64(1)
     inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
-    state = _add128(inc_hi, inc_lo, s0, s1)
-    state = _mul128(*state, *_halves([_PCG_MULT]))
-    return (*_add128(*state, inc_hi, inc_lo), inc_hi, inc_lo)
+    zero = np.zeros_like(s0)
+    state = _add128(*_pcg64_step(zero, zero, inc_hi, inc_lo), s0, s1)
+    return (*_pcg64_step(*state, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def _pcg64_outputs(states, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit outputs of PCG64 from each of ``states``, (n, count).
+    """The first ``count`` 64-bit outputs of PCG64 from each of ``states``, (count, n).
 
     ``states`` is the (state_hi, state_lo, inc_hi, inc_lo) of
-    ``_pcg64_states``.  PCG64 is jumped ahead in closed form: after j
-    steps the state is MULT^j state + (MULT^(j-1) + ... + 1) inc mod
-    2^128, and its output is the XSL-RR rotr64(hi ^ lo, hi >> 58).
+    ``_pcg64_states``.  Each output steps the state once and is the
+    XSL-RR rotr64(hi ^ lo, hi >> 58) of the new state; row j holds
+    output j of every state.
     """
-    st_hi, st_lo, inc_hi, inc_lo = (x[:, None] for x in states)
-    powers, sums, power, total = [], [], 1, 0
-    for _ in range(count):
-        total += power
-        power = power * _PCG_MULT & _M128
-        powers.append(power)
-        sums.append(total)
-    hi, lo = _add128(*_mul128(st_hi, st_lo, *_halves(powers)),
-                     *_mul128(inc_hi, inc_lo, *_halves(sums)))
-    rot = hi >> np.uint64(58)
-    x = hi ^ lo
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    hi, lo, inc_hi, inc_lo = states
+    out = np.empty((count, hi.size), dtype=np.uint64)
+    for row in out:
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        rot, x = hi >> np.uint64(58), hi ^ lo
+        np.bitwise_or(x >> rot, x << ((np.uint64(64) - rot) & np.uint64(63)), out=row)
+    return out
 
 
 def _doubles(r: np.ndarray) -> np.ndarray:
@@ -260,8 +266,8 @@ def _standard_normals(states) -> np.ndarray:
     z = sqrt(-2 log1p(-u1)) cos(2 pi u2), shape (n,): the draw of
     default_rng(seed).random(2) followed by the same formula.
     """
-    u = _doubles(_pcg64_outputs(states, 2))
-    return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    u1, u2 = _doubles(_pcg64_outputs(states, 2))
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
 @dataclass(frozen=True)
@@ -356,7 +362,7 @@ def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
     """
     r = _pcg64_outputs(_pcg64_states(spec.master_seed, STREAM_NOISE, _indices(index)),
                        2 * spec.n_max + 1)
-    phases = _doubles(r) * (2 * np.pi)
+    phases = _doubles(np.ascontiguousarray(r.T)) * (2 * np.pi)
     return phases[0] if np.ndim(index) == 0 else phases
 
 

@@ -11,7 +11,8 @@ from eulerdd import (CutoffExceeded, DephasingSpec, LorentzianNoiseSpec,
                      weights_all)
 from helpers import comb_parts, estimate_autocorrelation, parseval_power, per_index_normal
 from eulerdd import noise
-from eulerdd.noise import STREAM_DETUNING, STREAM_NOISE, Comb, _seed_sequence_state
+from eulerdd.noise import (STREAM_DETUNING, STREAM_NOISE, Comb, _pcg64_outputs, _pcg64_states,
+                           _seed_sequence_state)
 
 R_SLOW = 2 * math.pi * 1e3
 R_FAST = 2 * math.pi * 5e3
@@ -244,11 +245,31 @@ def test_batched_draws_equal_per_index_generators(master_seed):
 
 
 def test_seed_state_helper_matches_seed_sequence():
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    # The edge seeds, then 1,000 from a fixed generator, so that every
+    # pool row and mixing round meets many words.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(27).integers(0, 2**64, 1000, dtype=np.uint64)]
     states = _seed_sequence_state(np.array(seeds, dtype=np.uint64))
     assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
     for seed, row in zip(seeds, states):
         assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("master_seed", [0, 20260815, 2**64 - 1])
+@pytest.mark.parametrize("stream", [STREAM_NOISE, STREAM_DETUNING], ids=["noise", "detuning"])
+def test_raw_pcg64_outputs_equal_numpy(master_seed, stream):
+    # All 64 bits of every output, which random() doubles drop the low 11
+    # of, and the seeded (state, inc) against numpy's own generator.
+    idx = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    states = _pcg64_states(master_seed, stream, idx)
+    outputs = _pcg64_outputs(states, 21)
+    assert outputs.shape == (21, idx.size) and outputs.dtype == np.uint64
+    state_hi, state_lo, inc_hi, inc_lo = (x.tolist() for x in states)
+    for k, m in enumerate(idx.tolist()):
+        bits = np.random.default_rng(derive_seed(master_seed, stream, m)).bit_generator
+        assert bits.state["state"] == {"state": state_hi[k] << 64 | state_lo[k],
+                                       "inc": inc_hi[k] << 64 | inc_lo[k]}
+        assert outputs[:, k].tolist() == bits.random_raw(21).tolist()
 
 
 def test_batched_draw_shapes_and_index_checks(monkeypatch):
@@ -259,9 +280,12 @@ def test_batched_draw_shapes_and_index_checks(monkeypatch):
         sample_realization(spec, np.array([0.0, 1.0]))
     with pytest.raises(TypeError):
         sample_detuning(DephasingSpec(sigma_delta=1.0), np.zeros((2, 2), dtype=int))
+    with pytest.raises(TypeError):
+        sample_detuning(detuning, [1.5, 2**64])
     # Indices outside [0, 2^64) raise instead of wrapping onto another
     # stream (-1 onto 2^64 - 1, 2^64 onto 0); the largest index draws.
-    for bad in (-1, 2**64, np.array([3, -1]), [-5]):
+    # numpy makes [2^64] an object array and [-1, 2^63] a float one.
+    for bad in (-1, 2**64, np.array([3, -1]), [-5], [2**64], [-1, 2**63]):
         for sample, s in ((sample_realization, spec), (sample_detuning, detuning),
                           (sample_detuning, DephasingSpec(sigma_delta=0.0))):
             with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
