@@ -41,9 +41,8 @@ import numpy as np
 from .analysis import Degenerate, NoDecay, fit_decay
 from .control import (PulseShape, SEQUENCE_PHASES, SequenceSpec,
                       check_larmor_resonance)
-from .dgroup import (PulseWord, build_cayley, cumulative_path, eulerian_cycle,
-                     generated_group, pauli_element, verify_average_decoupling,
-                     verify_eulerian)
+from .dgroup import (GroupElement, PulseWord, build_cayley, cumulative_path, eulerian_cycle,
+                     verify_average_decoupling, verify_eulerian)
 from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, _TAG_NOISE, _seeded,
                      apply_envelope, calibrate_amplitude, run_dd_scan, run_fid,
                      run_relaxation)
@@ -240,7 +239,7 @@ def _build_export(cfg: dict):
 def _build_eulerian_check(cfg: dict):
     if ("word" in cfg) == ("sequence" in cfg):
         raise ConfigError("eulerian-check needs exactly one of word or sequence")
-    identity = pauli_element("I")
+    identity = GroupElement("I")
     if "word" in cfg:
         word = PulseWord(tuple(cfg["word"]))
     else:
@@ -251,15 +250,13 @@ def _build_eulerian_check(cfg: dict):
         # identity; the product is a Pauli, so the doubled word closes.
         if cumulative_path(word, identity)[-1].label != "I":
             word = PulseWord(2 * word.letters)
-    generators = [pauli_element(lab) for lab in sorted(set(word.letters))]
-    group = generated_group(generators)
-    graph = build_cayley(group, generators)
+    graph = build_cayley([GroupElement(lab) for lab in sorted(set(word.letters))])
 
     def work() -> None:
         check = verify_eulerian(word, graph)
         decoupled = verify_average_decoupling(word, {"X", "Y", "Z"})
         print(f"word = {''.join(word.letters)}")
-        print(f"group = {','.join(g.label for g in group)}")
+        print(f"group = {','.join(v.label for v in graph.vertices)}")
         print(f"edges = {len(graph.edges)}")
         print(f"eulerian = {'ok' if check.passed else 'FAIL: ' + check.diagnostic}")
         print(f"decoupling_xyz = {'ok' if decoupled else 'FAIL'}")

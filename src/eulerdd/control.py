@@ -102,7 +102,8 @@ class SequenceSpec:
         Pulse duration, seconds (ignored for Delta shape).
     shape : PulseShape
     phases : tuple of float
-        For Custom only: the base phase pattern in radians.
+        For Custom only, and required there: the base phase pattern in
+        radians.  A named sequence refuses one.
     """
 
     name: str
@@ -117,6 +118,8 @@ class SequenceSpec:
             raise ValueError(f"unknown sequence name {self.name!r}")
         if self.name == "Custom" and len(self.phases) == 0:
             raise ValueError("Custom sequence needs a non-empty phase pattern")
+        if self.name != "Custom" and self.phases:
+            raise ValueError(f"{self.name} has its own phases; only Custom takes a phase pattern")
         if not all(math.isfinite(phase) for phase in self.phases):
             raise ValueError("phases must be finite")
         try:

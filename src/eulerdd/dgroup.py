@@ -4,7 +4,8 @@ A decoupling sequence is robust to finite pulse width when its
 cumulative propagators walk an Eulerian cycle on the Cayley graph of
 the decoupling group: every generator edge is exercised from every
 vertex, so pulse-interior errors average out along with the idle-time
-errors.  This module builds the graph, finds Eulerian cycles
+errors.  This module builds the graph from its generators alone (the
+decoupling group is the group they generate), finds Eulerian cycles
 (Hierholzer's algorithm with deterministic tie-breaking), and checks
 pulse words against both the strict Eulerian condition and the weaker
 zeroth-order averaging condition.
@@ -36,16 +37,11 @@ import numpy as np
 from .su2core import PAULI_LABELS, pauli
 
 __all__ = [
-    "NotClosed",
     "EmptyGenerators",
-    "Disconnected",
     "GroupElement",
     "CayleyGraph",
     "PulseWord",
     "EulerianCheck",
-    "pauli_group",
-    "pauli_element",
-    "generated_group",
     "build_cayley",
     "eulerian_cycle",
     "cumulative_path",
@@ -59,16 +55,8 @@ _BITS = {label: bits for bits, label in enumerate(_LABEL_OF)}
 _CYCLIC = {(1, 3), (3, 2), (2, 1)}
 
 
-class NotClosed(ValueError):
-    """A product of group elements left the declared vertex set."""
-
-
 class EmptyGenerators(ValueError):
     """A Cayley graph needs at least one generator."""
-
-
-class Disconnected(ValueError):
-    """The generator set does not connect the vertex set."""
 
 
 def _bits(label: str) -> int:
@@ -140,57 +128,30 @@ class PulseWord:
         return len(self.letters)
 
 
-def pauli_element(label: str) -> GroupElement:
-    """GroupElement for a plain Pauli matrix (phase +1)."""
-    return GroupElement(label)
+def build_cayley(generators: list[GroupElement]) -> CayleyGraph:
+    """Build the Cayley graph of the group that ``generators`` generate.
 
-
-def pauli_group() -> list[GroupElement]:
-    """The projective Pauli group {I, X, Y, Z} with phase-+1 representatives."""
-    return [pauli_element(lab) for lab in PAULI_LABELS]
-
-
-def generated_group(generators: list[GroupElement]) -> list[GroupElement]:
-    """Projective closure of Pauli generators, starting from the identity.
-
-    Returns phase-+1 representatives in canonical I, X, Y, Z order;
-    e.g. generators [Y] give [I, Y] while [X, Y] give the full group.
-    """
-    if not generators:
-        raise EmptyGenerators("need at least one generator")
-    found = {0}
-    for g in generators:
-        found |= {a ^ _bits(g.label) for a in found}
-    return [pauli_element(lab) for lab in PAULI_LABELS if _BITS[lab] in found]
-
-
-def build_cayley(group: list[GroupElement], generators: list[GroupElement]) -> CayleyGraph:
-    """Build the Cayley graph of ``group`` under ``generators``.
-
-    The vertex classes must be closed under XOR, and every generator's
-    class must be a vertex; phases play no part.
+    The vertices are the XOR closure of the generators' classes from the
+    identity, as phase-+1 elements in canonical I, X, Y, Z order: [Y]
+    gives {I, Y} and [X, Y] the full group.  Phases play no part.
 
     Raises
     ------
     EmptyGenerators
         If ``generators`` is empty.
-    NotClosed
-        If any product of vertices (or of a vertex with a generator)
-        leaves the vertex set.
+    ValueError
+        If a generator label is repeated, which would double its edges.
     """
-    if len(generators) == 0:
+    if not generators:
         raise EmptyGenerators("at least one generator is required")
-    vertices = tuple(group)
-    labels = [v.label for v in vertices]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate vertex labels: {labels}")
-    bits = {_bits(lab) for lab in labels}
-    if any(a ^ b not in bits for a in bits for b in bits):
-        raise NotClosed(f"products of {labels} leave the group")
     gens = tuple(generators)
+    labels = [g.label for g in gens]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated generator labels: {labels}")
+    found = {0}
     for g in gens:
-        if _bits(g.label) not in bits:
-            raise NotClosed(f"generator {g.label} is not in the group (up to phase)")
+        found |= {a ^ _bits(g.label) for a in found}
+    vertices = tuple(GroupElement(lab) for lab in PAULI_LABELS if _BITS[lab] in found)
     edges = tuple((v.label, g.label, _LABEL_OF[_bits(v.label) ^ _bits(g.label)])
                   for v in vertices for g in gens)
     return CayleyGraph(vertices=vertices, generators=gens, edges=edges)
@@ -207,13 +168,9 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
     """Eulerian cycle through ``graph`` from ``start``, as a pulse word.
 
     Uses Hierholzer's algorithm; at each vertex the lowest-indexed
-    unused generator is taken, so the output is deterministic.
-
-    Raises
-    ------
-    Disconnected
-        If some edge is unreachable from ``start`` (cannot happen for a
-        generating set; checked anyway).
+    unused generator is taken, so the output is deterministic.  The
+    graph of a generated group is strongly connected and every vertex
+    has as many edges in as out, so the walk uses every edge.
     """
     target_of = {(v, g): t for v, g, t in graph.edges}
     unused = {v.label: [g.label for g in graph.generators] for v in graph.vertices}
@@ -231,8 +188,6 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
             _, gen_in = stack.pop()
             if gen_in is not None:
                 circuit.append(gen_in)
-    if any(unused[v] for v in unused):
-        raise Disconnected("unreachable edges remain; generators do not connect the group")
     circuit.reverse()
     return PulseWord(tuple(circuit))
 
@@ -247,7 +202,7 @@ def cumulative_path(word: PulseWord, start: GroupElement) -> list[GroupElement]:
     current = start
     out: list[GroupElement] = []
     for letter in word.letters:
-        current = _product(pauli_element(letter), current)
+        current = _product(GroupElement(letter), current)
         out.append(current)
     return out
 
@@ -277,7 +232,7 @@ def verify_eulerian(word: PulseWord, graph: CayleyGraph,
     for letter in word.letters:
         if letter not in gen_labels:
             raise ValueError(f"word letter {letter!r} is not a graph generator")
-    start_label = _vertex_label(graph, pauli_element("I") if start is None else start)
+    start_label = _vertex_label(graph, GroupElement("I") if start is None else start)
 
     target_of = {(v, g): t for v, g, t in graph.edges}
     seen: set[tuple[str, str]] = set()
@@ -309,6 +264,6 @@ def verify_average_decoupling(word: PulseWord, errors: set[str]) -> bool:
     when they anticommute, so the sum vanishes iff the two counts are
     equal; the phases of the path elements play no part.
     """
-    path = [_bits(g.label) for g in cumulative_path(word, pauli_element("I"))]
+    path = [_bits(g.label) for g in cumulative_path(word, GroupElement("I"))]
     return all(2 * sum(_anticommute(g, e) for g in path) == len(path)
                for e in [_bits(err) for err in errors])

@@ -878,7 +878,10 @@ def run_dd_scan(spec: SequenceSpec, n_list: list[int],
     schedule equals the N-cycle schedule.
     """
     params = params or SimParams()
-    n_list = sorted(set(int(n) for n in n_list))
+    try:
+        n_list = sorted({operator.index(n) for n in n_list})
+    except TypeError:
+        raise ValueError(f"cycle counts must be integers, got {n_list!r}") from None
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive cycle counts")
     base = len(spec.base_phases)

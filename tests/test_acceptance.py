@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,
-                     PulseWord, SequenceSpec, SimParams, build_cayley,
-                     build_schedule, calibrate_amplitude, eulerian_cycle,
-                     fit_decay, generated_group, pauli_element, pauli_group,
+                     GroupElement, PulseWord, SequenceSpec, SimParams, build_cayley,
+                     build_schedule, calibrate_amplitude, eulerian_cycle, fit_decay,
                      prep_unitary, propagate, readout_unitary, run_dd_scan,
                      run_fid, run_relaxation, sample_realization,
                      verify_average_decoupling, verify_eulerian, engine)
@@ -55,10 +54,8 @@ def mc_params(seed=MASTER_SEED, m=1000):
 
 def test_criterion_01_eulerian_oracle_suite():
     start = time.perf_counter()
-    xy = [pauli_element("X"), pauli_element("Y")]
-    full = build_cayley(pauli_group(), xy)
-    ygen = [pauli_element("Y")]
-    sub = build_cayley(generated_group(ygen), ygen)
+    full = build_cayley([GroupElement("X"), GroupElement("Y")])
+    sub = build_cayley([GroupElement("Y")])
     ok = verify_eulerian(PulseWord(tuple("XYXYYXYX")), full).passed
     ok &= verify_eulerian(PulseWord(("Y", "Y")), sub).passed
     xy4 = verify_eulerian(PulseWord(tuple("XYXY")), full)

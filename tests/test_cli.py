@@ -424,20 +424,40 @@ def test_eulerian_check_argument_rules(tmp_path, capsys):
         assert f"unknown key {key.split()[0]!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sequence,word,eulerian,decoupling", [
-    ("cpmg_y", "YY", "ok", "FAIL"),
-    ("xy4", "XYXY", "FAIL: 4 of 8 edges traversed; first missing edge I-Y->", "ok"),
+@pytest.mark.parametrize("sequence,word,group,edges,eulerian,decoupling", [
+    ("cpmg_y", "YY", "I,Y", 2, "ok", "FAIL"),
+    ("xy4", "XYXY", "I,X,Y,Z", 8, "FAIL: 4 of 8 edges traversed; first missing edge I-Y->",
+     "ok"),
 ], ids=["cpmg_y", "xy4"])
 def test_eulerian_check_takes_one_closed_cycle_of_a_sequence(tmp_path, capsys, sequence,
-                                                              word, eulerian, decoupling):
+                                                              word, group, edges, eulerian,
+                                                              decoupling):
     # The base word, doubled when its Pauli product is not the identity:
-    # Y alone ends at Y, XY at Z.
+    # Y alone ends at Y, XY at Z.  The group is the one the word's letters
+    # generate: Y alone generates {I, Y}.
     path = write_cfg(tmp_path, f"experiment = eulerian-check\nsequence = {sequence}\n")
     assert main([path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert f"word = {word}" in lines
+    assert f"group = {group}" in lines
+    assert f"edges = {edges}" in lines
     assert f"eulerian = {eulerian}" in lines
     assert f"decoupling_xyz = {decoupling}" in lines
+
+
+@pytest.mark.parametrize("word,lines", [
+    ("xyz", ["word = XYZ", "group = I,X,Y,Z", "edges = 12",
+             "eulerian = FAIL: 3 of 12 edges traversed; first missing edge I-Y->",
+             "decoupling_xyz = FAIL", "suggestion = XXYXXYZYZZYZ"]),
+    ("zz", ["word = ZZ", "group = I,Z", "edges = 2", "eulerian = ok",
+            "decoupling_xyz = FAIL"]),
+], ids=["xyz", "zz"])
+def test_eulerian_check_prints_the_group_a_word_generates(tmp_path, capsys, word, lines):
+    # X, Y and Z generate the full group with three edges out of each vertex;
+    # Z alone generates {I, Z}.
+    path = write_cfg(tmp_path, f"experiment = eulerian-check\nword = {word}\n")
+    assert main([path]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize("text", [

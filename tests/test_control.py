@@ -70,6 +70,10 @@ def test_sequence_spec_validation():
         SequenceSpec(**{**good, "name": "UDD"})
     with pytest.raises(ValueError, match="phase pattern"):
         SequenceSpec(**{**good, "name": "Custom"})
+    # A named sequence has its own phases; a given pattern is refused, not dropped.
+    for name in ("CPMG_Y", "XY4", "XY8"):
+        with pytest.raises(ValueError, match=f"{name} has its own phases"):
+            SequenceSpec(**{**good, "name": name, "phases": (1.0,)})
     with pytest.raises(InvalidTiming, match="N must be"):
         SequenceSpec(**{**good, "N": 0})
     with pytest.raises(ValueError, match="N must be an integer"):

@@ -1107,6 +1107,10 @@ def test_dd_scan_n_list_validation():
         run_dd_scan(spec, [12], params=SimParams(realizations=2))
     with pytest.raises(ValueError, match="positive cycle counts"):
         run_dd_scan(spec, [], params=SimParams(realizations=2))
+    # A fractional count is refused, not truncated to N = 8 or 16.
+    for bad in ([8.5], [8, 16.9], [8.0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            run_dd_scan(spec, bad, params=SimParams(realizations=2))
 
 
 def test_default_n_list_shape():
