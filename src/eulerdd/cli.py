@@ -155,13 +155,16 @@ def _dephasing_spec(cfg: dict) -> DephasingSpec | None:
 
 def _time_grid(cfg: dict) -> list[float]:
     t_max, points = cfg["t_max"], cfg.get("t_points", 24)
-    if cfg.get("t_spacing") == "geometric":
-        t_min = cfg.get("t_min", t_max / points)
+    geometric = cfg.get("t_spacing") == "geometric"
+    t_min = cfg.get("t_min", t_max / points if geometric else 0.0)
+    if t_min > t_max:
+        raise ConfigError(f"t_min = {t_min!r} exceeds t_max = {t_max!r}")
+    if geometric:
         if t_min <= 0:
             raise ConfigError("geometric spacing needs t_min > 0")
         grid = list(np.geomspace(t_min, t_max, points))
     else:
-        grid = list(np.linspace(cfg.get("t_min", 0.0), t_max, points))
+        grid = list(np.linspace(t_min, t_max, points))
     if len(set(grid)) < points:
         raise ConfigError(f"t_min and t_max do not span {points} distinct times")
     return grid

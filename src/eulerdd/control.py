@@ -30,6 +30,7 @@ __all__ = [
     "SEQUENCE_PHASES",
     "LarmorCheck",
     "pulse_envelope",
+    "pulse_angle",
     "build_schedule",
     "check_larmor_resonance",
     "prep_unitary",
@@ -68,6 +69,28 @@ class PulseShape:
             raise ValueError("gauss_trunc must be positive and finite")
 
 
+def _gauss_window(shape: PulseShape, tau_d: float) -> tuple[float, float, float]:
+    """(sigma, half, erf(half / sqrt 2)) of a Gaussian pulse of duration tau_d.
+
+    The envelope's window is [0, tau_d] intersected with the truncation
+    window, +-half sigma around the pulse center.
+    """
+    sigma = tau_d / 5.0
+    half = min(tau_d / (2.0 * sigma), shape.gauss_trunc)
+    return sigma, half, math.erf(half / math.sqrt(2.0))
+
+
+def _envelope_margin(shape: PulseShape, tau_d: float) -> float:
+    """Time at each end of a pulse of duration tau_d where its envelope is zero.
+
+    (5/2 - gauss_trunc) sigma for a Gaussian truncated inside its pulse,
+    whose envelope jumps at +-gauss_trunc sigma; else 0.
+    """
+    if shape.kind != "Gaussian" or shape.gauss_trunc >= 2.5:
+        return 0.0
+    return (2.5 - shape.gauss_trunc) * (tau_d / 5.0)
+
+
 def pulse_envelope(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarray:
     """Drive envelope Omega in rad/s at relative times ``rel``, unchecked.
 
@@ -77,12 +100,27 @@ def pulse_envelope(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarr
     """
     if shape.kind == "Square":
         return np.full(np.shape(rel), math.pi / tau_d)
-    sigma = tau_d / 5.0
-    # Integration window is [0, tau_d] intersected with the truncation window.
-    half = min(tau_d / (2.0 * sigma), shape.gauss_trunc)
-    area = sigma * math.sqrt(2.0 * math.pi) * math.erf(half / math.sqrt(2.0))
+    sigma, _, erf_half = _gauss_window(shape, tau_d)
+    area = sigma * math.sqrt(2.0 * math.pi) * erf_half
     x = (rel - tau_d / 2.0) / sigma
     return np.where(np.abs(x) > shape.gauss_trunc, 0.0, (math.pi / area) * np.exp(-0.5 * x * x))
+
+
+def pulse_angle(shape: PulseShape, tau_d: float, rel: np.ndarray) -> np.ndarray:
+    """Drive angle theta = the integral of ``pulse_envelope`` from 0 to ``rel``, unchecked.
+
+    In closed form: pi rel / tau_d, or for the Gaussian pi (erf(x / sqrt
+    2) + erf(half / sqrt 2)) / (2 erf(half / sqrt 2)), with x = (rel -
+    tau_d / 2) / sigma clipped to the window +-half.  It is 0 at rel = 0
+    and exactly pi at rel = tau_d.
+    """
+    rel = np.asarray(rel, dtype=float)
+    if shape.kind == "Square":
+        return (math.pi / tau_d) * rel
+    sigma, half, erf_half = _gauss_window(shape, tau_d)
+    x = np.clip((rel - tau_d / 2.0) / sigma, -half, half) / math.sqrt(2.0)
+    erf = np.array([math.erf(v) for v in x.ravel()]).reshape(x.shape)
+    return math.pi * ((erf + erf_half) / (2.0 * erf_half))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,21 @@ pi, they stay within 2.2e-16 (cos) and 4.4e-16 (sin) of numpy's sin
 and cos, and |alpha|^2 + |beta|^2 within 8.9e-16 of 1.  A step is
 exact when H is constant over it.
 
+A Gaussian pulse is integrated in the frame of its own drive (Viola &
+Knill, PRL 90, 037901 (2003)).  With theta(t) the drive's angle so far
+(control.pulse_angle, in closed form) and the pulse at phase phi, its
+propagator is axis_rotation(phi, pi) U_I: the exact pi rotation that a
+Delta pulse takes, after U_I, the propagator of the noise alone turned
+back about the pulse axis by theta(t).  U_I takes Magnus steps of the
+same form, whose H now has a z part that varies too, so a step's
+commutator is the full cross product of the field's mean and difference
+over the step (``_magnus_fields``).  The drive never enters a step, so a
+pulse takes a third fewer steps than in the lab frame for a smaller
+error (``_segment_steps``).  Square pulses, whose drive is constant,
+idles and Delta pulses take their steps in the lab frame; in a run of
+Gaussian pulses an idle's steps are frame steps at drive angle 0, which
+is the lab frame.
+
 Where a segment's propagator does not depend on when it starts, as for
 a Delta pulse and for every finite segment without the comb, it has
 one class step per distinct (duration, phase): the pi rotation, or the
@@ -71,16 +86,21 @@ with q = 2 n_max + 1, a segment sums the comb at its k points only and
 forms each step's mean and difference of c over its two Gauss nodes
 from them with fixed weights; with the rounding of both sums these stay
 within b_sup 2^-51 of the direct sum's.  Elsewhere, as on calibration's
-few long steps, a segment sums the comb at every node.
+few long steps, a segment sums the comb at every node.  In a run of
+Gaussian pulses every segment takes frame steps (``_frame_fields``):
+the turn by theta, which is the same for every realization, is folded
+into those weights once per segment, with hz as one more point, and
+where a segment sums the comb directly the weights are the basis
+functions' values at its nodes.
 
 Every array expression is element-wise, except the comb sum and the
 interpolation, each of which accumulates every (node, realization)
 entry over its q basis functions or k points in a fixed order, one
 multiply and one add at a time, in numpy's own einsum loop with no
-BLAS (see noise._comb_sum).  So a realization's trajectory depends only
-on its own draws and the run's step sizes, not on the batch or block
-layout, and results are reproducible from the master seed, bit for bit
-on one numpy build and SIMD dispatch level.
+BLAS (see noise._comb_sum and _point_sum).  So a realization's
+trajectory depends only on its own draws and the run's step sizes, not
+on the batch or block layout, and results are reproducible from the
+master seed, bit for bit on one numpy build and SIMD dispatch level.
 
 Step control, evaluated once per distinct (duration, is_pulse) of a
 run, since the rule reads no other field of a segment: a segment with a
@@ -90,14 +110,19 @@ only through the comb, so it takes max(1, ceil(T omega_max / 0.3),
 ceil(T (peak drive + field bound + detuning bound) / 1)) steps: the top
 comb tone turns by at most 0.3 rad per step and the spin by at most
 1 rad (see _segment_steps).  A Gaussian pulse, of duration T, takes
-ceil(T scale / 0.3) steps, where scale = max(peak drive + field bound,
-detuning bound, top comb frequency) bounds every angular rate, so a
-step turns the spin by about 0.3 rad at most.  An explicit dt gives
-ceil(T / dt) steps instead.  The detuning bound is 4 sigma_delta for a
-run (a draw exceeds it with probability 6e-5) and |delta| for
+max(1, ceil(T omega_max / 0.3), ceil(T max(peak drive, field bound +
+detuning bound) / 0.4)) steps in its drive frame: the frame turns by at
+most 0.4 rad per step, 16 steps for the 6.35 rad of an untruncated
+Gaussian, and the noise turns the spin by no more where it outweighs
+the drive.  A Gaussian truncated inside its pulse takes these steps on
+its window and steps no longer than those on the zero-envelope margins
+beside it, so no step straddles the envelope's jump.  An explicit dt
+gives ceil(T / dt) steps instead.  The detuning bound is 4 sigma_delta
+for a run (a draw exceeds it with probability 6e-5) and |delta| for
 ``propagate``, not the largest draw of a batch, so the steps do not
 depend on which realizations share it.  An explicit dt is checked on
-every finite segment (at most tau_d/50 on a pulse, a priori local error
+every finite segment (at most tau_d/50 on a Square pulse, at most 1 rad
+of drive-frame turn per step on a Gaussian one, a priori local error
 below 1e-6), raising StepTooLarge when too coarse.  Every propagation,
 ``propagate`` and the dd, fid and relaxation runners alike, goes
 through one batch entry point that refuses, before propagating, a run
@@ -111,8 +136,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (PulseShape, Schedule, Segment, SequenceSpec, build_schedule,
-                      prep_unitary, pulse_envelope, readout_unitary)
+from .control import (PulseShape, Schedule, Segment, SequenceSpec, _envelope_margin,
+                      build_schedule, prep_unitary, pulse_angle, pulse_envelope,
+                      readout_unitary)
 from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _comb_sum,
                     _indices, derive_seed, sample_detuning, sample_realization)
 from .su2core import axis_rotation
@@ -235,6 +261,9 @@ _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _THETA = 0.3
 # Largest turn of the spin per automatic step of an idle or a Square pulse.
 _DRIVE_TURN = 1.0
+# Largest turn of a Gaussian pulse's drive frame per automatic step (see
+# _segment_steps).
+_FRAME_TURN = 0.4
 # (step, realization) entries whose nodes and propagators are computed at once,
 # in whole steps and at least one: 8 steps at M = 1000, 1 step at M >= 8000,
 # taken in run order from any segments.
@@ -260,38 +289,114 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
     the rate scale, and h (Omega_peak + b_sup + delta_max) <= 1 bounds
     the other factors, h |H| and h b_sup / 2, by 1/2; without that bound
     a 24 ns pulse under the fig4 comb takes one step and its curve moves
-    by 6e-8.  A Gaussian pulse keeps the peak drive in its 0.3 scale: its
-    envelope's derivatives, of order Omega_peak / tau_d^j, make error
-    terms with no comb factor.
+    by 6e-8.
+
+    A Gaussian pulse is integrated in its drive frame, where its field is
+    the noise n = (Re c, -Im c, hz) turned back about the pulse axis by
+    the drive angle theta(t) (``_frame_weights``).  Its size |n| <= nu =
+    (b_sup + delta_max) / 2 does not change, and it turns at the drive's
+    rate Omega(t) <= Omega_peak and varies through the comb.  So every
+    factor alpha_i above is now at most h nu (h (Omega_peak +
+    omega_max))^(i-1): the drive never enters a step, and each error term
+    carries the noise.  The largest, with one such factor, is of order
+    (h Omega_peak)^4 h nu per step, or (h Omega_peak)^4 T nu over the
+    pulse: a fixed fraction (h Omega_peak)^4 of the noise's own first-order
+    action T nu on the spin, whatever the noise.  The lab-frame rule, h
+    (Omega_peak + b_sup) <= 0.3, left an error of order 0.3^5 per step
+    and no ratio of the noise to the drive, (b_sup + 4 sigma_delta) /
+    Omega_peak = 0.16 for the fig4 pulse; the same error per step then
+    allows h Omega_peak = 0.3 (1 / 0.16)^(1/5) = 0.43.  The rule takes h
+    max(Omega_peak, b_sup + delta_max) <= _FRAME_TURN = 0.4 and h
+    omega_max <= 0.3.  The drive's turn over an untruncated Gaussian is
+    T Omega_peak = 6.35 rad, so it takes 16 steps at any duration (24 in
+    the lab frame); the second bound, on the spin's turn by the noise,
+    takes over only where the noise outweighs the drive, so the detuning
+    bound changes no count below that.  A Gaussian truncated inside its
+    pulse (gauss_trunc < 5/2) has a margin of zero envelope at each end,
+    where the envelope jumps and the drive angle has a kink.  Its window
+    between the margins takes the steps above for its own duration, and
+    each margin, idle time in which the frame stands still, as many steps
+    as keep them no longer than the window's (``_frame_layout``), so no
+    step straddles a jump.
     """
     if seg.duration == 0.0:
         return 0, False
-    if seg.is_pulse and explicit_dt is not None and explicit_dt > seg.duration / 50.0:
+    frame = seg.is_pulse and shape.kind == "Gaussian"
+    if (seg.is_pulse and not frame and explicit_dt is not None
+            and explicit_dt > seg.duration / 50.0):
         raise StepTooLarge(
             f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
             f"for a finite-width pulse")
     omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
                   if seg.is_pulse else 0.0)
+    if frame and explicit_dt is not None and explicit_dt * omega_peak > _DRIVE_TURN:
+        raise StepTooLarge(
+            f"dt = {explicit_dt:.3e} turns the drive frame by {explicit_dt * omega_peak:.2f} "
+            f"rad per step, beyond {_DRIVE_TURN} rad")
     b_sup = noise.b_sup if noise is not None else 0.0
-    gaussian = seg.is_pulse and shape.kind != "Square"
+    comb_max = float(noise.omega[-1]) if noise is not None else 0.0
+    # A pulse in its drive frame takes its window's steps and, beside each
+    # margin where its envelope is zero, steps no longer than those.
+    margin = _envelope_margin(shape, seg.duration) if frame else 0.0
+    span = seg.duration - 2.0 * margin
     if explicit_dt is not None:
-        nstep = max(1, math.ceil(seg.duration / min(explicit_dt, seg.duration) - 1e-9))
-        h = seg.duration / nstep
-        # A priori local error of a fourth-order step, ~ (|H| h)^5 / 120.
-        est = (0.5 * math.hypot(omega_peak + b_sup, delta_max) * h) ** 5 / 120.0
+        nstep = max(1, math.ceil(span / min(explicit_dt, span) - 1e-9))
+        h = span / nstep
+        # A priori local error of a fourth-order step, ~ (|H| h)^5 / 120; the
+        # drive leaves the steps of a pulse in its drive frame.
+        drive = 0.0 if frame else omega_peak
+        est = (0.5 * math.hypot(drive + b_sup, delta_max) * h) ** 5 / 120.0
         if est > 1e-6:
             raise StepTooLarge(
                 f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
+    elif frame:
+        nstep = max(1, math.ceil(span * comb_max / _THETA),
+                    math.ceil(span * max(omega_peak, b_sup + delta_max) / _FRAME_TURN))
     else:
-        comb_max = float(noise.omega[-1]) if noise is not None else 0.0
-        if gaussian:
-            nstep = max(1, math.ceil(
-                seg.duration * max(omega_peak + b_sup, delta_max, comb_max) / _THETA))
-        else:
-            nstep = max(1, math.ceil(seg.duration * comb_max / _THETA),
-                        math.ceil(seg.duration * (omega_peak + b_sup + delta_max)
-                                  / _DRIVE_TURN))
-    return (nstep, True) if noise is not None or gaussian else (1, False)
+        nstep = max(1, math.ceil(seg.duration * comb_max / _THETA),
+                    math.ceil(seg.duration * (omega_peak + b_sup + delta_max)
+                              / _DRIVE_TURN))
+    if margin > 0.0:
+        # The fewest steps whose window part takes nstep; at most a few more
+        # than the estimate nstep / (1 - 2 margin / T).
+        window = nstep
+        nstep = max(nstep, math.ceil(nstep * seg.duration / span) - 2)
+        while nstep - 2 * _margin_steps(seg.duration, margin, nstep) < window:
+            nstep += 1
+    return (nstep, True) if noise is not None or frame else (1, False)
+
+
+def _margin_steps(duration: float, margin: float, nstep: int) -> int:
+    """Steps of each zero-envelope margin of a pulse of nstep steps (``_frame_layout``).
+
+    ceil(nstep margin / duration), so a margin step is no longer than
+    duration / nstep, and at most (nstep - 1) / 2, so the window keeps one.
+    """
+    return min(math.ceil(nstep * margin / duration), (nstep - 1) // 2)
+
+
+def _frame_layout(seg: Segment, shape: PulseShape, nstep: int):
+    """(h, rel) of the nstep steps of a Gaussian pulse.
+
+    Each zero-envelope margin takes m = _margin_steps steps and the window
+    between them the other nstep - 2 m, all of equal length within each
+    part, so the window's steps are no shorter than the margins'.  h is
+    the steps' length, a float when they share it, else an (nstep,)
+    array; rel the (2, nstep) offsets of each step's two Gauss nodes from
+    the pulse's start.
+    """
+    margin = _envelope_margin(shape, seg.duration)
+    m = _margin_steps(seg.duration, margin, nstep)
+    if m == 0:
+        h = seg.duration / nstep
+        return h, (np.arange(nstep)[None, :] + _NODES[:, None]) * h
+    span = seg.duration - 2.0 * margin
+    window = nstep - 2 * m
+    lengths = np.repeat([margin / m, span / window, margin / m], [m, window, m])
+    starts = np.concatenate([np.arange(m) * (margin / m),
+                             margin + np.arange(window) * (span / window),
+                             (seg.duration - margin) + np.arange(m) * (margin / m)])
+    return lengths, starts + _NODES[:, None] * lengths
 
 
 def _exact_propagator(hz: np.ndarray, c, t: float):
@@ -307,12 +412,13 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     bytes in any batch layout.  alpha and beta are written part by part
     from real arrays.  hz is an array and c an array or scalar that
     broadcasts with it, such as one row per step and one column per
-    realization; t is a float or an array that broadcasts with them,
-    such as one row per step.
+    realization, or the pair (Re c, Im c) of such real arrays; t is a
+    float or an array that broadcasts with them, such as one row per step.
     """
-    w = np.multiply(hz, hz, out=np.empty(np.broadcast(hz, c).shape))
-    w += c.real * c.real
-    w += c.imag * c.imag
+    c_re, c_im = c if isinstance(c, tuple) else (c.real, c.imag)
+    w = np.multiply(hz, hz, out=np.empty(np.broadcast(hz, c_re).shape))
+    w += c_re * c_re
+    w += c_im * c_im
     np.sqrt(w, out=w)
     tn = w * (0.5 * t)
     np.tan(tn, out=tn)
@@ -327,28 +433,29 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
         r = np.divide(tn, den, out=tn)
     r += r
     np.copyto(r, t, where=w == 0.0)
-    np.multiply(r, c.imag, out=beta.real)
+    np.multiply(r, c_im, out=beta.real)
     np.negative(r, out=r)
     np.multiply(r, hz, out=alpha.imag)
-    np.multiply(r, c.real, out=beta.imag)
+    np.multiply(r, c_re, out=beta.imag)
     minus_conj_beta = np.conj(beta)
     np.negative(minus_conj_beta.view(float), out=minus_conj_beta.view(float))
     return alpha, beta, minus_conj_beta, np.conj(alpha)
 
 
-def _comb_interpolation(duration: float, nstep: int, noise: Comb):
+def _comb_interpolation(duration: float, nstep: int, noise: Comb, rel: np.ndarray | None = None):
     """Chebyshev points and Gauss-node weights that interpolate the comb on a segment.
 
     Returns None when the direct comb sum at the 2 nstep Gauss nodes is
-    cheaper, else (points, weights): the k first-kind Chebyshev points of
-    [0, duration], k the smallest with (omega_max duration / 4)^k / k! <=
-    2^-53, and the (2, nstep, k) weights that give every step's mean of c
-    over its two Gauss nodes (row 0) and their difference (row 1), from
-    the nodes' Lagrange weights.  The interpolant of c at k such points is
-    within b_sup (omega_max duration / 4)^k / k! of c (module docstring),
-    and costs k (q + 2 nstep) multiply-adds per realization against
-    2 nstep q for the direct sum, with q = 2 n_max + 1 basis functions.
-    Each weight row is computed from its own step's nodes alone.
+    cheaper, else (points, lagrange): the k first-kind Chebyshev points
+    of [0, duration], k the smallest with (omega_max duration / 4)^k / k!
+    <= 2^-53, and the (2, nstep, k) Lagrange weights of every step's
+    first (row 0) and second (row 1) Gauss node.  The nodes are those of
+    nstep equal steps, or at the offsets ``rel`` (2, nstep) from the
+    segment's start when given.  The interpolant of c at k such points
+    is within b_sup (omega_max duration / 4)^k / k! of c (module
+    docstring), and costs k (q + 2 nstep) multiply-adds per realization
+    against 2 nstep q for the direct sum, with q = 2 n_max + 1 basis
+    functions.  Each weight row is computed from its own node alone.
     """
     q = noise.parts.shape[0]
     rate = float(noise.omega[-1]) * duration / 4.0
@@ -359,47 +466,122 @@ def _comb_interpolation(duration: float, nstep: int, noise: Comb):
             return None
         term *= rate / k
     x = np.cos((2 * np.arange(k) + 1) * (np.pi / (2 * k)))
-    y = 2.0 * (np.arange(nstep) + _NODES[:, None]) / nstep - 1.0
+    y = (2.0 * (np.arange(nstep) + _NODES[:, None]) / nstep - 1.0 if rel is None
+         else 2.0 * rel / duration - 1.0)
     # Lagrange weight i of node y: the product over j != i of (y - x_j) / (x_i - x_j).
     other = ~np.eye(k, dtype=bool)
     factors = (y[..., None, None] - x) / np.where(other, x[:, None] - x, 1.0)
-    lagrange = np.where(other, factors, 1.0).prod(axis=-1)
-    weights = np.stack([0.5 * (lagrange[0] + lagrange[1]), lagrange[0] - lagrange[1]])
-    return 0.5 * duration * (1.0 + x), weights
+    return 0.5 * duration * (1.0 + x), np.where(other, factors, 1.0).prod(axis=-1)
+
+
+def _frame_weights(w: np.ndarray, cos: np.ndarray | None, sin: np.ndarray | None, k):
+    """The weights of the node means and k times the node differences of frame steps.
+
+    ``w`` (2, s, Q) weighs Q points of a segment's field at each step's
+    first and second Gauss node; k (s,) holds the steps' Magnus factors
+    sqrt(3) h / 6.  Returns (wa, wr).  For an idle
+    (cos = sin = None), wa (2, s, Q) gives the mean and k times the
+    difference of any point row's values, and wr is None.  For a pulse,
+    cos and sin (2, s) are those of the drive angle theta at the nodes.
+    In the pulse's axis frame, with the drive along x and c~ = e^{i phi}
+    c, the drive frame turns the field (Re c~, -Im c~, hz) about x by
+    -theta: Re c~ stays, Im c~ becomes cos(theta) Im c~ - sin(theta) hz
+    and hz becomes cos(theta) hz + sin(theta) Im c~.  So wa gives each
+    step's mean and k times its difference of Re c~ from the points' real
+    parts, and wr (4, s, Q + 1) those of Im c~ and then of hz from their
+    imaginary parts and one more point, hz itself.
+    """
+    w1, w2 = w
+    k = np.reshape(k, (-1, 1))
+    wa = np.stack([0.5 * (w1 + w2), k * (w1 - w2)])
+    if cos is None:
+        return wa, None
+    (c1, c2), (s1, s2) = cos[..., None], sin[..., None]
+    im1, im2 = np.concatenate([c1 * w1, -s1], axis=-1), np.concatenate([c2 * w2, -s2], axis=-1)
+    z1, z2 = np.concatenate([s1 * w1, c1], axis=-1), np.concatenate([s2 * w2, c2], axis=-1)
+    return wa, np.stack([0.5 * (im1 + im2), k * (im1 - im2), 0.5 * (z1 + z2), k * (z1 - z2)])
+
+
+def _point_sum(weights: np.ndarray, points: np.ndarray, out: np.ndarray) -> None:
+    """out[j, s, m] = sum_q weights[j, s, q] points[q, m], in numpy's einsum loop.
+
+    As in noise._comb_sum, the inner loop runs along the realizations,
+    so each entry is summed one multiply and one add at a time in the
+    order q = 0, 1, ..., whatever the other rows and columns.  A single
+    column would make the loop run along q instead, which rounds
+    differently, so it is summed as two.
+    """
+    if points.shape[1] == 1:
+        out[...] = np.einsum("jsq,qm->jsm", weights, np.repeat(points, 2, axis=1))[..., :1]
+    else:
+        np.einsum("jsq,qm->jsm", weights, points, out=out)
 
 
 @dataclass(frozen=True)
 class _StepClass:
     """What the Magnus steps of one distinct segment share, wherever it starts.
 
-    h is the step length duration / nstep; rel the (2, nstep) offsets
-    (j + node) h of step j's two Gauss nodes from the segment's start,
-    where the envelope or the direct comb sum needs them, else None;
-    interpolation the segment's ``_comb_interpolation`` (None without
-    the comb); and drive, for a pulse, the (2, nstep, 1) terms that each
-    step's node mean (row 0) and difference (row 1) of c gain from the
-    drive, else None.
+    h is the step length duration / nstep, or for a Gaussian pulse the
+    (nstep,) step lengths when they differ (``_frame_layout``); rel the
+    (2, nstep) offsets of every step's two Gauss nodes from the segment's
+    start, where the envelope, the drive angle or the direct comb sum
+    needs them, else None; interpolation the segment's Chebyshev points
+    and, in the lab frame, its (2, nstep, k) mean and difference weights
+    of c (None without the comb or where it sums the comb directly); and
+    drive, for a lab-frame pulse, the (2, nstep, 1) terms that each step's
+    node mean (row 0) and difference (row 1) of c gain from the drive,
+    else None.  frame is None in the lab frame, and for each segment of a
+    run of Gaussian pulses (cos, sin, k, weights): the (2, nstep) cosines
+    and sines of a pulse's drive angle at the nodes (None for an idle),
+    the (nstep,) Magnus factors sqrt(3) h / 6 and the segment's
+    ``_frame_weights``, or None where it sums the comb directly.
     """
 
-    h: float
+    h: float | np.ndarray
     rel: np.ndarray | None
     interpolation: tuple | None
     drive: np.ndarray | None
+    frame: tuple | None
 
 
 def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int,
                 interpolations: dict) -> _StepClass:
     """The ``_StepClass`` of a segment taking nstep steps.
 
-    ``interpolations`` shares the comb interpolation between the
-    segments of one (duration, nstep).
+    ``interpolations`` shares the comb interpolation between the lab-frame
+    segments of one (duration, nstep).  Every segment of a run of
+    Gaussian pulses, idles included, takes frame steps: an idle's drive
+    angle is 0, so its frame is the lab frame.
     """
+    if shape.kind == "Gaussian":
+        cos = sin = None
+        if seg.is_pulse:
+            h, rel = _frame_layout(seg, shape, nstep)
+            theta = pulse_angle(shape, seg.duration, rel)
+            cos, sin = np.cos(theta), np.sin(theta)
+        else:
+            h = seg.duration / nstep
+            rel = (np.arange(nstep)[None, :] + _NODES[:, None]) * h
+        k = np.broadcast_to(math.sqrt(3.0) * np.asarray(h) / 6.0, (nstep,))
+        interpolation = weights = None
+        if noise is None:
+            weights = _frame_weights(np.zeros((2, nstep, 0)), cos, sin, k)
+        else:
+            interpolation = _comb_interpolation(seg.duration, nstep, noise, rel)
+            if interpolation is not None:
+                weights = _frame_weights(interpolation[1], cos, sin, k)
+                interpolation = (interpolation[0], None)
+        return _StepClass(h, rel, interpolation, None, (cos, sin, k, weights))
     h = seg.duration / nstep
     rel = interpolation = drive = None
     if noise is not None:
         key = (seg.duration, nstep)
         if key not in interpolations:
             interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
+            if interpolations[key] is not None:
+                points, lagrange = interpolations[key]
+                interpolations[key] = (points, np.stack([0.5 * (lagrange[0] + lagrange[1]),
+                                                         lagrange[0] - lagrange[1]]))
         interpolation = interpolations[key]
     if seg.is_pulse or (noise is not None and interpolation is None):
         rel = (np.arange(nstep)[None, :] + _NODES[:, None]) * h
@@ -408,30 +590,60 @@ def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int,
         drive = 0.5 * np.exp(-1j * seg.phase)
         drive = (drive * np.concatenate([0.5 * (env[0] + env[1]), env[0] - env[1]])
                  ).reshape(2, nstep, 1)
-    return _StepClass(h, rel, interpolation, drive)
+    return _StepClass(h, rel, interpolation, drive, None)
 
 
-def _node_fields(plan, shape: PulseShape, noise: Comb | None, rows: int):
+def _frame_points(step_class: _StepClass, phase: float | None, t_abs: float,
+                  noise: Comb | None, hz: np.ndarray, parts: dict):
+    """The points (re, im) that the frame weights of one segment sum, wherever it starts.
+
+    re (Q, M) holds Re c~ and im (Q + 1, M) Im c~ and then hz, with c~ =
+    e^{i phi} c (c itself for an idle) at the segment's Chebyshev points,
+    or the comb's ``parts`` where it sums the comb directly (shared by
+    the segments of one phase in ``parts``); Q = 0 without the comb.
+    """
+    if noise is None:
+        return np.empty((0, hz.size)), hz[None, :]
+    if step_class.interpolation is None:
+        if phase in parts:
+            return parts[phase]
+        values = noise.parts.view(complex)[..., 0]
+    else:
+        values = noise.c_at(t_abs + step_class.interpolation[0]).T
+    if phase is not None:
+        values = values * np.exp(1j * phase)
+    points = np.ascontiguousarray(values.real), np.concatenate([values.imag, hz[None, :]])
+    if step_class.interpolation is None:
+        parts[phase] = points
+    return points
+
+
+def _node_fields(plan, shape: PulseShape, noise: Comb | None, rows: int,
+                 hz: np.ndarray | None = None):
     """Yield (h, c) for the Magnus steps of ``plan``, one block at a time.
 
     ``plan`` lists finite segments in run order as (seg, t_abs, nstep):
     the segment starts at t_abs and takes nstep steps.  A block holds
     max(1, _BLOCK // rows) steps, filled in run order whatever segment
-    a step belongs to, and the last block the rest.  c is a (2, s,
-    rows) array for a block of s steps: the mean (c1 + c2) / 2 of c at
-    each step's two Gauss nodes, then their difference c1 - c2; without
-    the comb it has one column.  h is the steps' length, a float when
-    they share it, else an (s, 1) column.
+    a step belongs to, and the last block the rest.  In the lab frame c
+    is a complex (2, s, rows) array for a block of s steps: the mean
+    (c1 + c2) / 2 of c at each step's two Gauss nodes, then their
+    difference c1 - c2; without the comb it has one column.  A run of
+    Gaussian pulses takes frame steps (``_frame_fields``), which need the
+    detunings' hz = delta / 2, and c is a real (6, s, M) array.  h is the
+    steps' length, a float when they share it, else an (s, 1) column.
     """
     size = max(1, _BLOCK // rows)
-    classes, interpolations = {}, {}
+    classes, interpolations, parts = {}, {}, {}
     chunks, filled = [], 0
     for seg, t_abs, nstep in plan:
         if seg not in classes:
             classes[seg] = _step_class(seg, shape, noise, nstep, interpolations)
         step_class = classes[seg]
         at_points = None
-        if step_class.interpolation is not None:
+        if step_class.frame is not None:
+            at_points = _frame_points(step_class, seg.phase, t_abs, noise, hz, parts)
+        elif step_class.interpolation is not None:
             at_points = noise.c_at(t_abs + step_class.interpolation[0]).T
             at_points = at_points.view(float).reshape(*at_points.shape, 2)
         done = 0
@@ -441,13 +653,13 @@ def _node_fields(plan, shape: PulseShape, noise: Comb | None, rows: int):
             done += take
             filled += take
             if filled == size:
-                yield _block_fields(chunks, noise)
+                yield _block_fields(chunks, noise, hz)
                 chunks, filled = [], 0
     if chunks:
-        yield _block_fields(chunks, noise)
+        yield _block_fields(chunks, noise, hz)
 
 
-def _block_fields(chunks, noise: Comb | None):
+def _block_fields(chunks, noise: Comb | None, hz: np.ndarray | None):
     """(h, c) of ``_node_fields`` for one block of chunks (_StepClass, t_abs, j0, j1, at_points).
 
     A chunk is steps j0 .. j1 - 1 of one segment.  The chunks that sum
@@ -457,8 +669,11 @@ def _block_fields(chunks, noise: Comb | None):
     ``at_points`` at that segment's Chebyshev points, each in the
     contraction that sums the comb (noise._comb_sum), with the points as
     its basis axis.  Each chunk writes its own rows of the block, and a
-    pulse chunk then adds its drive terms to them.
+    pulse chunk then adds its drive terms to them.  A run of Gaussian
+    pulses takes ``_frame_fields`` instead.
     """
+    if chunks[0][0].frame is not None:
+        return _frame_fields(chunks, noise, hz)
     counts = [j1 - j0 for _, _, j0, j1, _ in chunks]
     lengths = [step_class.h for step_class, *_ in chunks]
     h = (lengths[0] if lengths.count(lengths[0]) == len(lengths)
@@ -500,39 +715,154 @@ def _block_fields(chunks, noise: Comb | None):
     return h, c
 
 
+def _frame_fields(chunks, noise: Comb | None, hz: np.ndarray):
+    """(h, c) of ``_block_fields`` for the frame steps of a run of Gaussian pulses.
+
+    c is a real (6, s, M) array of the steps' node means m and k = sqrt(3)
+    h / 6 times their differences d, [Re m, k Re d, Im m, k Im d, m_z,
+    k d_z], for the transverse field c and the z field.  Each chunk sums
+    its ``_frame_weights`` over its ``_frame_points`` with ``_point_sum``,
+    the weights of the chunk's nodes in the comb's basis where it sums
+    the comb directly; an idle's z field is hz itself.  h is as in the
+    lab frame, with the differing steps of a truncated pulse.
+    """
+    counts = [j1 - j0 for _, _, j0, j1, _ in chunks]
+    lengths = [step_class.h for step_class, *_ in chunks]
+    if all(isinstance(length, float) for length in lengths):
+        h = (lengths[0] if lengths.count(lengths[0]) == len(lengths)
+             else np.repeat(lengths, counts)[:, None])
+    else:
+        h = np.concatenate([np.broadcast_to(step_class.h, (step_class.rel.shape[1],))[j0:j1]
+                            for step_class, _, j0, j1, _ in chunks])[:, None]
+    f = np.empty((6, sum(counts), hz.size))
+    row = 0
+    for (step_class, t_abs, j0, j1, (re, im)), n in zip(chunks, counts):
+        rows = slice(row, row + n)
+        cos, sin, k, weights = step_class.frame
+        if weights is None:
+            basis = noise.basis((t_abs + step_class.rel[:, j0:j1]).ravel()).reshape(2, n, -1)
+            weights = _frame_weights(basis, None if cos is None else cos[:, j0:j1],
+                                     None if sin is None else sin[:, j0:j1], k[j0:j1])
+            j0, j1 = 0, n
+        wa, wr = weights
+        _point_sum(wa[:, j0:j1], re, f[0:2, rows])
+        if wr is None:
+            _point_sum(wa[:, j0:j1], im[:-1], f[2:4, rows])
+            f[4, rows], f[5, rows] = hz, 0.0
+        else:
+            _point_sum(wr[:, j0:j1], im, f[2:6, rows])
+        row += n
+    return h, f
+
+
 def _magnus_steps(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
     """Yield the propagators of the Magnus steps of ``plan``, one block at a time.
 
     ``plan`` and the blocks are those of ``_node_fields``; each block is
     (u00, u01, u10, u11), (steps, M) arrays.  A block's node fields are
     let go before its exponentials are taken, and its effective fields
-    before the next block is built.
+    before the next block is built.  The steps of a Gaussian pulse, in
+    its drive frame, are taken in the pulse's axis frame, Z^dagger H Z
+    with Z = exp(-i phi S_z): its first step enters that frame and its
+    last step leaves it with the pulse's exact pi rotation
+    (``_pulse_ends``), so the pulse's steps multiply out to
+    axis_rotation(phi, pi) U_I, with U_I the propagator of the noise in
+    the drive frame.
     """
-    for h, c in _node_fields(plan, shape, noise, hz.size):
+    ends = _pulse_ends(plan) if shape.kind == "Gaussian" else {}
+    done = 0
+    for h, c in _node_fields(plan, shape, noise, hz.size, hz):
         hz_eff, c_eff = _magnus_fields(hz, h, c)
         del c
-        yield _exact_propagator(hz_eff, c_eff, h)
+        u = _exact_propagator(hz_eff, c_eff, h)
         del hz_eff, c_eff
+        if ends:
+            for j in range(u[0].shape[0]):
+                if done + j in ends:
+                    _turn_row(u, j, *ends[done + j])
+        done += u[0].shape[0]
+        yield u
+        del u
+
+
+def _pulse_ends(plan) -> dict:
+    """The first and last step of every pulse of ``plan``, by its index in the run.
+
+    Each maps to (e^{i phi / 2}, None) for a pulse's first step, which
+    multiplies it by Z^dagger on the right, and (None, L) for its last,
+    with the four entries of L = axis_rotation(phi, pi) Z to multiply it
+    by on the left; a one-step pulse takes both.
+    """
+    turns, ends = {}, {}
+    start = 0
+    for seg, _, nstep in plan:
+        if seg.is_pulse:
+            if seg.phase not in turns:
+                half = np.exp(0.5j * seg.phase)
+                turn = axis_rotation(seg.phase, math.pi) * np.array([np.conj(half), half])
+                turns[seg.phase] = complex(half), [complex(x) for x in turn.ravel()]
+            half, turn = turns[seg.phase]
+            first, last = start, start + nstep - 1
+            ends[first] = (half, turn if first == last else None)
+            if last != first:
+                ends[last] = (None, turn)
+        start += nstep
+    return ends
+
+
+def _turn_row(u, j, half, turn) -> None:
+    """Multiply step j of u by Z^dagger on the right and by L on the left (``_pulse_ends``).
+
+    Only the first column is multiplied, and the second column is set to
+    (-conj b, conj a), so the step keeps its SU(2) form.  The products are
+    formed out of place: numpy rounds an in-place complex product of a
+    one-element row differently from its vector loop.
+    """
+    a, b = u[0][j], u[2][j]
+    if half is not None:
+        a, b = a * half, b * half
+    if turn is not None:
+        a, b = turn[0] * a + turn[1] * b, turn[2] * a + turn[3] * b
+    u[0][j], u[2][j] = a, b
+    np.conjugate(b, out=u[1][j])
+    np.negative(u[1][j], out=u[1][j])
+    np.conjugate(a, out=u[3][j])
 
 
 def _magnus_fields(hz: np.ndarray, h, c):
     """The effective (hz_eff, c_eff) of a block of Magnus steps from its ``_node_fields`` (h, c).
 
-    A step of length h with transverse coefficients c1, c2 at its two
-    Gauss nodes is exp(-i h H_eff), Omega^[4] = (h/2)(A1 + A2) -
-    (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2) the commutator is
-    a cross product, so with k = sqrt(3) h / 6, the mean m = (c1 + c2) /
-    2 and the difference d = c1 - c2,
+    A step of length h with fields n1, n2 at its two Gauss nodes, H = n .
+    sigma with n = (Re c, -Im c, hz), is exp(-i h H_eff), Omega^[4] =
+    (h/2)(A1 + A2) - (sqrt(3) h^2 / 12)[A1, A2] with A = -iH; in SU(2) the
+    commutator is a cross product, so with k = sqrt(3) h / 6, the node
+    mean m and difference d = n1 - n2, n_eff = m - k d x m.  In c and z,
 
-        c_eff = m - i k hz d,
-        hz_eff = hz + k Im(conj(c1) c2) = hz + k Im(conj(d) m),
+        c_eff = m_c - i (m_z k d_c - k d_z m_c),
+        hz_eff = m_z + Im(conj(k d_c) m_c),
 
-    and H_eff = H when c1 = c2.  hz is the diagonal of H, constant in a run.
-    m and d are the halves c[0] and c[1] of the block's fields, and
-    hz_eff and the parts of c_eff are written from their real and
-    imaginary parts in place.  Only hz_eff and c_eff are sure to span the
-    realizations.
+    and H_eff = H when n1 = n2.  In the lab frame hz is constant in a run,
+    m_z = hz and d_z = 0, c holds m_c and d_c as its halves c[0] and
+    c[1], and k is applied here; a frame block's real c holds the parts
+    of m_c and k d_c, then m_z and k d_z.  hz_eff and the parts of c_eff
+    are written from their real and imaginary parts in place.  Only
+    hz_eff and c_eff are sure to span the realizations.
     """
+    if c.dtype != complex:
+        re_m, re_kd, im_m, im_kd, m_z, kd_z = c
+        hz_eff = re_kd * im_m
+        term = im_kd * re_m
+        hz_eff -= term
+        hz_eff += m_z
+        c_re = np.multiply(m_z, im_kd)
+        c_re += re_m
+        np.multiply(kd_z, im_m, out=term)
+        c_re -= term
+        c_im = np.multiply(m_z, re_kd)
+        np.subtract(im_m, c_im, out=c_im)
+        np.multiply(kd_z, re_m, out=term)
+        c_im += term
+        return hz_eff, (c_re, c_im)
     mean, d = c
     k = math.sqrt(3.0) * h / 6.0
     kh = k * hz

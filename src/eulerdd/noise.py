@@ -418,15 +418,11 @@ class Comb:
                    parts=pairs.view(float).reshape(*pairs.shape, 2),
                    b_sup=float(spec.A * np.sum(w)))
 
-    def c_at(self, t: np.ndarray) -> np.ndarray:
-        """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
+    def basis(self, t: np.ndarray) -> np.ndarray:
+        """The (t.size, 2 n_max + 1) basis [1, cos(omega_n t), sin(omega_n t)] at times ``t``.
 
-        The (t.size, 2 n_max + 1) basis contracted with ``parts`` by
-        ``_comb_sum``, so each entry is bitwise independent of the other
-        rows and times.  The cosines and sines are written one time row
-        per ufunc loop for the same reason.
-        The result is built time-major and returned as a transposed view,
-        so ``c_at(t).T`` is a contiguous (t.size, rows) array.
+        The cosines and sines are written one time row per ufunc loop, so
+        each row is bitwise independent of the other times.
         """
         n = self.omega.size
         basis = np.empty((t.size, 2 * n + 1))
@@ -434,7 +430,17 @@ class Comb:
         angle = t[:, None] * self.omega
         np.cos(angle, out=basis[:, 1:n + 1])
         np.sin(angle, out=basis[:, n + 1:])
-        return _comb_sum(basis, self.parts).T
+        return basis
+
+    def c_at(self, t: np.ndarray) -> np.ndarray:
+        """c(t) of every row at the 1-d times ``t``, shape (rows, t.size).
+
+        The ``basis`` at ``t`` contracted with ``parts`` by ``_comb_sum``,
+        so each entry is bitwise independent of the other rows and times.
+        The result is built time-major and returned as a transposed view,
+        so ``c_at(t).T`` is a contiguous (t.size, rows) array.
+        """
+        return _comb_sum(self.basis(t), self.parts).T
 
 
 def _comb_sum(basis: np.ndarray, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -90,15 +90,18 @@ def test_criterion_02_rk4_order():
         psi = propagate(sched, delta=3e5, params=SimParams(dt=tau_d / divisor)) @ KET0
         return np.outer(psi, psi.conj())
 
-    ref = final_rho(8192)
-    divisors = np.array([64.0, 128.0, 256.0, 512.0])
+    # The pulse is integrated in its drive frame, where the error at tau_d/8
+    # is 6e-8 and reaches the reference's own rounding, about 1e-12, by
+    # tau_d/128; so the slope is fitted where the error is resolved.
+    ref = final_rho(1024)
+    divisors = np.array([8.0, 16.0, 32.0, 64.0])
     errs = np.array([float(np.max(np.abs(final_rho(d) - ref)))
                      for d in divisors])
     slope = -np.polyfit(np.log2(divisors), np.log2(errs), 1)[0]
     ok = abs(slope - 4.0) <= 0.2
     elapsed = time.perf_counter() - start
     report(2, ok, elapsed,
-           f"Richardson slope {slope:.3f} over dt = tau_d/64..512 vs tau_d/8192")
+           f"Richardson slope {slope:.3f} over dt = tau_d/8..64 vs tau_d/1024")
     assert ok
     assert elapsed < 10.0
 

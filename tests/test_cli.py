@@ -132,6 +132,11 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
          "t_min and t_max do not span 5 distinct times"),
         (FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 1e-6\n",
          "t_min and t_max do not span 5 distinct times"),
+        # A grid that would run past t_max, linear or geometric.
+        (FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 2e-6\n",
+         "t_min = 2e-06 exceeds t_max = 1e-06"),
+        (relax + "t_min = 4e-6\nt_spacing = geometric\n",
+         "t_min = 4e-06 exceeds t_max = 3e-06"),
         (FID_TEXT + "threads = 2\n", "line 8: unknown key 'threads'"),
         # A malformed command line is a config error too, not argparse's exit 2.
         (FID_TEXT, "unrecognized arguments: --bogus", "--bogus"),
@@ -154,10 +159,6 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: eulerdd" in capsys.readouterr().out
-    # A reversed grid is sorted and runs.
-    reversed_grid = FID_TEXT.replace("t_max = 3e-6", "t_max = 1e-6") + "t_min = 3e-6\n"
-    assert main([write_cfg(tmp_path, reversed_grid), "--out", str(out)]) == 0
-    assert "wrote 5 points" in capsys.readouterr().out
 
 
 EULER_TEXT = "experiment = eulerian-check\nsequence = xy8\n"

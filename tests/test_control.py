@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from eulerdd import (InvalidTiming, LarmorCheck, PulseShape, SEQUENCE_PHASES,
                      SequenceSpec, build_schedule, check_larmor_resonance,
-                     prep_unitary, readout_unitary)
+                     prep_unitary, pulse_angle, readout_unitary)
 from helpers import OutOfSegment, envelope_at
 
 TAU_D = 100e-9
@@ -33,6 +33,24 @@ def test_gaussian_envelope_area_is_pi(trunc):
     t = np.linspace(0.0, TAU_D, 257)
     scalar = [envelope_at(shape, float(ti), TAU_D) for ti in t]
     assert np.array_equal(envelope_at(shape, t, TAU_D), scalar)
+
+
+@pytest.mark.parametrize("kind, trunc", [("Square", 2.5), ("Gaussian", 0.7), ("Gaussian", 1.5),
+                                         ("Gaussian", 2.5), ("Gaussian", 10.0)])
+def test_pulse_angle_is_the_integral_of_the_envelope(kind, trunc):
+    # The closed-form drive angle is the envelope's integral from the pulse
+    # start, flat across a truncated Gaussian's zero margins, and exactly 0
+    # and pi at the pulse's ends.
+    shape = PulseShape(kind, gauss_trunc=trunc)
+    t = np.linspace(0.0, TAU_D, 41)
+    angle = pulse_angle(shape, TAU_D, t)
+    edges = [TAU_D / 2 + k * trunc * TAU_D / 5 for k in (-1, 0, 1)]
+    for ti, theta in zip(t, angle):
+        area, _ = quad(lambda s: envelope_at(shape, s, TAU_D), 0.0, ti,
+                       points=[e for e in edges if 0.0 < e < ti] or None, limit=200)
+        assert theta == pytest.approx(area, rel=1e-12, abs=1e-13)
+    assert angle[0] == 0.0 and angle[-1] == math.pi
+    assert np.all(np.diff(angle) >= 0.0)
 
 
 def test_gaussian_truncation_zeroes_tails():

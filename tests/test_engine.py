@@ -436,6 +436,31 @@ def test_interpolated_comb_bytes_do_not_depend_on_layout_or_block(monkeypatch):
     assert fig4_pulse_nodes(np.arange(1000), True).tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("seg", [Segment(100e-9, math.pi / 2), Segment(500e-9, 0.0),
+                                 Segment(1e-6, None)])
+def test_frame_fields_from_the_interpolated_comb_match_the_direct_sum(monkeypatch, seg):
+    # In a run of Gaussian pulses every segment's node fields come from
+    # frame weights, folded with the drive angle, summed over the comb at
+    # Chebyshev points or over the comb's own basis coefficients.  The two
+    # agree within b_sup 2^-51 on every plane, for 1000 rows, for Gaussian
+    # pulses of 100 and 500 ns and a 1 us idle at t = 3.3 us under the fig4
+    # comb.
+    shape = PulseShape("Gaussian")
+    noise = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES)
+    hz = 0.5 * SIGMA_FID * np.random.default_rng(1).normal(size=1000)
+    nstep, _ = engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)
+    assert engine._comb_interpolation(seg.duration, nstep, noise) is not None
+
+    def fields():
+        return np.concatenate([c for _, c in engine._node_fields(
+            [(seg, 3.3e-6, nstep)], shape, noise, hz.size, hz)], axis=1)
+
+    got = fields()
+    monkeypatch.setattr(engine, "_comb_interpolation", lambda *args: None)
+    assert got.shape == (6, nstep, 1000)
+    assert np.max(np.abs(got - fields())) <= 2.0 ** -51 * noise.b_sup
+
+
 def test_snapshots_split_idles_into_exact_halves():
     # A snapshot at a cycle boundary cuts that 2 tau idle at its midpoint,
     # so every idle lasts exactly tau or 2 tau and a comb-free run builds
@@ -822,8 +847,9 @@ def test_diagnostics_count_every_segment_once(spec, noise_spec):
 def test_step_counts_of_the_fig4_schedule():
     # One realization through the fig4 workload's schedule (32 Gaussian
     # pulses, strong comb, a 3-sigma detuning) integrates at most 1500
-    # Magnus steps: 24 per pulse, about 0.3 rad of rotation each, and one
-    # or two per idle, which varies only through the comb.
+    # Magnus steps: 16 per pulse, each turning the pulse's drive frame by
+    # at most 0.4 rad, and one or two per idle, which varies only through
+    # the comb.
     diag = {}
     propagate(build_schedule(FIG4_SPEC), FIG4_NOISE, delta=3 * SIGMA_FID,
               params=SimParams(master_seed=1), diagnostics=diag)
@@ -839,14 +865,15 @@ def test_step_counts_of_the_fig4_schedule():
 def test_step_counts_of_segments_that_vary_only_through_the_comb():
     # Under the fig4 comb and a 4-sigma detuning bound, an idle or a Square
     # pulse turns the spin by at most 1 rad per step, and a Gaussian
-    # pulse keeps its 0.3 rad steps.  Without the comb an idle or a Square
-    # pulse has a constant H and takes one exact step.
+    # pulse turns its drive frame by at most 0.4 rad per step: 16 steps
+    # for its 6.35 rad.  Without the comb an idle or a Square pulse has a
+    # constant H and takes one exact step.
     noise = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(4)))
     square, gaussian = PulseShape("Square"), PulseShape("Gaussian")
     for seg, shape, want in [(Segment(82e-9, None), square, 1),
                              (Segment(164e-9, None), square, 2),
                              (Segment(500e-9, 0.0), square, 9),
-                             (Segment(100e-9, 0.0), gaussian, 24)]:
+                             (Segment(100e-9, 0.0), gaussian, 16)]:
         assert engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None) == (want, True)
     for seg in (Segment(164e-9, None), Segment(500e-9, 0.0)):
         assert engine._segment_steps(seg, square, None, 4.0 * SIGMA_FID, None) == (1, False)
@@ -886,19 +913,80 @@ def test_square_scan_under_the_comb_matches_four_times_the_steps(monkeypatch, se
     # depends on the draws (1e-9 to 1.1e-8 over these seeds), so the
     # claim is the rule's order: a fourth-order error e_k ~ k^-4 gives
     # |c1 - c4| / |c2 - c4| = 17, a third-order one 9.  The difference is
-    # also held to the 5e-8 of the relaxation test's comb idles.
-    spec = SequenceSpec("XY4", N=360, tau=712e-9, tau_d=500e-9, shape=PulseShape("Square"))
+    # also held to the 5e-8 of the relaxation test's comb idles.  The same
+    # scan with Gaussian pulses, integrated in their drive frames, has the
+    # same order; its difference, 3e-8 to 1.4e-6 over these seeds, is the
+    # pulses' own integration error.
     n_list = [8, 64, 200, 360]
     deph = DephasingSpec(sigma_delta=SIGMA_FID)
     params = SimParams(realizations=64, master_seed=seed)
+    for kind, bound in [("Square", 5e-8), ("Gaussian", 2e-6)]:
+        spec = SequenceSpec("XY4", N=360, tau=712e-9, tau_d=500e-9, shape=PulseShape(kind))
+        curves = []
+        for factor in (1, 2, 4):
+            refined_steps(monkeypatch, factor)
+            curves.append(run_dd_scan(spec, n_list, RELAX_NOISE, deph, params).value)
+            monkeypatch.undo()
+        coarse, half = (np.max(np.abs(c - curves[2])) for c in curves[:2])
+        assert coarse <= bound, kind
+        assert coarse >= 12 * half, kind
+
+
+@pytest.mark.parametrize("trunc", [1.5, 1.0])
+def test_truncated_gaussian_scan_converges_at_fourth_order(monkeypatch, trunc):
+    # A Gaussian truncated inside its pulse has zero envelope in a margin
+    # at each end and jumps at the window's edges.  Its steps never
+    # straddle a jump, so the fig4 scan under the comb and detuning keeps
+    # the order of the step: |c1 - c4| / |c2 - c4| of about 17 at 1x, 2x
+    # and 4x the steps (0.95 and 1.0 with steps across the jumps).
+    spec = replace(FIG4_SPEC, shape=PulseShape("Gaussian", gauss_trunc=trunc))
+    n_list = [8, 16, 24, 32]
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    params = SimParams(realizations=64, master_seed=11)
     curves = []
     for factor in (1, 2, 4):
         refined_steps(monkeypatch, factor)
-        curves.append(run_dd_scan(spec, n_list, RELAX_NOISE, deph, params).value)
+        curves.append(run_dd_scan(spec, n_list, FIG4_NOISE, deph, params).value)
         monkeypatch.undo()
     coarse, half = (np.max(np.abs(c - curves[2])) for c in curves[:2])
-    assert coarse <= 5e-8
     assert coarse >= 12 * half
+
+
+@pytest.mark.parametrize("trunc", [2.5, 1.5, 1.0, 0.3])
+@pytest.mark.parametrize("factor", [1, 3])
+def test_truncated_gaussian_steps_meet_the_envelope_jumps(trunc, factor):
+    # A Gaussian pulse's steps, as many as the step rule gives under the
+    # fig4 comb or a multiple of that, tile the pulse; where it is
+    # truncated inside the pulse, the window's edges, where the envelope
+    # jumps, are step boundaries, and no margin step is longer than a
+    # window step.
+    shape = PulseShape("Gaussian", gauss_trunc=trunc)
+    seg = Segment(100e-9, 0.0)
+    noise = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(4)))
+    nstep = factor * engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)[0]
+    h, rel = engine._frame_layout(seg, shape, nstep)
+    lengths = np.broadcast_to(h, (nstep,))
+    starts = rel[0] - engine._NODES[0] * lengths
+    bounds = np.append(starts, starts[-1] + lengths[-1])
+    assert rel.shape == (2, nstep)
+    assert bounds[0] == 0.0 and bounds[-1] == pytest.approx(seg.duration, rel=1e-15)
+    assert np.allclose(np.diff(bounds), lengths, rtol=1e-12, atol=0.0)
+    if trunc < 2.5:
+        edges = 0.5 * seg.duration + np.array([-1.0, 1.0]) * trunc * seg.duration / 5.0
+        for edge in edges:
+            assert np.min(np.abs(bounds - edge)) <= 1e-12 * seg.duration
+        inside = (starts >= edges[0] - 1e-18) & (starts < edges[1] - 1e-18)
+        assert np.max(lengths[~inside]) <= np.min(lengths[inside]) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("tau_d", [24e-9, 100e-9, 500e-9])
+def test_noise_free_gaussian_pulse_is_its_ideal_rotation(tau_d):
+    # Without the comb and at delta = 0 the drive frame sees no field, so
+    # every step of a Gaussian pulse is the identity and the pulse is its
+    # exact pi rotation about its axis.
+    spec = SequenceSpec("CPMG_Y", N=1, tau=1e-6, tau_d=tau_d, shape=PulseShape("Gaussian"))
+    u = propagate(build_schedule(spec))
+    assert np.max(np.abs(u - axis_rotation(math.pi / 2, math.pi))) <= 1e-15
 
 
 def test_step_rule_runs_once_per_segment_class(monkeypatch):

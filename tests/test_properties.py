@@ -98,7 +98,8 @@ def test_comb_values_do_not_depend_on_the_batch_layout(rows, ends):
 
 
 # Four XY8 runs.  With 100 ns Gaussian pulses under the fig4 comb, the
-# comb's field bound b_sup sets every step.  With the 500 ns Square pulses
+# pulses' peak drive and the comb's field bound b_sup set every step, and
+# the pulses take theirs in their drive frames.  With the 500 ns Square pulses
 # and weak comb of the bundled fig3_xy8_slow, the detuning bound
 # 4 sigma_delta sets the idles' steps; a bound taken from the batch's
 # largest draw would make them depend on which realizations share it.
