@@ -42,15 +42,17 @@ Knill, PRL 90, 037901 (2003)).  With theta(t) the drive's angle so far
 (control.pulse_angle, in closed form) and the pulse at phase phi, its
 propagator is axis_rotation(phi, pi) U_I: the exact pi rotation that a
 Delta pulse takes, after U_I, the propagator of the noise alone turned
-back about the pulse axis by theta(t).  U_I takes Magnus steps of the
-same form, whose H now has a z part that varies too, so a step's
-commutator is the full cross product of the field's mean and difference
-over the step (``_magnus_fields``).  The drive never enters a step, so a
-pulse takes a third fewer steps than in the lab frame for a smaller
-error (``_segment_steps``).  Square pulses, whose drive is constant,
-idles and Delta pulses take their steps in the lab frame; in a run of
-Gaussian pulses an idle's steps are frame steps at drive angle 0, which
-is the lab frame.
+back about the pulse axis by theta(t).  The drive never enters a step,
+so a pulse takes a third fewer steps than in the lab frame for a smaller
+error (``_segment_steps``).  Every other finite segment, an idle or a
+Square pulse, whose drive is constant, takes its steps in the lab frame,
+which is the drive frame at angle 0.  Every step of every run takes the
+same form: the field n = (Re c, -Im c, hz) at its two Gauss nodes gives
+its mean m and difference d, and the step's commutator is the full
+cross product k d x m (``_magnus_fields``).  One builder writes m and k
+d of a block's steps as real planes (``_node_fields``); in the lab
+frame hz is constant, so m_z = hz and d_z = 0, and a run without a
+Gaussian pulse carries no z planes.
 
 Where a segment's propagator does not depend on when it starts, as for
 a Delta pulse and for every finite segment without the comb, it has
@@ -67,7 +69,9 @@ class step, and the finite segments of a run take their Magnus steps
 from one pipeline: every step keeps its segment, start, index and
 length, and the steps are built lazily in run order, in blocks of
 (steps, M) arrays that run across segment and snapshot boundaries.
-The steps of a block that sum the comb directly share one comb sum.
+The lab-frame steps of a block that sum the comb directly share one
+evaluation of the comb's basis and one comb sum for their node means
+and one for their differences.
 So a calibration's relaxation run, 16 short idles taking 17 to 40
 steps in all, builds three to five blocks at M = 1000, not sixteen or
 more.  A block is let go before the next is built, so a run holds one
@@ -86,12 +90,11 @@ with q = 2 n_max + 1, a segment sums the comb at its k points only and
 forms each step's mean and difference of c over its two Gauss nodes
 from them with fixed weights; with the rounding of both sums these stay
 within b_sup 2^-51 of the direct sum's.  Elsewhere, as on calibration's
-few long steps, a segment sums the comb at every node.  In a run of
-Gaussian pulses every segment takes frame steps (``_frame_fields``):
-the turn by theta, which is the same for every realization, is folded
-into those weights once per segment, with hz as one more point, and
-where a segment sums the comb directly the weights are the basis
-functions' values at its nodes.
+few long steps, a segment sums the comb at every node: its weights come
+from the basis functions' values at its nodes, and its points are the
+comb's coefficients.  A Gaussian pulse's turn by theta, which is the
+same for every realization, is folded into its weights once per pulse,
+with hz as one more point.
 
 Every array expression is element-wise, except the comb sum and the
 interpolation, each of which accumulates every (node, realization)
@@ -207,20 +210,26 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Measured decay samples: strictly increasing t, values in [0, 1]."""
+    """Measured decay samples.
+
+    Times are finite and strictly increasing, values in [0, 1], and
+    stderrs finite and non-negative.
+    """
 
     points: tuple[CurvePoint, ...]
 
     def __post_init__(self) -> None:
         pts = tuple(self.points)
+        for p in pts:
+            if not math.isfinite(p.t):
+                raise ValueError(f"curve time {p.t!r} is not finite")
+            if not 0.0 <= p.value <= 1.0:
+                raise ValueError(f"curve value {p.value!r} outside [0, 1]")
+            if not 0.0 <= p.stderr < math.inf:
+                raise ValueError(f"stderr {p.stderr!r} must be non-negative and finite")
         for a, b in zip(pts, pts[1:]):
             if b.t <= a.t:
                 raise ValueError("curve times must be strictly increasing")
-        for p in pts:
-            if not 0.0 <= p.value <= 1.0:
-                raise ValueError(f"curve value {p.value!r} outside [0, 1]")
-            if p.stderr < 0:
-                raise ValueError("stderr must be non-negative")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -293,7 +302,7 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
 
     A Gaussian pulse is integrated in its drive frame, where its field is
     the noise n = (Re c, -Im c, hz) turned back about the pulse axis by
-    the drive angle theta(t) (``_frame_weights``).  Its size |n| <= nu =
+    the drive angle theta(t) (``_node_weights``).  Its size |n| <= nu =
     (b_sup + delta_max) / 2 does not change, and it turns at the drive's
     rate Omega(t) <= Omega_peak and varies through the comb.  So every
     factor alpha_i above is now at most h nu (h (Omega_peak +
@@ -316,7 +325,7 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
     where the envelope jumps and the drive angle has a kink.  Its window
     between the margins takes the steps above for its own duration, and
     each margin, idle time in which the frame stands still, as many steps
-    as keep them no longer than the window's (``_frame_layout``), so no
+    as keep them no longer than the window's (``_step_layout``), so no
     step straddles a jump.
     """
     if seg.duration == 0.0:
@@ -367,7 +376,7 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
 
 
 def _margin_steps(duration: float, margin: float, nstep: int) -> int:
-    """Steps of each zero-envelope margin of a pulse of nstep steps (``_frame_layout``).
+    """Steps of each zero-envelope margin of a pulse of nstep steps (``_step_layout``).
 
     ceil(nstep margin / duration), so a margin step is no longer than
     duration / nstep, and at most (nstep - 1) / 2, so the window keeps one.
@@ -375,17 +384,18 @@ def _margin_steps(duration: float, margin: float, nstep: int) -> int:
     return min(math.ceil(nstep * margin / duration), (nstep - 1) // 2)
 
 
-def _frame_layout(seg: Segment, shape: PulseShape, nstep: int):
-    """(h, rel) of the nstep steps of a Gaussian pulse.
+def _step_layout(seg: Segment, shape: PulseShape, nstep: int):
+    """(h, rel) of the nstep steps of a segment.
 
-    Each zero-envelope margin takes m = _margin_steps steps and the window
-    between them the other nstep - 2 m, all of equal length within each
-    part, so the window's steps are no shorter than the margins'.  h is
-    the steps' length, a float when they share it, else an (nstep,)
-    array; rel the (2, nstep) offsets of each step's two Gauss nodes from
-    the pulse's start.
+    A segment takes nstep steps of equal length, except a Gaussian pulse
+    truncated inside its pulse: each of its zero-envelope margins takes
+    m = _margin_steps steps and the window between them the other nstep
+    - 2 m, all of equal length within each part, so the window's steps
+    are no shorter than the margins'.  h is the steps' length, a float
+    when they share it, else the (nstep,) lengths; rel the (2, nstep)
+    offsets of each step's two Gauss nodes from the segment's start.
     """
-    margin = _envelope_margin(shape, seg.duration)
+    margin = _envelope_margin(shape, seg.duration) if seg.is_pulse else 0.0
     m = _margin_steps(seg.duration, margin, nstep)
     if m == 0:
         h = seg.duration / nstep
@@ -442,17 +452,16 @@ def _exact_propagator(hz: np.ndarray, c, t: float):
     return alpha, beta, minus_conj_beta, np.conj(alpha)
 
 
-def _comb_interpolation(duration: float, nstep: int, noise: Comb, rel: np.ndarray | None = None):
+def _comb_interpolation(duration: float, nstep: int, noise: Comb, rel: np.ndarray):
     """Chebyshev points and Gauss-node weights that interpolate the comb on a segment.
 
     Returns None when the direct comb sum at the 2 nstep Gauss nodes is
     cheaper, else (points, lagrange): the k first-kind Chebyshev points
     of [0, duration], k the smallest with (omega_max duration / 4)^k / k!
     <= 2^-53, and the (2, nstep, k) Lagrange weights of every step's
-    first (row 0) and second (row 1) Gauss node.  The nodes are those of
-    nstep equal steps, or at the offsets ``rel`` (2, nstep) from the
-    segment's start when given.  The interpolant of c at k such points
-    is within b_sup (omega_max duration / 4)^k / k! of c (module
+    first (row 0) and second (row 1) Gauss node, at the offsets ``rel``
+    (2, nstep) from the segment's start.  The interpolant of c at k such
+    points is within b_sup (omega_max duration / 4)^k / k! of c (module
     docstring), and costs k (q + 2 nstep) multiply-adds per realization
     against 2 nstep q for the direct sum, with q = 2 n_max + 1 basis
     functions.  Each weight row is computed from its own node alone.
@@ -466,37 +475,39 @@ def _comb_interpolation(duration: float, nstep: int, noise: Comb, rel: np.ndarra
             return None
         term *= rate / k
     x = np.cos((2 * np.arange(k) + 1) * (np.pi / (2 * k)))
-    y = (2.0 * (np.arange(nstep) + _NODES[:, None]) / nstep - 1.0 if rel is None
-         else 2.0 * rel / duration - 1.0)
+    y = 2.0 * rel / duration - 1.0
     # Lagrange weight i of node y: the product over j != i of (y - x_j) / (x_i - x_j).
     other = ~np.eye(k, dtype=bool)
     factors = (y[..., None, None] - x) / np.where(other, x[:, None] - x, 1.0)
     return 0.5 * duration * (1.0 + x), np.where(other, factors, 1.0).prod(axis=-1)
 
 
-def _frame_weights(w: np.ndarray, cos: np.ndarray | None, sin: np.ndarray | None, k):
-    """The weights of the node means and k times the node differences of frame steps.
+def _node_weights(w: np.ndarray, turn: tuple | None, k: np.ndarray):
+    """The weights of the node means and k times the node differences of a segment's steps.
 
     ``w`` (2, s, Q) weighs Q points of a segment's field at each step's
     first and second Gauss node; k (s,) holds the steps' Magnus factors
-    sqrt(3) h / 6.  Returns (wa, wr).  For an idle
-    (cos = sin = None), wa (2, s, Q) gives the mean and k times the
-    difference of any point row's values, and wr is None.  For a pulse,
-    cos and sin (2, s) are those of the drive angle theta at the nodes.
-    In the pulse's axis frame, with the drive along x and c~ = e^{i phi}
-    c, the drive frame turns the field (Re c~, -Im c~, hz) about x by
-    -theta: Re c~ stays, Im c~ becomes cos(theta) Im c~ - sin(theta) hz
-    and hz becomes cos(theta) hz + sin(theta) Im c~.  So wa gives each
-    step's mean and k times its difference of Re c~ from the points' real
-    parts, and wr (4, s, Q + 1) those of Im c~ and then of hz from their
-    imaginary parts and one more point, hz itself.
+    sqrt(3) h / 6.  Returns (wa, wr).  wa (2, s, Q) gives each step's
+    mean and k times its difference of any point row's values.  For a
+    lab-frame segment (turn None) wr is None: wa gives the transverse
+    field's real and imaginary parts alike.  For a Gaussian pulse, turn
+    holds the (2, s) cosines and sines of the drive angle theta at the
+    nodes.  In the pulse's axis frame, with the drive along x and c~ =
+    e^{i phi} c, the drive frame turns the field (Re c~, -Im c~, hz)
+    about x by -theta: Re c~ stays, Im c~ becomes cos(theta) Im c~ -
+    sin(theta) hz and hz becomes cos(theta) hz + sin(theta) Im c~.  So wa
+    gives the mean and k times the difference of Re c~ from the points'
+    real parts, and wr (4, s, Q + 1) those of Im c~ and then of hz from
+    their imaginary parts and one more point, hz itself.
     """
     w1, w2 = w
     k = np.reshape(k, (-1, 1))
-    wa = np.stack([0.5 * (w1 + w2), k * (w1 - w2)])
-    if cos is None:
+    wa = np.empty(w.shape)
+    np.multiply(np.add(w1, w2, out=wa[0]), 0.5, out=wa[0])
+    np.multiply(np.subtract(w1, w2, out=wa[1]), k, out=wa[1])
+    if turn is None:
         return wa, None
-    (c1, c2), (s1, s2) = cos[..., None], sin[..., None]
+    (c1, c2), (s1, s2) = turn[0][..., None], turn[1][..., None]
     im1, im2 = np.concatenate([c1 * w1, -s1], axis=-1), np.concatenate([c2 * w2, -s2], axis=-1)
     z1, z2 = np.concatenate([s1 * w1, c1], axis=-1), np.concatenate([s2 * w2, c2], axis=-1)
     return wa, np.stack([0.5 * (im1 + im2), k * (im1 - im2), 0.5 * (z1 + z2), k * (z1 - z2)])
@@ -521,238 +532,205 @@ def _point_sum(weights: np.ndarray, points: np.ndarray, out: np.ndarray) -> None
 class _StepClass:
     """What the Magnus steps of one distinct segment share, wherever it starts.
 
-    h is the step length duration / nstep, or for a Gaussian pulse the
-    (nstep,) step lengths when they differ (``_frame_layout``); rel the
-    (2, nstep) offsets of every step's two Gauss nodes from the segment's
-    start, where the envelope, the drive angle or the direct comb sum
-    needs them, else None; interpolation the segment's Chebyshev points
-    and, in the lab frame, its (2, nstep, k) mean and difference weights
-    of c (None without the comb or where it sums the comb directly); and
-    drive, for a lab-frame pulse, the (2, nstep, 1) terms that each step's
-    node mean (row 0) and difference (row 1) of c gain from the drive,
-    else None.  frame is None in the lab frame, and for each segment of a
-    run of Gaussian pulses (cos, sin, k, weights): the (2, nstep) cosines
-    and sines of a pulse's drive angle at the nodes (None for an idle),
-    the (nstep,) Magnus factors sqrt(3) h / 6 and the segment's
-    ``_frame_weights``, or None where it sums the comb directly.
+    h is the steps' length, a float when they share it, else the
+    (nstep,) lengths (``_step_layout``); k the (nstep,) steps' Magnus
+    factors sqrt(3) h / 6; and rel the (2, nstep) offsets of every
+    step's two Gauss nodes from the segment's start.  turn is None for a
+    lab-frame segment, an idle or a Square pulse, and for a Gaussian pulse
+    the (2, nstep) cosines and sines of its drive angle at the nodes.
+    drive is a Square pulse's constant drive 0.5 Omega e^{-i phi}, which
+    adds to its steps' node means only, else None.  points holds the
+    segment's Chebyshev points, where it interpolates the comb, and
+    weights its ``_node_weights`` over them; both are None where the
+    segment sums the comb directly.  Without the comb there are no
+    points: points is None, and so is weights but for a Gaussian pulse,
+    whose weights weigh hz alone.
     """
 
     h: float | np.ndarray
-    rel: np.ndarray | None
-    interpolation: tuple | None
-    drive: np.ndarray | None
-    frame: tuple | None
+    k: np.ndarray
+    rel: np.ndarray
+    turn: tuple | None
+    drive: complex | None
+    points: np.ndarray | None
+    weights: tuple | None
 
 
-def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int,
-                interpolations: dict) -> _StepClass:
-    """The ``_StepClass`` of a segment taking nstep steps.
-
-    ``interpolations`` shares the comb interpolation between the lab-frame
-    segments of one (duration, nstep).  Every segment of a run of
-    Gaussian pulses, idles included, takes frame steps: an idle's drive
-    angle is 0, so its frame is the lab frame.
-    """
-    if shape.kind == "Gaussian":
-        cos = sin = None
-        if seg.is_pulse:
-            h, rel = _frame_layout(seg, shape, nstep)
-            theta = pulse_angle(shape, seg.duration, rel)
-            cos, sin = np.cos(theta), np.sin(theta)
-        else:
-            h = seg.duration / nstep
-            rel = (np.arange(nstep)[None, :] + _NODES[:, None]) * h
-        k = np.broadcast_to(math.sqrt(3.0) * np.asarray(h) / 6.0, (nstep,))
-        interpolation = weights = None
-        if noise is None:
-            weights = _frame_weights(np.zeros((2, nstep, 0)), cos, sin, k)
-        else:
-            interpolation = _comb_interpolation(seg.duration, nstep, noise, rel)
-            if interpolation is not None:
-                weights = _frame_weights(interpolation[1], cos, sin, k)
-                interpolation = (interpolation[0], None)
-        return _StepClass(h, rel, interpolation, None, (cos, sin, k, weights))
-    h = seg.duration / nstep
-    rel = interpolation = drive = None
+def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int) -> _StepClass:
+    """The ``_StepClass`` of a segment taking nstep steps."""
+    h, rel = _step_layout(seg, shape, nstep)
+    k = np.full(nstep, math.sqrt(3.0) * h / 6.0)
+    turn = drive = None
+    if seg.is_pulse and shape.kind == "Gaussian":
+        theta = pulse_angle(shape, seg.duration, rel)
+        turn = np.cos(theta), np.sin(theta)
+    elif seg.is_pulse:
+        drive = 0.5 * np.exp(-1j * seg.phase) * float(pulse_envelope(shape, seg.duration, 0.0))
+    points = weights = None
     if noise is not None:
-        key = (seg.duration, nstep)
-        if key not in interpolations:
-            interpolations[key] = _comb_interpolation(seg.duration, nstep, noise)
-            if interpolations[key] is not None:
-                points, lagrange = interpolations[key]
-                interpolations[key] = (points, np.stack([0.5 * (lagrange[0] + lagrange[1]),
-                                                         lagrange[0] - lagrange[1]]))
-        interpolation = interpolations[key]
-    if seg.is_pulse or (noise is not None and interpolation is None):
-        rel = (np.arange(nstep)[None, :] + _NODES[:, None]) * h
-    if seg.is_pulse:
-        env = pulse_envelope(shape, seg.duration, rel)
-        drive = 0.5 * np.exp(-1j * seg.phase)
-        drive = (drive * np.concatenate([0.5 * (env[0] + env[1]), env[0] - env[1]])
-                 ).reshape(2, nstep, 1)
-    return _StepClass(h, rel, interpolation, drive, None)
+        interpolation = _comb_interpolation(seg.duration, nstep, noise, rel)
+        if interpolation is not None:
+            points, weights = interpolation[0], _node_weights(interpolation[1], turn, k)
+    elif turn is not None:  # a Gaussian pulse's only point is hz
+        weights = _node_weights(np.empty((2, nstep, 0)), turn, k)
+    return _StepClass(h, k, rel, turn, drive, points, weights)
 
 
-def _frame_points(step_class: _StepClass, phase: float | None, t_abs: float,
-                  noise: Comb | None, hz: np.ndarray, parts: dict):
-    """The points (re, im) that the frame weights of one segment sum, wherever it starts.
+def _segment_points(step_class: _StepClass, phase: float | None, t_abs: float,
+                    noise: Comb | None, hz: np.ndarray, parts: dict):
+    """The points that the weights of one segment sum, wherever it starts.
 
-    re (Q, M) holds Re c~ and im (Q + 1, M) Im c~ and then hz, with c~ =
-    e^{i phi} c (c itself for an idle) at the segment's Chebyshev points,
-    or the comb's ``parts`` where it sums the comb directly (shared by
-    the segments of one phase in ``parts``); Q = 0 without the comb.
+    A lab-frame segment's are the comb's values at its Chebyshev points,
+    as one (Q, M, 2) array of their real and imaginary parts, or None
+    where the block sums the comb for it directly (``_block_fields``) or
+    there is no comb.  A Gaussian pulse's are (re, im): re (Q, M) holds
+    Re c~ and im (Q + 1, M) Im c~ and then hz, with c~ = e^{i phi} c at
+    its Chebyshev points, none without the comb, or where it sums the
+    comb directly the comb's coefficients, shared by the pulses of one
+    phase in ``parts``.
     """
+    if step_class.turn is None:
+        if step_class.points is None:
+            return None
+        values = noise.c_at(t_abs + step_class.points).T
+        return values.view(float).reshape(*values.shape, 2)
+    direct = noise is not None and step_class.points is None
+    if direct and phase in parts:
+        return parts[phase]
     if noise is None:
-        return np.empty((0, hz.size)), hz[None, :]
-    if step_class.interpolation is None:
-        if phase in parts:
-            return parts[phase]
+        values = np.empty((0, hz.size), complex)
+    elif direct:
         values = noise.parts.view(complex)[..., 0]
     else:
-        values = noise.c_at(t_abs + step_class.interpolation[0]).T
-    if phase is not None:
-        values = values * np.exp(1j * phase)
+        values = noise.c_at(t_abs + step_class.points).T
+    values = values * np.exp(1j * phase)
     points = np.ascontiguousarray(values.real), np.concatenate([values.imag, hz[None, :]])
-    if step_class.interpolation is None:
+    if direct:
         parts[phase] = points
     return points
 
 
-def _node_fields(plan, shape: PulseShape, noise: Comb | None, rows: int,
-                 hz: np.ndarray | None = None):
-    """Yield (h, c) for the Magnus steps of ``plan``, one block at a time.
+def _node_fields(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
+    """Yield (h, f) for the Magnus steps of ``plan``, one block at a time.
 
     ``plan`` lists finite segments in run order as (seg, t_abs, nstep):
-    the segment starts at t_abs and takes nstep steps.  A block holds
-    max(1, _BLOCK // rows) steps, filled in run order whatever segment
-    a step belongs to, and the last block the rest.  In the lab frame c
-    is a complex (2, s, rows) array for a block of s steps: the mean
-    (c1 + c2) / 2 of c at each step's two Gauss nodes, then their
-    difference c1 - c2; without the comb it has one column.  A run of
-    Gaussian pulses takes frame steps (``_frame_fields``), which need the
-    detunings' hz = delta / 2, and c is a real (6, s, M) array.  h is the
-    steps' length, a float when they share it, else an (s, 1) column.
+    the segment starts at t_abs and takes nstep steps; hz (M,) holds
+    the realizations' delta / 2.  A block holds max(1, _BLOCK // M)
+    steps, filled in run order whatever segment a step belongs to, and
+    the last block the rest.  h is the steps' length, a float when they
+    share it, else an (s, 1) column.  f holds six planes, each (s, M) or
+    broadcasting to it, of the steps' node means m and k = sqrt(3) h / 6
+    times their node differences d of the field n = (Re c, -Im c, hz):
+    [Re m, k Re d, Im m, k Im d, m_z, k d_z].  A run with a Gaussian
+    pulse, whose drive frame turns hz into the transverse field and back,
+    builds all six; any other run builds the first four, and its z field
+    is hz itself, with no difference.
     """
-    size = max(1, _BLOCK // rows)
-    classes, interpolations, parts = {}, {}, {}
+    size = max(1, _BLOCK // hz.size)
+    z = shape.kind == "Gaussian" and any(seg.is_pulse for seg, _, _ in plan)
+    classes, parts = {}, {}
     chunks, filled = [], 0
     for seg, t_abs, nstep in plan:
         if seg not in classes:
-            classes[seg] = _step_class(seg, shape, noise, nstep, interpolations)
+            classes[seg] = _step_class(seg, shape, noise, nstep)
         step_class = classes[seg]
-        at_points = None
-        if step_class.frame is not None:
-            at_points = _frame_points(step_class, seg.phase, t_abs, noise, hz, parts)
-        elif step_class.interpolation is not None:
-            at_points = noise.c_at(t_abs + step_class.interpolation[0]).T
-            at_points = at_points.view(float).reshape(*at_points.shape, 2)
+        points = _segment_points(step_class, seg.phase, t_abs, noise, hz, parts)
         done = 0
         while done < nstep:
             take = min(nstep - done, size - filled)
-            chunks.append((step_class, t_abs, done, done + take, at_points))
+            chunks.append((step_class, t_abs, done, done + take, points))
             done += take
             filled += take
             if filled == size:
-                yield _block_fields(chunks, noise, hz)
+                yield _block_fields(chunks, noise, hz, z)
                 chunks, filled = [], 0
     if chunks:
-        yield _block_fields(chunks, noise, hz)
+        yield _block_fields(chunks, noise, hz, z)
 
 
-def _block_fields(chunks, noise: Comb | None, hz: np.ndarray | None):
-    """(h, c) of ``_node_fields`` for one block of chunks (_StepClass, t_abs, j0, j1, at_points).
+def _block_fields(chunks, noise: Comb | None, hz: np.ndarray, z: bool):
+    """(h, f) of ``_node_fields`` for one block of chunks (_StepClass, t_abs, j0, j1, points).
 
-    A chunk is steps j0 .. j1 - 1 of one segment.  The chunks that sum
-    the comb directly share one ``Comb.c_at`` call at all their nodes,
-    first nodes then second nodes; a chunk whose segment interpolates
-    forms its mean and its difference rows from the comb's values
-    ``at_points`` at that segment's Chebyshev points, each in the
-    contraction that sums the comb (noise._comb_sum), with the points as
-    its basis axis.  Each chunk writes its own rows of the block, and a
-    pulse chunk then adds its drive terms to them.  A run of Gaussian
-    pulses takes ``_frame_fields`` instead.
-    """
-    if chunks[0][0].frame is not None:
-        return _frame_fields(chunks, noise, hz)
-    counts = [j1 - j0 for _, _, j0, j1, _ in chunks]
-    lengths = [step_class.h for step_class, *_ in chunks]
-    h = (lengths[0] if lengths.count(lengths[0]) == len(lengths)
-         else np.repeat(lengths, counts)[:, None])
-    mixed = False
-    if noise is None:
-        c = np.zeros((2, sum(counts), 1), complex)
-    else:
-        rows = noise.parts.shape[1]
-        direct = [t_abs + step_class.rel[:, j0:j1]
-                  for step_class, t_abs, j0, j1, at_points in chunks if at_points is None]
-        if direct:
-            c1, c2 = nodes = noise.c_at(np.concatenate(direct, axis=1).ravel()).T.reshape(
-                2, -1, rows)
-        mixed = len(direct) < len(chunks)
-        if mixed:
-            c = np.empty((2, sum(counts), rows), complex)
-        else:  # every step sums the comb directly: its mean and difference in place
-            c = nodes
-            mean = c1 + c2
-            np.subtract(c1, c2, out=c2)
-            np.multiply(mean, 0.5, out=c1)
-    row = first = 0
-    for (step_class, _, j0, j1, at_points), n in zip(chunks, counts):
-        if mixed:
-            mean, d = c[:, row:row + n]
-            if at_points is None:
-                np.add(c1[first:first + n], c2[first:first + n], out=mean)
-                np.multiply(mean, 0.5, out=mean)
-                np.subtract(c1[first:first + n], c2[first:first + n], out=d)
-                first += n
-            else:
-                weights = step_class.interpolation[1]
-                _comb_sum(weights[0, j0:j1], at_points, out=mean)
-                _comb_sum(weights[1, j0:j1], at_points, out=d)
-        if step_class.drive is not None:
-            c[:, row:row + n] += step_class.drive[:, j0:j1]
-        row += n
-    return h, c
-
-
-def _frame_fields(chunks, noise: Comb | None, hz: np.ndarray):
-    """(h, c) of ``_block_fields`` for the frame steps of a run of Gaussian pulses.
-
-    c is a real (6, s, M) array of the steps' node means m and k = sqrt(3)
-    h / 6 times their differences d, [Re m, k Re d, Im m, k Im d, m_z,
-    k d_z], for the transverse field c and the z field.  Each chunk sums
-    its ``_frame_weights`` over its ``_frame_points`` with ``_point_sum``,
-    the weights of the chunk's nodes in the comb's basis where it sums
-    the comb directly; an idle's z field is hz itself.  h is as in the
-    lab frame, with the differing steps of a truncated pulse.
+    A chunk is steps j0 .. j1 - 1 of one segment and writes its own rows
+    of the planes.  A Gaussian pulse's chunk sums its weights wa and wr
+    over its ``_segment_points`` with ``_point_sum``, with weights from
+    the basis at its own nodes where it sums the comb directly.  A
+    lab-frame chunk sums its weights wa over the real and imaginary parts
+    of c at once, in the contraction that sums the comb (noise._comb_sum),
+    one for the means and one for the k differences; the lab-frame chunks
+    that sum the comb directly share one ``Comb.basis`` call at all their
+    nodes, first nodes then second nodes, and these two contractions over
+    ``noise.parts``.  Without the comb a lab-frame chunk's transverse
+    planes are zero.  Its z planes, where the block has them, are hz and
+    0, and a Square pulse's drive then adds to its mean planes.
     """
     counts = [j1 - j0 for _, _, j0, j1, _ in chunks]
     lengths = [step_class.h for step_class, *_ in chunks]
     if all(isinstance(length, float) for length in lengths):
-        h = (lengths[0] if lengths.count(lengths[0]) == len(lengths)
-             else np.repeat(lengths, counts)[:, None])
+        h = lengths[0] if len(set(lengths)) == 1 else np.repeat(lengths, counts)[:, None]
     else:
-        h = np.concatenate([np.broadcast_to(step_class.h, (step_class.rel.shape[1],))[j0:j1]
+        h = np.concatenate([np.broadcast_to(step_class.h, step_class.k.shape)[j0:j1]
                             for step_class, _, j0, j1, _ in chunks])[:, None]
-    f = np.empty((6, sum(counts), hz.size))
-    row = 0
-    for (step_class, t_abs, j0, j1, (re, im)), n in zip(chunks, counts):
-        rows = slice(row, row + n)
-        cos, sin, k, weights = step_class.frame
-        if weights is None:
-            basis = noise.basis((t_abs + step_class.rel[:, j0:j1]).ravel()).reshape(2, n, -1)
-            weights = _frame_weights(basis, None if cos is None else cos[:, j0:j1],
-                                     None if sin is None else sin[:, j0:j1], k[j0:j1])
-            j0, j1 = 0, n
-        wa, wr = weights
-        _point_sum(wa[:, j0:j1], re, f[0:2, rows])
-        if wr is None:
-            _point_sum(wa[:, j0:j1], im[:-1], f[2:4, rows])
-            f[4, rows], f[5, rows] = hz, 0.0
-        else:
-            _point_sum(wr[:, j0:j1], im, f[2:6, rows])
-        row += n
-    return h, f
+    f = (np.empty if noise is not None else np.zeros)((6 if z else 4, sum(counts), hz.size))
+
+    def put(rows, sums, j):
+        # Lab-frame rows' complex means (j = 0) or k diffs (j = 1) of c, summed
+        # into one (s, M) array that serves both halves, so a block holds no
+        # more than the planes and that array.  With one (2 s, M) array for
+        # both halves, malloc returned the heap's top to the system after
+        # most runs, and a calibrate_t1 repeat faulted in about 1,700 pages,
+        # not about 130, and took 11% longer (perfbench/run.py).
+        f[j, rows] = sums.real
+        f[2 + j, rows] = sums.imag
+
+    row, direct, spans, drives = 0, [], [], []
+    for step_class, t_abs, j0, j1, points in chunks:
+        rows = slice(row, row + j1 - j0)
+        row = rows.stop
+        if step_class.turn is not None:  # a Gaussian pulse
+            weights = step_class.weights
+            if weights is None:  # it sums the comb directly
+                basis = noise.basis((t_abs + step_class.rel[:, j0:j1]).ravel())
+                weights = _node_weights(basis.reshape(2, j1 - j0, -1),
+                                        tuple(x[:, j0:j1] for x in step_class.turn),
+                                        step_class.k[j0:j1])
+                j0, j1 = 0, j1 - j0
+            _point_sum(weights[0][:, j0:j1], points[0], f[0:2, rows])
+            _point_sum(weights[1][:, j0:j1], points[1], f[2:6, rows])
+            continue
+        if z:
+            f[4, rows] = hz
+            f[5, rows] = 0.0
+        if step_class.drive is not None:
+            drives.append((rows, step_class.drive))
+        if points is not None:
+            sums = None
+            for j in range(2):
+                sums = _comb_sum(step_class.weights[0][j, j0:j1], points, sums)
+                put(rows, sums, j)
+        elif noise is not None:
+            direct.append((step_class, t_abs, j0, j1))
+            # Consecutive such chunks keep consecutive rows of the sums.
+            if spans and spans[-1].stop == rows.start:
+                spans[-1] = slice(spans[-1].start, rows.stop)
+            else:
+                spans.append(rows)
+    if direct:
+        nodes = np.concatenate([t_abs + c.rel[:, j0:j1] for c, t_abs, j0, j1 in direct], axis=1)
+        k = np.concatenate([c.k[j0:j1] for c, _, j0, j1 in direct])
+        wa, _ = _node_weights(noise.basis(nodes.ravel()).reshape(2, k.size, -1), None, k)
+        sums = None
+        for j in range(2):
+            sums, first = _comb_sum(wa[j], noise.parts, sums), 0
+            for rows in spans:
+                put(rows, sums[first:first + rows.stop - rows.start], j)
+                first += rows.stop - rows.start
+    for rows, drive in drives:
+        f[0, rows] += drive.real
+        f[2, rows] += drive.imag
+    if z:
+        return h, tuple(f)
+    return h, (*f, hz, 0.0)
 
 
 def _magnus_steps(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
@@ -771,9 +749,9 @@ def _magnus_steps(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
     """
     ends = _pulse_ends(plan) if shape.kind == "Gaussian" else {}
     done = 0
-    for h, c in _node_fields(plan, shape, noise, hz.size, hz):
-        hz_eff, c_eff = _magnus_fields(hz, h, c)
-        del c
+    for h, f in _node_fields(plan, shape, noise, hz):
+        hz_eff, c_eff = _magnus_fields(f)
+        del f
         u = _exact_propagator(hz_eff, c_eff, h)
         del hz_eff, c_eff
         if ends:
@@ -829,8 +807,8 @@ def _turn_row(u, j, half, turn) -> None:
     np.conjugate(a, out=u[3][j])
 
 
-def _magnus_fields(hz: np.ndarray, h, c):
-    """The effective (hz_eff, c_eff) of a block of Magnus steps from its ``_node_fields`` (h, c).
+def _magnus_fields(f):
+    """The effective (hz_eff, (Re c_eff, Im c_eff)) of a block of Magnus steps from its planes f.
 
     A step of length h with fields n1, n2 at its two Gauss nodes, H = n .
     sigma with n = (Re c, -Im c, hz), is exp(-i h H_eff), Omega^[4] =
@@ -841,41 +819,24 @@ def _magnus_fields(hz: np.ndarray, h, c):
         c_eff = m_c - i (m_z k d_c - k d_z m_c),
         hz_eff = m_z + Im(conj(k d_c) m_c),
 
-    and H_eff = H when n1 = n2.  In the lab frame hz is constant in a run,
-    m_z = hz and d_z = 0, c holds m_c and d_c as its halves c[0] and
-    c[1], and k is applied here; a frame block's real c holds the parts
-    of m_c and k d_c, then m_z and k d_z.  hz_eff and the parts of c_eff
-    are written from their real and imaginary parts in place.  Only
-    hz_eff and c_eff are sure to span the realizations.
+    and H_eff = H when n1 = n2.  f holds the planes of ``_node_fields``,
+    [Re m, k Re d, Im m, k Im d, m_z, k d_z].  hz_eff and the parts of
+    c_eff are written from them in place.
     """
-    if c.dtype != complex:
-        re_m, re_kd, im_m, im_kd, m_z, kd_z = c
-        hz_eff = re_kd * im_m
-        term = im_kd * re_m
-        hz_eff -= term
-        hz_eff += m_z
-        c_re = np.multiply(m_z, im_kd)
-        c_re += re_m
-        np.multiply(kd_z, im_m, out=term)
-        c_re -= term
-        c_im = np.multiply(m_z, re_kd)
-        np.subtract(im_m, c_im, out=c_im)
-        np.multiply(kd_z, re_m, out=term)
-        c_im += term
-        return hz_eff, (c_re, c_im)
-    mean, d = c
-    k = math.sqrt(3.0) * h / 6.0
-    kh = k * hz
-    hz_eff = d.real * mean.imag
-    hz_eff -= d.imag * mean.real
-    hz_eff *= k
-    hz_eff = hz_eff + hz
-    c_eff = np.empty(hz_eff.shape, dtype=complex)
-    np.multiply(kh, d.imag, out=c_eff.real)
-    c_eff.real += mean.real
-    np.multiply(kh, d.real, out=c_eff.imag)
-    np.subtract(mean.imag, c_eff.imag, out=c_eff.imag)
-    return hz_eff, c_eff
+    re_m, re_kd, im_m, im_kd, m_z, kd_z = f
+    hz_eff = re_kd * im_m
+    term = im_kd * re_m
+    hz_eff -= term
+    hz_eff += m_z
+    c_re = np.multiply(m_z, im_kd)
+    c_re += re_m
+    np.multiply(kd_z, im_m, out=term)
+    c_re -= term
+    c_im = np.multiply(m_z, re_kd)
+    np.subtract(im_m, c_im, out=c_im)
+    np.multiply(kd_z, re_m, out=term)
+    c_im += term
+    return hz_eff, (c_re, c_im)
 
 
 def _rows(blocks):

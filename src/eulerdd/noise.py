@@ -188,8 +188,18 @@ def _indices(index) -> np.ndarray:
 
 
 def _check_seed(master_seed: int | None) -> None:
-    """ValueError for a master seed outside [0, 2^64), which would wrap onto another."""
-    if master_seed is not None and not 0 <= master_seed <= _M64:
+    """ValueError for a master seed that is not an integer, or outside [0, 2^64).
+
+    A seed outside that range would wrap onto another seed's streams.
+    numpy integers are accepted, as for any integer parameter.
+    """
+    if master_seed is None:
+        return
+    try:
+        operator.index(master_seed)
+    except TypeError:
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}") from None
+    if not 0 <= master_seed <= _M64:
         raise ValueError(f"master_seed {master_seed} is outside [0, 2^64)")
 
 

@@ -392,73 +392,72 @@ def test_exact_propagator_bytes_do_not_depend_on_the_batch_layout():
 FIG4_PHASES = sample_realization(replace(FIG4_NOISE, master_seed=9), np.arange(1000))
 
 
-def fig4_pulse_nodes(rows, interpolate):
-    """The comb alone over one fig4 pulse's steps, (2, steps, rows).
+FIG4_HZ = 0.5 * SIGMA_FID * np.random.default_rng(1).normal(size=1000)
+SQUARE, GAUSSIAN = PulseShape("Square"), PulseShape("Gaussian")
 
-    A 100 ns segment at t = 3.3 us with the step count of a 100 ns
-    Gaussian pulse under the fig4 comb, for the realizations ``rows`` of
-    FIG4_PHASES: the mean and the difference of the comb at each step's
-    two Gauss nodes, by interpolation or by the direct sum.
+
+def fig4_node_fields(seg, shape, rows, interpolate=True, drive=True):
+    """The node-field planes of one segment under the fig4 comb, (6, steps, rows).
+
+    The segment starts at t = 3.3 us in a run of ``shape`` pulses and
+    takes its own step count, for the realizations ``rows`` of
+    FIG4_PHASES and FIG4_HZ: the six planes of ``_node_fields``, the z
+    planes of a lab-frame block broadcast to the others, with the comb
+    interpolated or summed directly, and a Square pulse's drive, or none.
     """
     noise = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES[rows])
-    seg = Segment(100e-9, None)
-    nstep, _ = engine._segment_steps(Segment(100e-9, 0.0), PulseShape("Gaussian"), noise,
-                                     4.0 * SIGMA_FID, None)
-    assert engine._comb_interpolation(seg.duration, nstep, noise) is not None
+    nstep, _ = engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)
+    assert engine._step_class(seg, shape, noise, nstep).points is not None
     with pytest.MonkeyPatch.context() as patch:
         if not interpolate:
             patch.setattr(engine, "_comb_interpolation", lambda *args: None)
-        blocks = [c for _, c in engine._node_fields([(seg, 3.3e-6, nstep)],
-                                                    PulseShape("Square"), noise, len(rows))]
+        if not drive:
+            patch.setattr(engine, "pulse_envelope",
+                          lambda shape, tau_d, rel: np.zeros(np.shape(rel)))
+        blocks = [np.stack(np.broadcast_arrays(*f)) for _, f in engine._node_fields(
+            [(seg, 3.3e-6, nstep)], shape, noise, FIG4_HZ[rows])]
     return np.concatenate(blocks, axis=1)
 
 
-def test_interpolated_comb_is_within_its_bound_of_the_direct_sum():
-    # The Chebyshev interpolant's error is at most b_sup 2^-53; with the
-    # rounding of both sums the node means and differences stay within
-    # b_sup 2^-51 of the direct comb sum's at every step of a fig4 pulse,
-    # for all 1000 rows.  One Chebyshev point fewer gives about 3e-14 b_sup.
+@pytest.mark.parametrize("seg, shape", [
+    (Segment(1e-6, None), SQUARE), (Segment(24e-9, 0.0), SQUARE),
+    (Segment(100e-9, math.pi / 2), SQUARE), (Segment(100e-9, math.pi / 2), GAUSSIAN),
+    (Segment(500e-9, 0.0), GAUSSIAN), (Segment(1e-6, None), GAUSSIAN)],
+    ids=["square-idle", "square-24ns", "square-100ns", "gaussian-100ns", "gaussian-500ns",
+         "gaussian-idle"])
+def test_interpolated_comb_is_within_its_bound_of_the_direct_sum(seg, shape):
+    # Every segment's node fields come from weights summed over the comb
+    # at Chebyshev points or over the comb's own basis coefficients; a
+    # Gaussian pulse's weights are folded with its drive angle.  The
+    # Chebyshev interpolant's error is at most b_sup 2^-53; with the
+    # rounding of both sums the two agree within b_sup 2^-51 on every
+    # plane, at every step, for all 1000 rows: for an idle and Square
+    # pulses of 24 and 100 ns in a Square run, and for Gaussian pulses of
+    # 100 and 500 ns and an idle in a Gaussian run.  One Chebyshev point
+    # fewer gives about 3e-14 b_sup.  A Square pulse's drive adds one
+    # constant to its mean planes after either sum and rounds them at its
+    # own scale, 0.5 Omega = 9.5 b_sup for the 24 ns pulse, so it is left
+    # out here: the comb is compared on the pulse's steps.
     rows = np.arange(1000)
     b_sup = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES[:1]).b_sup
-    got = fig4_pulse_nodes(rows, True)
-    want = fig4_pulse_nodes(rows, False)
+    got = fig4_node_fields(seg, shape, rows, drive=False)
+    want = fig4_node_fields(seg, shape, rows, interpolate=False, drive=False)
+    assert got.shape[0] == 6 and got.shape[2] == 1000
     assert np.max(np.abs(got - want)) <= 2.0 ** -51 * b_sup
 
 
-def test_interpolated_comb_bytes_do_not_depend_on_layout_or_block(monkeypatch):
+@pytest.mark.parametrize("shape", [SQUARE, GAUSSIAN], ids=["square", "gaussian"])
+def test_interpolated_comb_bytes_do_not_depend_on_layout_or_block(monkeypatch, shape):
     # Every value is summed on its own over the Chebyshev points: one row,
     # a strided or reversed sub-batch, and one step per block give the
-    # bytes of the full 1000-row evaluation.
-    full = fig4_pulse_nodes(np.arange(1000), True)
+    # bytes of the full 1000-row evaluation, on every plane of a 100 ns
+    # Square or Gaussian pulse.
+    seg = Segment(100e-9, math.pi / 2)
+    full = fig4_node_fields(seg, shape, np.arange(1000))
     for rows in [np.array([417]), np.arange(1000)[::-3], np.arange(3, 1000, 7)]:
-        assert fig4_pulse_nodes(rows, True).tobytes() == full[:, :, rows].tobytes()
+        assert fig4_node_fields(seg, shape, rows).tobytes() == full[:, :, rows].tobytes()
     monkeypatch.setattr(engine, "_BLOCK", 1)
-    assert fig4_pulse_nodes(np.arange(1000), True).tobytes() == full.tobytes()
-
-
-@pytest.mark.parametrize("seg", [Segment(100e-9, math.pi / 2), Segment(500e-9, 0.0),
-                                 Segment(1e-6, None)])
-def test_frame_fields_from_the_interpolated_comb_match_the_direct_sum(monkeypatch, seg):
-    # In a run of Gaussian pulses every segment's node fields come from
-    # frame weights, folded with the drive angle, summed over the comb at
-    # Chebyshev points or over the comb's own basis coefficients.  The two
-    # agree within b_sup 2^-51 on every plane, for 1000 rows, for Gaussian
-    # pulses of 100 and 500 ns and a 1 us idle at t = 3.3 us under the fig4
-    # comb.
-    shape = PulseShape("Gaussian")
-    noise = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES)
-    hz = 0.5 * SIGMA_FID * np.random.default_rng(1).normal(size=1000)
-    nstep, _ = engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)
-    assert engine._comb_interpolation(seg.duration, nstep, noise) is not None
-
-    def fields():
-        return np.concatenate([c for _, c in engine._node_fields(
-            [(seg, 3.3e-6, nstep)], shape, noise, hz.size, hz)], axis=1)
-
-    got = fields()
-    monkeypatch.setattr(engine, "_comb_interpolation", lambda *args: None)
-    assert got.shape == (6, nstep, 1000)
-    assert np.max(np.abs(got - fields())) <= 2.0 ** -51 * noise.b_sup
+    assert fig4_node_fields(seg, shape, np.arange(1000)).tobytes() == full.tobytes()
 
 
 def test_snapshots_split_idles_into_exact_halves():
@@ -500,7 +499,7 @@ def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
     for seg, interpolates in [(Segment(fast.tau, None), False),
                               (Segment(2 * fast.tau, None), True), (Segment(24e-9, 0.0), True)]:
         nstep, _ = engine._segment_steps(seg, fast.shape, noise, 4.0 * SIGMA_FID, None)
-        assert (engine._comb_interpolation(seg.duration, nstep, noise) is not None
+        assert (engine._step_class(seg, fast.shape, noise, nstep).points is not None
                 ) == interpolates
     default = {name: run() for name, (_, run) in runs.items()}
     for name, (run_params, run) in runs.items():
@@ -964,7 +963,7 @@ def test_truncated_gaussian_steps_meet_the_envelope_jumps(trunc, factor):
     seg = Segment(100e-9, 0.0)
     noise = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(4)))
     nstep = factor * engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)[0]
-    h, rel = engine._frame_layout(seg, shape, nstep)
+    h, rel = engine._step_layout(seg, shape, nstep)
     lengths = np.broadcast_to(h, (nstep,))
     starts = rel[0] - engine._NODES[0] * lengths
     bounds = np.append(starts, starts[-1] + lengths[-1])
@@ -1232,7 +1231,11 @@ def test_simparams_validation():
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match=r"master_seed .* is outside \[0, 2\^64\)"):
             SimParams(master_seed=bad)
+    for bad in (1.5, 2.0, "7"):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            SimParams(master_seed=bad)
     assert SimParams(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    assert SimParams(master_seed=np.uint64(2**64 - 1)).master_seed == 2**64 - 1
 
 
 def test_decay_curve_validation_and_csv(tmp_path):
@@ -1242,6 +1245,15 @@ def test_decay_curve_validation_and_csv(tmp_path):
         DecayCurve((CurvePoint(0.0, 1, 1.5, 0.0),))
     with pytest.raises(ValueError, match="stderr"):
         DecayCurve((CurvePoint(0.0, 1, 0.5, -0.1),))
+    # Non-finite times and stderrs are refused, wherever they stand.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            DecayCurve((CurvePoint(bad, 1, 0.5, 0.0),))
+        with pytest.raises(ValueError, match="not finite"):
+            DecayCurve((CurvePoint(0.0, 1, 0.5, 0.0), CurvePoint(bad, 2, 0.5, 0.0)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="stderr .* must be non-negative and finite"):
+            DecayCurve((CurvePoint(0.0, 1, 0.5, 0.0), CurvePoint(1e-6, 2, 0.5, bad)))
     curve = DecayCurve((CurvePoint(0.0, 8, 1.0, 0.0), CurvePoint(2.5e-6, 16, 0.75, 0.01)))
     text = curve.to_csv_text()
     assert text.startswith("N,t_s,value,stderr\n")

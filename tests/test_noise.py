@@ -48,7 +48,8 @@ def test_spec_validation_and_derived_quantities():
     assert sample_detuning(DephasingSpec(sigma_delta=1.0), 3) == sample_detuning(
         DephasingSpec(sigma_delta=1.0, master_seed=0), 3)
     for bad in (dict(R=0.0), dict(A=-1.0), dict(n_max=0), dict(delta_omega=0.0),
-                dict(master_seed=-1), dict(master_seed=2**64), dict(n_max=2.5)):
+                dict(master_seed=-1), dict(master_seed=2**64), dict(n_max=2.5),
+                dict(master_seed=1.5), dict(master_seed=2.0), dict(master_seed="7")):
         with pytest.raises(ValueError):
             LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
     with pytest.raises(ValueError, match="n_max must be an integer"):
@@ -58,6 +59,15 @@ def test_spec_validation_and_derived_quantities():
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="outside"):
             DephasingSpec(sigma_delta=1.0, master_seed=bad)
+    # A seed that is not an integer is refused when the spec is built, not
+    # when the seeding first combines it with an integer.
+    for bad in (1.5, 2.0, "7"):
+        for make in (lambda seed: LorentzianNoiseSpec(R=R_FAST, A=1.0, master_seed=seed),
+                     lambda seed: DephasingSpec(sigma_delta=1.0, master_seed=seed)):
+            with pytest.raises(ValueError, match="master_seed must be an integer"):
+                make(bad)
+    assert DephasingSpec(sigma_delta=1.0, master_seed=np.uint64(7)).master_seed == 7
+    assert LorentzianNoiseSpec(R=R_FAST, A=1.0, master_seed=np.int32(7)).master_seed == 7
 
 
 def test_weights_lorentzian_profile():
