@@ -17,7 +17,8 @@ last pass's argmin and its neighbours, whose second difference sets
 the variance of T.  One function, ``_profiled_chi2``, gives the
 profiled weighted residual and the closed-form weighted least-squares
 linear parameters at an array of trial T in one array pass; the scan,
-each pass and the final parameters call it.  Points are weighted by
+each pass and the final parameters call it, on the weight and value
+sums that ``_fit_data`` takes once per fit.  Points are weighted by
 1/stderr^2.  A point whose stderr is zero, such as the exact t = 0
 point of a relax or fid curve, would take infinite weight and is left
 out of the fit; only a curve whose every stderr is zero is fitted with
@@ -96,26 +97,36 @@ class FitResult:
         ]) + "\n")
 
 
-def _profiled_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int, model: str,
+def _fit_data(t: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple:
+    """(t, v, w, total, vbar, v - vbar, eps n): what every trial T of one fit shares.
+
+    total is the weights' sum, vbar the weighted mean of the values v at
+    the n times t, and eps n the free model's rank threshold (``_profiled_chi2``).
+    """
+    total = w.sum()
+    mean_v = (w * v).sum() / total
+    return t, v, w, total, mean_v, v - mean_v, np.finfo(float).eps * t.size
+
+
+def _profiled_chi2(data: tuple, p: int, model: str,
                    trial_T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted residual at each trial T, linear parameters solved or fixed.
 
-    Returns arrays (chi2, baseline, contrast), one entry per trial T.
-    The fixed model pins baseline and contrast to 0.5.  The free model
-    solves the two-parameter weighted least squares in its centered
-    closed form, contrast = sum w (e - ebar)(v - vbar) / sum w (e - ebar)^2
-    and baseline = vbar - contrast ebar.  Like lstsq, it takes contrast 0
+    ``data`` is the ``_fit_data`` of the fitted points.  Returns arrays
+    (chi2, baseline, contrast), one entry per trial T.  The fixed model
+    pins baseline and contrast to 0.5.  The free model solves the
+    two-parameter weighted least squares in its centered closed form,
+    contrast = sum w (e - ebar)(v - vbar) / sum w (e - ebar)^2 and
+    baseline = vbar - contrast ebar.  Like lstsq, it takes contrast 0
     where the design [sqrt(w), sqrt(w) e] has rank 1 to working
     precision: its smaller singular value at most eps n times the larger.
     """
+    t, v, w, total, mean_v, dv, eps_n = data
     e = np.exp(-((t / trial_T[:, None]) ** p))
     if model == "fixed":
         base = con = np.full(trial_T.shape, 0.5)
         r = v - (0.5 + 0.5 * e)
     else:
-        total = w.sum()
-        mean_v = (w * v).sum() / total
-        dv = v - mean_v
         we = w * e
         mean_e = we.sum(axis=1) / total
         de = e - mean_e[:, None]
@@ -125,7 +136,7 @@ def _profiled_chi2(t: np.ndarray, v: np.ndarray, w: np.ndarray, p: int, model: s
         # eigenvalue top; the singular values are the eigenvalues' roots.
         sq = (we * e).sum(axis=1)
         top = 0.5 * (total + sq) + np.hypot(0.5 * (total - sq), total * mean_e)
-        rank2 = total * sxx > (np.finfo(float).eps * t.size * top) ** 2
+        rank2 = total * sxx > (eps_n * top) ** 2
         con = np.divide((wde * dv).sum(axis=1), sxx, out=np.zeros_like(sxx), where=rank2)
         base = mean_v - con * mean_e
         r = dv - con[:, None] * de
@@ -165,9 +176,10 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     if span <= 0:
         raise Degenerate("curve spans zero time")
     w = np.ones_like(err) if unit_weights else 1.0 / (err * err)
+    data = _fit_data(t, v, w)
 
     grid = np.geomspace(span * 1e-3, span * 2.0 * _NO_DECAY_FACTOR, 241)
-    values = _profiled_chi2(t, v, w, p, model, grid)[0]
+    values = _profiled_chi2(data, p, model, grid)[0]
     k = int(np.argmin(values))
     if k == values.size - 1:
         raise NoDecay(f"best decay time beyond {_NO_DECAY_FACTOR:g} x span")
@@ -179,7 +191,7 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     while step > 1e-4:
         step /= 4.0
         xs = x + step * np.arange(-4.0, 5.0)
-        values, _, cons = _profiled_chi2(t, v, w, p, model, np.exp(xs))
+        values, _, cons = _profiled_chi2(data, p, model, np.exp(xs))
         k = int(np.argmin(values))
         x = float(xs[k])
     # T at the vertex of the parabola through the argmin and its two
@@ -200,11 +212,10 @@ def fit_decay(curve, p: int = 1, model: str = "free") -> FitResult:
     if best_T < 0.1 * resolution:
         raise Degenerate(f"fitted T = {best_T:.3e} below a tenth of the "
                          f"smallest time step {resolution:.3e}")
-    final = _profiled_chi2(t, v, w, p, model, np.array([best_T]))
+    final = _profiled_chi2(data, p, model, np.array([best_T]))
     chi_min, base, con = (float(a[0]) for a in final)
 
-    vbar = float(np.sum(w * v) / np.sum(w))
-    ss_tot = float(np.sum(w * (v - vbar) ** 2))
+    ss_tot = float(np.sum(w * data[5] ** 2))  # data[5] = v - vbar
     r2 = min(1.0, max(0.0, 1.0 - chi_min / ss_tot)) if ss_tot > 0 else 0.0
 
     # Curvature in T from the second difference in log T: at the minimum

@@ -226,14 +226,17 @@ def build_schedule(spec: SequenceSpec) -> Schedule:
     Layout: [idle tau] then N repetitions of [pulse tau_d][idle 2*tau],
     with the final idle shortened to tau, i.e. pulse k is centered at
     (2k - 1) * tau_c / 2.  Delta pulses occupy zero time.  SequenceSpec
-    has already checked that tau is positive.
+    has already checked that tau is positive.  Each distinct (duration,
+    phase) is one Segment, repeated, so lookups keyed on segments match
+    on identity.
     """
     tau, tau_d = spec.tau, spec.effective_tau_d
     phases = spec.base_phases
-    segments: list[Segment] = [Segment(tau)]
+    idle, gap = Segment(tau), Segment(2 * tau)
+    pulses = {phase: Segment(tau_d, float(phase)) for phase in phases}
+    segments: list[Segment] = [idle]
     for k in range(spec.N):
-        segments.append(Segment(tau_d, float(phases[k % len(phases)])))
-        segments.append(Segment(2 * tau if k < spec.N - 1 else tau))
+        segments += (pulses[phases[k % len(phases)]], gap if k < spec.N - 1 else idle)
     total = math.fsum(s.duration for s in segments)
     expected = spec.N * spec.tau_c
     if abs(total - expected) > 1e-15 + 1e-12 * expected:  # 1 fs class rounding guard

@@ -56,13 +56,16 @@ Gaussian pulse carries no z planes.
 
 Where a segment's propagator does not depend on when it starts, as for
 a Delta pulse and for every finite segment without the comb, it has
-one class step per distinct (duration, phase): the pi rotation, or the
-product of the segment's Magnus steps, multiplied out once, block by
-block, into one (1, M) step.  Without the comb every segment has one,
-so the state advances once per snapshot: the class steps of the
-segments between two snapshots are multiplied into one (1, M) interval
-step, once per distinct run of segments, such as the one XY8 cycle
-between each two cycle counts of a regular scan.  The product of one
+one class step per distinct (duration, phase): the pi rotation; for an
+idle or a Square pulse, whose H is then constant, its one closed-form
+exponential, taken directly; or for a Gaussian pulse the product of
+its Magnus steps, multiplied out once, block by block, into one (1, M)
+step.  The Magnus route stays for every H that varies.  Without the
+comb every segment has a class step, so the state advances once per
+snapshot: the class steps of the segments between two snapshots are
+multiplied into one (1, M) interval step, once per distinct run of
+segments, such as the one XY8 cycle between each two cycle counts of
+a regular scan.  The product of one
 finite segment, as between two times of an FID grid, is that segment's
 class step, bit for bit.  Under the comb a Delta pulse applies its
 class step, and the finite segments of a run take their Magnus steps
@@ -565,7 +568,7 @@ def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int)
         theta = pulse_angle(shape, seg.duration, rel)
         turn = np.cos(theta), np.sin(theta)
     elif seg.is_pulse:
-        drive = 0.5 * np.exp(-1j * seg.phase) * float(pulse_envelope(shape, seg.duration, 0.0))
+        drive = _square_drive(seg, shape)
     points = weights = None
     if noise is not None:
         interpolation = _comb_interpolation(seg.duration, nstep, noise, rel)
@@ -574,6 +577,11 @@ def _step_class(seg: Segment, shape: PulseShape, noise: Comb | None, nstep: int)
     elif turn is not None:  # a Gaussian pulse's only point is hz
         weights = _node_weights(np.empty((2, nstep, 0)), turn, k)
     return _StepClass(h, k, rel, turn, drive, points, weights)
+
+
+def _square_drive(seg: Segment, shape: PulseShape) -> complex:
+    """A Square pulse's constant drive 0.5 Omega e^{-i phi}."""
+    return 0.5 * np.exp(-1j * seg.phase) * float(pulse_envelope(shape, seg.duration, 0.0))
 
 
 def _segment_points(step_class: _StepClass, phase: float | None, t_abs: float,
@@ -875,11 +883,17 @@ def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
     """The one step of a segment whose propagator does not depend on its start.
 
     A Delta pulse's step is its exact pi rotation about (cos phi, sin
-    phi), four (1,) arrays.  A comb-free finite segment's is the
+    phi), four (1,) arrays.  A comb-free idle or Square pulse has a
+    constant H, so its step is one ``_exact_propagator`` of hz and the
+    pulse's constant drive: the bytes of its one Magnus step, whose node
+    difference is zero.  A comb-free Gaussian pulse's is the
     ``_product`` of its nstep Magnus steps, streamed one block at a time.
     """
     if seg.duration == 0.0:
         return tuple(axis_rotation(seg.phase, math.pi).reshape(4, 1))
+    if not (seg.is_pulse and shape.kind == "Gaussian"):
+        drive = _square_drive(seg, shape) if seg.is_pulse else 0j
+        return _exact_propagator(hz[None], drive, seg.duration)
     return _product(_magnus_steps([(seg, 0.0, nstep)], shape, None, hz))
 
 

@@ -93,8 +93,15 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 step of x mod 2^64; the standard 64-bit finalizing mix."""
-    return int(_splitmix64_array(np.array([x & _M64], dtype=np.uint64))[0])
+    """One splitmix64 step of x mod 2^64; the standard 64-bit finalizing mix.
+
+    ``_splitmix64_array`` on Python ints, each sum and product reduced
+    mod 2^64; x may be any integer, numpy's included.
+    """
+    x = (operator.index(x) + 0x9E3779B97F4A7C15) & _M64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
+    return x ^ (x >> 31)
 
 
 def derive_seed(master_seed: int, *parts: int) -> int:
@@ -104,9 +111,9 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     is the seed of one realization's generator.  Documented so results
     are reproducible from the master seed alone.
     """
-    h = splitmix64(master_seed & _M64)
+    h = splitmix64(master_seed)
     for p in parts:
-        h = splitmix64(h ^ (p & _M64))
+        h = splitmix64(h ^ operator.index(p))
     return h
 
 
@@ -236,16 +243,14 @@ def _pcg64_states(master_seed: int | None, stream: int, idx: np.ndarray):
     the generator np.random.default_rng(derive_seed(master_seed, stream,
     i)) starts from this state (a master_seed of None seeds as 0).  The
     seeding is numpy's: state 0, inc = 2 initseq + 1, one step, add
-    initstate, one step.
+    initstate, one step.  The first step takes state 0 to inc itself.
     """
     master = 0 if master_seed is None else master_seed
     seeds = _splitmix64_array(np.uint64(derive_seed(master, stream)) ^ idx)
     s0, s1, s2, s3 = _seed_sequence_state(seeds).T
     one = np.uint64(1)
     inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
-    zero = np.zeros_like(s0)
-    state = _add128(*_pcg64_step(zero, zero, inc_hi, inc_lo), s0, s1)
-    return (*_pcg64_step(*state, inc_hi, inc_lo), inc_hi, inc_lo)
+    return (*_pcg64_step(*_add128(inc_hi, inc_lo, s0, s1), inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def _pcg64_outputs(states, count: int) -> np.ndarray:
@@ -413,17 +418,19 @@ class Comb:
         """``of`` from the rows of e^{i phi}, for callers that reuse them across A.
 
         The coefficients are formed from the transposed phasors and the
-        pairs written into the stored (basis, row) order, C-contiguous.
+        pairs written into the stored (basis, row) order, C-contiguous:
+        those of n = 0 and n > 0 in place, those of n < 0 as the one
+        temporary beside the pairs.
         """
         n = spec.n_max
         w = weights_all(spec)
-        coef = np.multiply((0.5 * spec.A * w)[:, None], phasors.T, order="C")
-        up, down = coef[n + 1:], coef[n - 1::-1]
-        pairs = np.empty(coef.shape, dtype=complex)
-        pairs[0] = coef[n]
+        scale, rows = (0.5 * spec.A * w)[:, None], phasors.T
+        pairs = np.empty(rows.shape, dtype=complex)
+        np.multiply(scale[n:n + 1], rows[n:n + 1], out=pairs[:1])
+        up = np.multiply(scale[n + 1:], rows[n + 1:], out=pairs[n + 1:])
+        down = np.multiply(scale[n - 1::-1], rows[n - 1::-1], order="C")
         np.add(up, down, out=pairs[1:n + 1])
-        np.subtract(up, down, out=pairs[n + 1:])
-        pairs[n + 1:] *= 1j
+        np.multiply(np.subtract(up, down, out=up), 1j, out=up)
         return cls(omega=2.0 * np.pi * spec.indices[n + 1:] * spec.delta_omega,
                    parts=pairs.view(float).reshape(*pairs.shape, 2),
                    b_sup=float(spec.A * np.sum(w)))

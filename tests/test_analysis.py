@@ -130,7 +130,8 @@ def scan_and_each(t, v, w, p, model):
     span = t[-1] - t[0]
     grid = np.geomspace(span * 1e-3, span * 2.0 * analysis._NO_DECAY_FACTOR, 241)
     each = [lstsq_chi2(t, v, w, p, model, x)[0] for x in grid]
-    return analysis._profiled_chi2(t, v, w, p, model, grid)[0], np.array(each)
+    return (analysis._profiled_chi2(analysis._fit_data(t, v, w), p, model, grid)[0],
+            np.array(each))
 
 
 @pytest.mark.parametrize("model", ["free", "fixed"])

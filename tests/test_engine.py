@@ -310,6 +310,26 @@ def test_magnus_steps_are_exact_for_a_constant_hamiltonian(nstep):
     assert np.max(np.abs(b_m - (u[2] * a + u[3] * b))) <= 1e-14
 
 
+@pytest.mark.parametrize("hz", [[0.0], [-0.3 * SIGMA_FID], [0.7 * SIGMA_FID], np.concatenate(
+    [[0.0, -0.3 * SIGMA_FID, 0.7 * SIGMA_FID],
+     0.5 * SIGMA_FID * np.random.default_rng(5).normal(size=997)])], ids=["0", "-", "+", "1000"])
+def test_constant_class_step_is_its_magnus_step(hz):
+    # The class step of a comb-free idle or Square pulse is one closed-form
+    # exponential, taken directly: the bytes of the product of its one
+    # Magnus step, on detunings of each sign and zero, at M = 1 and 1000.
+    hz = np.array(hz)
+    M = hz.size
+    shape = PulseShape("Square")
+    for seg in (Segment(712e-9), Segment(2 * 712e-9), Segment(500e-9, 0.0),
+                Segment(500e-9, math.pi / 2), Segment(500e-9, math.pi),
+                Segment(500e-9, -math.pi / 2)):
+        got = engine._class_step(seg, shape, hz, 1)
+        want = engine._product(engine._magnus_steps([(seg, 0.0, 1)], shape, None, hz))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (1, M)
+            assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+
+
 def test_exact_propagator_matches_expm():
     # The closed form against scipy's expm on random H, on H whose |h| t is
     # a multiple of pi or just off one, where sin(|h| t) vanishes, and on
@@ -591,13 +611,13 @@ def test_scan_without_comb_builds_each_segment_class_once(monkeypatch):
     # (duration, phase), here the idles tau and 2 tau and two pulse phases.
     spec = replace(FIG4_SPEC, N=16)
     built = []
-    magnus_steps = engine._magnus_steps
+    class_step = engine._class_step
 
-    def counted(plan, *args):
-        built.extend((seg.duration, seg.phase) for seg, _, _ in plan)
-        return magnus_steps(plan, *args)
+    def counted(seg, *args):
+        built.append((seg.duration, seg.phase))
+        return class_step(seg, *args)
 
-    monkeypatch.setattr(engine, "_magnus_steps", counted)
+    monkeypatch.setattr(engine, "_class_step", counted)
     run_dd_scan(spec, [8, 16], None, DephasingSpec(sigma_delta=SIGMA_FID),
                 SimParams(realizations=60_000, master_seed=3))
     assert len(built) == 4

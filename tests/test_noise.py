@@ -29,6 +29,21 @@ def test_splitmix64_known_answers():
     assert 0 <= splitmix64(2**64 - 1) < 2**64
 
 
+def test_int_splitmix64_equals_the_array_mix():
+    # The int mix derive_seed runs against the uint64 array mix that seeds
+    # each index's stream, on the edges of [0, 2^64) and random words.
+    words = [0, 1, 2**63, 2**64 - 1] + [
+        int(w) for w in np.random.default_rng(31).integers(0, 2**64, 1000, dtype=np.uint64)]
+    mixed = noise._splitmix64_array(np.array(words, dtype=np.uint64))
+    assert [splitmix64(w) for w in words] == mixed.tolist()
+
+
+def test_derive_seed_takes_numpy_integers():
+    # A numpy integer seed or part folds like the int of the same value.
+    assert derive_seed(np.int64(5), np.uint64(3)) == derive_seed(5, 3)
+    assert derive_seed(np.uint64(2**64 - 1), np.int64(7)) == derive_seed(2**64 - 1, 7)
+
+
 def test_derive_seed_separates_streams():
     assert derive_seed(0) == splitmix64(0)
     noise0 = derive_seed(0, STREAM_NOISE, 0)
