@@ -40,16 +40,22 @@ exact when H is constant over it.
 A Gaussian pulse is integrated in the frame of its own drive (Viola &
 Knill, PRL 90, 037901 (2003)).  With theta(t) the drive's angle so far
 (control.pulse_angle, in closed form) and the pulse at phase phi, its
-propagator is axis_rotation(phi, pi) U_I: the exact pi rotation that a
-Delta pulse takes, after U_I, the propagator of the noise alone turned
-back about the pulse axis by theta(t).  The drive never enters a step,
-so a pulse takes a third fewer steps than in the lab frame for a smaller
-error (``_segment_steps``).  Every other finite segment, an idle or a
-Square pulse, whose drive is constant, takes its steps in the lab frame,
-which is the drive frame at angle 0.  Every step of every run takes the
-same form: the field n = (Re c, -Im c, hz) at its two Gauss nodes gives
-its mean m and difference d, and the step's commutator is the full
-cross product k d x m (``_magnus_fields``).  One builder writes m and k
+propagator is L U_I Z^dagger, with Z = exp(-i phi S_z) and L =
+axis_rotation(phi, pi) Z.  The pulse's Magnus steps carry only the
+noise: they multiply out to U_I, the propagator of the noise alone in
+the pulse's axis frame, turned back about the pulse axis by theta(t).
+Its rotations act on the state, which enters the axis frame by
+Z^dagger before the steps and leaves it after them by L, the exact pi
+rotation that a Delta pulse takes, turned by Z (``_pulse_frame``);
+without the comb they fold into the pulse's class step.  The drive
+never enters a step, so a pulse takes a third fewer steps than in the
+lab frame for a smaller error (``_segment_steps``).  Every other finite
+segment, an idle or a Square pulse, whose drive is constant, takes its
+steps in the lab frame, which is the drive frame at angle 0, where a
+Magnus step is exact for the constant drive.  Every step of every run
+takes the same form: the field n = (Re c, -Im c, hz) at its two Gauss
+nodes gives its mean m and difference d, and the step's commutator is
+the full cross product k d x m (``_magnus_fields``).  One builder writes m and k
 d of a block's steps as real planes (``_node_fields``); in the lab
 frame hz is constant, so m_z = hz and d_z = 0, and a run without a
 Gaussian pulse carries no z planes.
@@ -60,12 +66,12 @@ one class step per distinct (duration, phase): the pi rotation; for an
 idle or a Square pulse, whose H is then constant, its one closed-form
 exponential, taken directly; or for a Gaussian pulse the product of
 its Magnus steps, multiplied out once, block by block, into one (1, M)
-step.  The Magnus route stays for every H that varies.  Without the
-comb every segment has a class step, so the state advances once per
-snapshot: the class steps of the segments between two snapshots are
-multiplied into one (1, M) interval step, once per distinct run of
-segments, such as the one XY8 cycle between each two cycle counts of
-a regular scan.  The product of one
+step, with the pulse's frame change folded in.  The Magnus route stays
+for every H that varies.  Without the comb every segment has a class
+step, so the state advances once per snapshot: the class steps of the
+segments between two snapshots are multiplied into one (1, M) interval
+step, once per distinct run of segments, such as the one XY8 cycle
+between each two cycle counts of a regular scan.  The product of one
 finite segment, as between two times of an FID grid, is that segment's
 class step, bit for bit.  Under the comb a Delta pulse applies its
 class step, and the finite segments of a run take their Magnus steps
@@ -130,9 +136,10 @@ depend on which realizations share it.  An explicit dt is checked on
 every finite segment (at most tau_d/50 on a Square pulse, at most 1 rad
 of drive-frame turn per step on a Gaussian one, a priori local error
 below 1e-6), raising StepTooLarge when too coarse.  Every propagation,
-``propagate`` and the dd, fid and relaxation runners alike, goes
-through one batch entry point that refuses, before propagating, a run
-that needs more than 2,000,000 steps on segments whose H varies.
+``propagate`` and the dd, fid and relaxation runners alike, is planned
+from its specs before it draws any noise, and a run that needs more
+than 2,000,000 steps on segments whose H varies is refused there; it
+then goes through one batch entry point, ``_propagate_items``.
 """
 from __future__ import annotations
 
@@ -745,74 +752,35 @@ def _magnus_steps(plan, shape: PulseShape, noise: Comb | None, hz: np.ndarray):
     """Yield the propagators of the Magnus steps of ``plan``, one block at a time.
 
     ``plan`` and the blocks are those of ``_node_fields``; each block is
-    (u00, u01, u10, u11), (steps, M) arrays.  A block's node fields are
+    (u00, u01, u10, u11), (steps, M) arrays, the exponentials of the
+    steps' effective fields and nothing more.  A Gaussian pulse's steps
+    carry only the noise in its drive frame, taken in the pulse's axis
+    frame: they multiply out to U_I, and the frame change around them is
+    applied to the state (``_pulse_frame``).  A block's node fields are
     let go before its exponentials are taken, and its effective fields
-    before the next block is built.  The steps of a Gaussian pulse, in
-    its drive frame, are taken in the pulse's axis frame, Z^dagger H Z
-    with Z = exp(-i phi S_z): its first step enters that frame and its
-    last step leaves it with the pulse's exact pi rotation
-    (``_pulse_ends``), so the pulse's steps multiply out to
-    axis_rotation(phi, pi) U_I, with U_I the propagator of the noise in
-    the drive frame.
+    before the next block is built.
     """
-    ends = _pulse_ends(plan) if shape.kind == "Gaussian" else {}
-    done = 0
     for h, f in _node_fields(plan, shape, noise, hz):
         hz_eff, c_eff = _magnus_fields(f)
         del f
         u = _exact_propagator(hz_eff, c_eff, h)
         del hz_eff, c_eff
-        if ends:
-            for j in range(u[0].shape[0]):
-                if done + j in ends:
-                    _turn_row(u, j, *ends[done + j])
-        done += u[0].shape[0]
         yield u
         del u
 
 
-def _pulse_ends(plan) -> dict:
-    """The first and last step of every pulse of ``plan``, by its index in the run.
+def _pulse_frame(phase: float):
+    """(e^{i phi / 2}, L): the frame change around a Gaussian pulse's steps at phase phi.
 
-    Each maps to (e^{i phi / 2}, None) for a pulse's first step, which
-    multiplies it by Z^dagger on the right, and (None, L) for its last,
-    with the four entries of L = axis_rotation(phi, pi) Z to multiply it
-    by on the left; a one-step pulse takes both.
+    The pulse's propagator is L U_I Z^dagger, with U_I the product of its
+    Magnus steps and Z = exp(-i phi S_z).  Z^dagger enters the pulse's
+    axis frame, scaling a state (a, b) to (e^{i phi / 2} a, e^{-i phi / 2}
+    b), and L = axis_rotation(phi, pi) Z leaves it with the pulse's exact
+    pi rotation; L is returned as a step of four (1,) arrays (``_apply``).
     """
-    turns, ends = {}, {}
-    start = 0
-    for seg, _, nstep in plan:
-        if seg.is_pulse:
-            if seg.phase not in turns:
-                half = np.exp(0.5j * seg.phase)
-                turn = axis_rotation(seg.phase, math.pi) * np.array([np.conj(half), half])
-                turns[seg.phase] = complex(half), [complex(x) for x in turn.ravel()]
-            half, turn = turns[seg.phase]
-            first, last = start, start + nstep - 1
-            ends[first] = (half, turn if first == last else None)
-            if last != first:
-                ends[last] = (None, turn)
-        start += nstep
-    return ends
-
-
-def _turn_row(u, j, half, turn) -> None:
-    """Multiply step j of u by Z^dagger on the right and by L on the left (``_pulse_ends``).
-
-    Only the first column is multiplied, and the second column is set to
-    (-conj b, conj a), so the step keeps its SU(2) form.  The products are
-    formed out of place: numpy rounds an in-place complex product of a
-    one-element row differently from its vector loop.
-    """
-    a, b = u[0][j], u[2][j]
-    if half is not None:
-        a, b = a * half, b * half
-    if turn is not None:
-        a, b = turn[0] * a + turn[1] * b, turn[2] * a + turn[3] * b
-    u[0][j], u[2][j] = a, b
-    np.conjugate(b, out=u[1][j])
-    np.negative(u[1][j], out=u[1][j])
-    np.conjugate(a, out=u[3][j])
+    half = complex(np.exp(0.5j * phase))
+    turn = axis_rotation(phase, math.pi) * np.array([half.conjugate(), half])
+    return half, tuple(turn.reshape(4, 1))
 
 
 def _magnus_fields(f):
@@ -886,22 +854,29 @@ def _class_step(seg: Segment, shape: PulseShape, hz: np.ndarray, nstep: int):
     phi), four (1,) arrays.  A comb-free idle or Square pulse has a
     constant H, so its step is one ``_exact_propagator`` of hz and the
     pulse's constant drive: the bytes of its one Magnus step, whose node
-    difference is zero.  A comb-free Gaussian pulse's is the
-    ``_product`` of its nstep Magnus steps, streamed one block at a time.
+    difference is zero.  A comb-free Gaussian pulse's step is L U_I
+    Z^dagger (``_pulse_frame``): the ``_product`` U_I of its nstep Magnus
+    steps, streamed one block at a time, carries the noise, and since
+    Z^dagger |0> = e^{i phi / 2} |0>, the step's column is e^{i phi / 2} L
+    times U_I's.
     """
     if seg.duration == 0.0:
         return tuple(axis_rotation(seg.phase, math.pi).reshape(4, 1))
     if not (seg.is_pulse and shape.kind == "Gaussian"):
         drive = _square_drive(seg, shape) if seg.is_pulse else 0j
         return _exact_propagator(hz[None], drive, seg.duration)
-    return _product(_magnus_steps([(seg, 0.0, nstep)], shape, None, hz))
+    half, turn = _pulse_frame(seg.phase)
+    x, _, y, _ = _product(_magnus_steps([(seg, 0.0, nstep)], shape, None, hz))
+    x, y = _apply(turn, 0, half * x, half * y)
+    return x, -np.conj(y), y, np.conj(x)
 
 
 def _propagate_items(items, shape: PulseShape, noise: Comb | None,
                      deltas: np.ndarray) -> list[np.ndarray]:
     """Propagate a batch from |0> through ("seg", Segment, nstep, varies) / ("snap",) items.
 
-    nstep and varies are the segment's ``_segment_steps``.  Every one of
+    The one propagation entry point, after a run's ``_plan``: nstep and
+    varies are the segment's ``_segment_steps``.  Every one of
     the M = deltas.size realizations starts at |0>; returns one (M, 2)
     copy of their states (a, b) per "snap" marker, at each marker the
     first column of each one's propagator.  A Delta pulse, and every
@@ -912,14 +887,17 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
     segments since the last marker, built once per distinct tuple of
     segments.  Under the comb a Delta pulse applies its class step, and
     the finite segments apply the run's Magnus steps in order, from one
-    ``_magnus_steps`` over all of them, built one block at a time.  It
-    keeps no diagnostics: ``_run_batch`` reads the step counts from the
-    items and the norm drift from the snapshots.
+    ``_magnus_steps`` over all of them, built one block at a time; a
+    Gaussian pulse's steps carry only the noise, so the state enters the
+    pulse's axis frame before them and leaves it, with the pulse's pi
+    rotation, after them (``_pulse_frame``, once per phase).  It keeps no
+    diagnostics: ``propagate`` reads the step counts from the items and
+    the norm drift from the snapshots.
     """
     a, b = np.ones(deltas.size, complex), np.zeros(deltas.size, complex)
     hz = 0.5 * np.asarray(deltas, dtype=float)
     snaps: list[np.ndarray] = []
-    steps, intervals = {}, {}
+    steps, intervals, frames = {}, {}, {}
     interval = []  # the comb-free "seg" items since the last marker
 
     def class_step(item):
@@ -952,8 +930,17 @@ def _propagate_items(items, shape: PulseShape, noise: Comb | None,
         elif item[1].duration == 0.0:
             a, b = _apply(class_step(item), 0, a, b)
         else:
+            seg = item[1]
+            framed = seg.is_pulse and shape.kind == "Gaussian"
+            if framed:
+                if seg.phase not in frames:
+                    frames[seg.phase] = _pulse_frame(seg.phase)
+                half, turn = frames[seg.phase]
+                a, b = a * half, b * half.conjugate()
             for _ in range(item[2]):
                 a, b = _apply(*next(magnus), a, b)
+            if framed:
+                a, b = _apply(turn, 0, a, b)
     return snaps
 
 
@@ -1034,22 +1021,30 @@ def _prepare_batch(noise_spec: LorentzianNoiseSpec | None,
     return noise, sample_detuning(_seeded(dephasing, params, _TAG_DETUNING), idx)
 
 
-def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
-               deltas: np.ndarray, delta_max: float, dt: float | None,
-               diagnostics: dict | None = None) -> list[np.ndarray]:
-    """The one propagation entry point: every realization starts at |0>.
+def _undrawn(noise_spec: LorentzianNoiseSpec | None) -> Comb | None:
+    """The comb of ``noise_spec`` with no realizations, None without a field.
 
-    Returns one (deltas.size, 2) array per sorted time, the first column
-    (a, b) of each realization's propagator U = [[a, -conj b], [b,
-    conj a]] at that time, by ``_propagate_items``.  The step rule
-    runs once per distinct (duration, is_pulse), the only segment fields
-    it reads, sized by the detuning bound delta_max, which the caller
-    takes from the spec and not from the batch's draws; ValueError,
-    before propagating, when segments whose H varies need more than
-    _STEP_BUDGET steps.  ``diagnostics``, if given, receives the plan's
-    "integrated_steps" (Magnus steps on segments whose H varies) and
-    "exact_segments" (the other segments, each one exact step), and
-    "max_norm_drift", the largest | |(a, b)| - 1 | over the returned columns.
+    Its b_sup and omega, the only fields of a comb that the step rule
+    reads, are those of every drawn comb of the spec, so a run can be
+    planned and refused before it draws.
+    """
+    if noise_spec is not None and noise_spec.A > 0.0:
+        return Comb.of(noise_spec, np.empty((0, noise_spec.indices.size)))
+    return None
+
+
+def _plan(schedule: Schedule, times: list[float], noise: Comb | None, delta_max: float,
+          dt: float | None):
+    """(items, shape) of a run: its step plan, checked against the step budget.
+
+    items are ``_split_idles_at``'s, each "seg" item extended by its
+    ``_segment_steps`` (nstep, varies), and shape is the schedule's pulse
+    shape.  The step rule runs once per distinct (duration, is_pulse), the
+    only segment fields it reads, sized by the detuning bound delta_max,
+    which the caller takes from the spec and not from the batch's draws.
+    It reads only the comb's b_sup and omega, so ``_undrawn`` plans a run
+    as its drawn comb does.  ValueError when segments whose H varies need
+    more than _STEP_BUDGET steps.
     """
     shape = schedule.spec.shape if schedule.spec is not None else PulseShape("Square")
     rule: dict[tuple[float, bool], tuple[int, bool]] = {}
@@ -1061,18 +1056,11 @@ def _run_batch(schedule: Schedule, times: list[float], noise: Comb | None,
                 rule[key] = _segment_steps(item[1], shape, noise, delta_max, dt)
             item += rule[key]
         items.append(item)
-    segs = [item for item in items if item[0] == "seg"]
-    steps = sum(item[2] for item in segs if item[3])
+    steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
     if steps > _STEP_BUDGET:
         raise ValueError(f"the run needs {steps:,} integration steps, beyond the "
                          f"budget of {_STEP_BUDGET:,}; shorten it or weaken the noise")
-    snaps = _propagate_items(items, shape, noise, deltas)
-    if diagnostics is not None:
-        drift = max(float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))) for psi in snaps)
-        diagnostics.update(integrated_steps=steps,
-                           exact_segments=sum(not item[3] for item in segs),
-                           max_norm_drift=drift)
-    return snaps
+    return items, shape
 
 
 def _curve(schedule: Schedule, times: list[float], ns: list[int],
@@ -1088,13 +1076,15 @@ def _curve(schedule: Schedule, times: list[float], ns: list[int],
     snapshot: one array of all of them, 512 KB for a calibration run's
     16 points at M = 1000, is fresh memory on every run, and made a
     calibration about 10% slower.  ``phasors`` are passed on to
-    ``_prepare_batch``.  Repeated times raise ValueError before any draw.
+    ``_prepare_batch``.  Repeated times, and a run beyond the step
+    budget, raise ValueError before any draw.
     """
     if any(later <= t for t, later in zip(times, times[1:])):
         raise ValueError("curve times must be strictly increasing")
-    noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
     delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
-    states = _run_batch(schedule, times, noise, deltas, delta_max, params.dt)
+    plan = _plan(schedule, times, _undrawn(noise_spec), delta_max, params.dt)
+    noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
+    states = _propagate_items(*plan, noise, deltas)
     if pulses:
         (r0, r1), (p0, p1) = readout_unitary()[0], prep_unitary()[:, 0]
     pop = np.empty((len(times), deltas.size))
@@ -1145,7 +1135,7 @@ def propagate(schedule: Schedule,
     evolves to U @ psi.  Bad input (a realization index outside
     [0, 2^64), a non-finite delta, a negative or non-finite snapshot
     time) raises ValueError before any work; like
-    every run, it also raises ValueError before propagating when it
+    every run, it also raises ValueError before it draws when it
     needs more than 2,000,000 steps on segments whose H varies.
     `diagnostics`, if provided, receives "integrated_steps" (Magnus
     steps on segments whose H varies) and "exact_segments" (segments
@@ -1160,9 +1150,15 @@ def propagate(schedule: Schedule,
         raise ValueError(f"delta must be finite, got {delta!r}")
     times = ([schedule.total_time] if snapshot_times is None
              else _checked_times(snapshot_times))
+    items, shape = _plan(schedule, times, _undrawn(noise_spec), abs(float(delta)), params.dt)
     noise, _ = _prepare_batch(noise_spec, None, params, index)
-    snaps = _run_batch(schedule, times, noise, np.array([float(delta)]), abs(float(delta)),
-                       params.dt, diagnostics)
+    snaps = _propagate_items(items, shape, noise, np.array([float(delta)]))
+    if diagnostics is not None:
+        segs = [item for item in items if item[0] == "seg"]
+        drift = max(float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))) for psi in snaps)
+        diagnostics.update(integrated_steps=sum(item[2] for item in segs if item[3]),
+                           exact_segments=sum(not item[3] for item in segs),
+                           max_norm_drift=drift)
     props = [np.array([[a, -np.conj(b)], [b, np.conj(a)]]) for a, b in (col[0] for col in snaps)]
     return props if snapshot_times is not None else props[-1]
 
@@ -1272,9 +1268,8 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     t_list = list(np.linspace(0.5 * target_T1, 2.0 * target_T1, 16))
     # Guard against hopeless targets: one relaxation run at the top of the
     # first bracket, 8 x guess, has to resolve the comb over 2 x target.
-    top = Comb.of(replace(noise_spec, A=8.0 * guess), np.zeros((1, noise_spec.indices.size)))
-    steps, _ = _segment_steps(Segment(t_list[-1], None), PulseShape("Square"), top, 0.0,
-                              params.dt)
+    steps, _ = _segment_steps(Segment(t_list[-1], None), PulseShape("Square"),
+                              _undrawn(replace(noise_spec, A=8.0 * guess)), 0.0, params.dt)
     if steps > _STEP_BUDGET:
         raise NoConvergence(
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tests/bundled_digests.py > digests.txt
+    PYTHONPATH=src python3 tests/bundled_digests.py [DIR] > digests.txt
 
 Runs in process, at M = 1000 realizations, every config bundled with
 the package, the three benchmark configs in perfbench/configs and
@@ -13,8 +13,11 @@ prints two lines for each run:
     NAME stdout <sha256 of what it printed, its output path written OUT>
 
 Two checkouts give byte-identical outputs when the two printouts are
-identical, so `diff` of the two files is the whole check.  This file is
-not a test module: pytest does not collect it.
+identical, so `diff` of the two files is the whole check.  With DIR it
+also writes each run's CSV and stdout there, as DIR/NAME.csv and
+DIR/NAME.stdout, for tests/compare_outputs.py to show how far two
+checkouts' outputs moved.  This file is not a test module: pytest does
+not collect it.
 """
 import contextlib
 import hashlib
@@ -56,7 +59,8 @@ def _run_criterion_6(out: Path) -> str:
             f"iterations = {result.iterations}\n")
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    keep = Path(argv[0]) if argv else None
     runs = [(name, lambda out, c=name: _run_config(c, out)) for name in cli.bundled_config_names()]
     runs += [(f"perfbench/{cfg.stem}", lambda out, c=str(cfg): _run_config(c, out))
              for cfg in sorted(PERFBENCH_CONFIGS.glob("*.cfg"))]
@@ -65,10 +69,15 @@ def main() -> None:
         for name, run in runs:
             out = Path(tmp) / "out.csv"
             stdout = run(out).replace(str(out), "OUT")
-            print(f"{name} csv {_sha256(out.read_bytes())}")
-            print(f"{name} stdout {_sha256(stdout.encode())}", flush=True)
+            csv = out.read_bytes()
             out.unlink()
+            print(f"{name} csv {_sha256(csv)}")
+            print(f"{name} stdout {_sha256(stdout.encode())}", flush=True)
+            if keep is not None:
+                (keep / name).parent.mkdir(parents=True, exist_ok=True)
+                (keep / f"{name}.csv").write_bytes(csv)
+                (keep / f"{name}.stdout").write_bytes(stdout.encode())
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

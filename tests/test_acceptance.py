@@ -312,7 +312,7 @@ def test_criterion_09_noise_autocorrelation_and_parseval():
 
 
 def fig2_states(rows):
-    """`_run_batch` states of the bundled fig2_xy8_slow run (M = 16) for the
+    """`_propagate_items` states of the bundled fig2_xy8_slow run (M = 16) for the
     realizations ``rows``, one (len(rows), 2) array per readout N."""
     cfg = parse_config(_config_text("fig2_xy8_slow"))
     spec = SequenceSpec(cfg["sequence"], N=max(cfg["n_list"]), tau=cfg["tau"],
@@ -320,8 +320,8 @@ def fig2_states(rows):
     params = SimParams(realizations=16, master_seed=cfg["master_seed"])
     noise, deltas = engine._prepare_batch(None, DephasingSpec(cfg["sigma_delta"]), params, rows)
     times = [n * spec.tau_c for n in cfg["n_list"]]
-    return engine._run_batch(build_schedule(spec), times, noise, deltas,
-                             4.0 * cfg["sigma_delta"], params.dt)
+    plan = engine._plan(build_schedule(spec), times, noise, 4.0 * cfg["sigma_delta"], params.dt)
+    return engine._propagate_items(*plan, noise, deltas)
 
 
 def batch_layout_is_stable():

@@ -545,10 +545,9 @@ def test_relaxation_builds_full_blocks_across_segments(monkeypatch):
         return exact_propagator(hz, c, t)
 
     monkeypatch.setattr(engine, "_exact_propagator", counted)
-    diag = {}
-    engine._run_batch(engine._idle_schedule(t_list[-1]), t_list, noise, deltas, 0.0, None,
-                      diag)
-    steps = diag["integrated_steps"]
+    items, shape = engine._plan(engine._idle_schedule(t_list[-1]), t_list, noise, 0.0, None)
+    engine._propagate_items(items, shape, noise, deltas)
+    steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
     assert len(built) == math.ceil(steps / 8) < len(t_list)
     assert built == [8] * (steps // 8) + ([steps % 8] if steps % 8 else [])
 
@@ -574,10 +573,24 @@ def test_repeated_readout_times_are_refused_before_any_draw(monkeypatch):
         run_relaxation(FIG4_NOISE, [2e-6, 1e-6, 2e-6])
 
 
+def gaussian_frame(phase):
+    """(e^{i phi / 2}, L) around the noise steps of a Gaussian pulse at phase phi.
+
+    The steps carry the noise in the pulse's axis frame: the state enters
+    it by Z^dagger, (a, b) -> (e^{i phi / 2} a, e^{-i phi / 2} b), and leaves
+    it by L = axis_rotation(phi, pi) Z, with Z = exp(-i phi S_z).
+    """
+    half = np.exp(0.5j * phase)
+    return half, axis_rotation(phase, math.pi) * np.array([np.conj(half), half])
+
+
 def test_scan_without_comb_matches_step_by_step_application():
     # Without the comb the state advances once per snapshot, by a product
-    # of the segments' Magnus steps.  Applying those steps to the state one
-    # by one, as under the comb, gives the same curve within 1e-14.
+    # of the segments' Magnus steps, with each Gaussian pulse's frame
+    # change folded in.  Applying those steps to the state one by one, as
+    # under the comb, with the state entering each Gaussian pulse's axis
+    # frame before its steps and leaving it after them, gives the same
+    # curve within 1e-14.
     spec = replace(FIG4_SPEC, N=16)
     n_list = [8, 16]
     params = SimParams(realizations=16, master_seed=3)
@@ -596,10 +609,15 @@ def test_scan_without_comb_matches_step_by_step_application():
             stderrs.append(np.std(pop, ddof=1) / math.sqrt(pop.size))
             continue
         nstep, _ = engine._segment_steps(item[1], spec.shape, None, 4.0 * SIGMA_FID, None)
+        if item[1].is_pulse:
+            half, turn = gaussian_frame(item[1].phase)
+            a, b = a * half, b * np.conj(half)
         for u00, u01, u10, u11 in engine._magnus_steps([(item[1], 0.0, nstep)], spec.shape,
                                                        None, hz):
             for j in range(u00.shape[0]):
                 a, b = u00[j] * a + u01[j] * b, u10[j] * a + u11[j] * b
+        if item[1].is_pulse:
+            a, b = turn[0, 0] * a + turn[0, 1] * b, turn[1, 0] * a + turn[1, 1] * b
     assert np.max(np.abs(curve.value - values)) <= 1e-14
     assert np.max(np.abs(curve.stderr - stderrs)) <= 1e-14
 
@@ -677,7 +695,8 @@ def test_scan_without_comb_matches_class_steps_in_sequence(spec, n_list):
     params = SimParams(realizations=256, master_seed=4)
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
     times = [n * spec.tau_c for n in n_list]
-    got = engine._run_batch(build_schedule(spec), times, None, deltas, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, None, 4.0 * SIGMA_FID, None)
+    got = engine._propagate_items(*plan, None, deltas)
     want = class_steps_in_sequence(build_schedule(spec), times, deltas, 4.0 * SIGMA_FID, KET0)
     assert len(got) == len(want) == len(times)
     assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13
@@ -705,7 +724,8 @@ def test_fid_grid_applies_each_class_step_once():
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
     times = list(np.geomspace(1e-8, 2e-5, 100))
     schedule = engine._idle_schedule(times[-1])
-    got = engine._run_batch(schedule, times, None, deltas, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(schedule, times, None, 4.0 * SIGMA_FID, None)
+    got = engine._propagate_items(*plan, None, deltas)
     want = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, KET0)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
     flipped = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, KET1)
@@ -717,6 +737,8 @@ def comb_steps_in_sequence(schedule, times, noise, deltas, delta_max, psi0):
 
     The steps are the Magnus steps of one engine._magnus_steps over the
     run's finite segments, and each Delta pulse's engine._class_step.
+    Around each Gaussian pulse's steps, the state enters and leaves the
+    pulse's axis frame (gaussian_frame).
     """
     shape = schedule.spec.shape
     hz = 0.5 * deltas
@@ -736,10 +758,16 @@ def comb_steps_in_sequence(schedule, times, noise, deltas, delta_max, psi0):
         if item[0] == "snap":
             states.append(np.stack([a, b], axis=1))
             continue
+        framed = item[1].is_pulse and shape.kind == "Gaussian"
+        if framed:
+            half, turn = gaussian_frame(item[1].phase)
+            a, b = a * half, b * np.conj(half)
         steps = ([(engine._class_step(item[1], shape, hz, item[2]), 0)]
                  if item[1].duration == 0.0 else [next(magnus) for _ in range(item[2])])
         for u, j in steps:
             a, b = u[0][j] * a + u[1][j] * b, u[2][j] * a + u[3][j] * b
+        if framed:
+            a, b = turn[0, 0] * a + turn[0, 1] * b, turn[1, 0] * a + turn[1, 1] * b
     return states
 
 
@@ -754,7 +782,8 @@ def test_comb_run_column_is_the_propagator(kind):
     noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
                                           SimParams(realizations=16, master_seed=3))
     times = [8 * spec.tau_c, 16 * spec.tau_c]
-    got = engine._run_batch(build_schedule(spec), times, noise, deltas, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, noise, 4.0 * SIGMA_FID, None)
+    got = engine._propagate_items(*plan, noise, deltas)
     want = comb_steps_in_sequence(build_schedule(spec), times, noise, deltas,
                                   4.0 * SIGMA_FID, KET1)
     assert second_columns(got).tobytes() == np.array(want).tobytes()
@@ -769,8 +798,8 @@ def test_propagate_returns_the_propagator(noise_spec):
     params = SimParams(master_seed=5)
     times = [8 * spec.tau_c, 16 * spec.tau_c]
     noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([3]))
-    columns = engine._run_batch(build_schedule(spec), times, noise, np.array([SIGMA_FID]),
-                                SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, noise, SIGMA_FID, None)
+    columns = engine._propagate_items(*plan, noise, np.array([SIGMA_FID]))
     props = propagate(build_schedule(spec), noise_spec, realization_index=3,
                       delta=SIGMA_FID, params=params, snapshot_times=times)
     for u, column in zip(props, columns):
@@ -830,7 +859,8 @@ def test_propagate_follows_realization_m_of_a_run(spec, noise_spec, n_list):
     times = [n * spec.tau_c for n in n_list]
     noise, deltas = engine._prepare_batch(noise_spec, DephasingSpec(sigma_delta=SIGMA_FID),
                                           params)
-    run = np.array(engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, None))
+    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID, None)
+    run = np.array(engine._propagate_items(*plan, noise, deltas))
     for m, delta in enumerate(deltas):
         props = propagate(schedule, noise_spec, realization_index=m, delta=delta,
                           params=params, snapshot_times=times)
@@ -1029,7 +1059,8 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
         return rule(seg, *args)
 
     monkeypatch.setattr(engine, "_segment_steps", counted)
-    got = engine._run_batch(schedule, times, noise, deltas, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID, None)
+    got = engine._propagate_items(*plan, noise, deltas)
     classes = {(item[1].duration, item[1].is_pulse) for item in per_segment
                if item[0] == "seg"}
     assert sorted(asked) == sorted(classes) and len(classes) < len(per_segment)
@@ -1049,6 +1080,25 @@ def test_step_budget_refuses_runs_before_propagating(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         run_dd_scan(spec, [1000], FIG4_NOISE, params=SimParams(realizations=2))
     # A single realization through propagate meets the same budget.
+    with pytest.raises(ValueError, match="budget"):
+        propagate(build_schedule(replace(spec, N=1000)), FIG4_NOISE)
+
+
+def test_step_budget_refuses_runs_before_any_draw(monkeypatch):
+    # The step rule reads only the comb's b_sup and omega, which the spec
+    # fixes, so an over-budget run is refused before it draws a comb
+    # phase or a detuning.
+    def drawn(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(engine, "sample_realization", drawn)
+    monkeypatch.setattr(engine, "sample_detuning", drawn)
+    deph = DephasingSpec(sigma_delta=SIGMA_FID)
+    with pytest.raises(ValueError, match="budget"):
+        run_relaxation(FIG4_NOISE, [1.0], deph, params=SimParams(realizations=2))
+    spec = replace(FIG4_SPEC, tau=200e-6)
+    with pytest.raises(ValueError, match="budget"):
+        run_dd_scan(spec, [1000], FIG4_NOISE, deph, params=SimParams(realizations=2))
     with pytest.raises(ValueError, match="budget"):
         propagate(build_schedule(replace(spec, N=1000)), FIG4_NOISE)
 

@@ -125,8 +125,9 @@ def batch_states(rows):
     for spec, noise_spec, dephasing in BATCH_RUNS:
         noise, deltas = engine._prepare_batch(noise_spec, dephasing, RUN_PARAMS, rows)
         times = [spec.N // 2 * spec.tau_c, spec.N * spec.tau_c]
-        states += engine._run_batch(build_schedule(spec), times, noise, deltas,
-                                    4.0 * dephasing.sigma_delta, None)
+        plan = engine._plan(build_schedule(spec), times, noise, 4.0 * dephasing.sigma_delta,
+                            None)
+        states += engine._propagate_items(*plan, noise, deltas)
     return states
 
 
