@@ -39,14 +39,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import Degenerate, NoDecay, fit_decay
-from .control import (PulseShape, SEQUENCE_PHASES, SequenceSpec,
-                      check_larmor_resonance)
+from .control import PulseShape, SEQUENCE_WORDS, SequenceSpec, check_larmor_resonance
 from .dgroup import (GroupElement, PulseWord, build_cayley, cumulative_path, eulerian_cycle,
                      verify_average_decoupling, verify_eulerian)
 from .engine import (DEFAULT_N_LIST, DecayCurve, SimParams, _TAG_NOISE, _seeded,
                      apply_envelope, calibrate_amplitude, run_dd_scan, run_fid,
                      run_relaxation)
-from .noise import (DephasingSpec, LorentzianNoiseSpec, export_waveform,
+from .noise import (DephasingSpec, LorentzianNoiseSpec, _sample_count, export_waveform,
                     sample_realization)
 
 __all__ = ["ConfigError", "main", "parse_config", "bundled_config_names"]
@@ -231,6 +230,7 @@ def _build_export(cfg: dict):
     # Seeded as the runners seed the comb, so the export is the field that
     # realization realization_index of a run at the same seed sees.
     spec = _seeded(_comb_spec(cfg), _sim_params(cfg), _TAG_NOISE)
+    _sample_count(cfg["duration"], cfg["sample_rate"])  # refuses a bad request before the work
 
     def work() -> None:
         phases = sample_realization(spec, cfg.get("realization_index", 0))
@@ -243,17 +243,12 @@ def _build_eulerian_check(cfg: dict):
     if ("word" in cfg) == ("sequence" in cfg):
         raise ConfigError("eulerian-check needs exactly one of word or sequence")
     identity = GroupElement("I")
-    if "word" in cfg:
-        word = PulseWord(tuple(cfg["word"]))
-    else:
-        # SEQUENCE_PHASES holds only the phases 0 (an X pulse) and pi/2 (Y).
-        word = PulseWord(tuple("Y" if phase else "X"
-                               for phase in SEQUENCE_PHASES[cfg["sequence"]]))
-        # One closed cycle: the base word, twice when its product is not the
-        # identity; the product is a Pauli, so the doubled word closes.
-        if cumulative_path(word, identity)[-1].label != "I":
-            word = PulseWord(2 * word.letters)
-    graph = build_cayley([GroupElement(lab) for lab in sorted(set(word.letters))])
+    word = PulseWord(tuple(cfg["word"] if "word" in cfg else SEQUENCE_WORDS[cfg["sequence"]]))
+    # A sequence is checked as one closed cycle: its base word, twice when its
+    # product is not the identity; the product is a Pauli, so the doubled word closes.
+    if "sequence" in cfg and cumulative_path(word, identity)[-1].label != "I":
+        word = PulseWord(2 * word.letters)
+    graph = build_cayley(sorted(set(word.letters)))
 
     def work() -> None:
         check = verify_eulerian(word, graph)
@@ -306,7 +301,7 @@ _SCHEMA: dict[str, callable] = {
     "realizations": _as_int_at_least(1),
     "dt": _as_positive_float,
     "out": str,
-    "sequence": _as_enum({"cpmg_y": "CPMG_Y", "xy4": "XY4", "xy8": "XY8"}),
+    "sequence": _as_enum({name.lower(): name for name in SEQUENCE_WORDS}),
     "tau": _as_float,
     "tau_d": _as_float,
     "shape": _as_enum({"delta": "Delta", "square": "Square", "gaussian": "Gaussian"}),
@@ -400,7 +395,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lines[key]}: {key} is a comb key; "
                               "the comb needs both noise_r and noise_a")
     if "n_list" in values:
-        base = len(SEQUENCE_PHASES[values["sequence"]])
+        base = len(SEQUENCE_WORDS[values["sequence"]])
         for n in values["n_list"]:
             if n % base:
                 raise ConfigError(f"line {lines['n_list']}: n_list entry {n} is not a "

@@ -4,8 +4,13 @@ A decoupling run is a train of N pi pulses, one per period tau_c =
 2*tau + tau_d: each period is [idle tau][pulse tau_d][idle tau], so the
 pulse sits centered in its slot, the gap between neighboring pulses is
 2*tau, and the train starts and ends with an idle of tau_c/2 - tau_d/2
-= tau.  Pulse axes follow the named sequence pattern (CPMG-Y, XY4,
-XY8) or a custom word of phases.
+= tau.  A named sequence is a word of pulse letters, repeated
+cyclically to length N: ``SEQUENCE_WORDS`` gives each name its word
+(CPMG-Y = Y, XY4 = XY, XY8 = XYXYYXYX), and each letter is a drive
+phase, X at 0 and Y at pi/2.  The same letters name the generators of
+``dgroup``'s Cayley graphs, so the word that drives a pulse train is
+the word whose Eulerian walk ``eulerian-check`` verifies.  A Custom
+sequence takes a phase pattern instead, for words outside any group.
 
 Pulse envelopes carry unit area pi over the pulse duration regardless
 of shape; the Delta shape stands for an idealized instantaneous
@@ -14,11 +19,11 @@ rotation and occupies zero schedule time.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .noise import _check_integer
 from .su2core import axis_rotation
 
 __all__ = [
@@ -27,7 +32,7 @@ __all__ = [
     "SequenceSpec",
     "Segment",
     "Schedule",
-    "SEQUENCE_PHASES",
+    "SEQUENCE_WORDS",
     "LarmorCheck",
     "pulse_envelope",
     "pulse_angle",
@@ -42,12 +47,10 @@ class InvalidTiming(ValueError):
     """A sequence spec implies a negative or zero duration."""
 
 
-# Axis phase patterns, repeated cyclically to length N.
-SEQUENCE_PHASES: dict[str, tuple[float, ...]] = {
-    "CPMG_Y": (math.pi / 2,),
-    "XY4": (0.0, math.pi / 2),
-    "XY8": (0.0, math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.0, math.pi / 2, 0.0),
-}
+# The drive phase of each pulse letter; a letter is also its Pauli class in dgroup.
+_LETTER_PHASES = {"X": 0.0, "Y": math.pi / 2}
+# Each named sequence's base word, repeated cyclically to length N.
+SEQUENCE_WORDS: dict[str, str] = {"CPMG_Y": "Y", "XY4": "XY", "XY8": "XYXYYXYX"}
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class SequenceSpec:
     Parameters
     ----------
     name : str
-        One of CPMG_Y, XY4, XY8, or Custom.
+        A key of ``SEQUENCE_WORDS`` (CPMG_Y, XY4, XY8), or Custom.
     N : int
         Pulse count; for named sequences a multiple of the base word
         length whenever word verification is requested.
@@ -142,6 +145,10 @@ class SequenceSpec:
     phases : tuple of float
         For Custom only, and required there: the base phase pattern in
         radians.  A named sequence refuses one.
+
+    ``base_phases`` is the phase pattern a schedule repeats: a named
+    sequence's word read letter by letter as drive phases, or Custom's
+    ``phases``.
     """
 
     name: str
@@ -152,7 +159,7 @@ class SequenceSpec:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in ("CPMG_Y", "XY4", "XY8", "Custom"):
+        if self.name not in (*SEQUENCE_WORDS, "Custom"):
             raise ValueError(f"unknown sequence name {self.name!r}")
         if self.name == "Custom" and len(self.phases) == 0:
             raise ValueError("Custom sequence needs a non-empty phase pattern")
@@ -160,10 +167,7 @@ class SequenceSpec:
             raise ValueError(f"{self.name} has its own phases; only Custom takes a phase pattern")
         if not all(math.isfinite(phase) for phase in self.phases):
             raise ValueError("phases must be finite")
-        try:
-            operator.index(self.N)
-        except TypeError:
-            raise ValueError(f"N must be an integer, got {self.N!r}") from None
+        _check_integer(self.N, "N")
         if self.N < 1:
             raise InvalidTiming("N must be >= 1")
         if not 0 < self.tau < math.inf:
@@ -175,7 +179,8 @@ class SequenceSpec:
 
     @property
     def base_phases(self) -> tuple[float, ...]:
-        return self.phases if self.name == "Custom" else SEQUENCE_PHASES[self.name]
+        # Only Custom has phases of its own; a named sequence reads its word.
+        return self.phases or tuple(_LETTER_PHASES[c] for c in SEQUENCE_WORDS[self.name])
 
     @property
     def effective_tau_d(self) -> float:

@@ -20,9 +20,12 @@ sigma_a sigma_b = i^k sigma_(a XOR b), with k = 0 when a or b is I or
 a = b, k = 1 for XY, YZ and ZX, and k = 3 for YX, ZY and XZ.  Two
 classes commute iff one of them is I or they are equal.
 
-A ``GroupElement`` is i^phase times a Pauli: its label and its phase,
-a power of i mod 4.  Vertices and edges live in label space: an edge
-from ``v`` through generator ``h`` ends at the class of ``v h``.
+A generator is a pulse letter, X, Y or Z, the letters that
+``control.SEQUENCE_WORDS`` spells its named sequences with; a letter
+is also the Pauli class of its pi pulse.  A ``GroupElement`` is i^phase
+times a Pauli: its label and its phase, a power of i mod 4.  Vertices
+and edges live in label space: an edge from ``v`` through generator
+letter ``h`` ends at the class of ``v h``.
 Cumulative paths keep the phase and multiply on the left,
 ``g_l = p_l g_{l-1}``, which is the time ordering of the physical
 propagators; since classes multiply by XOR, both orders trace the
@@ -30,6 +33,7 @@ same labeled walk.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +106,16 @@ def _product(g: GroupElement, h: GroupElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    """Cayley graph of a group under a generator list.
+    """Cayley graph of a group under a list of generator letters.
 
-    edges holds directed (vertex_label, generator_label, target_label)
-    triples; there are exactly |vertices| x |generators| of them.
+    vertices are phase-+1 ``GroupElement``s and generators the letters,
+    in the order given.  edges holds directed (vertex_label, letter,
+    target_label) triples; there are exactly |vertices| x |generators|
+    of them.
     """
 
     vertices: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...]
+    generators: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
 
 
@@ -128,31 +134,33 @@ class PulseWord:
         return len(self.letters)
 
 
-def build_cayley(generators: list[GroupElement]) -> CayleyGraph:
-    """Build the Cayley graph of the group that ``generators`` generate.
+def build_cayley(generators: Sequence[str]) -> CayleyGraph:
+    """Build the Cayley graph of the group that the letters ``generators`` generate.
 
-    The vertices are the XOR closure of the generators' classes from the
-    identity, as phase-+1 elements in canonical I, X, Y, Z order: [Y]
-    gives {I, Y} and [X, Y] the full group.  Phases play no part.
+    ``generators`` is a sequence of pulse letters, such as ["X", "Y"]
+    or the string "XY".  The vertices are the XOR closure of the
+    letters' classes from the identity, as phase-+1 elements in
+    canonical I, X, Y, Z order: "Y" gives {I, Y} and "XY" the full
+    group.  A generator is its letter alone: it carries no phase.
 
     Raises
     ------
     EmptyGenerators
         If ``generators`` is empty.
     ValueError
-        If a generator label is repeated, which would double its edges.
+        If a letter is not a Pauli label, or is repeated, which would
+        double its edges.
     """
     if not generators:
         raise EmptyGenerators("at least one generator is required")
     gens = tuple(generators)
-    labels = [g.label for g in gens]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated generator labels: {labels}")
+    if len(set(gens)) != len(gens):
+        raise ValueError(f"repeated generator labels: {list(gens)}")
     found = {0}
     for g in gens:
-        found |= {a ^ _bits(g.label) for a in found}
+        found |= {a ^ _bits(g) for a in found}
     vertices = tuple(GroupElement(lab) for lab in PAULI_LABELS if _BITS[lab] in found)
-    edges = tuple((v.label, g.label, _LABEL_OF[_bits(v.label) ^ _bits(g.label)])
+    edges = tuple((v.label, g, _LABEL_OF[_BITS[v.label] ^ _BITS[g]])
                   for v in vertices for g in gens)
     return CayleyGraph(vertices=vertices, generators=gens, edges=edges)
 
@@ -173,7 +181,7 @@ def eulerian_cycle(graph: CayleyGraph, start: GroupElement) -> PulseWord:
     has as many edges in as out, so the walk uses every edge.
     """
     target_of = {(v, g): t for v, g, t in graph.edges}
-    unused = {v.label: [g.label for g in graph.generators] for v in graph.vertices}
+    unused = {v.label: list(graph.generators) for v in graph.vertices}
     start_label = _vertex_label(graph, start)
 
     # Hierholzer, iterative: walk greedily, back up when stuck, splice.
@@ -228,9 +236,8 @@ def verify_eulerian(word: PulseWord, graph: CayleyGraph,
     raised: the first repeated edge, an endpoint mismatch, or the first
     missing edge.
     """
-    gen_labels = {g.label for g in graph.generators}
     for letter in word.letters:
-        if letter not in gen_labels:
+        if letter not in graph.generators:
             raise ValueError(f"word letter {letter!r} is not a graph generator")
     start_label = _vertex_label(graph, GroupElement("I") if start is None else start)
 

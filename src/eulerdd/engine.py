@@ -152,8 +152,8 @@ import numpy as np
 from .control import (PulseShape, Schedule, Segment, SequenceSpec, _envelope_margin,
                       build_schedule, prep_unitary, pulse_angle, pulse_envelope,
                       readout_unitary)
-from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_seed, _comb_sum,
-                    _indices, derive_seed, sample_detuning, sample_realization)
+from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_integer, _check_seed,
+                    _comb_sum, _indices, derive_seed, sample_detuning, sample_realization)
 from .su2core import axis_rotation
 
 __all__ = [
@@ -200,11 +200,7 @@ class SimParams:
     def __post_init__(self) -> None:
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        try:
-            operator.index(self.realizations)
-        except TypeError:
-            raise ValueError(
-                f"realizations must be an integer, got {self.realizations!r}") from None
+        _check_integer(self.realizations, "realizations")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         _check_seed(self.master_seed)
@@ -1133,8 +1129,9 @@ def propagate(schedule: Schedule,
     as a 2x2 complex array at the schedule's end, or a list of them at
     the sorted `snapshot_times` when those are given; a state psi
     evolves to U @ psi.  Bad input (a realization index outside
-    [0, 2^64), a non-finite delta, a negative or non-finite snapshot
-    time) raises ValueError before any work; like
+    [0, 2^64), a delta whose hz^2 = (delta / 2)^2 is not finite, as for
+    a non-finite delta or one beyond about 2.7e154, a negative or
+    non-finite snapshot time) raises ValueError before any work; like
     every run, it also raises ValueError before it draws when it
     needs more than 2,000,000 steps on segments whose H varies.
     `diagnostics`, if provided, receives "integrated_steps" (Magnus
@@ -1146,8 +1143,9 @@ def propagate(schedule: Schedule,
     """
     params = params or SimParams()
     index = _indices(realization_index)
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta!r}")
+    hz = 0.5 * float(delta)
+    if not math.isfinite(hz * hz):
+        raise ValueError(f"delta must be finite, with a finite (delta / 2)^2, got {delta!r}")
     times = ([schedule.total_time] if snapshot_times is None
              else _checked_times(snapshot_times))
     items, shape = _plan(schedule, times, _undrawn(noise_spec), abs(float(delta)), params.dt)

@@ -194,18 +194,22 @@ def _indices(index) -> np.ndarray:
     return idx.astype(np.uint64)
 
 
+def _check_integer(value, name: str) -> None:
+    """ValueError unless ``value`` is an integer; numpy integers are accepted."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(master_seed: int | None) -> None:
     """ValueError for a master seed that is not an integer, or outside [0, 2^64).
 
     A seed outside that range would wrap onto another seed's streams.
-    numpy integers are accepted, as for any integer parameter.
     """
     if master_seed is None:
         return
-    try:
-        operator.index(master_seed)
-    except TypeError:
-        raise ValueError(f"master_seed must be an integer, got {master_seed!r}") from None
+    _check_integer(master_seed, "master_seed")
     if not 0 <= master_seed <= _M64:
         raise ValueError(f"master_seed {master_seed} is outside [0, 2^64)")
 
@@ -303,6 +307,11 @@ class LorentzianNoiseSpec:
     master_seed : int or None
         Seed of the phase streams; None lets the engine supply one
         derived from the run seed.
+
+    Besides each field's own range, the spec refuses values whose comb
+    overflows a double: every omega_n^2 + R^2 and W(n), b_sup = A
+    sum_n W(n) and b_sup^2 must be finite, so that no run ends in an
+    overflow after its work has started.
     """
 
     R: float
@@ -314,16 +323,18 @@ class LorentzianNoiseSpec:
     def __post_init__(self) -> None:
         if not 0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
-        try:
-            operator.index(self.n_max)
-        except TypeError:
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
+        _check_integer(self.n_max, "n_max")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not 0 <= self.A < math.inf:
             raise ValueError("A must be non-negative and finite")
         if not 0 < self.delta_omega < math.inf:
             raise ValueError("delta_omega must be positive and finite")
+        with np.errstate(all="ignore"):
+            den, w = _comb_terms(self)
+            if not np.isfinite([*den, *w, (self.A * np.sum(w)) ** 2]).all():
+                raise ValueError("the comb overflows: omega_n^2 + R^2, W(n), b_sup = "
+                                 "A sum_n W(n) and b_sup^2 must be finite")
         _check_seed(self.master_seed)
 
     @property
@@ -341,14 +352,19 @@ class DephasingSpec:
     """Quasi-static Gaussian detuning of width ``sigma_delta`` rad/s.
 
     master_seed None lets the engine supply one derived from the run seed.
+    Every draw is z sigma_delta with |z| <= sqrt(106 ln 2) ~ 8.57 (module
+    docstring), and the spec refuses a sigma_delta for which the largest
+    draw's hz^2 = (z sigma_delta / 2)^2 is not finite, about 3.1e153.
     """
 
     sigma_delta: float = 0.0
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma_delta < math.inf:
-            raise ValueError("sigma_delta must be non-negative and finite")
+        hz = 0.5 * math.sqrt(106 * math.log(2)) * float(self.sigma_delta)  # the largest draw's
+        if not (self.sigma_delta >= 0 and math.isfinite(hz * hz)):
+            raise ValueError("sigma_delta must be non-negative and finite, with a finite hz^2 "
+                             f"at its largest draw, got {self.sigma_delta!r}")
         _check_seed(self.master_seed)
 
 
@@ -361,8 +377,18 @@ def weight(spec: LorentzianNoiseSpec, n: int) -> float:
 
 def weights_all(spec: LorentzianNoiseSpec) -> np.ndarray:
     """All comb weights W(n) for n = -n_max .. n_max."""
+    return _comb_terms(spec)[1]
+
+
+def _comb_terms(spec: LorentzianNoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_n^2 + R^2, W(n)) for n = -n_max .. n_max.
+
+    R^2 is numpy's scalar power, the same libm pow as Python's R**2, but
+    one that overflows to inf instead of raising, as the spec's check needs.
+    """
     omega = 2 * np.pi * spec.indices * spec.delta_omega
-    return np.sqrt(2 * spec.delta_omega * spec.R / (omega**2 + spec.R**2))
+    den = omega**2 + np.float64(spec.R) ** 2
+    return den, np.sqrt(2 * spec.delta_omega * spec.R / den)
 
 
 def sample_realization(spec: LorentzianNoiseSpec, index) -> np.ndarray:
@@ -518,6 +544,22 @@ def sample_detuning(spec: DephasingSpec, index):
     return z * spec.sigma_delta
 
 
+def _sample_count(duration: float, sample_rate: float) -> int:
+    """An export's sample count round(duration * sample_rate), or the error that refuses it.
+
+    ValueError unless duration and sample_rate are positive and finite
+    and the count is at least 1; SampleBudgetExceeded above 1e8 samples.
+    """
+    if not (0 < duration < math.inf and 0 < sample_rate < math.inf):
+        raise ValueError("duration and sample_rate must be positive and finite")
+    samples = duration * sample_rate  # may overflow to inf, so not rounded yet
+    if samples > 10**8 + 0.5:
+        raise SampleBudgetExceeded(f"{samples:.6g} samples exceed the 1e8 budget")
+    if round(samples) == 0:
+        raise ValueError(f"duration * sample_rate = {samples:.6g} rounds to no sample")
+    return round(samples)
+
+
 # Samples evaluated and written at a time, so an export's memory does not
 # grow with its length.
 _EXPORT_CHUNK = 65536
@@ -536,16 +578,12 @@ def export_waveform(spec: LorentzianNoiseSpec, phases: np.ndarray,
     Raises
     ------
     ValueError
-        If duration or sample_rate is not positive and finite.
+        If duration or sample_rate is not positive and finite, or their
+        product rounds to no sample.
     SampleBudgetExceeded
         If more than 1e8 samples are requested.
     """
-    if not (0 < duration < math.inf and 0 < sample_rate < math.inf):
-        raise ValueError("duration and sample_rate must be positive and finite")
-    samples = duration * sample_rate  # may overflow to inf, so not rounded yet
-    if samples > 10**8 + 0.5:
-        raise SampleBudgetExceeded(f"{samples:.6g} samples exceed the 1e8 budget")
-    count = int(round(samples))
+    count = _sample_count(duration, sample_rate)
     row = _phase_row(spec, phases)
     with open(path, "w", newline="\n") as fh:
         fh.write("t_s,bx_rad_s,by_rad_s\n")

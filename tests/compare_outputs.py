@@ -5,14 +5,15 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tests/bundled_digests.py DIR_B > /dev/null
     python3 tests/compare_outputs.py DIR_A DIR_B
 
-DIR_A and DIR_B hold the NAME.csv and NAME.stdout files that
-tests/bundled_digests.py writes for each run, one directory per
-checkout.  For each run whose bytes differ it prints the largest
-|delta value| and |delta stderr| over the CSV's points and each changed
-stdout line, with its relative change where both sides of `key = value`
-are numbers.  A run found in one directory only is named as such.  The
-report is informational: it always exits 0.  This file is not a test
-module: pytest does not collect it.
+DIR_A and DIR_B hold the NAME.stdout files and, for runs that write
+one, the NAME.csv files that tests/bundled_digests.py writes for each
+run, one directory per checkout.  For each run whose bytes differ it
+prints the largest |delta value| and |delta stderr| over the CSV's
+points, if it has a CSV, and each changed stdout line, with its
+relative change where both sides of `key = value` are numbers.  A
+run found in one directory only is named as such.  The report is
+informational: it always exits 0.  This file is not a test module:
+pytest does not collect it.
 """
 import sys
 from pathlib import Path
@@ -47,28 +48,35 @@ def _stdout_changes(old: list[str], new: list[str]) -> list[str]:
     return changes
 
 
+def _curve_change(csv_a: Path, csv_b: Path) -> str:
+    """How far two curve CSVs are apart, for the report."""
+    a, b = _points(csv_a), _points(csv_b)
+    if a.keys() != b.keys():
+        return "the curves' (N, t_s) points differ"
+    dv = max((abs(a[k][0] - b[k][0]) for k in a), default=0.0)
+    ds = max((abs(a[k][1] - b[k][1]) for k in a), default=0.0)
+    return f"max |dvalue| = {dv:.3g}, max |dstderr| = {ds:.3g}"
+
+
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
     """The report's lines for the runs of two output directories."""
-    names = {str(p.relative_to(d))[:-len(".csv")]
-             for d in (dir_a, dir_b) for p in d.rglob("*.csv")}
+    names = {str(p.relative_to(d))[:-len(".stdout")]
+             for d in (dir_a, dir_b) for p in d.rglob("*.stdout")}
     report = []
     for name in sorted(names):
         files = [(d / f"{name}.csv", d / f"{name}.stdout") for d in (dir_a, dir_b)]
-        missing = [d for d, pair in zip((dir_a, dir_b), files)
-                   if not all(p.exists() for p in pair)]
+        has_csv = any(csv.exists() for csv, _ in files)
+        missing = [d for d, (csv, out) in zip((dir_a, dir_b), files)
+                   if not out.exists() or has_csv and not csv.exists()]
         if missing:
             report.append(f"{name}: only in {dir_b if missing[0] == dir_a else dir_a}")
             continue
         (csv_a, out_a), (csv_b, out_b) = files
-        if csv_a.read_bytes() == csv_b.read_bytes() and out_a.read_bytes() == out_b.read_bytes():
+        same_csv = not has_csv or csv_a.read_bytes() == csv_b.read_bytes()
+        if same_csv and out_a.read_bytes() == out_b.read_bytes():
             continue
-        a, b = _points(csv_a), _points(csv_b)
-        if a.keys() != b.keys():
-            report.append(f"{name}: the curves' (N, t_s) points differ")
-        else:
-            dv = max((abs(a[k][0] - b[k][0]) for k in a), default=0.0)
-            ds = max((abs(a[k][1] - b[k][1]) for k in a), default=0.0)
-            report.append(f"{name}: max |dvalue| = {dv:.3g}, max |dstderr| = {ds:.3g}")
+        change = _curve_change(csv_a, csv_b) if has_csv else "stdout differs"
+        report.append(f"{name}: {change}")
         report += _stdout_changes(out_a.read_text().splitlines(),
                                   out_b.read_text().splitlines())
     return report or ["no run's outputs differ"]

@@ -141,13 +141,23 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
         # A malformed command line is a config error too, not argparse's exit 2.
         (FID_TEXT, "unrecognized arguments: --bogus", "--bogus"),
         (FID_TEXT, "argument --seed: expected one argument", "--seed"),
+        # Values that once started the work and ended in a traceback (R^2
+        # overflows; b_sup is infinite), a NaN curve after the run (hz^2 of the
+        # largest detuning overflows) or a CSV of its header alone.
+        (dd + "noise_r = 1e300\nnoise_a = 1e5\n", "config error: the comb overflows"),
+        (relax.replace("noise_a = 1e5", "noise_a = 1e308"), "config error: the comb overflows"),
+        (FID_TEXT.replace("764439.7634449162", "1e300"), "config error: sigma_delta must be"),
+        (export.replace("duration = 1e-5\nsample_rate = 1e6", "duration = 1e-9\nsample_rate = 1"),
+         "config error: duration * sample_rate = 1e-09 rounds to no sample"),
+        (export.replace("duration = 1e-5", "duration = 1000"),
+         "config error: 1e+09 samples exceed the 1e8 budget"),
     ]
     out = tmp_path / "never.csv"
     for text, message, *flags in cases:
         cfg = write_cfg(tmp_path, text, name="bad.cfg")
         assert main([cfg, "--out", str(out), *flags]) == 1
         captured = capsys.readouterr()
-        assert message in captured.err, text
+        assert message in captured.err and "Traceback" not in captured.err, text
         assert captured.out == "" and not out.exists()
     # A path that exists but cannot be read as a file is a config error too.
     assert main([str(tmp_path), "--out", str(out)]) == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from eulerdd import (InvalidTiming, LarmorCheck, PulseShape, SEQUENCE_PHASES,
+from eulerdd import (InvalidTiming, LarmorCheck, PulseShape, SEQUENCE_WORDS,
                      SequenceSpec, build_schedule, check_larmor_resonance,
                      prep_unitary, pulse_angle, readout_unitary)
 from helpers import OutOfSegment, envelope_at
@@ -107,9 +107,15 @@ def test_sequence_spec_validation():
 
 
 def test_phase_patterns():
-    assert SEQUENCE_PHASES["CPMG_Y"] == (math.pi / 2,)
-    assert SEQUENCE_PHASES["XY4"] == (0.0, math.pi / 2)
-    assert len(SEQUENCE_PHASES["XY8"]) == 8
+    # Each named sequence's phases, read from its word, are the bytes of the
+    # float patterns the words replaced: 0.0 for X and pi/2 for Y.
+    x, y = (0.0).hex(), (math.pi / 2).hex()
+    assert y == "0x1.921fb54442d18p+0"
+    pinned = {"CPMG_Y": [y], "XY4": [x, y], "XY8": [x, y, x, y, y, x, y, x]}
+    assert SEQUENCE_WORDS.keys() == pinned.keys()
+    for name, phases in pinned.items():
+        spec = SequenceSpec(name, N=len(phases), tau=1e-6, tau_d=TAU_D)
+        assert [phase.hex() for phase in spec.base_phases] == phases
     custom = SequenceSpec("Custom", N=2, tau=1e-6, tau_d=TAU_D, phases=(0.3,))
     assert custom.base_phases == (0.3,)
 

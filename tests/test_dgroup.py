@@ -8,7 +8,7 @@ from eulerdd import (PAULI_LABELS, EmptyGenerators, GroupElement, PulseShape,
                      PulseWord, build_cayley, cumulative_path, eulerian_cycle, pauli,
                      pulse_envelope, verify_average_decoupling, verify_eulerian)
 
-XY = [GroupElement("X"), GroupElement("Y")]
+XY = ["X", "Y"]
 
 
 def phase_equal(a, b):
@@ -31,7 +31,7 @@ def full_graph():
 
 
 def cpmg_graph():
-    return build_cayley([GroupElement("Y")])
+    return build_cayley(["Y"])
 
 
 def test_generated_group_subgroup_and_closure():
@@ -45,10 +45,17 @@ def test_generated_group_subgroup_and_closure():
 def test_build_cayley_rejects_repeated_generator_labels():
     # A repeated label would double every edge of that generator, and the
     # graph's own Eulerian cycle would then fail verify_eulerian.
-    for gens in ([GroupElement("X"), GroupElement("X")],
-                 [GroupElement("X"), GroupElement("X", 2)],
-                 [GroupElement("X"), GroupElement("Y"), GroupElement("X", 1)]):
+    for gens in (["X", "X"], ["X", "Y", "X"], "YY"):
         with pytest.raises(ValueError, match="repeated generator"):
+            build_cayley(gens)
+
+
+def test_build_cayley_takes_letters_and_refuses_unknown_ones():
+    # A generator is its letter: no GroupElement, and so no phase, wraps it.
+    assert full_graph().generators == ("X", "Y")
+    assert build_cayley("YX").generators == ("Y", "X")
+    for gens in (["Q"], ["X", "Q"], ["x"], ["XY"]):
+        with pytest.raises(ValueError, match="unknown Pauli label"):
             build_cayley(gens)
 
 
@@ -157,7 +164,7 @@ def test_exact_arithmetic_matches_the_matrix_route():
 def test_cayley_edges_match_matrix_classes():
     for n in range(1, 4):
         for subset in itertools.combinations("XYZ", n):
-            graph = build_cayley([GroupElement(lab) for lab in subset])
+            graph = build_cayley(list(subset))
             closure = {"I"}
             while True:
                 grown = closure | {matrix_class(pauli(v) @ pauli(g))

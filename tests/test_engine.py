@@ -1114,7 +1114,9 @@ def test_propagate_validation(monkeypatch):
 
     monkeypatch.setattr(engine, "_prepare_batch", work_started)
     for noise in (None, small_noise()):
-        for kwargs in ({"delta": math.nan}, {"delta": math.inf},
+        # A delta whose hz^2 = (delta / 2)^2 overflows once gave a NaN propagator.
+        for kwargs in ({"delta": math.nan}, {"delta": math.inf}, {"delta": 1e300},
+                       {"delta": -2.7e154}, {"delta": np.float64(1e300)},
                        {"snapshot_times": [-1e-6]}, {"snapshot_times": [math.nan]},
                        {"snapshot_times": [math.inf]}, {"realization_index": 2**64},
                        {"realization_index": -1}):

@@ -69,6 +69,17 @@ def test_spec_validation_and_derived_quantities():
             LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
     with pytest.raises(ValueError, match="n_max must be an integer"):
         LorentzianNoiseSpec(R=R_FAST, A=1.0, n_max=2.5)
+    # Fields whose comb overflows once ended a run in an OverflowError (from
+    # R**2, or from the step rule's ceil of an infinite b_sup).  The check
+    # runs under the suite's RuntimeWarning-as-error filter, so it neither
+    # warns nor raises anything but ValueError.
+    for bad in (dict(R=1e300), dict(A=1e308), dict(A=1e160), dict(R=1e-200),
+                dict(delta_omega=1e306), dict(delta_omega=1e160)):
+        with pytest.raises(ValueError, match="overflows"):
+            LorentzianNoiseSpec(**{**dict(R=R_FAST, A=1.0), **bad})
+    # b_sup^2 = (A sum_n W(n))^2 just below the largest double is accepted.
+    w_sum = float(np.sum(weights_all(spec_with(A=1.0))))
+    assert LorentzianNoiseSpec(R=R_FAST, A=1e154 / w_sum).A == 1e154 / w_sum
     assert LorentzianNoiseSpec(R=R_FAST, A=1.0, n_max=np.int32(3)).n_max == 3
     # A seed outside [0, 2^64) would wrap onto another seed's streams.
     for bad in (-1, 2**64):
@@ -333,6 +344,13 @@ def test_batched_draw_shapes_and_index_checks(monkeypatch):
 def test_dephasing_spec_validation():
     with pytest.raises(ValueError, match="sigma_delta"):
         DephasingSpec(sigma_delta=-1.0)
+    # The largest draw is |z| <= sqrt(106 ln 2) ~ 8.57, so hz = z sigma / 2
+    # squares to a finite double up to sigma ~ 3.1e153; beyond it a run's
+    # curve once came out NaN after the work.
+    for sigma in (1e300, 3.2e153, np.float64(1e300)):
+        with pytest.raises(ValueError, match="largest draw"):
+            DephasingSpec(sigma_delta=sigma)
+    assert DephasingSpec(sigma_delta=3.1e153).sigma_delta == 3.1e153
 
 
 def test_export_waveform(tmp_path):
@@ -355,6 +373,12 @@ def test_export_waveform(tmp_path):
                            (1e-4, math.nan)):
         with pytest.raises(ValueError, match="positive and finite"):
             export_waveform(spec, real, duration=duration, sample_rate=rate, path=path)
+    # A request that rounds to no sample is refused before the file is opened.
+    path.unlink()
+    for duration, rate in ((1e-9, 1.0), (0.5, 1.0), (1e-300, 1e-300)):
+        with pytest.raises(ValueError, match="rounds to no sample"):
+            export_waveform(spec, real, duration=duration, sample_rate=rate, path=path)
+    assert not path.exists()
 
 
 def test_export_waveform_writes_in_chunks(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eulerdd import (DephasingSpec, LorentzianNoiseSpec, PulseShape,  # noqa: E402
-                     SEQUENCE_PHASES, SequenceSpec, SimParams, build_schedule,
+                     SEQUENCE_WORDS, SequenceSpec, SimParams, build_schedule,
                      sample_detuning, sample_realization)
 from eulerdd import engine  # noqa: E402
 from eulerdd.cli import (_EXPERIMENTS, ConfigError, _dump_config,  # noqa: E402
@@ -236,7 +236,7 @@ def configs(draw):
             cfg.pop(key, None)
     if exp == "dd" and draw(st.booleans()):
         # Cycle counts are positive multiples of the sequence's cycle length.
-        base = len(SEQUENCE_PHASES[cfg["sequence"]])
+        base = len(SEQUENCE_WORDS[cfg["sequence"]])
         cfg["n_list"] = tuple(base * m for m in draw(
             st.lists(st.integers(1, 100), min_size=1, max_size=8)))
     return cfg
