@@ -135,7 +135,7 @@ def _as_word(raw: str) -> str:
 
 
 def _sim_params(cfg: dict) -> SimParams:
-    return SimParams(dt=cfg.get("dt"), realizations=cfg.get("realizations", 1000),
+    return SimParams(realizations=cfg.get("realizations", 1000),
                      master_seed=cfg.get("master_seed", 0))
 
 
@@ -274,7 +274,7 @@ class _Experiment(NamedTuple):
 
 
 # The run keys of the Monte Carlo experiments, and their fit keys.
-_RUN_KEYS = {"master_seed", "realizations", "dt", "out"}
+_RUN_KEYS = {"master_seed", "realizations", "out"}
 _FIT_KEYS = {"fit_p", "fit_model"}
 _EXPERIMENTS = {
     "dd": _Experiment({"sequence", "tau", "tau_d"},
@@ -299,7 +299,6 @@ _SCHEMA: dict[str, callable] = {
     "experiment": _as_enum({name: name for name in _EXPERIMENTS}),
     "master_seed": _as_uint64,
     "realizations": _as_int_at_least(1),
-    "dt": _as_positive_float,
     "out": str,
     "sequence": _as_enum({name.lower(): name for name in SEQUENCE_WORDS}),
     "tau": _as_float,

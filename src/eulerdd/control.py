@@ -19,6 +19,7 @@ rotation and occupies zero schedule time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ class PulseShape:
     def __post_init__(self) -> None:
         if self.kind not in ("Delta", "Square", "Gaussian"):
             raise ValueError(f"unknown pulse shape {self.kind!r}")
-        if not 0 < self.gauss_trunc < math.inf:
+        if not 0 < self.gauss_trunc <= sys.float_info.max:
             raise ValueError("gauss_trunc must be positive and finite")
 
 
@@ -170,9 +171,9 @@ class SequenceSpec:
         _check_integer(self.N, "N")
         if self.N < 1:
             raise InvalidTiming("N must be >= 1")
-        if not 0 < self.tau < math.inf:
+        if not 0 < self.tau <= sys.float_info.max:
             raise InvalidTiming("tau must be positive and finite")
-        if not math.isfinite(self.tau_d):
+        if not abs(self.tau_d) <= sys.float_info.max:
             raise InvalidTiming("tau_d must be finite")
         if self.shape.kind != "Delta" and self.tau_d <= 0:
             raise InvalidTiming("tau_d must be positive for finite-width pulses")

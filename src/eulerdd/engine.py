@@ -128,14 +128,11 @@ most 0.4 rad per step, 16 steps for the 6.35 rad of an untruncated
 Gaussian, and the noise turns the spin by no more where it outweighs
 the drive.  A Gaussian truncated inside its pulse takes these steps on
 its window and steps no longer than those on the zero-envelope margins
-beside it, so no step straddles the envelope's jump.  An explicit dt
-gives ceil(T / dt) steps instead.  The detuning bound is 4 sigma_delta
-for a run (a draw exceeds it with probability 6e-5) and |delta| for
-``propagate``, not the largest draw of a batch, so the steps do not
-depend on which realizations share it.  An explicit dt is checked on
-every finite segment (at most tau_d/50 on a Square pulse, at most 1 rad
-of drive-frame turn per step on a Gaussian one, a priori local error
-below 1e-6), raising StepTooLarge when too coarse.  Every propagation,
+beside it, so no step straddles the envelope's jump.  This rule is
+the only one: no run takes a fixed step length.  The detuning bound is
+4 sigma_delta for a run (a draw exceeds it with probability 6e-5) and
+|delta| for ``propagate``, not the largest draw of a batch, so the steps
+do not depend on which realizations share it.  Every propagation,
 ``propagate`` and the dd, fid and relaxation runners alike, is planned
 from its specs before it draws any noise, and a run that needs more
 than 2,000,000 steps on segments whose H varies is refused there; it
@@ -145,6 +142,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,7 +155,6 @@ from .noise import (Comb, DephasingSpec, LorentzianNoiseSpec, _check_integer, _c
 from .su2core import axis_rotation
 
 __all__ = [
-    "StepTooLarge",
     "NoConvergence",
     "SimParams",
     "CurvePoint",
@@ -174,32 +171,22 @@ __all__ = [
 ]
 
 
-class StepTooLarge(ValueError):
-    """A priori local-truncation estimate exceeds 1e-6 for the given dt."""
-
-
 class NoConvergence(RuntimeError):
     """Amplitude calibration failed to bracket or converge."""
 
 
 @dataclass(frozen=True)
 class SimParams:
-    """Monte Carlo integration parameters.
+    """Monte Carlo run parameters: the realization count and the master seed.
 
-    dt = None selects the automatic per-segment step described in the
-    module docstring.  An explicit dt is validated against every
-    segment but sizes only the steps of segments whose H varies,
-    shortened as needed to divide each one exactly; a segment with a
-    constant H takes one exact step either way.
+    Every run sizes its steps by the automatic rule of the module
+    docstring; a segment with a constant H takes one exact step.
     """
 
-    dt: float | None = None
     realizations: int = 1000
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
         _check_integer(self.realizations, "realizations")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
@@ -227,11 +214,11 @@ class DecayCurve:
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         for p in pts:
-            if not math.isfinite(p.t):
+            if not abs(p.t) <= sys.float_info.max:
                 raise ValueError(f"curve time {p.t!r} is not finite")
             if not 0.0 <= p.value <= 1.0:
                 raise ValueError(f"curve value {p.value!r} outside [0, 1]")
-            if not 0.0 <= p.stderr < math.inf:
+            if not 0.0 <= p.stderr <= sys.float_info.max:
                 raise ValueError(f"stderr {p.stderr!r} must be non-negative and finite")
         for a, b in zip(pts, pts[1:]):
             if b.t <= a.t:
@@ -290,13 +277,13 @@ _STEP_BUDGET = 2_000_000
 
 
 def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
-                   delta_max: float, explicit_dt: float | None) -> tuple[int, bool]:
+                   delta_max: float) -> tuple[int, bool]:
     """A segment's step count and whether its H varies; (0, False) for zero duration.
 
-    The step rule and the explicit-dt checks are those of the module
-    docstring.  An idle or a Square pulse has a constant drive, so under
-    the comb its H varies only through the comb, whose j-th derivative is
-    at most omega_max^j b_sup / 2.  The Omega^[4] step is exact for a
+    The step rule is that of the module docstring.  An idle or a Square
+    pulse has a constant drive, so under the comb its H varies only
+    through the comb, whose j-th derivative is at most omega_max^j b_sup
+    / 2.  The Omega^[4] step is exact for a
     constant H, so each O(h^5) term of its local error (Blanes et al.) is
     a constant times a product, of degree 5 in h, of factors h |H| and at
     least one alpha_i = h^i H^(i-1) / (i-1)! with i >= 2, which is at most
@@ -337,34 +324,15 @@ def _segment_steps(seg: Segment, shape: PulseShape, noise: Comb | None,
     if seg.duration == 0.0:
         return 0, False
     frame = seg.is_pulse and shape.kind == "Gaussian"
-    if (seg.is_pulse and not frame and explicit_dt is not None
-            and explicit_dt > seg.duration / 50.0):
-        raise StepTooLarge(
-            f"dt = {explicit_dt:.3e} exceeds tau_d/50 = {seg.duration / 50.0:.3e} "
-            f"for a finite-width pulse")
     omega_peak = (float(pulse_envelope(shape, seg.duration, seg.duration / 2.0))
                   if seg.is_pulse else 0.0)
-    if frame and explicit_dt is not None and explicit_dt * omega_peak > _DRIVE_TURN:
-        raise StepTooLarge(
-            f"dt = {explicit_dt:.3e} turns the drive frame by {explicit_dt * omega_peak:.2f} "
-            f"rad per step, beyond {_DRIVE_TURN} rad")
     b_sup = noise.b_sup if noise is not None else 0.0
     comb_max = float(noise.omega[-1]) if noise is not None else 0.0
     # A pulse in its drive frame takes its window's steps and, beside each
     # margin where its envelope is zero, steps no longer than those.
     margin = _envelope_margin(shape, seg.duration) if frame else 0.0
     span = seg.duration - 2.0 * margin
-    if explicit_dt is not None:
-        nstep = max(1, math.ceil(span / min(explicit_dt, span) - 1e-9))
-        h = span / nstep
-        # A priori local error of a fourth-order step, ~ (|H| h)^5 / 120; the
-        # drive leaves the steps of a pulse in its drive frame.
-        drive = 0.0 if frame else omega_peak
-        est = (0.5 * math.hypot(drive + b_sup, delta_max) * h) ** 5 / 120.0
-        if est > 1e-6:
-            raise StepTooLarge(
-                f"local truncation estimate {est:.2e} > 1e-6 at dt = {h:.3e}; reduce dt")
-    elif frame:
+    if frame:
         nstep = max(1, math.ceil(span * comb_max / _THETA),
                     math.ceil(span * max(omega_peak, b_sup + delta_max) / _FRAME_TURN))
     else:
@@ -1029,8 +997,7 @@ def _undrawn(noise_spec: LorentzianNoiseSpec | None) -> Comb | None:
     return None
 
 
-def _plan(schedule: Schedule, times: list[float], noise: Comb | None, delta_max: float,
-          dt: float | None):
+def _plan(schedule: Schedule, times: list[float], noise: Comb | None, delta_max: float):
     """(items, shape) of a run: its step plan, checked against the step budget.
 
     items are ``_split_idles_at``'s, each "seg" item extended by its
@@ -1049,7 +1016,7 @@ def _plan(schedule: Schedule, times: list[float], noise: Comb | None, delta_max:
         if item[0] == "seg":
             key = (item[1].duration, item[1].is_pulse)
             if key not in rule:
-                rule[key] = _segment_steps(item[1], shape, noise, delta_max, dt)
+                rule[key] = _segment_steps(item[1], shape, noise, delta_max)
             item += rule[key]
         items.append(item)
     steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
@@ -1078,7 +1045,7 @@ def _curve(schedule: Schedule, times: list[float], ns: list[int],
     if any(later <= t for t, later in zip(times, times[1:])):
         raise ValueError("curve times must be strictly increasing")
     delta_max = 4.0 * dephasing.sigma_delta if dephasing is not None else 0.0
-    plan = _plan(schedule, times, _undrawn(noise_spec), delta_max, params.dt)
+    plan = _plan(schedule, times, _undrawn(noise_spec), delta_max)
     noise, deltas = _prepare_batch(noise_spec, dephasing, params, phasors=phasors)
     states = _propagate_items(*plan, noise, deltas)
     if pulses:
@@ -1102,7 +1069,7 @@ def apply_envelope(curve: DecayCurve, T2: float) -> DecayCurve:
     Both value and stderr are scaled by the same factor; this models
     decoherence channels that are measured but not simulated.
     """
-    if not 0 < T2 < math.inf:
+    if not 0 < T2 <= sys.float_info.max:
         raise ValueError("envelope T2 must be positive and finite")
     pts = []
     for p in curve.points:
@@ -1143,12 +1110,12 @@ def propagate(schedule: Schedule,
     """
     params = params or SimParams()
     index = _indices(realization_index)
-    hz = 0.5 * float(delta)
+    hz = 0.5 * float(delta) if abs(delta) <= sys.float_info.max else math.inf
     if not math.isfinite(hz * hz):
         raise ValueError(f"delta must be finite, with a finite (delta / 2)^2, got {delta!r}")
     times = ([schedule.total_time] if snapshot_times is None
              else _checked_times(snapshot_times))
-    items, shape = _plan(schedule, times, _undrawn(noise_spec), abs(float(delta)), params.dt)
+    items, shape = _plan(schedule, times, _undrawn(noise_spec), abs(float(delta)))
     noise, _ = _prepare_batch(noise_spec, None, params, index)
     snaps = _propagate_items(items, shape, noise, np.array([float(delta)]))
     if diagnostics is not None:
@@ -1260,14 +1227,14 @@ def calibrate_amplitude(noise_spec: LorentzianNoiseSpec, target_T1: float,
     from .analysis import Degenerate, NoDecay, fit_decay
 
     params = params or SimParams()
-    if not 0 < target_T1 < math.inf:
+    if not 0 < target_T1 <= sys.float_info.max:
         raise ValueError("target_T1 must be positive and finite")
     guess = golden_rule_amplitude(noise_spec.R, target_T1)
     t_list = list(np.linspace(0.5 * target_T1, 2.0 * target_T1, 16))
     # Guard against hopeless targets: one relaxation run at the top of the
     # first bracket, 8 x guess, has to resolve the comb over 2 x target.
     steps, _ = _segment_steps(Segment(t_list[-1], None), PulseShape("Square"),
-                              _undrawn(replace(noise_spec, A=8.0 * guess)), 0.0, params.dt)
+                              _undrawn(replace(noise_spec, A=8.0 * guess)), 0.0)
     if steps > _STEP_BUDGET:
         raise NoConvergence(
             f"target_T1 = {target_T1:.3e} s needs ~{steps:.1e} integration steps "

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,14 +322,14 @@ class LorentzianNoiseSpec:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.R < math.inf:
+        if not 0 < self.R <= sys.float_info.max:
             raise ValueError("R must be positive and finite")
         _check_integer(self.n_max, "n_max")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if not 0 <= self.A < math.inf:
+        if not 0 <= self.A <= sys.float_info.max:
             raise ValueError("A must be non-negative and finite")
-        if not 0 < self.delta_omega < math.inf:
+        if not 0 < self.delta_omega <= sys.float_info.max:
             raise ValueError("delta_omega must be positive and finite")
         with np.errstate(all="ignore"):
             den, w = _comb_terms(self)
@@ -361,7 +362,9 @@ class DephasingSpec:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        hz = 0.5 * math.sqrt(106 * math.log(2)) * float(self.sigma_delta)  # the largest draw's
+        # The largest draw's hz; a sigma_delta beyond the double range has none.
+        hz = (0.5 * math.sqrt(106 * math.log(2)) * float(self.sigma_delta)
+              if self.sigma_delta <= sys.float_info.max else math.inf)
         if not (self.sigma_delta >= 0 and math.isfinite(hz * hz)):
             raise ValueError("sigma_delta must be non-negative and finite, with a finite hz^2 "
                              f"at its largest draw, got {self.sigma_delta!r}")
@@ -550,7 +553,7 @@ def _sample_count(duration: float, sample_rate: float) -> int:
     ValueError unless duration and sample_rate are positive and finite
     and the count is at least 1; SampleBudgetExceeded above 1e8 samples.
     """
-    if not (0 < duration < math.inf and 0 < sample_rate < math.inf):
+    if not (0 < duration <= sys.float_info.max and 0 < sample_rate <= sys.float_info.max):
         raise ValueError("duration and sample_rate must be positive and finite")
     samples = duration * sample_rate  # may overflow to inf, so not rounded yet
     if samples > 10**8 + 0.5:

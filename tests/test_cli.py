@@ -1,10 +1,12 @@
 """Config parsing, CLI exit codes, and end-to-end command behavior."""
+import math
+
 import numpy as np
 import pytest
 
 from eulerdd import (DEFAULT_N_LIST, CurvePoint, DecayCurve, DephasingSpec,
                      LorentzianNoiseSpec, PulseShape, SequenceSpec, SimParams,
-                     apply_envelope, calibrate_amplitude, engine)
+                     apply_envelope, calibrate_amplitude, engine, export_waveform)
 from eulerdd.cli import (ConfigError, bundled_config_names, main,
                          parse_config)
 
@@ -138,6 +140,8 @@ def test_main_flags_and_config_errors_exit_1(tmp_path, capsys):
         (relax + "t_min = 4e-6\nt_spacing = geometric\n",
          "t_min = 4e-06 exceeds t_max = 3e-06"),
         (FID_TEXT + "threads = 2\n", "line 8: unknown key 'threads'"),
+        # Every run takes the automatic step rule; a step length is no key.
+        (DD_TEXT + "dt = 1e-9\n", "line 7: unknown key 'dt'"),
         # A malformed command line is a config error too, not argparse's exit 2.
         (FID_TEXT, "unrecognized arguments: --bogus", "--bogus"),
         (FID_TEXT, "argument --seed: expected one argument", "--seed"),
@@ -183,11 +187,10 @@ OUT = ("--out", "never.csv")
     # An experiment takes only the run keys it reads.
     (EULER_TEXT + "realizations = 4\n", (),
      "line 3: key 'realizations' does not apply to experiment 'eulerian-check'"),
-    (EULER_TEXT + "dt = 1e-9\n", (), "line 3: key 'dt' does not apply"),
+    (EULER_TEXT + "out = x.csv\n", (), "line 3: key 'out' does not apply"),
     (EULER_TEXT + "master_seed = 1\n", (), "line 3: key 'master_seed' does not apply"),
     (EXPORT_TEXT + "realizations = 4\n", OUT,
      "line 6: key 'realizations' does not apply to experiment 'export-noise'"),
-    (EXPORT_TEXT + "dt = 1e-9\n", OUT, "line 6: key 'dt' does not apply"),
     # A flag sets its key, so it applies where the key does.
     (EULER_TEXT, ("--seed", "1"), "--seed does not apply to experiment 'eulerian-check'"),
     (EULER_TEXT, ("--realizations", "4"), "--realizations does not apply"),
@@ -225,6 +228,24 @@ def test_each_setting_has_one_route(tmp_path, capsys, monkeypatch, text, flags, 
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
+def test_envelope_t2_scales_the_dd_curve(tmp_path):
+    # envelope_t2 multiplies the run's values and stderrs by 0.5 e^{-(t/T2)^2}
+    # + 0.5 and changes nothing else: the same seed draws the same curve.
+    t2 = 1e-5
+    runs = {"plain": "", "enveloped": f"envelope_t2 = {t2!r}\n"}
+    text = DD_TEXT.replace("n_list = 8", "n_list = 8,16,24") + "sigma_delta = 764439.7634449162\n"
+    for name, keys in runs.items():
+        assert main([write_cfg(tmp_path, text + keys), "--out", str(tmp_path / name)]) == 0
+    plain, enveloped = ([line.split(",") for line in (tmp_path / name).read_text().splitlines()]
+                        for name in runs)
+    assert plain[0] == enveloped[0] == ["N", "t_s", "value", "stderr"]
+    assert len(plain) == len(enveloped) == 4
+    for (n, t, value, stderr), got in zip(plain[1:], enveloped[1:]):
+        factor = 0.5 * math.exp(-((float(t) / t2) ** 2)) + 0.5
+        assert factor < 0.99
+        assert got == [n, t, repr(float(value) * factor), repr(float(stderr) * factor)]
+
+
 def test_zero_amplitude_and_width_mean_zero(tmp_path):
     # A zero comb amplitude and a zero detuning width run the model they
     # name, which is the same as leaving the keys out.
@@ -254,7 +275,6 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, value):
         lambda: LorentzianNoiseSpec(R=1e4, A=x),
         lambda: LorentzianNoiseSpec(R=1e4, A=1.0, delta_omega=x),
         lambda: DephasingSpec(sigma_delta=x),
-        lambda: SimParams(dt=x),
         lambda: apply_envelope(DecayCurve((CurvePoint(0.0, 0, 1.0, 0.0),)), x),
         lambda: calibrate_amplitude(LorentzianNoiseSpec(R=1e4, A=0.0), x),
     ]
@@ -263,12 +283,41 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, value):
             build()
 
 
-def test_main_runtime_errors_exit_2(tmp_path, capsys):
-    # dt coarser than tau_d / 50 is rejected by the integrator at run time.
-    path = write_cfg(tmp_path, "experiment = dd\nsequence = xy4\ntau = 5e-7\n"
-                     "tau_d = 1e-7\nn_list = 2\ndt = 1e-8\nrealizations = 2\n")
-    assert main([path, "--out", str(tmp_path / "dd.csv")]) == 2
-    assert "exceeds tau_d/50" in capsys.readouterr().err
+@pytest.mark.parametrize("build", [
+    lambda big: SequenceSpec("XY4", N=4, tau=big, tau_d=1e-7),
+    lambda big: SequenceSpec("XY4", N=4, tau=1e-6, tau_d=big),
+    lambda big: PulseShape("Gaussian", gauss_trunc=big),
+    lambda big: LorentzianNoiseSpec(R=big, A=1.0),
+    lambda big: LorentzianNoiseSpec(R=1e4, A=big),
+    lambda big: DephasingSpec(sigma_delta=big),
+    lambda big: DecayCurve((CurvePoint(big, 0, 0.5, 0.0),)),
+    lambda big: DecayCurve((CurvePoint(0.0, 0, 0.5, big),)),
+    lambda big: apply_envelope(DecayCurve((CurvePoint(0.0, 0, 1.0, 0.0),)), big),
+    lambda big: calibrate_amplitude(LorentzianNoiseSpec(R=1e4, A=0.0), big),
+    lambda big: export_waveform(LorentzianNoiseSpec(R=1e4, A=1.0), np.zeros(21), big, 1.0,
+                                "never.csv"),
+], ids=["tau", "tau_d", "gauss_trunc", "R", "A", "sigma_delta", "curve_t", "stderr", "T2",
+        "target_T1", "duration"])
+def test_inputs_refuse_integers_beyond_the_double_range(build):
+    # An int has no float beyond about 1.8e308: the range check refuses it
+    # with ValueError, before any float() of it can raise OverflowError.
+    with pytest.raises(ValueError):
+        build(10**400)
+
+
+def test_main_runtime_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # A calibration whose relaxation never decays cannot bracket its target;
+    # that is found only by running, so the run exits 2.
+    def flat(spec, t_list, *args, **kwargs):
+        return DecayCurve(tuple(CurvePoint(t, 0, 1.0, 0.0) for t in t_list))
+
+    monkeypatch.setattr(engine, "run_relaxation", flat)
+    path = write_cfg(tmp_path, "experiment = calibrate\nnoise_r = 31415.926535897932\n"
+                     "target_t1 = 12.87e-6\nrealizations = 2\n")
+    assert main([path]) == 2
+    captured = capsys.readouterr()
+    assert "could not bracket the target relaxation time" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_main_refuses_runs_over_the_step_budget(tmp_path, capsys):

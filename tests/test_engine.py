@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from eulerdd import (CurvePoint, DecayCurve, DephasingSpec, DEFAULT_N_LIST,
                      LorentzianNoiseSpec, NoConvergence, PulseShape,
-                     SequenceSpec, SimParams, StepTooLarge,
+                     SequenceSpec, SimParams,
                      apply_envelope, axis_rotation, build_schedule,
                      calibrate_amplitude, fit_decay, golden_rule_amplitude,
                      field_at, prep_unitary, propagate, readout_unitary,
@@ -113,18 +113,23 @@ def test_dd_scan_matches_gauss_hermite_oracle():
         assert np.all(dev <= 5.0), f"{name}: deviations {np.round(dev, 2)} stderr"
 
 
-def test_square_xy8_propagate_matches_expm_product():
+@pytest.mark.parametrize("name", ["XY4", "XY8"])
+@pytest.mark.parametrize("tau_d", [125e-9, 250e-9, 500e-9])
+def test_square_xy8_propagate_matches_expm_product(name, tau_d):
     # Without the comb every idle and square pulse is a constant-Hamiltonian
     # segment, so propagate's U equals the product of the segments' matrix
-    # exponentials at every cycle boundary, global phase included.
-    spec = SequenceSpec("XY8", N=16, tau=712e-9, tau_d=500e-9)
+    # exponentials at every cycle boundary, global phase included.  These
+    # are the blocks, at tau_c = 1924 ns, whose loss exponents criterion 5
+    # reads.
+    spec = SequenceSpec(name, N=16, tau=(1924e-9 - tau_d) / 2, tau_d=tau_d)
+    phases = ORACLE_PHASES[name]
     delta = 0.5 * SIGMA_FID
     idle = expm(-1j * spec.tau * delta * SZ)
     drive = math.pi / spec.tau_d
     u = np.eye(2, dtype=complex)
     expect = []
     for k in range(spec.N):
-        phi = ORACLE_PHASES["XY8"][k % 8]
+        phi = phases[k % len(phases)]
         h = drive * (math.cos(phi) * SX + math.sin(phi) * SY) + delta * SZ
         u = idle @ expm(-1j * spec.tau_d * h) @ idle @ u
         if (k + 1) % 8 == 0:
@@ -426,7 +431,7 @@ def fig4_node_fields(seg, shape, rows, interpolate=True, drive=True):
     interpolated or summed directly, and a Square pulse's drive, or none.
     """
     noise = Comb.of(replace(FIG4_NOISE, master_seed=9), FIG4_PHASES[rows])
-    nstep, _ = engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)
+    nstep, _ = engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID)
     assert engine._step_class(seg, shape, noise, nstep).points is not None
     with pytest.MonkeyPatch.context() as patch:
         if not interpolate:
@@ -518,7 +523,7 @@ def test_comb_scan_does_not_depend_on_the_step_block(monkeypatch):
     noise = Comb.of(RELAX_NOISE, sample_realization(RELAX_NOISE, np.arange(4)))
     for seg, interpolates in [(Segment(fast.tau, None), False),
                               (Segment(2 * fast.tau, None), True), (Segment(24e-9, 0.0), True)]:
-        nstep, _ = engine._segment_steps(seg, fast.shape, noise, 4.0 * SIGMA_FID, None)
+        nstep, _ = engine._segment_steps(seg, fast.shape, noise, 4.0 * SIGMA_FID)
         assert (engine._step_class(seg, fast.shape, noise, nstep).points is not None
                 ) == interpolates
     default = {name: run() for name, (_, run) in runs.items()}
@@ -545,7 +550,7 @@ def test_relaxation_builds_full_blocks_across_segments(monkeypatch):
         return exact_propagator(hz, c, t)
 
     monkeypatch.setattr(engine, "_exact_propagator", counted)
-    items, shape = engine._plan(engine._idle_schedule(t_list[-1]), t_list, noise, 0.0, None)
+    items, shape = engine._plan(engine._idle_schedule(t_list[-1]), t_list, noise, 0.0)
     engine._propagate_items(items, shape, noise, deltas)
     steps = sum(item[2] for item in items if item[0] == "seg" and item[3])
     assert len(built) == math.ceil(steps / 8) < len(t_list)
@@ -608,7 +613,7 @@ def test_scan_without_comb_matches_step_by_step_application():
             values.append(np.mean(pop))
             stderrs.append(np.std(pop, ddof=1) / math.sqrt(pop.size))
             continue
-        nstep, _ = engine._segment_steps(item[1], spec.shape, None, 4.0 * SIGMA_FID, None)
+        nstep, _ = engine._segment_steps(item[1], spec.shape, None, 4.0 * SIGMA_FID)
         if item[1].is_pulse:
             half, turn = gaussian_frame(item[1].phase)
             a, b = a * half, b * np.conj(half)
@@ -653,7 +658,7 @@ def class_steps_in_sequence(schedule, times, deltas, delta_max, psi0):
         if item[0] == "snap":
             states.append(np.stack([a, b], axis=1))
             continue
-        nstep, _ = engine._segment_steps(item[1], shape, None, delta_max, None)
+        nstep, _ = engine._segment_steps(item[1], shape, None, delta_max)
         u00, u01, u10, u11 = engine._class_step(item[1], shape, hz, nstep)
         a, b = u00[0] * a + u01[0] * b, u10[0] * a + u11[0] * b
     return states
@@ -695,7 +700,7 @@ def test_scan_without_comb_matches_class_steps_in_sequence(spec, n_list):
     params = SimParams(realizations=256, master_seed=4)
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
     times = [n * spec.tau_c for n in n_list]
-    plan = engine._plan(build_schedule(spec), times, None, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, None, 4.0 * SIGMA_FID)
     got = engine._propagate_items(*plan, None, deltas)
     want = class_steps_in_sequence(build_schedule(spec), times, deltas, 4.0 * SIGMA_FID, KET0)
     assert len(got) == len(want) == len(times)
@@ -724,7 +729,7 @@ def test_fid_grid_applies_each_class_step_once():
     _, deltas = engine._prepare_batch(None, DephasingSpec(sigma_delta=SIGMA_FID), params)
     times = list(np.geomspace(1e-8, 2e-5, 100))
     schedule = engine._idle_schedule(times[-1])
-    plan = engine._plan(schedule, times, None, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(schedule, times, None, 4.0 * SIGMA_FID)
     got = engine._propagate_items(*plan, None, deltas)
     want = class_steps_in_sequence(schedule, times, deltas, 4.0 * SIGMA_FID, KET0)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
@@ -742,7 +747,7 @@ def comb_steps_in_sequence(schedule, times, noise, deltas, delta_max, psi0):
     """
     shape = schedule.spec.shape
     hz = 0.5 * deltas
-    items = [item + engine._segment_steps(item[1], shape, noise, delta_max, None)
+    items = [item + engine._segment_steps(item[1], shape, noise, delta_max)
              if item[0] == "seg" else item for item in engine._split_idles_at(schedule, times)]
     plan, t_abs = [], 0.0
     for item in items:
@@ -782,7 +787,7 @@ def test_comb_run_column_is_the_propagator(kind):
     noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
                                           SimParams(realizations=16, master_seed=3))
     times = [8 * spec.tau_c, 16 * spec.tau_c]
-    plan = engine._plan(build_schedule(spec), times, noise, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, noise, 4.0 * SIGMA_FID)
     got = engine._propagate_items(*plan, noise, deltas)
     want = comb_steps_in_sequence(build_schedule(spec), times, noise, deltas,
                                   4.0 * SIGMA_FID, KET1)
@@ -798,7 +803,7 @@ def test_propagate_returns_the_propagator(noise_spec):
     params = SimParams(master_seed=5)
     times = [8 * spec.tau_c, 16 * spec.tau_c]
     noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([3]))
-    plan = engine._plan(build_schedule(spec), times, noise, SIGMA_FID, None)
+    plan = engine._plan(build_schedule(spec), times, noise, SIGMA_FID)
     columns = engine._propagate_items(*plan, noise, np.array([SIGMA_FID]))
     props = propagate(build_schedule(spec), noise_spec, realization_index=3,
                       delta=SIGMA_FID, params=params, snapshot_times=times)
@@ -859,7 +864,7 @@ def test_propagate_follows_realization_m_of_a_run(spec, noise_spec, n_list):
     times = [n * spec.tau_c for n in n_list]
     noise, deltas = engine._prepare_batch(noise_spec, DephasingSpec(sigma_delta=SIGMA_FID),
                                           params)
-    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID)
     run = np.array(engine._propagate_items(*plan, noise, deltas))
     for m, delta in enumerate(deltas):
         props = propagate(schedule, noise_spec, realization_index=m, delta=delta,
@@ -885,7 +890,7 @@ def test_diagnostics_count_every_segment_once(spec, noise_spec):
     propagate(build_schedule(spec), noise_spec, delta=SIGMA_FID, params=params,
               snapshot_times=times, diagnostics=diag)
     noise, _ = engine._prepare_batch(noise_spec, None, params, np.array([0]))
-    rules = [engine._segment_steps(item[1], spec.shape, noise, SIGMA_FID, None)
+    rules = [engine._segment_steps(item[1], spec.shape, noise, SIGMA_FID)
              for item in engine._split_idles_at(build_schedule(spec), times)
              if item[0] == "seg"]
     assert diag["integrated_steps"] == sum(nstep for nstep, varies in rules if varies)
@@ -923,9 +928,9 @@ def test_step_counts_of_segments_that_vary_only_through_the_comb():
                              (Segment(164e-9, None), square, 2),
                              (Segment(500e-9, 0.0), square, 9),
                              (Segment(100e-9, 0.0), gaussian, 16)]:
-        assert engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None) == (want, True)
+        assert engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID) == (want, True)
     for seg in (Segment(164e-9, None), Segment(500e-9, 0.0)):
-        assert engine._segment_steps(seg, square, None, 4.0 * SIGMA_FID, None) == (1, False)
+        assert engine._segment_steps(seg, square, None, 4.0 * SIGMA_FID) == (1, False)
 
 
 def refined_steps(monkeypatch, factor):
@@ -1012,7 +1017,7 @@ def test_truncated_gaussian_steps_meet_the_envelope_jumps(trunc, factor):
     shape = PulseShape("Gaussian", gauss_trunc=trunc)
     seg = Segment(100e-9, 0.0)
     noise = Comb.of(FIG4_NOISE, sample_realization(FIG4_NOISE, np.arange(4)))
-    nstep = factor * engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID, None)[0]
+    nstep = factor * engine._segment_steps(seg, shape, noise, 4.0 * SIGMA_FID)[0]
     h, rel = engine._step_layout(seg, shape, nstep)
     lengths = np.broadcast_to(h, (nstep,))
     starts = rel[0] - engine._NODES[0] * lengths
@@ -1048,7 +1053,7 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
     noise, deltas = engine._prepare_batch(FIG4_NOISE, DephasingSpec(sigma_delta=SIGMA_FID),
                                           SimParams(realizations=16, master_seed=3))
     rule = engine._segment_steps
-    per_segment = [item + rule(item[1], spec.shape, noise, 4.0 * SIGMA_FID, None)
+    per_segment = [item + rule(item[1], spec.shape, noise, 4.0 * SIGMA_FID)
                    if item[0] == "seg" else item
                    for item in engine._split_idles_at(schedule, times)]
     want = engine._propagate_items(per_segment, spec.shape, noise, deltas)
@@ -1059,7 +1064,7 @@ def test_step_rule_runs_once_per_segment_class(monkeypatch):
         return rule(seg, *args)
 
     monkeypatch.setattr(engine, "_segment_steps", counted)
-    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID, None)
+    plan = engine._plan(schedule, times, noise, 4.0 * SIGMA_FID)
     got = engine._propagate_items(*plan, noise, deltas)
     classes = {(item[1].duration, item[1].is_pulse) for item in per_segment
                if item[0] == "seg"}
@@ -1117,6 +1122,7 @@ def test_propagate_validation(monkeypatch):
         # A delta whose hz^2 = (delta / 2)^2 overflows once gave a NaN propagator.
         for kwargs in ({"delta": math.nan}, {"delta": math.inf}, {"delta": 1e300},
                        {"delta": -2.7e154}, {"delta": np.float64(1e300)},
+                       {"delta": 10**400}, {"delta": -10**400},
                        {"snapshot_times": [-1e-6]}, {"snapshot_times": [math.nan]},
                        {"snapshot_times": [math.inf]}, {"realization_index": 2**64},
                        {"realization_index": -1}):
@@ -1251,15 +1257,6 @@ def test_relaxation_matches_frozen_t1():
     assert fit.T == pytest.approx(t1, rel=0.2)
 
 
-def test_step_control_rejects_coarse_dt():
-    spec = SequenceSpec("XY4", N=2, tau=500e-9, tau_d=100e-9)
-    with pytest.raises(StepTooLarge):
-        run_dd_scan(spec, [2], params=SimParams(dt=1e-8, realizations=2))
-    with pytest.raises(StepTooLarge):
-        run_fid(DephasingSpec(sigma_delta=1e9, master_seed=2), [1e-5],
-                SimParams(dt=1e-6, realizations=4))
-
-
 def test_dd_scan_n_list_validation():
     spec = SequenceSpec("XY8", N=8, tau=500e-9, tau_d=100e-9)
     with pytest.raises(ValueError, match="not a multiple"):
@@ -1293,8 +1290,9 @@ def test_apply_envelope_factors():
 
 
 def test_simparams_validation():
-    with pytest.raises(ValueError, match="dt"):
-        SimParams(dt=0.0)
+    # Every run takes the automatic step rule: no step length is a parameter.
+    with pytest.raises(TypeError, match="dt"):
+        SimParams(dt=1e-9)
     with pytest.raises(ValueError, match="realizations"):
         SimParams(realizations=0)
     with pytest.raises(ValueError, match="realizations must be an integer"):
@@ -1394,6 +1392,79 @@ def test_calibration_draws_its_phase_rows_once(monkeypatch):
     t_list = list(np.linspace(0.5 * 12.87e-6, 2.0 * 12.87e-6, 16))
     fresh = run_relaxation(replace(base, A=res.A), t_list, params=params)
     assert fresh.to_csv_text() == res.curve.to_csv_text()
+
+
+def synthetic_relaxation(monkeypatch, decay):
+    """Make calibration's runs return exact curves baseline + contrast
+    e^{-t/T}, with (baseline, contrast, T) = decay(A / guess) at its
+    target of 12.87 us; returns the list of A / guess of each run."""
+    guess = golden_rule_amplitude(R_FAST, 12.87e-6)
+    amplitudes = []
+
+    def relaxation(spec, t_list, *args, **kwargs):
+        amplitudes.append(spec.A / guess)
+        base, contrast, T = decay(spec.A / guess)
+        return DecayCurve(tuple(CurvePoint(t, 0, base + contrast * math.exp(-t / T), 1e-3)
+                                for t in t_list))
+
+    monkeypatch.setattr(engine, "run_relaxation", relaxation)
+    return amplitudes
+
+
+def synthetic_calibration():
+    return calibrate_amplitude(LorentzianNoiseSpec(R=R_FAST, A=0.0), 12.87e-6,
+                               params=SimParams(realizations=2))
+
+
+def test_calibration_expands_its_bracket_downward(monkeypatch):
+    # T1 = target / (512 a^2) at A = a guess: guess / 8 relaxes too fast,
+    # so the bottom moves down 8x, and the bracket's geometric midpoint,
+    # guess / sqrt(512), is on target.
+    target = 12.87e-6
+    amplitudes = synthetic_relaxation(monkeypatch,
+                                      lambda a: (0.5, 0.5, target / (512.0 * a * a)))
+    cal = synthetic_calibration()
+    assert amplitudes == pytest.approx([1 / 8, 1 / 64, 1 / math.sqrt(512)], rel=1e-12)
+    assert cal.iterations == 3
+    assert cal.achieved_T1 == pytest.approx(target, rel=1e-3)
+
+
+def test_calibration_refuses_a_target_it_cannot_bracket(monkeypatch):
+    # A curve that never decays fits no time at any amplitude, so the top
+    # of the bracket moves up 8x until the 30 runs are spent.
+    amplitudes = synthetic_relaxation(monkeypatch, lambda a: (1.0, 0.0, 1.0))
+    with pytest.raises(NoConvergence, match="could not bracket"):
+        synthetic_calibration()
+    assert amplitudes == pytest.approx([1 / 8] + [8.0**k for k in range(1, 30)], rel=1e-12)
+
+
+def test_calibration_stops_after_30_runs(monkeypatch):
+    # T1 jumps from 2 to 0.6 target at A = 2 guess: the bracket holds the
+    # jump, and no bisection point comes within 5% of the target.
+    target = 12.87e-6
+    amplitudes = synthetic_relaxation(
+        monkeypatch, lambda a: (0.5, 0.5, (2.0 if a < 2.0 else 0.6) * target))
+    with pytest.raises(NoConvergence, match="no convergence after 30 runs; best fitted "
+                                            r"T1 = 7\.72\d\de-06"):
+        synthetic_calibration()
+    assert len(amplitudes) == 30
+    assert amplitudes[:2] == pytest.approx([1 / 8, 8.0], rel=1e-12)
+    assert amplitudes[-1] == pytest.approx(2.0, rel=1e-6)
+
+
+def test_calibration_reads_an_overdriven_run_at_its_first_point(monkeypatch):
+    # From 4 guess up the population rises instead of decaying.  Its fit
+    # has a negative contrast and T = 10 target; calibration reads such a
+    # run as relaxed by the window's first time, 0.5 target, so 8 guess
+    # closes the bracket and its midpoint, guess, is on target.
+    target = 12.87e-6
+    amplitudes = synthetic_relaxation(
+        monkeypatch, lambda a: ((0.95, -0.25, 10.0 * target) if a >= 4.0
+                                else (0.5, 0.5, target / (a * a))))
+    cal = synthetic_calibration()
+    assert amplitudes == pytest.approx([1 / 8, 8.0, 1.0], rel=1e-12)
+    assert cal.iterations == 3
+    assert cal.achieved_T1 == pytest.approx(target, rel=1e-3)
 
 
 def test_calibration_rejects_hopeless_targets():

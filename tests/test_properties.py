@@ -125,8 +125,7 @@ def batch_states(rows):
     for spec, noise_spec, dephasing in BATCH_RUNS:
         noise, deltas = engine._prepare_batch(noise_spec, dephasing, RUN_PARAMS, rows)
         times = [spec.N // 2 * spec.tau_c, spec.N * spec.tau_c]
-        plan = engine._plan(build_schedule(spec), times, noise, 4.0 * dephasing.sigma_delta,
-                            None)
+        plan = engine._plan(build_schedule(spec), times, noise, 4.0 * dephasing.sigma_delta)
         states += engine._propagate_items(*plan, noise, deltas)
     return states
 
@@ -189,7 +188,6 @@ def test_detuning_draws_equal_per_index_generators(master_seed, indices):
 VALUES = {
     "master_seed": st.integers(0, 2**64 - 1),
     "realizations": st.integers(1, 10**7),
-    "dt": positive,
     "out": any_path,
     "sequence": st.sampled_from(["CPMG_Y", "XY4", "XY8"]),
     "tau": finite,
